@@ -109,10 +109,6 @@ class ObsSession {
     manifest_.seed = options.seed;
     manifest_.threads =
         options.threads != 0 ? options.threads : sim::default_num_threads();
-    manifest_.inbox =
-        sim::default_inbox_impl() == sim::InboxImpl::kReferenceVectors
-            ? "reference"
-            : "arena";
     const std::uint32_t sample =
         options.trace_sample == 0 ? 1 : options.trace_sample;
     if (!options.events_out.empty()) {

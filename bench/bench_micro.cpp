@@ -84,25 +84,6 @@ void BM_NetworkRoundThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundThroughput)->Arg(1 << 12)->Arg(1 << 15);
 
-void BM_NetworkRoundThroughputReference(benchmark::State& state) {
-  // Same workload through the retained vector-of-vectors inbox path; the
-  // gap to BM_NetworkRoundThroughput is what the message arena buys
-  // (EXPERIMENTS.md P2 measures the same delta at larger n).
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  util::Rng rng(4);
-  const graph::Graph g = graph::gen::union_of_random_forests(n, 2, rng);
-  const sim::ScopedInboxImpl scoped(sim::InboxImpl::kReferenceVectors);
-  std::uint64_t seed = 0;
-  std::uint64_t messages = 0;
-  for (auto _ : state) {
-    const mis::MisResult result = mis::MetivierMis::run(g, ++seed);
-    messages += result.stats.messages;
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
-}
-BENCHMARK(BM_NetworkRoundThroughputReference)->Arg(1 << 12)->Arg(1 << 15);
-
 void BM_RngDraws(benchmark::State& state) {
   util::Rng rng(5);
   for (auto _ : state) {

@@ -1,8 +1,8 @@
-// Experiment P2: message-arena vs reference vector inboxes — before/after
-// round throughput for the CONGEST hot path, with the byte-equivalence
-// contract checked inline: on every cell the arena run's observable output
-// (MIS states + run stats) must hash identically to the reference run's.
-// Prints a table and writes machine-readable results to
+// Experiment P2: round throughput of the message arena, the simulator's
+// inbox, on the inline lane (threads 0) and on the worker pool, with the
+// byte-equivalence contract checked inline: on every cell the run's
+// observable output (MIS states + run stats) must hash identically to the
+// inline lane's. Prints a table and writes machine-readable results to
 // results/BENCH_sim_arena.json (path via --json); exits nonzero on any
 // equivalence mismatch, so the sweep in run_benches.sh fails loudly.
 #include <chrono>
@@ -53,16 +53,13 @@ std::uint64_t hash_mis(const mis::MisResult& r) {
 struct CaseResult {
   std::string name;
   graph::NodeId n = 0;
-  std::uint32_t threads = 0;  ///< 0 = serial executor
+  std::uint32_t threads = 0;  ///< 0 = the inline lane
   std::uint64_t messages = 0;
-  double reference_ms = 0.0;
   double arena_ms = 0.0;
   bool identical = false;
-  double speedup() const {
-    return arena_ms > 0.0 ? reference_ms / arena_ms : 0.0;
-  }
-  double items_per_second(double ms) const {
-    return ms > 0.0 ? static_cast<double>(messages) / (ms / 1000.0) : 0.0;
+  double items_per_second() const {
+    return arena_ms > 0.0 ? static_cast<double>(messages) / (arena_ms / 1000.0)
+                          : 0.0;
   }
 };
 
@@ -82,7 +79,7 @@ int main(int argc, char** argv) {
   if (!options.quick) sizes.push_back(262144);
 
   bench::print_header(
-      "P2", "message arena vs reference inboxes — byte-identical output");
+      "P2", "message-arena round throughput — byte-identical output");
   std::cout << "threads (threaded cells): " << threads
             << "  (hardware_concurrency: " << hardware << ")\n"
             << "best of " << reps << " reps per cell\n\n";
@@ -91,42 +88,35 @@ int main(int argc, char** argv) {
   for (const graph::NodeId n : sizes) {
     util::Rng rng(options.seed);
     const graph::Graph g = graph::gen::union_of_random_forests(n, 2, rng);
+    std::uint64_t inline_hash = 0;
     for (const std::uint32_t t : {0u, threads}) {
       CaseResult c;
       c.n = n;
       c.threads = t;
       c.name = "metivier_arb2_n" + std::to_string(n) +
-               (t == 0 ? "_serial" : "_t" + std::to_string(t));
-      std::uint64_t reference_hash = 0;
-      std::uint64_t arena_hash = 0;
-      c.reference_ms = time_best_ms(reps, [&] {
-        const sim::ScopedInboxImpl inbox(sim::InboxImpl::kReferenceVectors);
+               (t == 0 ? "_inline" : "_t" + std::to_string(t));
+      std::uint64_t hash = 0;
+      c.arena_ms = time_best_ms(reps, [&] {
         const sim::ScopedNumThreads workers(t);
         const mis::MisResult r = mis::MetivierMis::run(g, options.seed);
-        reference_hash = hash_mis(r);
+        hash = hash_mis(r);
         c.messages = r.stats.messages;
       });
-      c.arena_ms = time_best_ms(reps, [&] {
-        const sim::ScopedInboxImpl inbox(sim::InboxImpl::kArena);
-        const sim::ScopedNumThreads workers(t);
-        arena_hash = hash_mis(mis::MetivierMis::run(g, options.seed));
-      });
-      c.identical = reference_hash == arena_hash;
+      if (t == 0) inline_hash = hash;
+      c.identical = hash == inline_hash;
       cases.push_back(c);
     }
   }
 
-  util::Table table({"case", "messages", "reference_ms", "arena_ms",
-                     "speedup", "arena_items_per_s", "identical"});
+  util::Table table(
+      {"case", "messages", "arena_ms", "arena_items_per_s", "identical"});
   table.set_double_precision(3);
   for (const CaseResult& c : cases) {
     table.row()
         .cell(c.name)
         .cell(c.messages)
-        .cell(c.reference_ms)
         .cell(c.arena_ms)
-        .cell(c.speedup())
-        .cell(c.items_per_second(c.arena_ms))
+        .cell(c.items_per_second())
         .cell(c.identical ? "yes" : "NO");
   }
   bench::emit(table, options);
@@ -152,14 +142,10 @@ int main(int argc, char** argv) {
       json << "    {\"name\": \"" << c.name << "\", \"n\": " << c.n
            << ", \"threads\": " << c.threads
            << ", \"messages\": " << c.messages
-           << ", \"reference_ms\": " << c.reference_ms
            << ", \"arena_ms\": " << c.arena_ms
-           << ", \"speedup\": " << c.speedup()
-           << ", \"reference_items_per_second\": "
-           << c.items_per_second(c.reference_ms)
-           << ", \"arena_items_per_second\": "
-           << c.items_per_second(c.arena_ms) << ", \"identical\": "
-           << (c.identical ? "true" : "false") << "}"
+           << ", \"arena_items_per_second\": " << c.items_per_second()
+           << ", \"identical\": " << (c.identical ? "true" : "false")
+           << "}"
            << (i + 1 < cases.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

@@ -1,5 +1,6 @@
 #include "core/arb_mis.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/subgraph.h"
@@ -99,23 +100,33 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
     emit_phase("degree_reduction", 0, g.num_nodes(), result.reduction_stats);
   }
 
-  // Stage 1: BoundedArbIndependentSet on the residual graph.
-  const graph::Subgraph shatter_sub = graph::induced_subgraph(g, residual);
+  // Stage 1: BoundedArbIndependentSet on the residual graph. An all-ones
+  // residual (always, without degree reduction) induces g itself — same
+  // ids, same sorted adjacency — so g runs directly instead of a copy.
+  const bool whole_graph =
+      std::all_of(residual.begin(), residual.end(),
+                  [](std::uint8_t r) { return r != 0; });
+  const graph::Subgraph shatter_sub =
+      whole_graph ? graph::Subgraph{} : graph::induced_subgraph(g, residual);
+  const graph::GraphView shatter_graph =
+      whole_graph ? g : graph::GraphView(shatter_sub.graph);
+  const auto original = [&](graph::NodeId local) {
+    return whole_graph ? local : shatter_sub.original(local);
+  };
   result.params =
       options.paper_faithful_params
-          ? Params::paper_faithful(options.alpha,
-                                   shatter_sub.graph.max_degree(),
+          ? Params::paper_faithful(options.alpha, shatter_graph.max_degree(),
                                    options.paper_p)
-          : Params::practical(options.alpha, shatter_sub.graph.max_degree(),
+          : Params::practical(options.alpha, shatter_graph.max_degree(),
                               options.tuning);
   BoundedArbIndependentSet::Result shatter = [&] {
     if (!options.audit_invariant) {
-      return BoundedArbIndependentSet::run(shatter_sub.graph, result.params,
+      return BoundedArbIndependentSet::run(shatter_graph, result.params,
                                            seed + 1);
     }
-    BoundedArbIndependentSet algorithm(shatter_sub.graph, result.params);
-    InvariantAuditor auditor(shatter_sub.graph, algorithm);
-    sim::Network net(shatter_sub.graph, seed + 1);
+    BoundedArbIndependentSet algorithm(shatter_graph, result.params);
+    InvariantAuditor auditor(shatter_graph, algorithm);
+    sim::Network net(shatter_graph, seed + 1);
     BoundedArbIndependentSet::Result audited;
     audited.stats =
         net.run(algorithm, result.params.total_rounds(), auditor.observer());
@@ -130,9 +141,8 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
 
   std::vector<std::uint8_t> bad_mask(g.num_nodes(), 0);
   std::vector<std::uint8_t> remaining_mask(g.num_nodes(), 0);
-  for (graph::NodeId local = 0; local < shatter_sub.graph.num_nodes();
-       ++local) {
-    const graph::NodeId v = shatter_sub.original(local);
+  for (graph::NodeId local = 0; local < shatter_graph.num_nodes(); ++local) {
+    const graph::NodeId v = original(local);
     result.shatter_outcome[v] = shatter.outcome[local];
     switch (shatter.outcome[local]) {
       case ArbOutcome::kInMis:
@@ -156,7 +166,7 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
   result.bad_components = shattering_stats(g, bad_mask);
   for (std::uint8_t b : bad_mask) result.bad_size += b;
   if (obs::telemetry_attached()) {
-    emit_phase("shatter", 1, shatter_sub.graph.num_nodes(),
+    emit_phase("shatter", 1, shatter_graph.num_nodes(),
                result.shatter_stats);
     for (const BoundedArbIndependentSet::ScaleStats& s : shatter.scale_stats) {
       obs::emit(obs::make_event(obs::EventKind::kScale, /*round=*/0, {},

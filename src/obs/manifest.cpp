@@ -47,7 +47,6 @@ std::string to_json_object(const Manifest& m) {
   out += ",\"nodes\":" + std::to_string(m.nodes);
   out += ",\"edges\":" + std::to_string(m.edges);
   out += ",\"threads\":" + std::to_string(m.threads);
-  append_string_field(out, "inbox", m.inbox);
   append_string_field(out, "extra", m.extra);
   out += '}';
   return out;

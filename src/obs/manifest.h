@@ -2,15 +2,15 @@
 // carries. A trace, event stream, or metrics dump is only as useful as
 // the ability to regenerate it, so the manifest pins everything a rerun
 // needs: the git revision and build flavor of the binary, the seed, the
-// workload description, and the executor configuration (thread count,
-// inbox implementation). Writers emit it as the first record of every
-// file — including each file produced by sink rotation — so any artifact
-// is reproducible from its header alone.
+// workload description, and the executor configuration (thread count).
+// Writers emit it as the first record of every file — including each file
+// produced by sink rotation — so any artifact is reproducible from its
+// header alone.
 //
-// The executor fields (threads, inbox) live ONLY here, never in events:
-// they do not affect run semantics (the determinism-merge rule), and
-// keeping them out of the event stream is what lets the differential
-// harness compare streams across executor configurations byte for byte.
+// The executor field (threads) lives ONLY here, never in events: it does
+// not affect run semantics (the determinism-merge rule), and keeping it
+// out of the event stream is what lets the differential harness compare
+// streams across executor configurations byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,7 @@ struct Manifest {
   std::uint64_t seed = 0;
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
-  std::uint32_t threads = 0;  ///< simulator workers (0 = serial)
-  std::string inbox;          ///< "arena" / "reference"
+  std::uint32_t threads = 0;  ///< simulator workers (0 = inline lane)
   std::string extra;          ///< free-form key=value notes
 
   friend bool operator==(const Manifest&, const Manifest&) = default;

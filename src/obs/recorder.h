@@ -15,9 +15,9 @@
 //
 // Determinism contract: recording preserves emission order and encodes
 // logical time only, so after identical runs the ring's record bytes
-// (ring_bytes()) are byte-identical across executor thread counts and
-// inbox implementations — tests/test_parallel_equivalence.cpp enforces
-// this alongside the sink-stream byte-identity.
+// (ring_bytes()) are byte-identical across executor thread counts —
+// tests/test_parallel_equivalence.cpp enforces this alongside the
+// sink-stream byte-identity.
 //
 // Crash path: dump_to_fd() is async-signal-safe best effort — it takes
 // no lock, allocates nothing, and writes only via write(2) to an fd the

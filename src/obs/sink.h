@@ -1,7 +1,7 @@
 // Event sinks: where telemetry events go.
 //
 // A sink is attached process-wide with ScopedSink (mirroring
-// sim::ScopedNumThreads / ScopedInboxImpl); instrumentation sites check
+// sim::ScopedNumThreads); instrumentation sites check
 // `obs::sink() != nullptr` — a single relaxed atomic load — so a build
 // with no sink attached pays one predictable branch per serial
 // instrumentation point and nothing per message or per node.

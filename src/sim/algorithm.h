@@ -62,17 +62,17 @@ class NodeRandom {
 
   Network* net_;
   graph::NodeId id_;
-  ExecLane* lane_;  ///< staging lane under the parallel executor, or null
+  ExecLane* lane_;  ///< the executor lane running the callback (non-null)
 };
 
 /// Facade handed to algorithm callbacks; valid only for the duration of the
 /// callback.
 class NodeContext {
  public:
-  /// `lane` is the worker's staging area when the parallel round executor
-  /// is active (sim/network.h); null selects the direct serial path.
-  NodeContext(Network& net, graph::NodeId id, ExecLane* lane = nullptr)
-      : net_(&net), id_(id), lane_(lane) {}
+  /// `lane` is the staging area of the executor lane running the callback
+  /// (sim/network.h); every send, halt and draw is staged there.
+  NodeContext(Network& net, graph::NodeId id, ExecLane& lane)
+      : net_(&net), id_(id), lane_(&lane) {}
 
   graph::NodeId id() const noexcept { return id_; }
   graph::NodeId degree() const noexcept;
@@ -102,7 +102,7 @@ class NodeContext {
  private:
   Network* net_;
   graph::NodeId id_;
-  ExecLane* lane_;  ///< staging lane under the parallel executor, or null
+  ExecLane* lane_;  ///< the executor lane running the callback (non-null)
 };
 
 class Algorithm {

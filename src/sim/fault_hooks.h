@@ -7,15 +7,16 @@
 //     that round runs. This is where node events (crashes, recoveries)
 //     resolve, so the down set is frozen for the duration of the phase and
 //     every worker reads a consistent snapshot.
-//   * on_message: once per send, from the sending node's worker. The fate
-//     of a message (delivered, dropped, duplicated) must be a pure
-//     function of (plan, edge slot, round) — the contract that keeps
-//     fault runs byte-identical across thread counts: the parallel
-//     executor stages the surviving copies in its per-worker ExecLanes and
-//     replays them in shard order, reproducing the serial inbox bytes.
+//   * on_message: once per send, from the sending node's lane (a pool
+//     worker, or the calling thread). The fate of a message (delivered,
+//     dropped, duplicated) must be a pure function of (plan, edge slot,
+//     round) — the contract that keeps fault runs byte-identical across
+//     thread counts: the executor stages the surviving copies in its
+//     ExecLanes and replays pool lanes in shard order, reproducing the
+//     inline lane's inbox bytes.
 //   * account: once per round at the barrier, with the round's summed drop
-//     and duplicate counts (serially accumulated, or merged from the lanes
-//     in shard order), so the injector's ledger is executor-independent.
+//     and duplicate counts (merged from the lanes in shard order), so the
+//     injector's ledger is executor-independent.
 //
 // Semantics of the injected faults:
 //   * a dropped message is lost in transit — the sender still pays its

@@ -28,7 +28,6 @@ ModelCheckerLane::ModelCheckerLane()
 void ModelCheckerLane::reset() {
   active_node = ModelChecker::kNoNode;
   max_message_bits = 0;
-  round_max_message_bits = 0;
   max_edge_bits = 0;
   max_rng_reads = 0;
   any_first_draw = false;
@@ -64,11 +63,8 @@ ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
                    ceil_log2(static_cast<std::uint64_t>(num_nodes_) + 1));
   edge_bit_budget_ =
       per_message * std::max<std::uint32_t>(allowed_messages_per_edge, 1);
-  origin_offset_.resize(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (graph::NodeId v = 0; v < num_nodes_; ++v) {
-    origin_offset_[v + 1] = origin_offset_[v] + g.degree(v);
-  }
-  const std::uint64_t slots = origin_offset_[num_nodes_];
+  std::uint64_t slots = 0;  // directed edges, Network's edge-slot space
+  for (graph::NodeId v = 0; v < num_nodes_; ++v) slots += g.degree(v);
   edge_bits_.assign(slots, 0);
   edge_bits_epoch_.assign(slots, kStaleEpoch);
   rng_reads_.assign(num_nodes_, 0);
@@ -77,12 +73,6 @@ ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
     mult_[s].assign(num_nodes_, 0);
     mult_epoch_[s].assign(num_nodes_, kStaleEpoch);
   }
-  origin_pending_.resize(slots);
-  origin_current_.resize(slots);
-  origin_count_pending_.assign(num_nodes_, 0);
-  origin_count_current_.assign(num_nodes_, 0);
-  origin_overflow_pending_.resize(num_nodes_);
-  origin_overflow_current_.resize(num_nodes_);
   report_.edge_bit_budget = edge_bit_budget_;
 }
 
@@ -93,47 +83,8 @@ void ModelChecker::begin_run() {
   for (int s = 0; s < 2; ++s) {
     std::fill(mult_epoch_[s].begin(), mult_epoch_[s].end(), kStaleEpoch);
   }
-  std::fill(origin_count_pending_.begin(), origin_count_pending_.end(), 0u);
-  std::fill(origin_count_current_.begin(), origin_count_current_.end(), 0u);
-  if (origin_pending_dirty_) {
-    for (auto& box : origin_overflow_pending_) box.clear();
-    origin_pending_dirty_ = false;
-  }
-  if (origin_current_dirty_) {
-    for (auto& box : origin_overflow_current_) box.clear();
-    origin_current_dirty_ = false;
-  }
-  active_node_ = kNoNode;
   report_ = ModelCheckReport{};
   report_.edge_bit_budget = edge_bit_budget_;
-}
-
-void ModelChecker::begin_round(std::uint32_t round) {
-  if (!options_.enabled) return;
-  (void)round;
-  // Mirror the Network's inbox swap: what was sent last round is what gets
-  // consumed this round. Undelivered leftovers (halted recipients) die here.
-  std::swap(origin_current_, origin_pending_);
-  std::swap(origin_count_current_, origin_count_pending_);
-  std::fill(origin_count_pending_.begin(), origin_count_pending_.end(), 0u);
-  std::swap(origin_overflow_current_, origin_overflow_pending_);
-  std::swap(origin_current_dirty_, origin_pending_dirty_);
-  if (origin_pending_dirty_) {
-    for (auto& box : origin_overflow_pending_) box.clear();
-    origin_pending_dirty_ = false;
-  }
-}
-
-void ModelChecker::deliver_origin(graph::NodeId target, graph::NodeId origin) {
-  std::uint32_t& count = origin_count_pending_[target];
-  const std::uint64_t cap = origin_offset_[target + 1] - origin_offset_[target];
-  if (count < cap) [[likely]] {
-    origin_pending_[origin_offset_[target] + count] = origin;
-  } else {
-    origin_overflow_pending_[target].push_back(origin);
-    origin_pending_dirty_ = true;
-  }
-  ++count;
 }
 
 std::uint32_t& ModelChecker::stamped(std::vector<std::uint32_t>& counts,
@@ -155,43 +106,25 @@ std::string node_name(graph::NodeId v) {
 
 }  // namespace
 
-bool ModelChecker::on_send(ModelCheckerLane* lane, graph::NodeId from,
-                           graph::NodeId target, std::uint64_t slot,
-                           std::uint64_t payload, std::uint32_t round,
-                           std::uint8_t copies) {
+bool ModelChecker::on_send(ModelCheckerLane& lane, graph::NodeId from,
+                           std::uint64_t slot, std::uint64_t payload,
+                           std::uint32_t round) {
   if (!options_.enabled) return false;
-  const graph::NodeId active = lane ? lane->active_node : active_node_;
-  if (from != active) {
+  if (from != lane.active_node) {
     violation(lane, "out-of-context send: node " + std::to_string(from) +
-                        "'s port used while node " + node_name(active) +
-                        " was scheduled");
+                        "'s port used while node " +
+                        node_name(lane.active_node) + " was scheduled");
   }
   const auto width = static_cast<std::uint32_t>(
       options_.tag_bits + std::bit_width(payload));
-  if (lane) {
-    lane->max_message_bits = std::max(lane->max_message_bits, width);
-    lane->round_max_message_bits =
-        std::max(lane->round_max_message_bits, width);
-  } else {
-    report_.max_message_bits = std::max(report_.max_message_bits, width);
-    if (report_.round_max_message_bits.size() <= round) {
-      report_.round_max_message_bits.resize(round + 1, 0);
-    }
-    report_.round_max_message_bits[round] =
-        std::max(report_.round_max_message_bits[round], width);
-  }
+  lane.max_message_bits = std::max(lane.max_message_bits, width);
 
   // Per-edge bits live in the sender's slots, which belong to exactly one
-  // worker during a parallel phase — safe to update in place either way.
+  // lane during a phase — safe to update in place.
   std::uint32_t& bits =
       stamped(edge_bits_, edge_bits_epoch_, slot, round);
   bits += width;
-  if (lane) {
-    lane->max_edge_bits = std::max(lane->max_edge_bits, bits);
-  } else {
-    report_.max_edge_bits_per_round =
-        std::max(report_.max_edge_bits_per_round, bits);
-  }
+  lane.max_edge_bits = std::max(lane.max_edge_bits, bits);
   if (bits > edge_bit_budget_) {
     violation(lane, "message budget exceeded: " + std::to_string(bits) +
                         " bits on one edge in round " +
@@ -200,17 +133,8 @@ bool ModelChecker::on_send(ModelCheckerLane* lane, graph::NodeId from,
   }
 
   // A message sent after a draw in the same callback carries that round's
-  // randomness to `target`, which will read it on delivery — once per
-  // delivered copy, so dropped messages never enter the read-k ledger and
-  // duplicated ones enter it twice.
-  const bool rng_bearing =
-      rng_epoch_[from] == round && rng_reads_[from] > 0;
-  if (rng_bearing && !lane) {
-    for (std::uint8_t c = 0; c < copies; ++c) {
-      deliver_origin(target, from);
-    }
-  }
-  return rng_bearing && lane != nullptr;
+  // randomness to its target, which will read it when it consumes it.
+  return rng_epoch_[from] == round && rng_reads_[from] > 0;
 }
 
 void ModelChecker::count_consumption(graph::NodeId origin,
@@ -219,63 +143,34 @@ void ModelChecker::count_consumption(graph::NodeId origin,
   if (mult_epoch_[slot][origin] != draw_round) return;
   const std::uint32_t m = ++mult_[slot][origin];
   report_.k = std::max(report_.k, m);
-  if (report_.round_k.size() <= draw_round) {
-    report_.round_k.resize(draw_round + 1, 0);
-  }
-  report_.round_k[draw_round] = std::max(report_.round_k[draw_round], m);
+  raise_round_k(draw_round, m);
 }
 
-void ModelChecker::on_consume(ModelCheckerLane* lane, graph::NodeId v,
-                              std::uint32_t round) {
-  if (!options_.enabled) return;
-  if (round == 0) return;  // nothing in flight before round 1
-  std::uint32_t& count = origin_count_current_[v];
-  if (count == 0) return;
-  const std::uint64_t base = origin_offset_[v];
-  const std::uint64_t cap = origin_offset_[v + 1] - base;
-  const std::uint64_t in_arena = std::min<std::uint64_t>(count, cap);
-  if (lane) {
-    // Multiplicity counters are indexed by origin — a neighbor possibly
-    // owned by another worker — so the counting is deferred to merge_lane.
-    const graph::NodeId* arena = origin_current_.data() + base;
-    lane->consumed_origins.insert(lane->consumed_origins.end(), arena,
-                                  arena + in_arena);
-    if (count > cap) {
-      auto& box = origin_overflow_current_[v];
-      lane->consumed_origins.insert(lane->consumed_origins.end(), box.begin(),
-                                    box.end());
-      box.clear();
+void ModelChecker::raise_round_k(std::uint32_t round, std::uint32_t m) {
+  if (report_.round_k.size() <= round) report_.round_k.resize(round + 1, 0);
+  report_.round_k[round] = std::max(report_.round_k[round], m);
+}
+
+void ModelChecker::count_consumed(ModelCheckerLane& lane,
+                                  std::uint32_t round) {
+  if (round > 0) {
+    for (graph::NodeId origin : lane.consumed_origins) {
+      count_consumption(origin, round - 1);
     }
-    count = 0;
-    return;
   }
-  for (std::uint64_t i = 0; i < in_arena; ++i) {
-    count_consumption(origin_current_[base + i], round - 1);
-  }
-  if (count > cap) {
-    auto& box = origin_overflow_current_[v];
-    for (graph::NodeId origin : box) count_consumption(origin, round - 1);
-    box.clear();
-  }
-  count = 0;
+  lane.consumed_origins.clear();
 }
 
-void ModelChecker::on_rng_read(ModelCheckerLane* lane, graph::NodeId v,
+void ModelChecker::on_rng_read(ModelCheckerLane& lane, graph::NodeId v,
                                std::uint32_t round) {
   if (!options_.enabled) return;
-  const graph::NodeId active = lane ? lane->active_node : active_node_;
-  if (v != active) {
+  if (v != lane.active_node) {
     violation(lane, "RNG isolation breach: node " + std::to_string(v) +
                         "'s private stream read while node " +
-                        node_name(active) + " was scheduled");
+                        node_name(lane.active_node) + " was scheduled");
   }
   const std::uint32_t reads = ++stamped(rng_reads_, rng_epoch_, v, round);
-  if (lane) {
-    lane->max_rng_reads = std::max(lane->max_rng_reads, reads);
-  } else {
-    report_.max_rng_reads_per_round =
-        std::max(report_.max_rng_reads_per_round, reads);
-  }
+  lane.max_rng_reads = std::max(lane.max_rng_reads, reads);
   if (reads > options_.max_rng_reads_per_round) {
     violation(lane, "randomness budget exceeded: node " +
                         std::to_string(v) + " drew " +
@@ -286,37 +181,22 @@ void ModelChecker::on_rng_read(ModelCheckerLane* lane, graph::NodeId v,
   }
   if (reads == 1) {
     // Fresh per-round randomness: the drawing node is its first reader.
-    // The parity ledger slot belongs to v (this worker); only the shared
-    // report update is staged in the lane.
+    // The parity ledger slot belongs to v (this lane); only the shared
+    // report update is staged.
     const int slot = round & 1;
     mult_epoch_[slot][v] = round;
     mult_[slot][v] = 1;
-    if (lane) {
-      lane->any_first_draw = true;
-    } else {
-      report_.k = std::max(report_.k, 1u);
-      if (report_.round_k.size() <= round) {
-        report_.round_k.resize(round + 1, 0);
-      }
-      report_.round_k[round] = std::max(report_.round_k[round], 1u);
-    }
+    lane.any_first_draw = true;
   }
 }
 
-void ModelChecker::on_halt(ModelCheckerLane* lane, graph::NodeId v) {
+void ModelChecker::on_halt(ModelCheckerLane& lane, graph::NodeId v) {
   if (!options_.enabled) return;
-  const graph::NodeId active = lane ? lane->active_node : active_node_;
-  if (v != active) {
+  if (v != lane.active_node) {
     violation(lane, "out-of-context halt: node " + std::to_string(v) +
-                        " halted while node " + node_name(active) +
+                        " halted while node " + node_name(lane.active_node) +
                         " was scheduled");
   }
-}
-
-void ModelChecker::on_delivered_origin(graph::NodeId target,
-                                       graph::NodeId origin) {
-  if (!options_.enabled) return;
-  deliver_origin(target, origin);
 }
 
 void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
@@ -324,14 +204,14 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
     lane.reset();
     return;
   }
-  report_.max_message_bits =
-      std::max(report_.max_message_bits, lane.max_message_bits);
-  if (lane.round_max_message_bits > 0) {
+  if (lane.max_message_bits > 0) {
+    report_.max_message_bits =
+        std::max(report_.max_message_bits, lane.max_message_bits);
     if (report_.round_max_message_bits.size() <= round) {
       report_.round_max_message_bits.resize(round + 1, 0);
     }
-    report_.round_max_message_bits[round] = std::max(
-        report_.round_max_message_bits[round], lane.round_max_message_bits);
+    report_.round_max_message_bits[round] =
+        std::max(report_.round_max_message_bits[round], lane.max_message_bits);
   }
   report_.max_edge_bits_per_round =
       std::max(report_.max_edge_bits_per_round, lane.max_edge_bits);
@@ -339,18 +219,11 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
       std::max(report_.max_rng_reads_per_round, lane.max_rng_reads);
   if (lane.any_first_draw) {
     report_.k = std::max(report_.k, 1u);
-    if (report_.round_k.size() <= round) {
-      report_.round_k.resize(round + 1, 0);
-    }
-    report_.round_k[round] = std::max(report_.round_k[round], 1u);
+    raise_round_k(round, 1);
   }
-  if (round > 0) {
-    for (graph::NodeId origin : lane.consumed_origins) {
-      count_consumption(origin, round - 1);
-    }
-  }
-  // Deferred violation telemetry: the events fire here, at the serial
-  // merge barrier, in lane-fold order — never from worker threads.
+  count_consumed(lane, round);
+  // Deferred violation telemetry: the events fire here, on the calling
+  // thread, in lane-fold order — never from worker threads.
   for (const std::string& what : lane.violation_texts) {
     obs::emit(obs::make_event(obs::EventKind::kViolation, round, what));
   }
@@ -372,23 +245,13 @@ void ModelChecker::end_run(std::uint32_t rounds) {
   ARBMIS_LOG(Debug) << report_.summary();
 }
 
-void ModelChecker::violation(ModelCheckerLane* lane,
+void ModelChecker::violation(ModelCheckerLane& lane,
                              const std::string& what) {
-  // Fail-fast aborts before the lane merge, so the count goes to whichever
-  // ledger survives: the lane when staged, the shared report when serial.
-  // Telemetry follows the same split: the serial path emits the kViolation
-  // event (and triggers the flight-recorder auto-dump) right here, while
-  // the staged path defers both to merge_lane so no event is ever emitted
-  // from a worker thread.
-  if (lane) {
-    ++lane->violations;
-    lane->violation_texts.push_back(what);
-  } else {
-    ++report_.violations;
-    obs::emit(obs::make_event(obs::EventKind::kViolation, /*round=*/0,
-                              what));
-    obs::recorder_auto_dump("model_check_violation");
-  }
+  // Staged even under fail_fast: the throw skips the barrier, and the
+  // Network merges every lane on its way out, so the count, the kViolation
+  // event and the auto-dump survive an aborted phase.
+  ++lane.violations;
+  lane.violation_texts.push_back(what);
   ARBMIS_LOG(Error) << "CONGEST model violation: " << what;
   if (options_.fail_fast) {
     throw CongestViolation("CONGEST model violation: " + what);

@@ -14,9 +14,11 @@
 //      sampling a *different* node's private stream.
 //
 // ModelChecker turns each of these into an enforced runtime invariant.
-// Network calls the hooks below on every send, delivery, RNG read, and
-// callback boundary; a violation is reported through util/log and (by
-// default) aborts the run with CongestViolation. The checker also keeps
+// Network calls the hooks below on every send, RNG read and halt, stages
+// the origins of the randomness-bearing copies each node consumes, and
+// pins each lane's active node for the duration of a callback; a
+// violation is reported through util/log and (by default) aborts the run
+// with CongestViolation. The checker also keeps
 // the read-k ledger the paper's analysis is built on: when a node draws
 // fresh randomness in round r, the draw is "read" once by the node itself
 // and once per *delivered* message it sends that round (neighbors consume
@@ -93,35 +95,35 @@ struct ModelCheckReport {
   std::string summary() const;
 };
 
-/// Per-worker staging area for the checker under the parallel round
-/// executor (see sim/network.h). During a parallel phase each worker
-/// funnels the *shared* parts of the checker's accounting — report maxima,
-/// violation counts, and the consumed-origin list of the read-k ledger —
-/// into its own lane; ModelChecker::merge_lane folds the lanes back in
-/// shard (= node-id) order at the round barrier, so the merged report is
-/// byte-identical to a serial run. Per-node/per-edge counters stay in the
-/// checker's shared arrays even during a parallel phase: every slot there
-/// is owned by exactly one node and therefore by exactly one worker.
+/// Per-lane staging area for the checker (see the executor in
+/// sim/network.h). During a phase each lane funnels the *shared* parts of
+/// the checker's accounting — report maxima, violations, and the
+/// consumed-origin list of the read-k ledger — into its own staging area;
+/// ModelChecker::merge_lane folds the lanes back in shard (= node-id) order
+/// at the round barrier, so the merged report is independent of the lane
+/// count. Per-node/per-edge counters stay in the checker's shared arrays:
+/// every slot there is owned by exactly one node and therefore by exactly
+/// one lane.
 struct ModelCheckerLane {
-  /// Node whose callback this worker is executing (the pinning check).
+  /// Node whose callback this lane is executing (the pinning check).
   graph::NodeId active_node;
-  /// Max message width observed by this worker, run-wide and this round.
+  /// Max message width observed by this lane in the current phase.
   std::uint32_t max_message_bits = 0;
-  std::uint32_t round_max_message_bits = 0;
-  /// Max cumulative per-edge bits observed by this worker (edges are
+  /// Max cumulative per-edge bits observed by this lane (edges are
   /// sender-owned, so the counters are exact; only the max is staged).
   std::uint32_t max_edge_bits = 0;
-  /// Max per-node draws in one round observed by this worker.
+  /// Max per-node draws in one round observed by this lane.
   std::uint32_t max_rng_reads = 0;
-  /// True if any node made its first draw of the round on this worker.
+  /// True if any node made its first draw of the round on this lane.
   bool any_first_draw = false;
-  /// Origins of randomness-bearing messages consumed by this worker's
-  /// nodes, in node order; multiplicity counting is replayed at the merge.
+  /// Origins of randomness-bearing messages consumed by this lane's nodes;
+  /// multiplicity counting is replayed on the calling thread (only
+  /// counters increment and maxima grow, so the replay order is free).
   std::vector<graph::NodeId> consumed_origins;
   std::uint64_t violations = 0;
-  /// Violation messages staged by this worker. Telemetry must not be
-  /// emitted from worker threads, so the kViolation events (and the
-  /// flight-recorder auto-dump) fire at the merge barrier instead.
+  /// Violation messages staged by this lane. Telemetry must not be emitted
+  /// from worker threads, so the kViolation events (and the flight-recorder
+  /// auto-dump) fire when the lane is merged instead.
   std::vector<std::string> violation_texts;
 
   ModelCheckerLane();
@@ -130,13 +132,9 @@ struct ModelCheckerLane {
   void reset();
 };
 
-/// Instrumentation attached to a Network. All hooks are O(1); with
+/// Instrumentation attached to a Network. All hooks are O(1) per call
+/// (amortized) and take the lane of the executing callback; with
 /// `enabled == false` every hook returns immediately.
-///
-/// Every hook takes a ModelCheckerLane pointer: nullptr selects the serial
-/// path (accounting goes straight into the shared report, exactly the
-/// pre-parallelism behavior); a non-null lane selects the staged path used
-/// by the parallel executor.
 class ModelChecker {
  public:
   static constexpr graph::NodeId kNoNode = ~graph::NodeId{0};
@@ -150,52 +148,34 @@ class ModelChecker {
 
   /// Resets per-run state (Network::run calls this at the top of each run).
   void begin_run();
-  /// Marks the delivery boundary of `round` (mirrors the inbox swap).
-  void begin_round(std::uint32_t round);
-  /// Pins the node whose callback is executing; kNoNode between callbacks.
-  void begin_callback(ModelCheckerLane* lane, graph::NodeId v) noexcept {
-    (lane ? lane->active_node : active_node_) = v;
-  }
-  void end_callback(ModelCheckerLane* lane) noexcept {
-    (lane ? lane->active_node : active_node_) = kNoNode;
-  }
 
   /// Hook for every send: `slot` is the directed-edge slot (shared with
-  /// Network's per-edge counters). Enforces the bit budget and tags the
-  /// message as randomness-bearing if `from` drew earlier this round.
-  /// `copies` is the number of inbox copies the network will deliver
-  /// (faults make it 0 = dropped or 2 = duplicated; 1 otherwise). The
-  /// sender is charged its full CONGEST budget regardless — it sent the
-  /// message even if the network ate it — but only delivered copies enter
-  /// the read-k ledger. Returns true iff the message is randomness-bearing
-  /// AND the lane path is active — the caller must then report each
-  /// delivered copy via on_delivered_origin during its merge (the serial
-  /// path records the origins internally and always returns false).
-  bool on_send(ModelCheckerLane* lane, graph::NodeId from,
-               graph::NodeId target, std::uint64_t slot,
-               std::uint64_t payload, std::uint32_t round,
-               std::uint8_t copies = 1);
-
-  /// Hook for each node about to consume its inbox this round: counts the
-  /// read multiplicity of every randomness-bearing message delivered to it
-  /// (lane path: defers the counting to merge_lane).
-  void on_consume(ModelCheckerLane* lane, graph::NodeId v,
-                  std::uint32_t round);
+  /// Network's per-edge counters). Enforces the bit budget and returns
+  /// true iff the message is randomness-bearing (`from` drew earlier this
+  /// round). The Network tags each delivered copy of such a message and,
+  /// when a node consumes it, stages the sender in the consuming lane's
+  /// consumed_origins: dropped messages never enter the read-k ledger and
+  /// duplicated ones enter it twice, while the sender is charged its full
+  /// CONGEST budget regardless.
+  bool on_send(ModelCheckerLane& lane, graph::NodeId from, std::uint64_t slot,
+               std::uint64_t payload, std::uint32_t round);
 
   /// Hook for one logical draw from node v's private stream.
-  void on_rng_read(ModelCheckerLane* lane, graph::NodeId v,
+  void on_rng_read(ModelCheckerLane& lane, graph::NodeId v,
                    std::uint32_t round);
 
   /// Hook for a halt request (cross-node halt is a state write).
-  void on_halt(ModelCheckerLane* lane, graph::NodeId v);
+  void on_halt(ModelCheckerLane& lane, graph::NodeId v);
 
-  /// Records a staged randomness-bearing delivery (parallel merge path;
-  /// mirrors what the serial on_send does internally).
-  void on_delivered_origin(graph::NodeId target, graph::NodeId origin);
+  /// Counts the read multiplicity of the lane's staged consumed origins
+  /// and empties the list; `round` is the consuming round.
+  void count_consumed(ModelCheckerLane& lane, std::uint32_t round);
 
-  /// Folds one worker's staged accounting into the shared report. Called
-  /// at the round barrier in shard order; `round` is the round the lane's
-  /// callbacks executed in (0 for the on_start phase). Resets the lane.
+  /// Folds one lane's staged accounting into the shared report, emitting
+  /// its kViolation events (and the flight-recorder auto-dump). Called on
+  /// the calling thread in shard order — at the round barrier, or when a
+  /// phase aborts; `round` is the round the lane's callbacks executed in
+  /// (0 for the on_start phase). Resets the lane.
   void merge_lane(ModelCheckerLane& lane, std::uint32_t round);
 
   /// Copies the fault injector's run-wide totals into the report (Network
@@ -206,12 +186,12 @@ class ModelChecker {
   void end_run(std::uint32_t rounds);
 
  private:
-  void violation(ModelCheckerLane* lane, const std::string& what);
+  /// Stages a violation in the lane; throws when fail_fast.
+  void violation(ModelCheckerLane& lane, const std::string& what);
   /// Bumps the read multiplicity of `origin`'s round-`draw_round` draw.
   void count_consumption(graph::NodeId origin, std::uint32_t draw_round);
-  /// Appends one randomness-bearing delivery to the pending origin arena
-  /// (side buffer past the recipient's per-directed-edge capacity).
-  void deliver_origin(graph::NodeId target, graph::NodeId origin);
+  /// Raises report_.round_k[round] to at least `m`.
+  void raise_round_k(std::uint32_t round, std::uint32_t m);
   /// Lazily epoch-stamped per-round counters.
   std::uint32_t& stamped(std::vector<std::uint32_t>& counts,
                          std::vector<std::uint32_t>& epochs, std::uint64_t i,
@@ -220,7 +200,6 @@ class ModelChecker {
   ModelCheckOptions options_;
   std::uint32_t num_nodes_ = 0;
   std::uint32_t edge_bit_budget_ = 0;  ///< budget for all allowed messages
-  graph::NodeId active_node_ = kNoNode;
 
   // Per-directed-edge cumulative bits this round, epoch-stamped.
   std::vector<std::uint32_t> edge_bits_;
@@ -238,24 +217,6 @@ class ModelChecker {
   // mult_epoch_[r & 1][v] == r.
   std::vector<std::uint32_t> mult_[2];
   std::vector<std::uint32_t> mult_epoch_[2];
-
-  // Origins of randomness-bearing messages in flight / being delivered,
-  // mirroring Network's message-arena swap: a flat arena with one origin
-  // slot per directed edge in CSR order (origin_offset_ = the same layout
-  // as Network's edge_offset_), per-recipient fill counts, and per-node
-  // side buffers for deliveries past capacity (fault duplicates or
-  // congest-off runs). Zero allocations on the fault-free path; fill
-  // order is ascending sender per recipient, identical to the pre-arena
-  // per-node vectors.
-  std::vector<std::uint64_t> origin_offset_;  // size n+1
-  std::vector<graph::NodeId> origin_pending_;
-  std::vector<graph::NodeId> origin_current_;
-  std::vector<std::uint32_t> origin_count_pending_;
-  std::vector<std::uint32_t> origin_count_current_;
-  std::vector<std::vector<graph::NodeId>> origin_overflow_pending_;
-  std::vector<std::vector<graph::NodeId>> origin_overflow_current_;
-  bool origin_pending_dirty_ = false;
-  bool origin_current_dirty_ = false;
 
   ModelCheckReport report_;
 };

@@ -18,11 +18,6 @@ namespace {
 // single-threaded setup code, never to a running phase.
 std::uint32_t g_default_num_threads = 0;
 
-// Process-wide default applied when NetworkOptions::inbox ==
-// InboxImpl::kProcessDefault; see ScopedInboxImpl. Same mutation contract
-// as g_default_num_threads.
-InboxImpl g_default_inbox_impl = InboxImpl::kArena;
-
 }  // namespace
 
 std::uint32_t default_num_threads() noexcept { return g_default_num_threads; }
@@ -34,18 +29,6 @@ ScopedNumThreads::ScopedNumThreads(std::uint32_t num_threads) noexcept
 
 ScopedNumThreads::~ScopedNumThreads() {
   g_default_num_threads = previous_;
-}
-
-InboxImpl default_inbox_impl() noexcept { return g_default_inbox_impl; }
-
-ScopedInboxImpl::ScopedInboxImpl(InboxImpl impl) noexcept
-    : previous_(g_default_inbox_impl) {
-  g_default_inbox_impl =
-      impl == InboxImpl::kProcessDefault ? InboxImpl::kArena : impl;
-}
-
-ScopedInboxImpl::~ScopedInboxImpl() {
-  g_default_inbox_impl = previous_;
 }
 
 void RunStats::absorb(const RunStats& other) noexcept {
@@ -64,9 +47,6 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
       fault_(options.fault),
       num_threads_(options.num_threads != 0 ? options.num_threads
                                             : default_num_threads()),
-      use_arena_((options.inbox == InboxImpl::kProcessDefault
-                      ? default_inbox_impl()
-                      : options.inbox) != InboxImpl::kReferenceVectors),
       checker_(g, options.model_check,
                options.max_messages_per_edge_per_round) {
   const graph::NodeId n = g.num_nodes();
@@ -80,73 +60,80 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   }
   edge_sends_.assign(edge_offset_[n], 0);
   edge_epoch_.assign(edge_offset_[n], ~std::uint32_t{0});
-  if (use_arena_) {
-    // All storage a run can touch on the fault-free path, sized once: one
-    // Message slot per directed edge, double-buffered, plus fill counts.
-    arena_cur_.resize(edge_offset_[n]);
-    arena_next_.resize(edge_offset_[n]);
-    inbox_count_cur_.assign(n, 0);
-    inbox_count_next_.assign(n, 0);
-    overflow_cur_.resize(n);
-    overflow_next_.resize(n);
-  } else {
-    inbox_.resize(n);
-    next_inbox_.resize(n);
-  }
+  // All storage a run can touch on the fault-free path, sized once: one
+  // Message slot per directed edge, double-buffered, plus fill counts.
+  arena_cur_.resize(edge_offset_[n]);
+  arena_next_.resize(edge_offset_[n]);
+  bearing_cur_.resize(edge_offset_[n]);
+  bearing_next_.resize(edge_offset_[n]);
+  inbox_count_cur_.assign(n, 0);
+  inbox_count_next_.assign(n, 0);
+  overflow_cur_.resize(n);
+  overflow_next_.resize(n);
   if (num_threads_ > 0) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
-    lanes_.resize(num_threads_);
     shard_bounds_.resize(static_cast<std::size_t>(num_threads_) + 1, 0);
   }
+  lanes_.resize(std::max<std::uint32_t>(num_threads_, 1));
 }
 
-void Network::deliver(graph::NodeId target, const Message& msg) {
+void Network::deliver(graph::NodeId target, const Message& msg,
+                      bool rng_bearing) {
   ++in_flight_next_;
-  if (use_arena_) {
-    std::uint32_t& count = inbox_count_next_[target];
-    if (count < graph_.degree(target)) [[likely]] {
-      arena_next_[edge_offset_[target] + count] = msg;
-    } else {
-      // Past one-per-directed-edge capacity: fault duplicates, or a run
-      // with enforce_congest off. Order is preserved — the side buffer
-      // holds exactly the suffix of the node's delivery sequence.
-      overflow_next_[target].push_back(msg);
-      overflow_next_dirty_ = true;
-    }
-    ++count;
+  std::uint32_t& count = inbox_count_next_[target];
+  const std::uint64_t base = edge_offset_[target];
+  if (count < edge_offset_[target + 1] - base) [[likely]] {
+    arena_next_[base + count] = msg;
+    bearing_next_[base + count] = rng_bearing ? 1 : 0;
   } else {
-    next_inbox_[target].push_back(msg);
+    // Past one-per-directed-edge capacity: fault duplicates, or a run
+    // with enforce_congest off. Order is preserved — the side buffer
+    // holds exactly the suffix of the node's delivery sequence.
+    overflow_next_[target].push_back({msg, rng_bearing});
+    overflow_next_dirty_ = true;
   }
+  ++count;
 }
 
-std::span<const Message> Network::current_inbox(graph::NodeId v,
-                                                ExecLane* lane) {
-  if (!use_arena_) return inbox_[v];
+std::span<const Message> Network::consume_inbox(graph::NodeId v,
+                                                ExecLane& lane) {
   const std::uint32_t count = inbox_count_cur_[v];
   const std::uint64_t base = edge_offset_[v];
-  const graph::NodeId cap = graph_.degree(v);
+  const std::uint64_t cap = edge_offset_[v + 1] - base;
+  const std::uint64_t in_arena = std::min<std::uint64_t>(count, cap);
+  if (checker_.enabled()) {
+    // Read-k ledger: the sender of every tagged copy is one more reader of
+    // its this-round randomness.
+    std::vector<graph::NodeId>& origins = lane.check.consumed_origins;
+    for (std::uint64_t i = base; i < base + in_arena; ++i) {
+      if (bearing_cur_[i] != 0) origins.push_back(arena_cur_[i].src);
+    }
+    if (count > cap) {
+      for (const Delivery& d : overflow_cur_[v]) {
+        if (d.rng_bearing) origins.push_back(d.msg.src);
+      }
+    }
+  }
   if (count <= cap) [[likely]] {
     return std::span<const Message>(arena_cur_.data() + base, count);
   }
-  // Overflowed inbox: splice region + side buffer into contiguous scratch
-  // (per-worker under the parallel executor; the callback only needs the
-  // span for its own duration).
-  std::vector<Message>& scratch = lane ? lane->scratch : scratch_inbox_;
+  // Overflowed inbox: splice region + side buffer into the lane's scratch
+  // (the callback only needs the span for its own duration).
+  std::vector<Message>& scratch = lane.scratch;
   scratch.assign(arena_cur_.begin() + static_cast<std::ptrdiff_t>(base),
                  arena_cur_.begin() + static_cast<std::ptrdiff_t>(base + cap));
-  scratch.insert(scratch.end(), overflow_cur_[v].begin(),
-                 overflow_cur_[v].end());
+  for (const Delivery& d : overflow_cur_[v]) scratch.push_back(d.msg);
   return scratch;
 }
 
-void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
+void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
                       std::uint32_t tag, std::uint64_t payload) {
   const auto nbrs = graph_.neighbors(from);
   if (port >= nbrs.size()) {
     throw std::logic_error("send: port out of range");
   }
   // The (from, port) counter slot is owned by the sender, hence by exactly
-  // one worker — updated in place under both executors.
+  // one lane — updated in place.
   const std::uint64_t slot = edge_offset_[from] + port;
   if (edge_epoch_[slot] != round_) {
     edge_epoch_[slot] = round_;
@@ -161,7 +148,7 @@ void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
   }
   const graph::NodeId target = nbrs[port];
   // Fault seam: the fate of a message is a pure function of (plan, edge
-  // slot, round), so workers can decide it independently and determinism
+  // slot, round), so lanes can decide it independently and determinism
   // across thread counts is preserved. Messages to a down node are dropped
   // outright; the sender paid its CONGEST budget either way.
   std::uint8_t copies = 1;
@@ -170,58 +157,42 @@ void Network::do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
                  ? std::uint8_t{0}
                  : fault_->on_message(from, target, slot, round_).copies;
     if (copies == 0) {
-      (lane ? lane->fault_drops : round_fault_drops_) += 1;
+      ++lane.fault_drops;
     } else if (copies > 1) {
-      (lane ? lane->fault_duplicates : round_fault_duplicates_) +=
-          std::uint64_t{copies} - 1;
+      lane.fault_duplicates += std::uint64_t{copies} - 1;
     }
   }
   const bool rng_bearing =
-      checker_.on_send(lane ? &lane->check : nullptr, from, target, slot,
-                       payload, round_, copies);
-  if (lane) {
-    lane->max_edge_load = std::max(lane->max_edge_load, load);
-    if (copies > 0) {
-      lane->sends.push_back(
-          ExecLane::StagedSend{target, Message{from, tag, payload},
-                               rng_bearing, copies});
-    }
-  } else {
-    stats_.max_edge_load = std::max(stats_.max_edge_load, load);
-    for (std::uint8_t c = 0; c < copies; ++c) {
-      deliver(target, Message{from, tag, payload});
-    }
+      checker_.on_send(lane.check, from, slot, payload, round_);
+  lane.max_edge_load = std::max(lane.max_edge_load, load);
+  if (copies > 0) {
+    lane.sends.push_back(ExecLane::StagedSend{Message{from, tag, payload},
+                                              target, rng_bearing, copies});
   }
 }
 
-void Network::do_halt(ExecLane* lane, graph::NodeId v) {
-  checker_.on_halt(lane ? &lane->check : nullptr, v);
+void Network::do_halt(ExecLane& lane, graph::NodeId v) {
+  checker_.on_halt(lane.check, v);
   if (halted_[v] == 0) {
     halted_[v] = 1;  // own-node write; num_halted_ is shared, so defer it
-    if (lane) {
-      ++lane->halts;
-    } else {
-      ++num_halted_;
-    }
+    ++lane.halts;
   }
 }
 
-util::Rng& Network::draw_rng(ExecLane* lane, graph::NodeId v) {
-  checker_.on_rng_read(lane ? &lane->check : nullptr, v, round_);
-  ++(lane ? lane->rng_draws : rng_draws_);
+util::Rng& Network::draw_rng(ExecLane& lane, graph::NodeId v) {
+  checker_.on_rng_read(lane.check, v, round_);
+  ++lane.rng_draws;
   return rngs_[v];
 }
 
 void Network::step_node(Algorithm& algorithm, graph::NodeId v,
-                        ExecLane* lane) {
+                        ExecLane& lane) {
   NodeContext ctx(*this, v, lane);
-  ModelCheckerLane* const check = lane ? &lane->check : nullptr;
-  checker_.begin_callback(check, v);
+  lane.check.active_node = v;
   if (round_ == 0) {
     algorithm.on_start(ctx);
   } else {
-    checker_.on_consume(check, v, round_);
-    const std::span<const Message> inbox = current_inbox(v, lane);
+    const std::span<const Message> inbox = consume_inbox(v, lane);
     algorithm.on_round(ctx, inbox);
     // Actual-width accounting (RoundDelta::payload_bits): sum the real
     // per-message widths of the consumed inbox. Commutative, so worker
@@ -233,99 +204,112 @@ void Network::step_node(Algorithm& algorithm, graph::NodeId v,
       consumed_bits += bits;
       if (reg != nullptr) reg->observe("sim.message_bits", bits);
     }
-    if (lane) {
-      lane->messages += inbox.size();
-      lane->payload_bits += consumed_bits;
-    } else {
-      stats_.messages += inbox.size();
-      round_payload_bits_ += consumed_bits;
+    lane.messages += inbox.size();
+    lane.payload_bits += consumed_bits;
+  }
+  lane.check.active_node = ModelChecker::kNoNode;
+}
+
+void Network::run_shard(Algorithm& algorithm, ExecLane& lane,
+                        graph::NodeId begin, graph::NodeId end) {
+  // Only the inline lane may flush mid-phase: its order is already final,
+  // while a pool lane must wait for the shard-order merge.
+  const bool inline_lane = pool_ == nullptr;
+  for (graph::NodeId v = begin; v < end; ++v) {
+    if (halted_[v] != 0) continue;
+    // The down set is frozen at the barrier, so lanes read a consistent
+    // snapshot (no mid-phase crashes).
+    if (fault_ != nullptr && fault_->is_down(v)) continue;
+    step_node(algorithm, v, lane);
+    if (inline_lane && (lane.sends.size() >= kFlushBatch ||
+                        lane.check.consumed_origins.size() >= kFlushBatch)) {
+      flush(lane);
     }
   }
-  checker_.end_callback(check);
 }
 
 void Network::run_phase(Algorithm& algorithm) {
-  if (num_threads_ == 0) {
-    const graph::NodeId n = graph_.num_nodes();
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (halted_[v] != 0) continue;
-      if (fault_ != nullptr && fault_->is_down(v)) continue;
-      step_node(algorithm, v, nullptr);
-    }
-    return;
-  }
-  run_phase_parallel(algorithm);
-}
-
-void Network::run_phase_parallel(Algorithm& algorithm) {
   const graph::NodeId n = graph_.num_nodes();
-  const std::uint32_t t = num_threads_;
-  // Shard non-halted nodes into contiguous ranges of near-equal alive
-  // count: shard s owns alive indices [alive*s/t, alive*(s+1)/t).
-  const std::uint64_t alive = n - num_halted_;
-  std::fill(shard_bounds_.begin(), shard_bounds_.end(), n);
-  shard_bounds_[0] = 0;
-  std::uint64_t alive_seen = 0;
-  std::uint32_t s = 1;
-  for (graph::NodeId v = 0; v < n && s < t; ++v) {
-    while (s < t && alive_seen == alive * s / t) {
-      shard_bounds_[s] = v;
-      ++s;
+  try {
+    if (pool_ == nullptr) {
+      run_shard(algorithm, lanes_[0], 0, n);
+    } else {
+      // Shard non-halted nodes into contiguous ranges of near-equal alive
+      // count: shard s owns alive indices [alive*s/t, alive*(s+1)/t).
+      const std::uint32_t t = num_threads_;
+      const std::uint64_t alive = n - num_halted_;
+      std::fill(shard_bounds_.begin(), shard_bounds_.end(), n);
+      shard_bounds_[0] = 0;
+      std::uint64_t alive_seen = 0;
+      std::uint32_t s = 1;
+      for (graph::NodeId v = 0; v < n && s < t; ++v) {
+        while (s < t && alive_seen == alive * s / t) {
+          shard_bounds_[s] = v;
+          ++s;
+        }
+        if (halted_[v] == 0) ++alive_seen;
+      }
+      // Any bounds not reached stay at n (pre-filled): trailing empty
+      // shards.
+      pool_->run([&](std::uint32_t w) {
+        obs::set_thread_lane(w + 1);
+        OBS_SCOPE("net.shard");
+        run_shard(algorithm, lanes_[w], shard_bounds_[w],
+                  shard_bounds_[w + 1]);
+      });
     }
-    if (halted_[v] == 0) ++alive_seen;
+  } catch (...) {
+    // The throw skipped the barrier: fold what every lane staged for the
+    // checker (violation counts, kViolation events, the flight-recorder
+    // auto-dump) before the exception leaves the run.
+    for (ExecLane& lane : lanes_) {
+      checker_.merge_lane(lane.check, round_);
+      lane.reset();
+    }
+    throw;
   }
-  // Any bounds not reached stay at n (pre-filled): trailing empty shards.
-
-  pool_->run([&](std::uint32_t w) {
-    obs::set_thread_lane(w + 1);
-    OBS_SCOPE("net.shard");
-    ExecLane& lane = lanes_[w];
-    const graph::NodeId begin = shard_bounds_[w];
-    const graph::NodeId end = shard_bounds_[w + 1];
-    for (graph::NodeId v = begin; v < end; ++v) {
-      if (halted_[v] != 0) continue;
-      // The down set is frozen at the barrier, so workers read a
-      // consistent snapshot (no mid-phase crashes).
-      if (fault_ != nullptr && fault_->is_down(v)) continue;
-      step_node(algorithm, v, &lane);
-    }
-  });
 
   // Barrier merge, in shard (= ascending node-id) order: replaying the
-  // lane buffers in this order reproduces the serial executor's inbox
+  // lane buffers in this order reproduces the inline lane's inbox
   // ordering, stats, and checker ledger byte-for-byte.
   OBS_SCOPE("net.merge");
-  const bool emit_lanes = obs::telemetry_attached();
-  std::uint32_t lane_index = 0;
-  for (ExecLane& lane : lanes_) {
+  const bool emit_lanes = pool_ != nullptr && obs::telemetry_attached();
+  for (std::uint32_t w = 0; w < lanes_.size(); ++w) {
+    const ExecLane& lane = lanes_[w];
     if (emit_lanes) {
       // kExec category: legitimately varies by thread count, excluded by
       // the default sink configuration (see obs/events.h).
-      obs::emit(obs::make_event(obs::EventKind::kLaneMerge, round_, {},
-                                lane_index, lane.sends.size(), lane.messages,
+      obs::emit(obs::make_event(obs::EventKind::kLaneMerge, round_, {}, w,
+                                lane.sends.size(), lane.messages,
                                 lane.halts));
     }
-    ++lane_index;
-    for (const ExecLane::StagedSend& staged : lane.sends) {
-      // copies > 1 = network duplication: each delivered copy is one inbox
-      // entry and (if randomness-bearing) one read-k ledger entry.
-      for (std::uint8_t c = 0; c < staged.copies; ++c) {
-        deliver(staged.target, staged.msg);
-        if (staged.rng_bearing) {
-          checker_.on_delivered_origin(staged.target, staged.msg.src);
-        }
-      }
-    }
-    stats_.messages += lane.messages;
-    round_payload_bits_ += lane.payload_bits;
-    stats_.max_edge_load = std::max(stats_.max_edge_load, lane.max_edge_load);
-    num_halted_ += lane.halts;
-    rng_draws_ += lane.rng_draws;
-    round_fault_drops_ += lane.fault_drops;
-    round_fault_duplicates_ += lane.fault_duplicates;
-    checker_.merge_lane(lane.check, round_);
-    lane.reset();
+    merge(lanes_[w]);
   }
+}
+
+void Network::flush(ExecLane& lane) {
+  for (const ExecLane::StagedSend& staged : lane.sends) {
+    // copies > 1 = network duplication: each delivered copy is one inbox
+    // entry and (if randomness-bearing) one read-k ledger entry.
+    for (std::uint8_t c = 0; c < staged.copies; ++c) {
+      deliver(staged.target, staged.msg, staged.rng_bearing);
+    }
+  }
+  lane.sends.clear();
+  checker_.count_consumed(lane.check, round_);
+}
+
+void Network::merge(ExecLane& lane) {
+  flush(lane);
+  stats_.messages += lane.messages;
+  round_payload_bits_ += lane.payload_bits;
+  stats_.max_edge_load = std::max(stats_.max_edge_load, lane.max_edge_load);
+  num_halted_ += lane.halts;
+  rng_draws_ += lane.rng_draws;
+  round_fault_drops_ += lane.fault_drops;
+  round_fault_duplicates_ += lane.fault_duplicates;
+  checker_.merge_lane(lane.check, round_);
+  lane.reset();
 }
 
 RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
@@ -345,22 +329,19 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   num_halted_ = 0;
   round_ = 0;
   stats_ = RunStats{};
-  if (use_arena_) {
-    // Occupancy counts are the arena's only per-run state; slot contents
-    // are dead once the counts read zero.
-    std::fill(inbox_count_cur_.begin(), inbox_count_cur_.end(), 0);
-    std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
-    if (overflow_cur_dirty_) {
-      for (auto& box : overflow_cur_) box.clear();
-      overflow_cur_dirty_ = false;
-    }
-    if (overflow_next_dirty_) {
-      for (auto& box : overflow_next_) box.clear();
-      overflow_next_dirty_ = false;
-    }
-  } else {
-    for (auto& box : inbox_) box.clear();
-    for (auto& box : next_inbox_) box.clear();
+  // A stashed context used between runs may have staged into a lane.
+  for (ExecLane& lane : lanes_) lane.reset();
+  // Occupancy counts are the arena's only per-run state; slot contents are
+  // dead once the counts read zero.
+  std::fill(inbox_count_cur_.begin(), inbox_count_cur_.end(), 0);
+  std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
+  if (overflow_cur_dirty_) {
+    for (auto& box : overflow_cur_) box.clear();
+    overflow_cur_dirty_ = false;
+  }
+  if (overflow_next_dirty_) {
+    for (auto& box : overflow_next_) box.clear();
+    overflow_next_dirty_ = false;
   }
   in_flight_next_ = 0;
   rng_draws_ = 0;
@@ -394,28 +375,22 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
     if (algorithm.is_reactive()) {
       // Quiescence cut: nothing in flight means every further round is a
       // global no-op for a reactive algorithm. The staged-message counter
-      // makes this O(1) (it counts exactly the entries the reference
-      // implementation's per-box scan would find).
+      // makes this O(1).
       if (in_flight_next_ == 0) break;
     }
     // Deliver: next becomes current.
-    if (use_arena_) {
-      std::swap(arena_cur_, arena_next_);
-      std::swap(inbox_count_cur_, inbox_count_next_);
-      std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
-      std::swap(overflow_cur_, overflow_next_);
-      std::swap(overflow_cur_dirty_, overflow_next_dirty_);
-      if (overflow_next_dirty_) {
-        for (auto& box : overflow_next_) box.clear();
-        overflow_next_dirty_ = false;
-      }
-    } else {
-      std::swap(inbox_, next_inbox_);
-      for (auto& box : next_inbox_) box.clear();
+    std::swap(arena_cur_, arena_next_);
+    std::swap(bearing_cur_, bearing_next_);
+    std::swap(inbox_count_cur_, inbox_count_next_);
+    std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
+    std::swap(overflow_cur_, overflow_next_);
+    std::swap(overflow_cur_dirty_, overflow_next_dirty_);
+    if (overflow_next_dirty_) {
+      for (auto& box : overflow_next_) box.clear();
+      overflow_next_dirty_ = false;
     }
     in_flight_next_ = 0;
     ++round_;
-    checker_.begin_round(round_);
     events = RoundFaultEvents{};
     if (fault_ != nullptr) events = fault_->begin_round(round_, halted_);
     messages_before = stats_.messages;
@@ -525,7 +500,7 @@ graph::NodeId NodeContext::network_size() const noexcept {
 
 void NodeContext::send(graph::NodeId port, std::uint32_t tag,
                        std::uint64_t payload) {
-  net_->do_send(lane_, id_, port, tag, payload);
+  net_->do_send(*lane_, id_, port, tag, payload);
 }
 
 void NodeContext::broadcast(std::uint32_t tag, std::uint64_t payload) {
@@ -533,26 +508,26 @@ void NodeContext::broadcast(std::uint32_t tag, std::uint64_t payload) {
   for (graph::NodeId port = 0; port < deg; ++port) send(port, tag, payload);
 }
 
-void NodeContext::halt() { net_->do_halt(lane_, id_); }
+void NodeContext::halt() { net_->do_halt(*lane_, id_); }
 
 std::uint64_t NodeRandom::next() {
-  return net_->draw_rng(lane_, id_).next();
+  return net_->draw_rng(*lane_, id_).next();
 }
 
 double NodeRandom::uniform01() {
-  return net_->draw_rng(lane_, id_).uniform01();
+  return net_->draw_rng(*lane_, id_).uniform01();
 }
 
 std::uint64_t NodeRandom::below(std::uint64_t bound) {
-  return net_->draw_rng(lane_, id_).below(bound);
+  return net_->draw_rng(*lane_, id_).below(bound);
 }
 
 std::int64_t NodeRandom::range(std::int64_t lo, std::int64_t hi) {
-  return net_->draw_rng(lane_, id_).range(lo, hi);
+  return net_->draw_rng(*lane_, id_).range(lo, hi);
 }
 
 bool NodeRandom::bernoulli(double p) {
-  return net_->draw_rng(lane_, id_).bernoulli(p);
+  return net_->draw_rng(*lane_, id_).bernoulli(p);
 }
 
 }  // namespace arbmis::sim

@@ -6,21 +6,26 @@
 // round counter. Nodes halt individually via NodeContext::halt(); the run
 // ends when every node has halted or the round budget is exhausted.
 //
-// Parallel execution: with NetworkOptions::num_threads >= 1 step (2) runs
-// on a persistent worker pool (sim/thread_pool.h). Each round the
-// non-halted nodes are sharded into contiguous node-id ranges of
-// near-equal size, one shard per worker; every worker buffers its sends,
-// halt count, and checker accounting into a private ExecLane, and the
-// lanes are merged at the round barrier in shard (= node-id) order.
-//
-// Determinism-merge rule: the serial executor emits sends in ascending
-// sender id (it scans v = 0..n-1) and each node's RNG stream is private,
-// so replaying the lane buffers in shard order reproduces the serial
-// inbox order, stats, and ModelChecker ledger *byte-identically* for every
-// thread count — tests/test_parallel_equivalence.cpp is the proof.
-// num_threads == 0 selects the legacy serial path (and is the default);
-// a process-wide override for code that constructs its own Networks deep
+// Executor: every callback runs against an ExecLane, a staging area for
+// everything the callback would otherwise write to shared simulator state
+// (sends, halt count, checker accounting). With NetworkOptions::num_threads
+// == 0 (the default) one lane runs inline on the calling thread, scanning
+// v = 0..n-1; its order is already final, so it delivers its staged sends
+// and counts its staged read-k consumptions every kFlushBatch entries,
+// which bounds its memory and keeps delivery a tight batched scatter. With
+// num_threads >= 1 a persistent worker pool (sim/thread_pool.h) runs one
+// lane per worker over contiguous node-id shards of near-equal alive
+// count, and the lanes are merged at the round barrier in shard order.
+// A process-wide override for code that constructs its own Networks deep
 // inside pipelines is available via ScopedNumThreads.
+//
+// Determinism-merge rule: the inline lane emits sends in ascending sender
+// id and each node's RNG stream is private, so replaying the pool's lanes
+// in shard (= node-id) order reproduces the inline lane's inbox order,
+// stats, and ModelChecker ledger *byte-identically* for every thread count
+// — tests/test_parallel_equivalence.cpp is the proof. Read-k consumption
+// counting only increments counters and takes maxima, so when a batch of
+// it is replayed does not matter.
 //
 // Accounting: rounds, total messages, total payload bits, and the maximum
 // number of messages any single directed edge carried in one round. With
@@ -32,7 +37,9 @@
 // enforces the per-edge bit budget, RNG-stream isolation with a per-round
 // randomness budget, and callback pinning (no cross-node state access),
 // and keeps the read-k multiplicity ledger reported via
-// model_check_report().
+// model_check_report(). A phase that throws (a fail-fast violation, an
+// enforced cap) still merges every lane's checker accounting on its way
+// out, so the violation is counted, emitted and auto-dumped.
 //
 // Determinism: node v draws from Rng(seed).child(v); callback order never
 // affects the streams, so a run is a pure function of (graph, seed,
@@ -47,27 +54,23 @@
 // byte-identical across thread counts. With no injector attached every
 // fault path is skipped.
 //
-// Message arena (the delivery fast path): the CONGEST normalization caps
-// traffic at one message per directed edge per round, so instead of one
-// heap vector per node the default inbox is a flat arena with exactly one
-// Message slot per directed edge, laid out in the CSR edge order the
-// per-edge counters already use (slot base of node v = edge_offset_[v]).
-// A send appends at inbox_count_next_[target], so node v's inbox is the
-// contiguous range [edge_offset_[v], edge_offset_[v] + count) of the
-// arena — filled in ascending sender id, which for sorted adjacency IS
-// port order, i.e. byte-identical to the retained vector-inbox reference
-// implementation. Delivery, lane merge, and fault-injected duplicates are
-// plain index writes into storage allocated once at construction: after
-// the constructor returns, a fault-free run performs zero heap
-// allocations in either executor. Fault duplicates (and runs that opt out
-// of enforce_congest) can exceed the one-slot-per-edge capacity; the
-// excess overflows into a per-node side buffer that is empty — and costs
-// nothing — on the normal path, keeping "<= 1 message per directed edge
-// per round" an enforced invariant rather than a load-bearing assumption.
-// NetworkOptions::inbox / ScopedInboxImpl select the reference
-// implementation for differential tests (tests/test_message_arena.cpp,
-// the arena matrix in tests/test_parallel_equivalence.cpp, and the
-// arena-vs-reference fuzz in tests/test_fuzz.cpp are the proof).
+// Message arena (the inbox): the CONGEST normalization caps traffic at one
+// message per directed edge per round, so the inbox is a flat arena with
+// exactly one Message slot per directed edge, laid out in the CSR edge
+// order the per-edge counters already use (slot base of node v =
+// edge_offset_[v]). A delivery appends at inbox_count_next_[target], so
+// node v's inbox is the contiguous range [edge_offset_[v], edge_offset_[v]
+// + count) of the arena — filled in ascending sender id, which for sorted
+// adjacency IS port order. Each slot also carries a read-k tag (the copy
+// carries its sender's this-round randomness), so consuming an inbox tells
+// the ModelChecker whose randomness the node read without a second arena.
+// Delivery and fault-injected duplicates are plain index writes into
+// storage allocated once at construction. Fault
+// duplicates (and runs that opt out of enforce_congest) can exceed the
+// one-slot-per-edge capacity; the excess overflows into a per-node side
+// buffer that is empty — and costs nothing — on the normal path, keeping
+// "<= 1 message per directed edge per round" an enforced invariant rather
+// than a load-bearing assumption (tests/test_message_arena.cpp).
 #pragma once
 
 #include <cstdint>
@@ -86,32 +89,19 @@
 
 namespace arbmis::sim {
 
-/// Inbox storage strategy (see the "Message arena" section of the header
-/// comment). The reference implementation is retained verbatim so the
-/// arena can be differentially tested against the pre-arena behavior.
-enum class InboxImpl : std::uint8_t {
-  kProcessDefault = 0,  ///< resolve via default_inbox_impl()
-  kArena,               ///< flat per-directed-edge slots (the fast path)
-  kReferenceVectors,    ///< legacy vector<vector<Message>> inboxes
-};
-
 struct NetworkOptions {
   bool enforce_congest = true;
   std::uint32_t max_messages_per_edge_per_round = 1;
-  /// Inbox storage. kProcessDefault resolves to the process-wide default
-  /// (the arena unless a ScopedInboxImpl override is active). Results are
-  /// bit-identical across all values.
-  InboxImpl inbox = InboxImpl::kProcessDefault;
   /// Fault injector (non-owning; must outlive every run). nullptr (the
   /// default) disables every fault path — runs are byte-identical to a
   /// build without the subsystem. See sim/fault_hooks.h for the contract
   /// and src/fault/ for the deterministic FaultPlan implementation.
   FaultInjector* fault = nullptr;
   /// Worker threads for round execution. 0 (default) = the process-wide
-  /// default, which is the serial executor unless a ScopedNumThreads
-  /// override is active; >= 1 = the staged parallel executor with exactly
-  /// that many workers (1 still exercises the staging + merge machinery).
-  /// Results are bit-identical across all values.
+  /// default, which is the inline lane unless a ScopedNumThreads override
+  /// is active; >= 1 = a worker pool with exactly that many lanes (1 still
+  /// exercises the pool's barrier merge). Results are bit-identical across
+  /// all values.
   std::uint32_t num_threads = 0;
   /// Runtime CONGEST model checker (enabled by default; see
   /// sim/model_check.h). Set `model_check.enabled = false` to opt out.
@@ -119,13 +109,13 @@ struct NetworkOptions {
 };
 
 /// Process-wide worker count applied when NetworkOptions::num_threads == 0.
-/// Defaults to 0 (serial). Not thread-safe to mutate while Networks are
-/// being constructed concurrently.
+/// Defaults to 0 (the inline lane). Not thread-safe to mutate while
+/// Networks are being constructed concurrently.
 std::uint32_t default_num_threads() noexcept;
 
 /// RAII override of default_num_threads(): routes every Network constructed
 /// in scope (including those buried inside pipeline drivers such as
-/// core::arb_mis) through the parallel executor. Restores the previous
+/// core::arb_mis) through the worker pool. Restores the previous
 /// value on destruction.
 class ScopedNumThreads {
  public:
@@ -136,27 +126,6 @@ class ScopedNumThreads {
 
  private:
   std::uint32_t previous_;
-};
-
-/// Process-wide inbox implementation applied when NetworkOptions::inbox ==
-/// InboxImpl::kProcessDefault. Defaults to the arena. Never returns
-/// kProcessDefault. Not thread-safe to mutate while Networks are being
-/// constructed concurrently.
-InboxImpl default_inbox_impl() noexcept;
-
-/// RAII override of default_inbox_impl(): routes every Network constructed
-/// in scope (including those buried inside pipeline drivers) through the
-/// given inbox implementation — how the differential tests run whole
-/// pipelines against the retained reference implementation.
-class ScopedInboxImpl {
- public:
-  explicit ScopedInboxImpl(InboxImpl impl) noexcept;
-  ~ScopedInboxImpl();
-  ScopedInboxImpl(const ScopedInboxImpl&) = delete;
-  ScopedInboxImpl& operator=(const ScopedInboxImpl&) = delete;
-
- private:
-  InboxImpl previous_;
 };
 
 struct RunStats {
@@ -171,14 +140,13 @@ struct RunStats {
   void absorb(const RunStats& other) noexcept;
 };
 
-/// Per-worker staging area of the parallel round executor. Everything a
-/// callback would have written to shared simulator state is buffered here
-/// and merged at the round barrier in shard order (see the determinism-
-/// merge rule in the header comment).
+/// Staging area of one executor lane. Everything a callback would have
+/// written to shared simulator state is buffered here and merged in shard
+/// order (see the executor section of the header comment).
 struct ExecLane {
   struct StagedSend {
-    graph::NodeId target;
     Message msg;
+    graph::NodeId target;
     /// Carries the sender's this-round randomness (read-k ledger entry).
     bool rng_bearing;
     /// Inbox copies to deliver (>= 1; dropped messages are never staged).
@@ -186,14 +154,14 @@ struct ExecLane {
   };
 
   /// Sends in call order; senders within a shard ascend, so concatenating
-  /// lanes in shard order reproduces the serial send order.
+  /// lanes in shard order reproduces the inline lane's send order.
   std::vector<StagedSend> sends;
   std::uint64_t messages = 0;      ///< delivered messages consumed
   std::uint64_t payload_bits = 0;  ///< actual bits consumed (message_bits)
   std::uint64_t rng_draws = 0;     ///< logical draws made in this shard
   std::uint32_t max_edge_load = 0;
   graph::NodeId halts = 0;         ///< nodes newly halted in this shard
-  /// Fault events staged by this worker's sends (merged at the barrier so
+  /// Fault events staged by this lane's sends (merged at the barrier so
   /// the injector's ledger stays executor-independent).
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_duplicates = 0;
@@ -247,13 +215,10 @@ class Network {
   std::uint32_t round() const noexcept { return round_; }
   bool halted(graph::NodeId v) const noexcept { return halted_[v] != 0; }
   graph::NodeId num_halted() const noexcept { return num_halted_; }
-  /// Resolved worker count (0 = serial executor).
+  /// Resolved worker count (0 = the inline lane).
   std::uint32_t num_threads() const noexcept { return num_threads_; }
-  /// True when the flat message arena backs the inboxes (the default);
-  /// false selects the retained vector-inbox reference implementation.
-  bool uses_arena() const noexcept { return use_arena_; }
   /// Total Message slots in the arena = number of directed edges (one slot
-  /// per (node, port) pair, CSR order). Valid in both inbox modes.
+  /// per (node, port) pair, CSR order).
   std::uint64_t arena_slots() const noexcept { return edge_offset_.back(); }
   /// Logical RNG draws made so far in the current run, summed over nodes.
   /// Deterministic in (graph, seed, algorithm) and executor-independent.
@@ -262,22 +227,21 @@ class Network {
   /// (valid at round barriers, e.g. inside a RoundObserver; test hooks).
   std::uint64_t in_flight() const noexcept { return in_flight_next_; }
   std::uint32_t staged_inbox_size(graph::NodeId v) const noexcept {
-    return use_arena_ ? inbox_count_next_[v]
-                      : static_cast<std::uint32_t>(next_inbox_[v].size());
+    return inbox_count_next_[v];
   }
   /// Staged messages for v that exceeded its per-directed-edge slot
   /// capacity and sit in the overflow side buffer (0 on the normal path).
   std::uint32_t staged_overflow_size(graph::NodeId v) const noexcept {
     const std::uint32_t cap = graph_.degree(v);
-    return use_arena_ && inbox_count_next_[v] > cap
+    return inbox_count_next_[v] > cap
                ? inbox_count_next_[v] - cap
                : 0;
   }
 
   /// Called after every completed round with the round number just
   /// finished; used by audits and traces. May inspect but not mutate.
-  /// Under the parallel executor it fires at the round barrier, after the
-  /// lane merge, so it always observes a consistent global state.
+  /// It fires at the round barrier, after the lane merge, so it always
+  /// observes a consistent global state.
   using RoundObserver = std::function<void(const Network&, std::uint32_t)>;
 
   /// Runs `algorithm` until all nodes halt or `max_rounds` rounds complete.
@@ -302,27 +266,42 @@ class Network {
   friend class NodeContext;
   friend class NodeRandom;
 
-  void do_send(ExecLane* lane, graph::NodeId from, graph::NodeId port,
+  /// Staged entries (sends, or consumed read-k origins) after which the
+  /// inline lane flushes: bounds its memory while keeping the scatter
+  /// batched. Results never depend on its value.
+  static constexpr std::size_t kFlushBatch = 1024;
+
+  void do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
                std::uint32_t tag, std::uint64_t payload);
-  void do_halt(ExecLane* lane, graph::NodeId v);
+  void do_halt(ExecLane& lane, graph::NodeId v);
   /// Accounts one logical draw from v's stream, then exposes it.
-  util::Rng& draw_rng(ExecLane* lane, graph::NodeId v);
-  /// Appends one inbox copy for `target` to next-round storage: an arena
-  /// slot write on the fast path (side buffer past capacity), a push_back
-  /// under the reference implementation. Serial in both executors (the
-  /// parallel path reaches here only through the barrier merge).
-  void deliver(graph::NodeId target, const Message& msg);
-  /// The inbox being consumed this round, as contiguous storage. Arena
-  /// overflow (fault duplicates / congest-off runs) is materialized into
-  /// the caller's scratch buffer; the fast path is a span into the arena.
-  std::span<const Message> current_inbox(graph::NodeId v, ExecLane* lane);
+  util::Rng& draw_rng(ExecLane& lane, graph::NodeId v);
+  /// Appends one inbox copy for `target` to next-round storage, tagged with
+  /// its read-k bit: an arena slot write, or the side buffer past
+  /// capacity. Runs on the calling thread only (lane flushes and barrier
+  /// merges).
+  void deliver(graph::NodeId target, const Message& msg, bool rng_bearing);
+  /// The inbox v consumes this round, as contiguous storage; stages the
+  /// senders of its randomness-bearing copies as the lane's consumed
+  /// read-k origins. Arena overflow (fault duplicates / congest-off runs)
+  /// is materialized into the lane's scratch buffer; the fast path is a
+  /// span into the arena.
+  std::span<const Message> consume_inbox(graph::NodeId v, ExecLane& lane);
 
   /// Runs one callback phase (on_start when round_ == 0, else on_round)
-  /// over all non-halted nodes, serially or on the worker pool.
+  /// over all non-halted, non-down nodes, inline or on the worker pool.
   void run_phase(Algorithm& algorithm);
-  void run_phase_parallel(Algorithm& algorithm);
-  /// Invokes the callback of one node (shared by both executors).
-  void step_node(Algorithm& algorithm, graph::NodeId v, ExecLane* lane);
+  /// Runs the callbacks of the nodes in [begin, end) on one lane.
+  void run_shard(Algorithm& algorithm, ExecLane& lane, graph::NodeId begin,
+                 graph::NodeId end);
+  /// Invokes the callback of one node.
+  void step_node(Algorithm& algorithm, graph::NodeId v, ExecLane& lane);
+  /// Delivers the lane's staged sends in staging order and counts its
+  /// staged read-k consumptions, emptying both buffers.
+  void flush(ExecLane& lane);
+  /// flush(), then folds the lane's counters and checker accounting into
+  /// the shared state and resets the lane.
+  void merge(ExecLane& lane);
   /// Barrier bookkeeping: fills last_round_, flushes the round's fault
   /// drop/duplicate counts to the injector's ledger.
   void flush_round_accounting(std::uint64_t messages_before,
@@ -332,44 +311,45 @@ class Network {
   NetworkOptions options_;
   std::uint64_t seed_ = 0;  ///< base RNG seed (telemetry run_begin events)
   FaultInjector* fault_ = nullptr;  ///< non-owning; nullptr = fault-free
-  std::uint32_t num_threads_ = 0;  ///< resolved at construction; 0 = serial
-  bool use_arena_ = true;          ///< resolved at construction
+  std::uint32_t num_threads_ = 0;  ///< resolved at construction; 0 = inline
   std::vector<util::Rng> rngs_;
-  // One byte per node (not vector<bool>): under the parallel executor a
-  // node's own halt flag is written while neighbors' flags are read.
+  // One byte per node (not vector<bool>): under the worker pool a node's
+  // own halt flag is written while neighbors' flags are read.
   std::vector<std::uint8_t> halted_;
   graph::NodeId num_halted_ = 0;
   std::uint32_t round_ = 0;
 
   // Message arena: one slot per directed edge in CSR order (node v's inbox
   // region is [edge_offset_[v], edge_offset_[v+1])), double-buffered for
-  // the deliver/fill round phases, with a per-node fill count. Messages
-  // past a node's region capacity — only possible with fault duplicates or
-  // enforce_congest off — land in the per-node overflow side buffers,
-  // whose dirty flags make the common no-overflow round reset O(1).
+  // the deliver/fill round phases, with a per-node fill count and a
+  // per-slot read-k tag (1 = the copy carries its sender's this-round
+  // randomness, see ModelChecker::on_send). Messages past a node's region
+  // capacity — only possible with fault duplicates or enforce_congest off
+  // — land in the per-node overflow side buffers, whose dirty flags make
+  // the common no-overflow round reset O(1).
+  struct Delivery {
+    Message msg;
+    bool rng_bearing;
+  };
   std::vector<Message> arena_cur_;
   std::vector<Message> arena_next_;
+  std::vector<std::uint8_t> bearing_cur_;
+  std::vector<std::uint8_t> bearing_next_;
   std::vector<std::uint32_t> inbox_count_cur_;
   std::vector<std::uint32_t> inbox_count_next_;
-  std::vector<std::vector<Message>> overflow_cur_;
-  std::vector<std::vector<Message>> overflow_next_;
+  std::vector<std::vector<Delivery>> overflow_cur_;
+  std::vector<std::vector<Delivery>> overflow_next_;
   bool overflow_cur_dirty_ = false;
   bool overflow_next_dirty_ = false;
-  std::vector<Message> scratch_inbox_;  ///< serial-path overflow staging
-  std::uint64_t in_flight_next_ = 0;    ///< messages staged for next round
-
-  // Reference implementation (InboxImpl::kReferenceVectors): the pre-arena
-  // per-node inbox vectors, kept for differential testing.
-  std::vector<std::vector<Message>> inbox_;
-  std::vector<std::vector<Message>> next_inbox_;
+  std::uint64_t in_flight_next_ = 0;  ///< messages staged for next round
 
   // Per-directed-edge send counters, epoch-stamped by round to avoid a
-  // clear per round. Slot for (v, port) = edge_slot_offset_[v] + port.
+  // clear per round. Slot for (v, port) = edge_offset_[v] + port.
   std::vector<std::uint64_t> edge_offset_;
   std::vector<std::uint32_t> edge_sends_;
   std::vector<std::uint32_t> edge_epoch_;
 
-  // Parallel executor state (empty in serial mode).
+  // Executor state: one lane (inline) or one per worker (pool_ set).
   std::unique_ptr<ThreadPool> pool_;
   std::vector<ExecLane> lanes_;
   std::vector<graph::NodeId> shard_bounds_;
@@ -378,11 +358,9 @@ class Network {
   RunStats stats_;
   RoundDelta last_round_;
   std::uint64_t rng_draws_ = 0;  ///< run-wide logical draws (all nodes)
-  // Actual consumed bits of the round in progress (serial executor writes
-  // directly; the parallel merge folds the lane counters in here).
+  // Actual consumed bits and fault drop/duplicate counts of the round in
+  // progress, folded in from the lanes.
   std::uint64_t round_payload_bits_ = 0;
-  // Fault drop/duplicate counts of the round in progress (serial executor
-  // writes directly; the parallel merge folds the lane counters in here).
   std::uint64_t round_fault_drops_ = 0;
   std::uint64_t round_fault_duplicates_ = 0;
 };

@@ -142,83 +142,52 @@ TEST(Determinism, GoldenPerSeedEngineLabels) {
 
 TEST(Determinism, GoldenPinsHoldUnderTheParallelExecutor) {
   // The same golden constants as GoldenPerSeedMisOutputs, re-checked with
-  // every internally constructed Network routed through the 4-worker
-  // parallel executor. No separate parallel goldens exist on purpose: the
-  // executor's determinism-merge rule (sim/network.h) promises the serial
-  // bytes, so the serial pins are the parallel pins.
+  // every internally constructed Network routed through the worker pool,
+  // at one worker (the barrier merge with a single lane) and at four. No
+  // separate pool goldens exist on purpose: the executor's
+  // determinism-merge rule (sim/network.h) promises the inline lane's
+  // bytes, so the inline pins are the pool pins.
   util::Rng rng(2024);
   const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
-  const sim::ScopedNumThreads scoped(4);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const sim::ScopedNumThreads scoped(threads);
 
-  const auto met1 = mis::MetivierMis::run(g, 1);
-  EXPECT_EQ(state_hash(met1.state), 0x87b54202a38a4860ULL);
-  EXPECT_EQ(met1.stats.rounds, 5u);
-  EXPECT_EQ(state_hash(mis::MetivierMis::run(g, 2).state),
-            0x36af02129ce25543ULL);
-  EXPECT_EQ(state_hash(mis::MetivierMis::run(g, 3).state),
-            0xe1e2f725bdbeab0dULL);
+    const auto met1 = mis::MetivierMis::run(g, 1);
+    EXPECT_EQ(state_hash(met1.state), 0x87b54202a38a4860ULL);
+    EXPECT_EQ(met1.stats.rounds, 5u);
+    EXPECT_EQ(state_hash(mis::MetivierMis::run(g, 2).state),
+              0x36af02129ce25543ULL);
+    EXPECT_EQ(state_hash(mis::MetivierMis::run(g, 3).state),
+              0xe1e2f725bdbeab0dULL);
 
-  EXPECT_EQ(state_hash(mis::LubyBMis::run(g, 1).state),
-            0xa70b8bcaaed6cc82ULL);
-  EXPECT_EQ(state_hash(mis::LubyBMis::run(g, 2).state),
-            0x83842878ad8031d8ULL);
+    EXPECT_EQ(state_hash(mis::LubyBMis::run(g, 1).state),
+              0xa70b8bcaaed6cc82ULL);
+    EXPECT_EQ(state_hash(mis::LubyBMis::run(g, 2).state),
+              0x83842878ad8031d8ULL);
 
-  EXPECT_EQ(state_hash(core::arb_mis(g, {.alpha = 2}, 1).mis.state),
-            0xe1e2f725bdbeab0dULL);
-  EXPECT_EQ(state_hash(core::arb_mis(g, {.alpha = 2}, 2).mis.state),
-            0x2ad32695e98905c0ULL);
+    EXPECT_EQ(state_hash(core::arb_mis(g, {.alpha = 2}, 1).mis.state),
+              0xe1e2f725bdbeab0dULL);
+    EXPECT_EQ(state_hash(core::arb_mis(g, {.alpha = 2}, 2).mis.state),
+              0x2ad32695e98905c0ULL);
 
-  EXPECT_EQ(state_hash(mis::BitMetivierMis::run(g, 1).mis.state),
-            0xe8f3f3171e775bd3ULL);
-  EXPECT_EQ(state_hash(mis::BitMetivierMis::run(g, 2).mis.state),
-            0xa05a05940c3562fdULL);
+    EXPECT_EQ(state_hash(mis::BitMetivierMis::run(g, 1).mis.state),
+              0xe8f3f3171e775bd3ULL);
+    EXPECT_EQ(state_hash(mis::BitMetivierMis::run(g, 2).mis.state),
+              0xa05a05940c3562fdULL);
+  }
 }
 
-TEST(Determinism, GoldenPinsHoldUnderReferenceInboxes) {
-  // Same constants once more, with every Network forced onto the pre-arena
-  // vector-of-vectors inbox path. The arena's byte-identity promise
-  // (sim/network.h) says both implementations produce the same delivery
-  // bytes, so the serial pins are also the reference-inbox pins. If this
-  // test disagrees with GoldenPerSeedMisOutputs, the arena drifted.
-  util::Rng rng(2024);
-  const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
-  const sim::ScopedInboxImpl scoped(sim::InboxImpl::kReferenceVectors);
-
-  const auto met1 = mis::MetivierMis::run(g, 1);
-  EXPECT_EQ(state_hash(met1.state), 0x87b54202a38a4860ULL);
-  EXPECT_EQ(met1.stats.rounds, 5u);
-  EXPECT_EQ(state_hash(mis::MetivierMis::run(g, 2).state),
-            0x36af02129ce25543ULL);
-  EXPECT_EQ(state_hash(mis::MetivierMis::run(g, 3).state),
-            0xe1e2f725bdbeab0dULL);
-
-  EXPECT_EQ(state_hash(mis::LubyBMis::run(g, 1).state),
-            0xa70b8bcaaed6cc82ULL);
-  EXPECT_EQ(state_hash(mis::LubyBMis::run(g, 2).state),
-            0x83842878ad8031d8ULL);
-
-  EXPECT_EQ(state_hash(core::arb_mis(g, {.alpha = 2}, 1).mis.state),
-            0xe1e2f725bdbeab0dULL);
-  EXPECT_EQ(state_hash(core::arb_mis(g, {.alpha = 2}, 2).mis.state),
-            0x2ad32695e98905c0ULL);
-
-  EXPECT_EQ(state_hash(mis::BitMetivierMis::run(g, 1).mis.state),
-            0xe8f3f3171e775bd3ULL);
-  EXPECT_EQ(state_hash(mis::BitMetivierMis::run(g, 2).mis.state),
-            0xa05a05940c3562fdULL);
-}
-
-TEST(Determinism, GoldenFaultyPinAcrossExecutorsAndInboxes) {
+TEST(Determinism, GoldenFaultyPinAcrossExecutors) {
   // One pinned constant for a lossy run: Luby-B under an i.i.d. adversary
-  // (drops, duplicates, crash/recover) must hash identically through all
-  // four (inbox implementation x executor) combinations. Duplicates are
-  // the interesting part — they are exactly what spills into the arena's
-  // overflow side buffer, so this pin covers the overflow delivery order.
+  // (drops, duplicates, crash/recover) must hash identically on the inline
+  // lane and at every pool size. Duplicates are the interesting part —
+  // they are exactly what spills into the arena's overflow side buffer, so
+  // this pin covers the overflow delivery order.
   util::Rng rng(2024);
   const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
 
-  const auto run_faulty = [&](sim::InboxImpl impl, std::uint32_t threads) {
-    const sim::ScopedInboxImpl inbox(impl);
+  const auto run_faulty = [&](std::uint32_t threads) {
     fault::IidAdversary adversary({.drop_rate = 0.2,
                                    .duplicate_rate = 0.1,
                                    .crash_rate = 0.01,
@@ -233,12 +202,13 @@ TEST(Determinism, GoldenFaultyPinAcrossExecutorsAndInboxes) {
     return state_hash(algo.states());
   };
 
-  const std::uint64_t pin = run_faulty(sim::InboxImpl::kArena, 0);
-  EXPECT_EQ(run_faulty(sim::InboxImpl::kArena, 4), pin);
-  EXPECT_EQ(run_faulty(sim::InboxImpl::kReferenceVectors, 0), pin);
-  EXPECT_EQ(run_faulty(sim::InboxImpl::kReferenceVectors, 4), pin);
+  const std::uint64_t pin = run_faulty(0);
+  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(run_faulty(threads), pin) << "threads " << threads;
+  }
   // The absolute value is pinned too, so the faulty schedule itself is
-  // locked against drift in FaultPlan / Rng, not just cross-impl agreement.
+  // locked against drift in FaultPlan / Rng, not just cross-executor
+  // agreement.
   EXPECT_EQ(pin, kGoldenFaultyLubyPin);
 }
 
@@ -267,8 +237,8 @@ TEST(Determinism, GoldenGatherSolvePins) {
 TEST(Determinism, GoldenPinsHoldOffTheMappedStorage) {
   // The golden constants from GoldenPerSeedMisOutputs, re-checked with the
   // graph written to a binary .gr file and reloaded through the mmap
-  // loader: storage backend joins executor and inbox implementation in the
-  // set of axes the pins are invariant over.
+  // loader: storage backend joins the executor in the set of axes the pins
+  // are invariant over.
   util::Rng rng(2024);
   const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
   const std::string path = ::testing::TempDir() + "arbmis_det_pin.gr";

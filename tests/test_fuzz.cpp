@@ -18,7 +18,6 @@
 #include "graph/storage/gr_writer.h"
 #include "graph/storage/mapped_graph.h"
 #include "graph/subgraph.h"
-#include "mis/luby.h"
 #include "mis/matching.h"
 #include "mis/metivier.h"
 #include "mis/verifier.h"
@@ -418,61 +417,165 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,
 
 // ---------------------------------------------------------------------------
 // Arena differential fuzz (slow tier: ctest -L slow; excluded from tier1).
-// Random graph x random adversary x random thread count, message arena vs
-// the retained vector-inbox reference implementation — agreeing not just
-// on outputs but *message for message*: a wrapper algorithm hash-chains
-// every delivered (src, tag, payload) triple into a per-node digest, so
-// any divergence in inbox contents or order anywhere in the run flips a
-// hash even if the final MIS happens to coincide.
+// Random graph x random adversary x random thread count: the Network's
+// message arena against a test-local delivery model — agreeing not just on
+// outputs but *message for message*. The workload is a chatter whose every
+// step is a pure function of (node, round, inbox, draw), so the model can
+// replay it without a Network: per-node vector inboxes filled in ascending
+// sender order, the down set consulted at send time, fates from an
+// identical (pure) fault plan. Each node hash-chains every delivered
+// (src, tag, payload) triple into a digest, so any divergence in inbox
+// contents or order anywhere in the run flips a hash.
 // ---------------------------------------------------------------------------
 
-/// Delegating wrapper that folds each node's inbox stream into a per-node
-/// digest. Each callback touches only its own node's slot, so the wrapper
-/// obeys the simulator's thread-safety contract.
-class InboxHashingAlgorithm final : public sim::Algorithm {
+/// The chatter's per-node state and step rule, shared by the Network
+/// adapter and the delivery model.
+class Chatter {
  public:
-  InboxHashingAlgorithm(sim::Algorithm& inner, graph::NodeId n)
-      : inner_(&inner), digests_(n, 0x9e3779b97f4a7c15ULL) {}
+  explicit Chatter(graph::NodeId n) : digests_(n, 0x9e3779b97f4a7c15ULL) {}
 
-  std::string_view name() const override { return inner_->name(); }
-  bool is_reactive() const override { return inner_->is_reactive(); }
-
-  void on_start(sim::NodeContext& ctx) override { inner_->on_start(ctx); }
-
-  void on_round(sim::NodeContext& ctx,
-                std::span<const sim::Message> inbox) override {
-    std::uint64_t& digest = digests_[ctx.id()];
+  /// Node v's step in `round`: folds `inbox` into v's digest, then sends
+  /// on a digest-dependent subset of its ports via send(port, tag,
+  /// payload). `draw` is v's one random draw of the round, so every send
+  /// is randomness-bearing. Returns true when v halts.
+  template <typename Send>
+  bool step(graph::NodeId v, std::uint32_t round, graph::NodeId degree,
+            std::span<const sim::Message> inbox, std::uint64_t draw,
+            Send&& send) {
+    std::uint64_t& digest = digests_[v];
     for (const sim::Message& m : inbox) {
       digest = util::mix64(digest, m.src);
       digest = util::mix64(digest, m.tag);
       digest = util::mix64(digest, m.payload);
     }
-    inner_->on_round(ctx, inbox);
+    const std::uint64_t h = util::mix64(digest, util::mix64(round, draw));
+    for (graph::NodeId port = 0; port < degree; ++port) {
+      const std::uint64_t coin = util::mix64(h, port);
+      // 3-bit tag + 56-bit payload stays inside the checker's budget.
+      if ((coin & 3) != 0) {
+        send(port, static_cast<std::uint32_t>(coin >> 61), coin >> 8);
+      }
+    }
+    return round >= 3 && (h & 7) == 0;
   }
 
   const std::vector<std::uint64_t>& digests() const { return digests_; }
 
  private:
-  sim::Algorithm* inner_;
   std::vector<std::uint64_t> digests_;
+};
+
+class ChatterAlgorithm final : public sim::Algorithm {
+ public:
+  explicit ChatterAlgorithm(graph::NodeId n) : chatter_(n) {}
+
+  std::string_view name() const override { return "chatter"; }
+  void on_start(sim::NodeContext& ctx) override { act(ctx, {}); }
+  void on_round(sim::NodeContext& ctx,
+                std::span<const sim::Message> inbox) override {
+    act(ctx, inbox);
+  }
+
+  const Chatter& chatter() const { return chatter_; }
+
+ private:
+  void act(sim::NodeContext& ctx, std::span<const sim::Message> inbox) {
+    const std::uint64_t draw = ctx.rng().next();
+    const bool halt = chatter_.step(
+        ctx.id(), ctx.round(), ctx.degree(), inbox, draw,
+        [&](graph::NodeId port, std::uint32_t tag, std::uint64_t payload) {
+          ctx.send(port, tag, payload);
+        });
+    if (halt) ctx.halt();
+  }
+
+  Chatter chatter_;
 };
 
 /// One observable snapshot of a fuzz run for exact comparison.
 struct ArenaFuzzRun {
   std::vector<std::uint64_t> digests;
-  std::vector<std::uint32_t> states;
+  std::vector<fault::LedgerEntry> ledger;
   std::uint64_t rng_draws = 0;
   std::uint32_t rounds = 0;
   std::uint64_t messages = 0;
-  std::uint32_t max_edge_load = 0;
 
   bool operator==(const ArenaFuzzRun&) const = default;
 };
+
+/// The delivery model: Network::run's round loop written out serially
+/// with plain vector inboxes.
+ArenaFuzzRun model_run(const graph::Graph& g, std::uint64_t seed,
+                       fault::FaultPlan* plan, std::uint32_t max_rounds) {
+  const graph::NodeId n = g.num_nodes();
+  std::vector<util::Rng> rngs;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    rngs.push_back(util::Rng(seed).child(v));
+  }
+  std::vector<std::vector<sim::Message>> inbox(n);
+  std::vector<std::vector<sim::Message>> next(n);
+  std::vector<std::uint8_t> halted(n, 0);
+  std::vector<std::uint64_t> slot_base(n + 1, 0);  // CSR directed-edge slots
+  for (graph::NodeId v = 0; v < n; ++v) {
+    slot_base[v + 1] = slot_base[v] + g.degree(v);
+  }
+  Chatter chatter(n);
+  ArenaFuzzRun run;
+  if (plan != nullptr) plan->begin_run();
+  const auto phase = [&](std::uint32_t round) {
+    if (plan != nullptr) plan->begin_round(round, halted);
+    std::uint64_t drops = 0;
+    std::uint64_t duplicates = 0;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (halted[v] != 0 || (plan != nullptr && plan->is_down(v))) continue;
+      if (round > 0) run.messages += inbox[v].size();
+      ++run.rng_draws;
+      const auto nbrs = g.neighbors(v);
+      const bool halt = chatter.step(
+          v, round, g.degree(v), inbox[v], rngs[v].next(),
+          [&](graph::NodeId port, std::uint32_t tag, std::uint64_t payload) {
+            const graph::NodeId to = nbrs[port];
+            std::uint8_t copies = 1;
+            if (plan != nullptr) {
+              copies = plan->is_down(to)
+                           ? 0
+                           : plan->on_message(v, to, slot_base[v] + port,
+                                              round)
+                                 .copies;
+            }
+            drops += copies == 0 ? 1 : 0;
+            duplicates += copies > 1 ? copies - 1u : 0u;
+            for (std::uint8_t c = 0; c < copies; ++c) {
+              next[to].push_back(sim::Message{v, tag, payload});
+            }
+          });
+      if (halt) halted[v] = 1;
+    }
+    if (plan != nullptr) plan->account(round, drops, duplicates);
+  };
+  phase(0);
+  while (run.rounds < max_rounds) {
+    const auto num_halted = static_cast<graph::NodeId>(
+        std::count(halted.begin(), halted.end(), std::uint8_t{1}));
+    if (num_halted >= n) break;
+    if (plan != nullptr && !plan->recovery_pending() &&
+        num_halted + plan->num_down() >= n) {
+      break;
+    }
+    std::swap(inbox, next);
+    for (auto& box : next) box.clear();
+    phase(++run.rounds);
+  }
+  run.digests = chatter.digests();
+  if (plan != nullptr) run.ledger = plan->ledger();
+  return run;
+}
 
 class ArenaSlowFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ArenaSlowFuzz, ArenaAgreesWithReferenceMessageForMessage) {
   constexpr int kCasesPerSeed = 10;
+  constexpr std::uint32_t kMaxRounds = 2048;
   for (int c = 0; c < kCasesPerSeed; ++c) {
     const std::uint64_t case_seed = GetParam() * 1000 + std::uint64_t(c);
     util::Rng rng(case_seed + 700);
@@ -481,7 +584,6 @@ TEST_P(ArenaSlowFuzz, ArenaAgreesWithReferenceMessageForMessage) {
         2.0 / static_cast<double>(n) * static_cast<double>(1 + rng.below(4));
     const graph::Graph g = graph::gen::gnp(n, p, rng);
     const auto threads = static_cast<std::uint32_t>(rng.below(9));  // 0..8
-    const bool use_metivier = rng.bernoulli(0.5);
     const bool faulty = rng.bernoulli(0.5);
     const fault::IidOptions odds = {
         .drop_rate = faulty ? rng.uniform01() * 0.4 : 0.0,
@@ -493,55 +595,34 @@ TEST_P(ArenaSlowFuzz, ArenaAgreesWithReferenceMessageForMessage) {
                               " threads=" + std::to_string(threads) +
                               (faulty ? " faulty" : " fault-free");
 
-    const auto run_one = [&](sim::InboxImpl impl,
-                             std::uint32_t num_threads) -> ArenaFuzzRun {
-      const sim::ScopedInboxImpl inbox(impl);
-      // A fresh plan per run: plans are stateful, determinism comes from
-      // (graph, seed, adversary) being identical across runs.
-      fault::IidAdversary adversary(odds);
-      fault::FaultPlan plan(g, case_seed, adversary);
-      sim::NetworkOptions options;
-      options.num_threads = num_threads;
-      options.fault = faulty ? &plan : nullptr;
-      sim::Network net(g, case_seed, options);
-      ArenaFuzzRun run;
-      sim::RunStats stats;
-      if (use_metivier) {
-        mis::MetivierMis algo(g);
-        InboxHashingAlgorithm wrapped(algo, n);
-        stats = net.run(wrapped, 2048);
-        run.digests = wrapped.digests();
-        for (const auto s : algo.states()) {
-          run.states.push_back(static_cast<std::uint32_t>(s));
-        }
-      } else {
-        mis::LubyBMis algo(g);
-        InboxHashingAlgorithm wrapped(algo, n);
-        stats = net.run(wrapped, 2048);
-        run.digests = wrapped.digests();
-        for (const auto s : algo.states()) {
-          run.states.push_back(static_cast<std::uint32_t>(s));
-        }
-      }
-      run.rng_draws = net.total_rng_draws();
-      run.rounds = stats.rounds;
-      run.messages = stats.messages;
-      run.max_edge_load = stats.max_edge_load;
-      return run;
-    };
-
-    // Baseline: the reference implementation on the serial executor — the
-    // seed (pre-arena) behavior. The arena must reproduce it at whatever
-    // thread count the dice picked.
+    // A fresh plan per run: plans are stateful, determinism comes from
+    // (graph, seed, adversary) being identical across runs.
+    fault::IidAdversary model_adversary(odds);
+    fault::FaultPlan model_plan(g, case_seed, model_adversary);
     const ArenaFuzzRun reference =
-        run_one(sim::InboxImpl::kReferenceVectors, 0);
-    const ArenaFuzzRun arena = run_one(sim::InboxImpl::kArena, threads);
+        model_run(g, case_seed, faulty ? &model_plan : nullptr, kMaxRounds);
+
+    fault::IidAdversary adversary(odds);
+    fault::FaultPlan plan(g, case_seed, adversary);
+    sim::NetworkOptions options;
+    options.num_threads = threads;
+    options.fault = faulty ? &plan : nullptr;
+    sim::Network net(g, case_seed, options);
+    ChatterAlgorithm algo(n);
+    const sim::RunStats stats = net.run(algo, kMaxRounds);
+    ArenaFuzzRun arena;
+    arena.digests = algo.chatter().digests();
+    if (faulty) arena.ledger = plan.ledger();
+    arena.rng_draws = net.total_rng_draws();
+    arena.rounds = stats.rounds;
+    arena.messages = stats.messages;
+
     EXPECT_EQ(reference.digests, arena.digests) << label;
-    EXPECT_EQ(reference.states, arena.states) << label;
+    EXPECT_EQ(reference.ledger, arena.ledger) << label;
     EXPECT_EQ(reference.rng_draws, arena.rng_draws) << label;
     EXPECT_EQ(reference.rounds, arena.rounds) << label;
     EXPECT_EQ(reference.messages, arena.messages) << label;
-    EXPECT_EQ(reference.max_edge_load, arena.max_edge_load) << label;
+    EXPECT_EQ(net.model_check_report().violations, 0u) << label;
   }
 }
 

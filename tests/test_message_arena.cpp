@@ -2,9 +2,9 @@
 // (sim/network.h, "Message arena" section): CSR slot indexing against
 // first/last ports and isolated nodes, occupancy reset across rounds and
 // across run() calls, the duplicate-overflow side buffer, the enforced
-// <= 1-message-per-directed-edge violation path, and the InboxImpl
-// selection machinery (NetworkOptions::inbox beats ScopedInboxImpl beats
-// the process default).
+// <= 1-message-per-directed-edge violation path, and rounds that stage
+// more than one of the inline lane's flush batches (sim/network.h,
+// executor section), byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "sim/model_check.h"
 #include "sim/network.h"
 
 namespace arbmis {
@@ -131,7 +132,6 @@ TEST(MessageArena, SlotLayoutMatchesCsrAndInboxIsPortOrdered) {
   // ports, the endpoints only on their single port.
   const graph::Graph g = graph::gen::path(4);
   sim::Network net(g, /*seed=*/1);
-  ASSERT_TRUE(net.uses_arena());
   // One slot per directed edge: 2 * |E| = 2 * 3.
   EXPECT_EQ(net.arena_slots(), 6u);
 
@@ -266,56 +266,160 @@ TEST(MessageArena, EnforcedPerEdgeCapStillThrows) {
 }
 
 TEST(MessageArena, ReferenceImplementationIsByteIdentical) {
-  // The retained vector-inbox implementation must deliver the identical
-  // byte sequence — the differential anchor the fuzz and equivalence
-  // suites build on.
+  // Differential anchor against a test-local reference model of delivery:
+  // every round each live node's inbox holds one message per neighbor, in
+  // ascending sender (= port) order — the semantics the arena must
+  // reproduce on every executor.
   const graph::Graph g = [] {
     util::Rng rng(8);
     return graph::gen::gnp(40, 0.1, rng);
   }();
-
-  sim::NetworkOptions arena_options;
-  arena_options.inbox = sim::InboxImpl::kArena;
-  sim::Network arena_net(g, 9, arena_options);
-  RecordingBroadcast arena_algo(40, 3);
-  const sim::RunStats arena_stats = arena_net.run(arena_algo, 5);
-
-  sim::NetworkOptions reference_options;
-  reference_options.inbox = sim::InboxImpl::kReferenceVectors;
-  sim::Network reference_net(g, 9, reference_options);
-  ASSERT_FALSE(reference_net.uses_arena());
-  RecordingBroadcast reference_algo(40, 3);
-  const sim::RunStats reference_stats = reference_net.run(reference_algo, 5);
-
-  EXPECT_EQ(arena_stats.messages, reference_stats.messages);
-  EXPECT_EQ(arena_stats.rounds, reference_stats.rounds);
+  std::vector<std::vector<Recorded>> reference(40);
   for (graph::NodeId v = 0; v < 40; ++v) {
-    EXPECT_EQ(arena_algo.inbox(v), reference_algo.inbox(v)) << "node " << v;
+    for (std::uint32_t round = 1; round <= 3; ++round) {
+      for (const graph::NodeId u : g.neighbors(v)) {
+        reference[v].push_back({u, 0, u});
+      }
+    }
+  }
+  for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+    sim::NetworkOptions options;
+    options.num_threads = threads;
+    sim::Network net(g, 9, options);
+    RecordingBroadcast algo(40, 3);
+    const sim::RunStats stats = net.run(algo, 5);
+    EXPECT_EQ(stats.rounds, 3u) << "threads " << threads;
+    EXPECT_EQ(stats.messages, 3 * 2 * g.num_edges()) << "threads " << threads;
+    for (graph::NodeId v = 0; v < 40; ++v) {
+      EXPECT_EQ(algo.inbox(v), reference[v])
+          << "threads " << threads << " node " << v;
+    }
   }
 }
 
-TEST(MessageArena, InboxImplSelectionPrecedence) {
-  const graph::Graph g = graph::gen::path(3);
-  // Process default is the arena.
-  EXPECT_EQ(sim::default_inbox_impl(), sim::InboxImpl::kArena);
-  EXPECT_TRUE(sim::Network(g, 1).uses_arena());
-  {
-    const sim::ScopedInboxImpl scoped(sim::InboxImpl::kReferenceVectors);
-    EXPECT_EQ(sim::default_inbox_impl(), sim::InboxImpl::kReferenceVectors);
-    // kProcessDefault resolves through the override...
-    EXPECT_FALSE(sim::Network(g, 1).uses_arena());
-    // ...but an explicit per-network choice beats it.
-    sim::NetworkOptions options;
-    options.inbox = sim::InboxImpl::kArena;
-    EXPECT_TRUE(sim::Network(g, 1, options).uses_arena());
-    {
-      // kProcessDefault in a scope restores the built-in default (arena).
-      const sim::ScopedInboxImpl inner(sim::InboxImpl::kProcessDefault);
-      EXPECT_EQ(sim::default_inbox_impl(), sim::InboxImpl::kArena);
-    }
-    EXPECT_EQ(sim::default_inbox_impl(), sim::InboxImpl::kReferenceVectors);
+/// Every node draws once per round and broadcasts the draw, so every
+/// message is randomness-bearing: each consumed copy is one read in the
+/// checker's read-k ledger.
+class DrawingBroadcast final : public sim::Algorithm {
+ public:
+  DrawingBroadcast(graph::NodeId n, std::uint32_t rounds)
+      : rounds_(rounds), inboxes_(n) {}
+
+  std::string_view name() const override { return "drawing_broadcast"; }
+
+  void on_start(sim::NodeContext& ctx) override {
+    ctx.broadcast(0, ctx.rng().next());
   }
-  EXPECT_EQ(sim::default_inbox_impl(), sim::InboxImpl::kArena);
+
+  void on_round(sim::NodeContext& ctx,
+                std::span<const sim::Message> inbox) override {
+    auto& record = inboxes_[ctx.id()];
+    for (const sim::Message& m : inbox) {
+      record.push_back({m.src, m.tag, m.payload});
+    }
+    if (ctx.round() >= rounds_) {
+      ctx.halt();
+      return;
+    }
+    ctx.broadcast(ctx.round(), ctx.rng().next());
+  }
+
+  const std::vector<std::vector<Recorded>>& inboxes() const {
+    return inboxes_;
+  }
+
+ private:
+  std::uint32_t rounds_;
+  std::vector<std::vector<Recorded>> inboxes_;
+};
+
+/// Everything a DrawingBroadcast run exposes, for exact comparison.
+struct ExecutorRun {
+  std::vector<std::vector<Recorded>> inboxes;
+  std::vector<sim::RoundDelta> deltas;
+  sim::ModelCheckReport report;
+  std::uint64_t rng_draws = 0;
+};
+
+ExecutorRun run_drawing_broadcast(const graph::Graph& g,
+                                  std::uint32_t threads,
+                                  bool duplicate_storm) {
+  fault::IidAdversary adversary({.duplicate_rate = 1.0});
+  fault::FaultPlan plan(g, 5, adversary);
+  sim::NetworkOptions options;
+  options.num_threads = threads;
+  if (duplicate_storm) options.fault = &plan;
+  sim::Network net(g, 11, options);
+  DrawingBroadcast algo(g.num_nodes(), 3);
+  ExecutorRun run;
+  net.run(algo, 4, [&](const sim::Network& n, std::uint32_t) {
+    run.deltas.push_back(n.last_round());
+  });
+  run.inboxes = algo.inboxes();
+  run.report = net.model_check_report();
+  run.rng_draws = net.total_rng_draws();
+  return run;
+}
+
+void expect_identical_across_executors(const graph::Graph& g,
+                                       bool duplicate_storm,
+                                       const ExecutorRun& inline_run) {
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    const ExecutorRun pool = run_drawing_broadcast(g, threads,
+                                                   duplicate_storm);
+    const std::string label = "threads " + std::to_string(threads);
+    EXPECT_EQ(inline_run.inboxes, pool.inboxes) << label;
+    EXPECT_EQ(inline_run.deltas, pool.deltas) << label;
+    EXPECT_EQ(inline_run.rng_draws, pool.rng_draws) << label;
+    const sim::ModelCheckReport& a = inline_run.report;
+    const sim::ModelCheckReport& b = pool.report;
+    EXPECT_EQ(a.k, b.k) << label;
+    EXPECT_EQ(a.round_k, b.round_k) << label;
+    EXPECT_EQ(a.max_message_bits, b.max_message_bits) << label;
+    EXPECT_EQ(a.round_max_message_bits, b.round_max_message_bits) << label;
+    EXPECT_EQ(a.max_edge_bits_per_round, b.max_edge_bits_per_round) << label;
+    EXPECT_EQ(a.max_rng_reads_per_round, b.max_rng_reads_per_round) << label;
+    EXPECT_EQ(a.violations, b.violations) << label;
+    EXPECT_TRUE(a.faults == b.faults) << label;
+  }
+}
+
+// More leaves than two of the inline lane's 1024-entry flush batches: the
+// leaves' sends and their consumed read-k origins each span several
+// batches in one round, while the centre stages one oversized callback.
+constexpr graph::NodeId kStarLeaves = 2500;
+
+TEST(MessageArena, StarBeyondOneFlushBatchIsExecutorIndependent) {
+  const graph::Graph g = graph::gen::star(kStarLeaves + 1);
+  const ExecutorRun inline_run = run_drawing_broadcast(g, 0, false);
+  // The centre hears every leaf each round, in ascending leaf order.
+  ASSERT_EQ(inline_run.inboxes[0].size(), 3u * kStarLeaves);
+  for (graph::NodeId i = 0; i < kStarLeaves; ++i) {
+    EXPECT_EQ(inline_run.inboxes[0][i].src, i + 1);
+  }
+  // Each draw of the centre is read by itself and by every leaf: counting
+  // must not lose the consumptions staged in any batch.
+  EXPECT_EQ(inline_run.report.k, kStarLeaves + 1);
+  EXPECT_EQ(inline_run.report.violations, 0u);
+  ASSERT_EQ(inline_run.deltas.size(), 3u);
+  EXPECT_EQ(inline_run.deltas[0].messages, 2u * kStarLeaves);
+  expect_identical_across_executors(g, false, inline_run);
+}
+
+TEST(MessageArena, DuplicateStormOverflowAcrossFlushBatches) {
+  // duplicate_rate = 1.0 doubles every delivery: the centre's region fills
+  // halfway through the leaves, so its overflow side buffer, read-k tags
+  // included, is filled by several flush batches.
+  const graph::Graph g = graph::gen::star(kStarLeaves + 1);
+  const ExecutorRun inline_run = run_drawing_broadcast(g, 0, true);
+  ASSERT_EQ(inline_run.inboxes[0].size(), 6u * kStarLeaves);
+  for (graph::NodeId i = 0; i < 2 * kStarLeaves; ++i) {
+    EXPECT_EQ(inline_run.inboxes[0][i].src, i / 2 + 1);
+  }
+  // Every delivered copy is a read: two per leaf, plus the centre itself.
+  EXPECT_EQ(inline_run.report.k, 2 * kStarLeaves + 1);
+  EXPECT_EQ(inline_run.report.faults.duplicates, 3u * 2u * kStarLeaves);
+  expect_identical_across_executors(g, true, inline_run);
 }
 
 }  // namespace

@@ -4,13 +4,18 @@
 // the paper's event families on a BoundedArbIndependentSet run.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <optional>
+#include <string>
 
 #include "core/bounded_arb.h"
 #include "core/params.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
 #include "mis/metivier.h"
+#include "obs/recorder.h"
+#include "obs/sink.h"
 #include "readk/family.h"
 #include "sim/contract.h"
 #include "sim/model_check.h"
@@ -68,6 +73,65 @@ TEST(ModelCheck, NarrowMessageWithinBudgetPasses) {
   WidePayloadSender algorithm(0x3F);  // 6 + 8 = 14 bits <= 16
   EXPECT_NO_THROW(net.run(algorithm, 4));
   EXPECT_EQ(net.model_check_report().violations, 0u);
+}
+
+/// Sends one over-wide message from node 0 in round 2, then halts.
+class LateWideSender : public Algorithm {
+ public:
+  std::string_view name() const override { return "late_wide"; }
+  void on_start(NodeContext&) override {}
+  void on_round(NodeContext& ctx, std::span<const Message>) override {
+    if (ctx.round() == 2 && ctx.id() == 0) ctx.send(0, 1, 0xFFFFFFFFULL);
+    if (ctx.round() >= 2) ctx.halt();
+  }
+};
+
+TEST(ModelCheck, ViolationIsCountedEmittedAndDumpedOnEveryExecutor) {
+  // Fail-fast aborts a phase before its barrier merge; the violation the
+  // aborting lane staged must still be counted, emitted as kViolation with
+  // the round it happened in, and auto-dumped by the flight recorder — on
+  // the inline lane and on the worker pool alike.
+  const graph::Graph g = graph::gen::path(2);
+  for (const std::uint32_t threads : {0u, 1u, 2u}) {
+    for (const bool fail_fast : {true, false}) {
+      const std::string label = "threads " + std::to_string(threads) +
+                                (fail_fast ? " fail_fast" : " counting");
+      const std::string path = ::testing::TempDir() +
+                               "arbmis_violation_t" + std::to_string(threads) +
+                               (fail_fast ? "_ff" : "") + ".flightrec";
+      std::remove(path.c_str());
+      obs::RecorderConfig config;
+      config.dump_path = path;
+      obs::FlightRecorder recorder(config);
+      obs::VectorSink sink;
+      NetworkOptions options;
+      options.num_threads = threads;
+      options.model_check.min_edge_bits = 16;
+      options.model_check.log_n_factor = 1;
+      options.model_check.fail_fast = fail_fast;
+      Network net(g, 1, options);
+      LateWideSender algorithm;
+      {
+        const obs::ScopedRecorder attach(&recorder);
+        const obs::ScopedSink scoped(&sink);
+        if (fail_fast) {
+          EXPECT_THROW(net.run(algorithm, 4), CongestViolation) << label;
+        } else {
+          EXPECT_NO_THROW(net.run(algorithm, 4)) << label;
+        }
+      }
+      EXPECT_EQ(net.model_check_report().violations, 1u) << label;
+      EXPECT_EQ(recorder.stats().dumps, 1u) << label;
+      EXPECT_TRUE(std::filesystem::exists(path)) << label;
+      std::uint32_t violation_events = 0;
+      for (const obs::OwnedEvent& e : sink.events()) {
+        if (e.kind != obs::EventKind::kViolation) continue;
+        ++violation_events;
+        EXPECT_EQ(e.round, 2u) << label;
+      }
+      EXPECT_EQ(violation_events, 1u) << label;
+    }
+  }
 }
 
 /// Stashes node 0's context in on_start and abuses it from node 1's

@@ -557,7 +557,6 @@ TEST(ObsManifest, JsonShapes) {
   m.nodes = 64;
   m.edges = 63;
   m.threads = 4;
-  m.inbox = "arena";
   EXPECT_EQ(m.schema, std::string(obs::kSchemaVersion));
   EXPECT_FALSE(m.build_type.empty());
   EXPECT_EQ(m.tool, "test_obs");
@@ -567,7 +566,6 @@ TEST(ObsManifest, JsonShapes) {
   EXPECT_EQ(object.back(), '}');
   EXPECT_NE(object.find("\"tool\":\"test_obs\""), std::string::npos);
   EXPECT_NE(object.find("\"threads\":4"), std::string::npos);
-  EXPECT_NE(object.find("\"inbox\":\"arena\""), std::string::npos);
   EXPECT_EQ(obs::to_json_line(m), "{\"manifest\":" + object + "}");
 }
 

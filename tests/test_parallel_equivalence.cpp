@@ -1,13 +1,13 @@
-// Differential proof of the parallel round executor (sim/network.h): for a
-// matrix of {graph generator} x {algorithm} x {seed} x {thread count}, a
-// run under the staged parallel executor must be *byte-identical* to the
-// serial executor — same RunStats, same per-node outputs, same per-node
-// halt rounds, and the same ModelChecker report including the per-round
-// series. This is the enforcement vehicle for the determinism-merge rule
-// documented in sim/network.h and the thread-safety contract in
-// sim/algorithm.h.
+// Differential proof of the round executor (sim/network.h): for a matrix
+// of {graph generator} x {algorithm} x {seed} x {thread count}, a run on
+// the worker pool must be *byte-identical* to the inline lane (threads 0)
+// — same RunStats, same per-node outputs, same per-node halt rounds, and
+// the same ModelChecker report including the per-round series. This is
+// the enforcement vehicle for the determinism-merge rule documented in
+// sim/network.h and the thread-safety contract in sim/algorithm.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -40,7 +40,7 @@ namespace {
 constexpr std::uint32_t kNeverHalted =
     std::numeric_limits<std::uint32_t>::max();
 
-// Thread counts to prove equivalent against the serial baseline (0).
+// Thread counts to prove equivalent against the inline lane (0).
 constexpr std::uint32_t kThreadCounts[] = {1, 2, 4, 8};
 
 /// Everything observable about one run, flattened for comparison.
@@ -446,58 +446,109 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,
                          ::testing::Values(1, 7, 2024));
 
 // ---------------------------------------------------------------------------
-// Arena differential matrix: the message arena (sim/network.h, the default
-// inbox implementation) against the retained pre-arena reference
-// implementation (InboxImpl::kReferenceVectors — the seed behavior,
-// verbatim). The baseline is a reference-inbox *serial* run; every arena
-// run — serial and at each thread count — must reproduce it byte for
-// byte: MIS outputs, halt rounds, RNG draw counts, the read-k ledger in
-// the checker report, and the per-round RoundDelta series.
+// Arena message matrix: message-for-message equality of every delivered
+// inbox. The reference inboxes are the inline lane's (threads 0): it
+// flushes its staged sends in send order, which is ascending sender = port
+// order. Every pool size must reproduce them digest for digest — a wrapper
+// hash-chains each node's (src, tag, payload) stream — alongside the full
+// RunRecord. The graph list adds one with about 6000 directed edges, so
+// that a busy round stages several of the inline lane's 1024-entry flush
+// batches.
 // ---------------------------------------------------------------------------
 
-// Arena thread counts: 0 = serial executor, then the staged executor.
-constexpr std::uint32_t kArenaThreadCounts[] = {0, 1, 2, 4, 8};
+constexpr std::uint32_t kArenaThreadCounts[] = {1, 2, 4, 8};
+
+/// Delegating wrapper that folds each node's inbox stream into a per-node
+/// digest. Each callback touches only its own node's slot, so the wrapper
+/// obeys the simulator's thread-safety contract.
+class InboxDigests final : public sim::Algorithm {
+ public:
+  InboxDigests(sim::Algorithm& inner, graph::NodeId n)
+      : inner_(&inner), digests_(n, 0x9e3779b97f4a7c15ULL) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  bool is_reactive() const override { return inner_->is_reactive(); }
+
+  void on_start(sim::NodeContext& ctx) override { inner_->on_start(ctx); }
+
+  void on_round(sim::NodeContext& ctx,
+                std::span<const sim::Message> inbox) override {
+    std::uint64_t& digest = digests_[ctx.id()];
+    for (const sim::Message& m : inbox) {
+      digest = util::mix64(digest, m.src);
+      digest = util::mix64(digest, m.tag);
+      digest = util::mix64(digest, m.payload);
+    }
+    inner_->on_round(ctx, inbox);
+  }
+
+  const std::vector<std::uint64_t>& digests() const { return digests_; }
+
+ private:
+  sim::Algorithm* inner_;
+  std::vector<std::uint64_t> digests_;
+};
+
+std::vector<GraphCase> arena_graphs(std::uint64_t seed) {
+  std::vector<GraphCase> graphs = test_graphs(seed);
+  util::Rng rng(seed + 3);
+  graphs.push_back({"batch_forest_union",
+                    graph::gen::union_of_random_forests(1500, 2, rng)});
+  return graphs;
+}
 
 class ArenaEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-/// Runs `run_with(threads)` once under the reference inboxes (serial) and
-/// then under the arena at every thread count, expecting byte-identity.
+/// Runs `algorithm` wrapped in InboxDigests; returns the run record and the
+/// per-node inbox digests.
+template <typename Algo, typename Extract>
+std::pair<RunRecord, std::vector<std::uint64_t>> run_digested(
+    graph::GraphView g, std::uint64_t seed, std::uint32_t threads,
+    Algo& algorithm, std::uint32_t max_rounds, Extract&& extract,
+    sim::FaultInjector* fault = nullptr) {
+  InboxDigests digests(algorithm, g.num_nodes());
+  RunRecord record = run_case(
+      g, seed, threads, digests, max_rounds,
+      [&](const InboxDigests&) { return extract(algorithm); }, fault);
+  return {std::move(record), digests.digests()};
+}
+
+/// Runs `run_with(threads)` on the inline lane and then at every pool
+/// size, expecting byte-identity of records and inbox digests.
 template <typename RunWith>
 void expect_arena_matches_reference(const std::string& algo,
                                     const std::string& graph_name,
                                     RunWith&& run_with) {
-  RunRecord reference;
-  {
-    const sim::ScopedInboxImpl inbox(sim::InboxImpl::kReferenceVectors);
-    reference = run_with(0);
-  }
+  const auto reference = run_with(0);
   for (const std::uint32_t threads : kArenaThreadCounts) {
-    const sim::ScopedInboxImpl inbox(sim::InboxImpl::kArena);
-    expect_identical(reference, run_with(threads),
-                     algo + "/" + graph_name + "/arena_t" +
-                         std::to_string(threads));
+    const auto pool = run_with(threads);
+    const std::string label =
+        algo + "/" + graph_name + "/t" + std::to_string(threads);
+    expect_identical(reference.first, pool.first, label);
+    EXPECT_EQ(reference.second, pool.second) << label;
   }
 }
 
 TEST_P(ArenaEquivalence, LubyMatchesReferenceInboxes) {
   const std::uint64_t seed = GetParam();
-  for (const GraphCase& gc : test_graphs(seed)) {
+  for (const GraphCase& gc : arena_graphs(seed)) {
     expect_arena_matches_reference(
         "luby", gc.name, [&](std::uint32_t threads) {
           mis::LubyBMis algorithm(gc.g);
-          return run_case(gc.g, seed, threads, algorithm, 1 << 20,
-                          [](const mis::LubyBMis& a) { return a.states(); });
+          return run_digested(
+              gc.g, seed, threads, algorithm, 1 << 20,
+              [](const mis::LubyBMis& a) { return a.states(); });
         });
   }
 }
 
 TEST_P(ArenaEquivalence, MetivierMatchesReferenceInboxes) {
   const std::uint64_t seed = GetParam();
-  for (const GraphCase& gc : test_graphs(seed)) {
+  for (const GraphCase& gc : arena_graphs(seed)) {
     expect_arena_matches_reference(
         "metivier", gc.name, [&](std::uint32_t threads) {
           mis::MetivierMis algorithm(gc.g);
-          return run_case(
+          return run_digested(
               gc.g, seed, threads, algorithm, 1 << 20,
               [](const mis::MetivierMis& a) { return a.states(); });
         });
@@ -506,11 +557,11 @@ TEST_P(ArenaEquivalence, MetivierMatchesReferenceInboxes) {
 
 TEST_P(ArenaEquivalence, GhaffariMatchesReferenceInboxes) {
   const std::uint64_t seed = GetParam();
-  for (const GraphCase& gc : test_graphs(seed)) {
+  for (const GraphCase& gc : arena_graphs(seed)) {
     expect_arena_matches_reference(
         "ghaffari", gc.name, [&](std::uint32_t threads) {
           mis::GhaffariMis algorithm(gc.g);
-          return run_case(
+          return run_digested(
               gc.g, seed, threads, algorithm, 1 << 20,
               [](const mis::GhaffariMis& a) { return a.states(); });
         });
@@ -519,57 +570,42 @@ TEST_P(ArenaEquivalence, GhaffariMatchesReferenceInboxes) {
 
 TEST_P(ArenaEquivalence, BoundedArbMatchesReferenceInboxes) {
   const std::uint64_t seed = GetParam();
-  for (const GraphCase& gc : test_graphs(seed)) {
+  for (const GraphCase& gc : arena_graphs(seed)) {
     const core::Params params = core::Params::practical(2, gc.g.max_degree());
     expect_arena_matches_reference(
         "bounded_arb", gc.name, [&](std::uint32_t threads) {
           core::BoundedArbIndependentSet algorithm(gc.g, params);
-          RunRecord record =
-              run_case(gc.g, seed, threads, algorithm, params.total_rounds(),
-                       [](const core::BoundedArbIndependentSet& a) {
-                         return a.outcomes();
-                       });
-          for (const auto& scale : algorithm.scale_stats()) {
-            record.output.push_back(scale.scale);
-            record.output.push_back(static_cast<std::uint32_t>(scale.joined));
-            record.output.push_back(
-                static_cast<std::uint32_t>(scale.covered));
-            record.output.push_back(static_cast<std::uint32_t>(scale.bad));
-            record.output.push_back(
-                static_cast<std::uint32_t>(scale.active_after));
-          }
-          return record;
+          return run_digested(gc.g, seed, threads, algorithm,
+                              params.total_rounds(),
+                              [](const core::BoundedArbIndependentSet& a) {
+                                return a.outcomes();
+                              });
         });
   }
 }
 
 TEST_P(ArenaEquivalence, BfsRootingMatchesReferenceInboxes) {
   // Reactive algorithm: terminates via the quiescence cut, which the
-  // arena answers from its staged-message counter instead of scanning
-  // per-node boxes — the cut must fire on exactly the same round.
+  // arena answers from its staged-message counter — the cut must fire on
+  // exactly the same round whichever lane delivered the last message.
   const std::uint64_t seed = GetParam();
-  for (const GraphCase& gc : test_graphs(seed)) {
+  for (const GraphCase& gc : arena_graphs(seed)) {
     const auto run_with = [&](std::uint32_t threads) {
       sim::ScopedNumThreads scoped(threads);
       return sim::BfsRooting::run(gc.g, seed, gc.g.num_nodes());
     };
-    sim::BfsRooting::Result reference;
-    {
-      const sim::ScopedInboxImpl inbox(sim::InboxImpl::kReferenceVectors);
-      reference = run_with(0);
-    }
+    const sim::BfsRooting::Result reference = run_with(0);
     EXPECT_TRUE(reference.stabilized) << gc.name;
     for (const std::uint32_t threads : kArenaThreadCounts) {
-      const sim::ScopedInboxImpl inbox(sim::InboxImpl::kArena);
-      const sim::BfsRooting::Result arena = run_with(threads);
-      const std::string label = "bfs_rooting/" + gc.name + "/arena_t" +
-                                std::to_string(threads);
-      EXPECT_EQ(reference.parent, arena.parent) << label;
-      EXPECT_EQ(reference.root, arena.root) << label;
-      EXPECT_EQ(reference.distance, arena.distance) << label;
-      EXPECT_EQ(reference.quiescence_round, arena.quiescence_round) << label;
-      EXPECT_EQ(reference.stats.rounds, arena.stats.rounds) << label;
-      EXPECT_EQ(reference.stats.messages, arena.stats.messages) << label;
+      const sim::BfsRooting::Result pool = run_with(threads);
+      const std::string label =
+          "bfs_rooting/" + gc.name + "/t" + std::to_string(threads);
+      EXPECT_EQ(reference.parent, pool.parent) << label;
+      EXPECT_EQ(reference.root, pool.root) << label;
+      EXPECT_EQ(reference.distance, pool.distance) << label;
+      EXPECT_EQ(reference.quiescence_round, pool.quiescence_round) << label;
+      EXPECT_EQ(reference.stats.rounds, pool.stats.rounds) << label;
+      EXPECT_EQ(reference.stats.messages, pool.stats.messages) << label;
     }
   }
 }
@@ -577,43 +613,33 @@ TEST_P(ArenaEquivalence, BfsRootingMatchesReferenceInboxes) {
 TEST_P(ArenaEquivalence, FaultyLubyMatchesReferenceInboxes) {
   // The faulty row of the matrix: duplicates overflow the arena's
   // per-directed-edge capacity into the side buffers, so this is the path
-  // where a layout bug would first diverge from the reference bytes. The
-  // fault ledger and final down mask ride along in the comparison.
+  // where a layout or batching bug would first diverge. The fault ledger
+  // and final down mask ride along in the comparison.
   const std::uint64_t seed = GetParam();
-  for (const GraphCase& gc : test_graphs(seed)) {
-    const auto run_with = [&](std::uint32_t threads) {
-      fault::IidAdversary adversary({.drop_rate = 0.2,
-                                     .duplicate_rate = 0.1,
-                                     .crash_rate = 0.01,
-                                     .recovery_delay = 3});
-      fault::FaultPlan plan(gc.g, seed, adversary);
-      mis::LubyBMis algorithm(gc.g);
-      RunRecord record = run_case(
-          gc.g, seed, threads, algorithm, 512,
-          [](const mis::LubyBMis& a) { return a.states(); }, &plan);
-      std::vector<std::uint8_t> down;
-      for (graph::NodeId v = 0; v < gc.g.num_nodes(); ++v) {
-        down.push_back(plan.is_down(v) ? 1 : 0);
-      }
-      return std::make_tuple(std::move(record), plan.ledger(),
-                             std::move(down));
-    };
-    std::tuple<RunRecord, std::vector<fault::LedgerEntry>,
-               std::vector<std::uint8_t>>
-        reference;
-    {
-      const sim::ScopedInboxImpl inbox(sim::InboxImpl::kReferenceVectors);
-      reference = run_with(0);
-    }
-    for (const std::uint32_t threads : kArenaThreadCounts) {
-      const sim::ScopedInboxImpl inbox(sim::InboxImpl::kArena);
-      const auto arena = run_with(threads);
-      const std::string label =
-          "faulty_luby/" + gc.name + "/arena_t" + std::to_string(threads);
-      expect_identical(std::get<0>(reference), std::get<0>(arena), label);
-      EXPECT_EQ(std::get<1>(reference), std::get<1>(arena)) << label;
-      EXPECT_EQ(std::get<2>(reference), std::get<2>(arena)) << label;
-    }
+  for (const GraphCase& gc : arena_graphs(seed)) {
+    expect_arena_matches_reference(
+        "faulty_luby", gc.name, [&](std::uint32_t threads) {
+          fault::IidAdversary adversary({.drop_rate = 0.2,
+                                         .duplicate_rate = 0.1,
+                                         .crash_rate = 0.01,
+                                         .recovery_delay = 3});
+          fault::FaultPlan plan(gc.g, seed, adversary);
+          mis::LubyBMis algorithm(gc.g);
+          auto [record, digests] = run_digested(
+              gc.g, seed, threads, algorithm, 512,
+              [](const mis::LubyBMis& a) { return a.states(); }, &plan);
+          // Fold the ledger and the final down mask into the digests.
+          for (const fault::LedgerEntry& e : plan.ledger()) {
+            digests.push_back(util::mix64(
+                util::mix64(e.round, e.drops),
+                util::mix64(e.duplicates, (std::uint64_t{e.crashes} << 32) |
+                                              e.recoveries)));
+          }
+          for (graph::NodeId v = 0; v < gc.g.num_nodes(); ++v) {
+            digests.push_back(plan.is_down(v) ? 1 : 0);
+          }
+          return std::make_pair(std::move(record), std::move(digests));
+        });
   }
 }
 
@@ -643,8 +669,14 @@ struct StorageCase {
 StorageCase make_storage_case(std::uint64_t seed) {
   util::Rng rng(seed);
   graph::Graph g = graph::gen::hubbed_forest_union(300, 2, 4, rng);
-  const std::string path = ::testing::TempDir() + "arbmis_equiv_" +
-                           std::to_string(seed) + ".gr";
+  // One file per test instance, named after it (the name carries the
+  // parameter index): ctest runs every test as its own process, and
+  // rewriting a file another process has mmapped raises SIGBUS there.
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::string path =
+      ::testing::TempDir() + "arbmis_equiv_" + name + ".gr";
   graph::storage::write_gr(path, g);
   return {std::move(g), graph::storage::MappedGraph::open(path)};
 }
@@ -818,10 +850,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MappedEquivalence, ::testing::Values(5, 99));
 // Flight-recorder ring determinism (obs/recorder.h): the ring stores
 // pre-encoded records carrying logical time only, so after identical runs —
 // including wrap-around eviction churn in a deliberately tiny ring — the
-// surviving record bytes must be identical across executor thread counts
-// and inbox implementations. ring_bytes() (not snapshot()) is the
-// comparison unit: a snapshot embeds the manifest, which carries
-// thread/inbox provenance by design.
+// surviving record bytes must be identical across executor thread counts.
+// ring_bytes() (not snapshot()) is the comparison unit: a snapshot embeds
+// the manifest, which carries thread provenance by design.
 // ---------------------------------------------------------------------------
 
 struct RecorderRun {
@@ -887,18 +918,13 @@ TEST_P(ParallelEquivalence, RecorderRingMatchesSerialAfterEviction) {
 TEST_P(ArenaEquivalence, RecorderRingMatchesReferenceInboxes) {
   const std::uint64_t seed = GetParam();
   bool any_evicted = false;  // aggregate wrap requirement, as above
-  for (const GraphCase& gc : test_graphs(seed)) {
-    RecorderRun reference;
-    {
-      const sim::ScopedInboxImpl inbox(sim::InboxImpl::kReferenceVectors);
-      reference = run_with_tiny_recorder(gc.g, seed, 0);
-    }
+  for (const GraphCase& gc : arena_graphs(seed)) {
+    const RecorderRun reference = run_with_tiny_recorder(gc.g, seed, 0);
     any_evicted = any_evicted || reference.stats.evicted_events > 0;
-    for (const std::uint32_t threads : {0u, 2u, 8u}) {
-      const sim::ScopedInboxImpl inbox(sim::InboxImpl::kArena);
+    for (const std::uint32_t threads : kArenaThreadCounts) {
       expect_recorder_runs_identical(
           reference, run_with_tiny_recorder(gc.g, seed, threads),
-          "recorder/" + gc.name + "/arena_t" + std::to_string(threads));
+          "recorder/" + gc.name + "/t" + std::to_string(threads));
     }
   }
   EXPECT_TRUE(any_evicted);

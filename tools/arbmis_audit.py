@@ -2,7 +2,7 @@
 """arbmis-audit: repo-contract static analysis for the arbmis codebase.
 
 The repository's load-bearing invariants — byte-identical determinism
-across executors and inboxes, CONGEST bit budgets, and the strict layering
+across executor thread counts, CONGEST bit budgets, and the strict layering
 that keeps algorithm code talking to the world only through Messages — are
 enforced at *runtime* by src/sim/model_check.cpp and the differential test
 matrix. This tool enforces the same contracts *structurally*, at lint

@@ -19,7 +19,7 @@ Usage:
 event schema (EVENT_SCHEMAS below mirrors kSchemas in src/obs/events.cpp;
 update the two together and bump the schema version on breaking change).
 --diff compares two event streams for semantic equality: manifests are
-excluded (they legitimately differ in threads/inbox/git_sha), event
+excluded (they legitimately differ in threads/git_sha), event
 records must match exactly and in order — the offline version of the
 byte-identity the differential harness enforces in-process.
 
@@ -304,8 +304,7 @@ def do_summary(path):
         print(f"  tool={manifest.get('tool')!r} "
               f"workload={manifest.get('workload')!r} "
               f"seed={manifest.get('seed')} "
-              f"threads={manifest.get('threads')} "
-              f"inbox={manifest.get('inbox')!r}")
+              f"threads={manifest.get('threads')}")
         by_kind = {}
         for event in events:
             by_kind[event["ev"]] = by_kind.get(event["ev"], 0) + 1
