@@ -1,15 +1,24 @@
 // Shared helpers for the experiment benches: command-line trial counts,
-// consistent headers, the standard workload constructors, and the
-// telemetry session (--events/--trace/--metrics, docs/OBSERVABILITY.md).
+// consistent headers, the standard workload constructors, the timer and
+// the results/BENCH_*.json writer, and the telemetry session
+// (--events/--trace/--metrics, docs/OBSERVABILITY.md).
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -90,6 +99,80 @@ struct BenchOptions {
     return options;
   }
 };
+
+/// Best wall-clock time of `reps` runs of `body`, in milliseconds.
+inline double time_best_ms(std::uint64_t reps,
+                           const std::function<void()>& body) {
+  double best = std::numeric_limits<double>::infinity();
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  return best;
+}
+
+/// Flat JSON object, keys in insertion order: a report's top-level fields
+/// or one of its rows (write_report).
+class JsonFields {
+ public:
+  JsonFields& add(std::string_view key, std::string_view value) {
+    std::string quoted = "\"";
+    obs::append_json_escaped(quoted, value);
+    return raw(key, quoted + '"');
+  }
+  JsonFields& add(std::string_view key, const char* value) {
+    return add(key, std::string_view(value));
+  }
+  JsonFields& add(std::string_view key, bool value) {
+    return raw(key, value ? "true" : "false");
+  }
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  JsonFields& add(std::string_view key, T value) {
+    std::ostringstream out;
+    out << +value;  // + prints an 8-bit integer as a number, not a char
+    return raw(key, out.str());
+  }
+
+  /// `"key": value` pairs joined by `separator`.
+  std::string join(std::string_view separator) const {
+    std::string out;
+    for (const auto& [key, value] : fields_) {
+      if (!out.empty()) out += separator;
+      out += '"' + key + "\": " + value;
+    }
+    return out;
+  }
+
+ private:
+  JsonFields& raw(std::string_view key, std::string value) {
+    fields_.emplace_back(std::string(key), std::move(value));
+    return *this;
+  }
+  std::vector<std::pair<std::string, std::string>> fields_;
+};
+
+/// Writes a results/BENCH_*.json report: `header`'s fields, then `rows`
+/// under "benchmarks", the gbench-style array tools/bench_gate.py reads
+/// (each row's "name" and "items_per_second"). Says where it wrote.
+inline void write_report(const std::string& path, const JsonFields& header,
+                         const std::vector<JsonFields>& rows) {
+  std::ofstream json(path);
+  if (!json) {
+    std::cout << "could not open " << path << " for writing\n";
+    return;
+  }
+  json << "{\n  " << header.join(",\n  ") << ",\n  \"benchmarks\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    json << "    {" << rows[i].join(", ") << "}"
+         << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  json << "  ]\n}\n";
+  std::cout << "wrote " << path << "\n";
+}
 
 /// RAII telemetry session for a bench binary: attaches (per the options)
 /// an event sink (--events=path, binary when the path ends in .bin), a

@@ -14,11 +14,7 @@
 //
 // Prints a table and writes results/BENCH_engine.json (path via --json)
 // with a gbench-style "benchmarks" array for tools/bench_gate.py.
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <functional>
-#include <limits>
 
 #include "bench_common.h"
 #include "engine/engine.h"
@@ -30,18 +26,6 @@
 namespace {
 
 using namespace arbmis;
-
-double time_best_ms(std::uint64_t reps, const std::function<void()>& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::uint64_t r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
 
 struct CaseResult {
   std::string name;
@@ -64,7 +48,8 @@ CaseResult run_engine_case(graph::GraphView g, engine::EngineKind kind,
                    + suffix,
                g.num_nodes(), 0.0, 0, true};
   engine::EngineResult result;
-  c.ms = time_best_ms(reps, [&] { result = engine::solve(g, kind, options); });
+  c.ms = bench::time_best_ms(
+      reps, [&] { result = engine::solve(g, kind, options); });
   c.mis_size = result.mis_size();
   const mis::Verification check = mis::verify_mask(g, result.in_mis);
   c.ok = check.independent && check.maximal && result.in_mis == oracle_mask;
@@ -116,7 +101,7 @@ int main(int argc, char** argv) {
     {
       CaseResult c{"sim_metivier" + suffix, n, 0.0, 0, true};
       mis::MisResult result;
-      c.ms = time_best_ms(
+      c.ms = bench::time_best_ms(
           reps, [&] { result = mis::MetivierMis::run(g, options.seed); });
       c.mis_size = result.mis_size();
       c.ok = mis::verify(g, result).ok();
@@ -171,28 +156,23 @@ int main(int argc, char** argv) {
                        : "MISMATCH")
             << "\n";
 
-  std::ofstream json(json_path);
-  if (json) {
-    json << "{\n"
-         << "  \"bench\": \"engine\",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"seed\": " << options.seed << ",\n"
-         << "  \"threads\": " << options.threads << ",\n"
-         << "  \"ok\": " << (all_ok ? "true" : "false") << ",\n"
-         << "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const CaseResult& c = cases[i];
-      json << "    {\"name\": \"" << c.name << "\", \"nodes\": " << c.items
-           << ", \"best_ms\": " << c.ms
-           << ", \"items_per_second\": " << c.items_per_second()
-           << ", \"mis_size\": " << c.mis_size
-           << ", \"ok\": " << (c.ok ? "true" : "false") << "}"
-           << (i + 1 < cases.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  } else {
-    std::cout << "could not open " << json_path << " for writing\n";
+  std::vector<bench::JsonFields> rows;
+  for (const CaseResult& c : cases) {
+    rows.push_back(bench::JsonFields()
+                       .add("name", c.name)
+                       .add("nodes", c.items)
+                       .add("best_ms", c.ms)
+                       .add("items_per_second", c.items_per_second())
+                       .add("mis_size", c.mis_size)
+                       .add("ok", c.ok));
   }
+  bench::write_report(json_path,
+                      bench::JsonFields()
+                          .add("bench", "engine")
+                          .add("reps", reps)
+                          .add("seed", options.seed)
+                          .add("threads", options.threads)
+                          .add("ok", all_ok),
+                      rows);
   return all_ok ? 0 : 1;
 }

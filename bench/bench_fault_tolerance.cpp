@@ -5,7 +5,6 @@
 // reached, how many attempts it took, and the rounds-to-recovery. Prints
 // a table and writes machine-readable results to
 // results/BENCH_fault_tolerance.json (path via --json).
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -131,32 +130,26 @@ int main(int argc, char** argv) {
             << (all_certified ? "every cell certified" : "CELL FAILED")
             << "\n";
 
-  std::ofstream json(json_path);
-  if (json) {
-    json << "{\n"
-         << "  \"bench\": \"fault_tolerance\",\n"
-         << "  \"workload\": \"arb2\",\n"
-         << "  \"n\": " << n << ",\n"
-         << "  \"seed\": " << options.seed << ",\n"
-         << "  \"threads\": " << options.threads << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellResult& c = cells[i];
-      json << "    {\"algorithm\": \"" << c.algorithm
-           << "\", \"drop_rate\": " << c.drop_rate
-           << ", \"crash_rate\": " << c.crash_rate
-           << ", \"certified\": " << (c.certified ? "true" : "false")
-           << ", \"attempts\": " << c.attempts
-           << ", \"rounds_to_recovery\": " << c.rounds_to_recovery
-           << ", \"mis_size\": " << c.mis_size
-           << ", \"drops_injected\": " << c.drops
-           << ", \"crashes_injected\": " << c.crashes << "}"
-           << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  } else {
-    std::cout << "could not open " << json_path << " for writing\n";
+  std::vector<bench::JsonFields> rows;
+  for (const CellResult& c : cells) {
+    rows.push_back(bench::JsonFields()
+                       .add("algorithm", c.algorithm)
+                       .add("drop_rate", c.drop_rate)
+                       .add("crash_rate", c.crash_rate)
+                       .add("certified", c.certified)
+                       .add("attempts", c.attempts)
+                       .add("rounds_to_recovery", c.rounds_to_recovery)
+                       .add("mis_size", c.mis_size)
+                       .add("drops_injected", c.drops)
+                       .add("crashes_injected", c.crashes));
   }
+  bench::write_report(json_path,
+                      bench::JsonFields()
+                          .add("bench", "fault_tolerance")
+                          .add("workload", "arb2")
+                          .add("n", n)
+                          .add("seed", options.seed)
+                          .add("threads", options.threads),
+                      rows);
   return all_certified ? 0 : 1;
 }

@@ -10,12 +10,8 @@
 // tools/bench_gate.py gates rows from this file directly; the gated row
 // loads the checked-in data/corpus_small.gr corpus in a loop. Exits
 // nonzero on any equivalence mismatch so run_benches.sh fails loudly.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <limits>
-#include <sstream>
 
 #include "bench_common.h"
 #include "core/arb_mis.h"
@@ -26,18 +22,6 @@
 namespace {
 
 using namespace arbmis;
-
-double time_best_ms(std::uint64_t reps, const std::function<void()>& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::uint64_t r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
 
 std::uint64_t hash_mis(const mis::MisResult& r) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
@@ -95,7 +79,7 @@ int run_large(const bench::BenchOptions& options) {
   graph::storage::ConvertResult converted;
   {
     CaseResult c{"large_convert_text", m, 0.0, true};
-    c.ms = time_best_ms(1, [&] {
+    c.ms = bench::time_best_ms(1, [&] {
       std::ifstream in(text_path);
       converted = graph::storage::convert_edge_list(in, {});
     });
@@ -107,13 +91,13 @@ int run_large(const bench::BenchOptions& options) {
   cases.back().identical = convert_identical;
   {
     CaseResult c{"large_write_gr", m, 0.0, true};
-    c.ms = time_best_ms(
+    c.ms = bench::time_best_ms(
         1, [&] { graph::storage::write_gr(gr_path, converted.graph); });
     cases.push_back(c);
   }
   {
     CaseResult c{"large_mmap_load_verify", m, 0.0, true};
-    c.ms = time_best_ms(1, [&] {
+    c.ms = bench::time_best_ms(1, [&] {
       const auto mapped = graph::storage::MappedGraph::open(gr_path);
       if (mapped.num_edges() != m) std::abort();
     });
@@ -125,7 +109,7 @@ int run_large(const bench::BenchOptions& options) {
     std::uint64_t memory_hash = 0;
     std::uint64_t mapped_hash = 0;
     CaseResult c{"large_arb_mis_mapped", m, 0.0, true};
-    c.ms = time_best_ms(1, [&] {
+    c.ms = bench::time_best_ms(1, [&] {
       mapped_hash =
           hash_mis(core::arb_mis(mapped, {.alpha = 2}, options.seed).mis);
     });
@@ -152,26 +136,23 @@ int run_large(const bench::BenchOptions& options) {
   table.print(std::cout);
 
   const bool all_ok = convert_identical && solve_identical;
-  std::ofstream json(json_path);
-  if (json) {
-    json << "{\n"
-         << "  \"bench\": \"mmap_graph_large\",\n"
-         << "  \"n\": " << n << ",\n"
-         << "  \"m\": " << m << ",\n"
-         << "  \"seed\": " << options.seed << ",\n"
-         << "  \"identical\": " << (all_ok ? "true" : "false") << ",\n"
-         << "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const CaseResult& c = cases[i];
-      json << "    {\"name\": \"" << c.name << "\", \"edges\": " << c.items
-           << ", \"best_ms\": " << c.ms
-           << ", \"items_per_second\": " << c.items_per_second()
-           << ", \"identical\": " << (c.identical ? "true" : "false") << "}"
-           << (i + 1 < cases.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
+  std::vector<bench::JsonFields> rows;
+  for (const CaseResult& c : cases) {
+    rows.push_back(bench::JsonFields()
+                       .add("name", c.name)
+                       .add("edges", c.items)
+                       .add("best_ms", c.ms)
+                       .add("items_per_second", c.items_per_second())
+                       .add("identical", c.identical));
   }
+  bench::write_report(json_path,
+                      bench::JsonFields()
+                          .add("bench", "mmap_graph_large")
+                          .add("n", n)
+                          .add("m", m)
+                          .add("seed", options.seed)
+                          .add("identical", all_ok),
+                      rows);
   return all_ok ? 0 : 1;
 }
 
@@ -206,12 +187,13 @@ int main(int argc, char** argv) {
 
     {
       CaseResult c{"write_gr" + suffix, m, 0.0, true};
-      c.ms = time_best_ms(reps, [&] { graph::storage::write_gr(path, g); });
+      c.ms = bench::time_best_ms(
+          reps, [&] { graph::storage::write_gr(path, g); });
       cases.push_back(c);
     }
     {
       CaseResult c{"mmap_load_verify" + suffix, m, 0.0, true};
-      c.ms = time_best_ms(reps, [&] {
+      c.ms = bench::time_best_ms(reps, [&] {
         const auto mapped = graph::storage::MappedGraph::open(path);
         if (mapped.num_edges() != m) std::abort();
       });
@@ -221,7 +203,7 @@ int main(int argc, char** argv) {
       graph::storage::GrMapOptions open_options;
       open_options.verify_structure = false;
       CaseResult c{"mmap_load_noverify" + suffix, m, 0.0, true};
-      c.ms = time_best_ms(reps, [&] {
+      c.ms = bench::time_best_ms(reps, [&] {
         const auto mapped =
             graph::storage::MappedGraph::open(path, open_options);
         if (mapped.num_edges() != m) std::abort();
@@ -232,7 +214,7 @@ int main(int argc, char** argv) {
       graph::storage::GrMapOptions open_options;
       open_options.mode = graph::storage::GrMapMode::kBuffered;
       CaseResult c{"buffered_load_verify" + suffix, m, 0.0, true};
-      c.ms = time_best_ms(reps, [&] {
+      c.ms = bench::time_best_ms(reps, [&] {
         const auto mapped =
             graph::storage::MappedGraph::open(path, open_options);
         if (mapped.num_edges() != m) std::abort();
@@ -246,13 +228,13 @@ int main(int argc, char** argv) {
       std::uint64_t memory_hash = 0;
       std::uint64_t mapped_hash = 0;
       CaseResult mem{"arb_mis_memory" + suffix, m, 0.0, true};
-      mem.ms = time_best_ms(reps, [&] {
+      mem.ms = bench::time_best_ms(reps, [&] {
         memory_hash =
             hash_mis(core::arb_mis(g, {.alpha = 2}, options.seed).mis);
       });
       cases.push_back(mem);
       CaseResult disk{"arb_mis_mapped" + suffix, m, 0.0, true};
-      disk.ms = time_best_ms(reps, [&] {
+      disk.ms = bench::time_best_ms(reps, [&] {
         mapped_hash =
             hash_mis(core::arb_mis(mapped, {.alpha = 2}, options.seed).mis);
       });
@@ -272,7 +254,7 @@ int main(int argc, char** argv) {
     const auto probe = graph::storage::MappedGraph::open(corpus);
     CaseResult c{"corpus_small_mmap_x1000", probe.num_edges() * kLoops, 0.0,
                  true};
-    c.ms = time_best_ms(reps, [&] {
+    c.ms = bench::time_best_ms(reps, [&] {
       for (std::uint64_t i = 0; i < kLoops; ++i) {
         const auto mapped = graph::storage::MappedGraph::open(corpus);
         if (mapped.num_nodes() != probe.num_nodes()) std::abort();
@@ -297,27 +279,21 @@ int main(int argc, char** argv) {
             << (all_identical ? "mapped == memory on all rows" : "MISMATCH")
             << "\n";
 
-  std::ofstream json(json_path);
-  if (json) {
-    json << "{\n"
-         << "  \"bench\": \"mmap_graph\",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"seed\": " << options.seed << ",\n"
-         << "  \"identical\": " << (all_identical ? "true" : "false")
-         << ",\n"
-         << "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const CaseResult& c = cases[i];
-      json << "    {\"name\": \"" << c.name << "\", \"edges\": " << c.items
-           << ", \"best_ms\": " << c.ms
-           << ", \"items_per_second\": " << c.items_per_second()
-           << ", \"identical\": " << (c.identical ? "true" : "false") << "}"
-           << (i + 1 < cases.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  } else {
-    std::cout << "could not open " << json_path << " for writing\n";
+  std::vector<bench::JsonFields> rows;
+  for (const CaseResult& c : cases) {
+    rows.push_back(bench::JsonFields()
+                       .add("name", c.name)
+                       .add("edges", c.items)
+                       .add("best_ms", c.ms)
+                       .add("items_per_second", c.items_per_second())
+                       .add("identical", c.identical));
   }
+  bench::write_report(json_path,
+                      bench::JsonFields()
+                          .add("bench", "mmap_graph")
+                          .add("reps", reps)
+                          .add("seed", options.seed)
+                          .add("identical", all_identical),
+                      rows);
   return all_identical ? 0 : 1;
 }

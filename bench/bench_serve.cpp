@@ -17,7 +17,6 @@
 // violations and all updates certified — the bench exits nonzero
 // otherwise, so run_benches.sh fails loudly on a serving regression, not
 // just a slow one.
-#include <fstream>
 #include <limits>
 #include <thread>
 
@@ -151,25 +150,21 @@ int main(int argc, char** argv) {
                    : "VIOLATION (see table)")
             << "\n";
 
-  std::ofstream json(json_path);
-  if (json) {
-    json << "{\n"
-         << "  \"bench\": \"serve\",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"seed\": " << options.seed << ",\n"
-         << "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& [name, r] = results[i];
-      json << "    {\"name\": \"" << name << "\", \"requests\": "
-           << r.requests << ", \"best_ms\": " << r.wall_ms
-           << ", \"items_per_second\": " << r.requests_per_second()
-           << ", \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
-           << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  } else {
-    std::cout << "could not open " << json_path << " for writing\n";
+  std::vector<bench::JsonFields> json_rows;
+  for (const auto& [name, r] : results) {
+    json_rows.push_back(bench::JsonFields()
+                            .add("name", name)
+                            .add("requests", r.requests)
+                            .add("best_ms", r.wall_ms)
+                            .add("items_per_second", r.requests_per_second())
+                            .add("p50_ms", r.p50_ms)
+                            .add("p99_ms", r.p99_ms));
   }
+  bench::write_report(json_path,
+                      bench::JsonFields()
+                          .add("bench", "serve")
+                          .add("reps", reps)
+                          .add("seed", options.seed),
+                      json_rows);
   return ok ? 0 : 1;
 }

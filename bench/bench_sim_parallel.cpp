@@ -1,13 +1,13 @@
-// Experiment P1: serial-vs-parallel wall-clock for the round executor and
-// the Monte-Carlo samplers, with the equivalence contract checked inline —
-// the simulator cases must be bit-identical to serial, and the sampler
-// cases thread-count-invariant (parallel at T == parallel at 1). Prints a
-// table and writes machine-readable results to BENCH_sim_parallel.json
-// (path via --json).
-#include <chrono>
-#include <fstream>
-#include <functional>
-#include <limits>
+// Experiment P1: the simulator's one executor, inline lane (threads 0)
+// against the worker pool, and the Monte-Carlo samplers, with the
+// equivalence contract checked inline — every simulator case must hash
+// identically on both, and the sampler case must be thread-count-invariant
+// (parallel at T == parallel at 1). The Métivier sweep over
+// union_of_random_forests(n, 2), n in {4096, 32768, 262144}, also reports
+// the message arena's throughput (messages per second on the inline
+// lane). Prints a table and writes
+// results/BENCH_sim_parallel.json (path via --json); exits nonzero on any
+// mismatch, so the sweep in run_benches.sh fails loudly.
 #include <thread>
 
 #include "bench_common.h"
@@ -22,18 +22,6 @@ namespace {
 
 using namespace arbmis;
 
-double time_best_ms(std::uint64_t reps, const std::function<void()>& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::uint64_t r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
 /// Order-sensitive fold of a run's observable output, so "identical"
 /// below means identical byte-for-byte, not merely same-MIS.
 std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
@@ -42,11 +30,17 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
 
 struct CaseResult {
   std::string name;
-  double serial_ms = 0.0;
+  std::uint64_t messages = 0;  ///< simulator messages per run; 0 = sampler
+  double serial_ms = 0.0;      ///< inline lane (threads 0) / one worker
   double parallel_ms = 0.0;
   bool identical = false;
   double speedup() const {
     return parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+  }
+  double messages_per_second() const {
+    return serial_ms > 0.0
+               ? static_cast<double>(messages) / (serial_ms / 1000.0)
+               : 0.0;
   }
 };
 
@@ -76,27 +70,30 @@ int main(int argc, char** argv) {
                                     : options.json_out;
 
   bench::print_header(
-      "P1", "parallel round executor — speedup with bit-identical output");
+      "P1", "inline lane vs worker pool — speedup with identical output");
   std::cout << "threads: " << threads
             << "  (hardware_concurrency: " << hardware << ")\n"
             << "best of " << reps << " reps per cell\n\n";
 
   std::vector<CaseResult> cases;
 
-  // --- Simulator cases: parallel must be bit-identical to serial. ---
-  {
-    const graph::NodeId n = options.quick ? 5000 : 20000;
+  // --- Simulator cases: the pool must reproduce the inline lane. ---
+  std::vector<graph::NodeId> sizes = {4096, 32768};
+  if (!options.quick) sizes.push_back(262144);
+  for (const graph::NodeId n : sizes) {
     util::Rng rng(options.seed);
     const graph::Graph g = graph::gen::union_of_random_forests(n, 2, rng);
 
     CaseResult c;
-    c.name = "metivier_mis_arb2_n" + std::to_string(n);
+    c.name = "metivier_arb2_n" + std::to_string(n);
     std::uint64_t serial_hash = 0;
     std::uint64_t parallel_hash = 0;
-    c.serial_ms = time_best_ms(reps, [&] {
-      serial_hash = hash_mis(mis::MetivierMis::run(g, options.seed));
+    c.serial_ms = bench::time_best_ms(reps, [&] {
+      const mis::MisResult r = mis::MetivierMis::run(g, options.seed);
+      serial_hash = hash_mis(r);
+      c.messages = r.stats.messages;
     });
-    c.parallel_ms = time_best_ms(reps, [&] {
+    c.parallel_ms = bench::time_best_ms(reps, [&] {
       const sim::ScopedNumThreads scoped(threads);
       parallel_hash = hash_mis(mis::MetivierMis::run(g, options.seed));
     });
@@ -113,11 +110,13 @@ int main(int argc, char** argv) {
     c.name = "arb_mis_pipeline_n" + std::to_string(n);
     std::uint64_t serial_hash = 0;
     std::uint64_t parallel_hash = 0;
-    c.serial_ms = time_best_ms(reps, [&] {
-      serial_hash =
-          hash_mis(core::arb_mis(g, {.alpha = 2}, options.seed).mis);
+    c.serial_ms = bench::time_best_ms(reps, [&] {
+      const mis::MisResult r =
+          core::arb_mis(g, {.alpha = 2}, options.seed).mis;
+      serial_hash = hash_mis(r);
+      c.messages = r.stats.messages;
     });
-    c.parallel_ms = time_best_ms(reps, [&] {
+    c.parallel_ms = bench::time_best_ms(reps, [&] {
       const sim::ScopedNumThreads scoped(threads);
       parallel_hash =
           hash_mis(core::arb_mis(g, {.alpha = 2}, options.seed).mis);
@@ -138,12 +137,12 @@ int main(int argc, char** argv) {
     CaseResult c;
     c.name = "mc_conjunction_" + std::to_string(trials) + "trials";
     readk::ConjunctionEstimate one, many;
-    c.serial_ms = time_best_ms(reps, [&] {
+    c.serial_ms = bench::time_best_ms(reps, [&] {
       util::Rng local(options.seed + 3);
       one = readk::estimate_conjunction(family, trials, local,
                                         {.num_threads = 1});
     });
-    c.parallel_ms = time_best_ms(reps, [&] {
+    c.parallel_ms = bench::time_best_ms(reps, [&] {
       util::Rng local(options.seed + 3);
       many = readk::estimate_conjunction(family, trials, local,
                                          {.num_threads = threads});
@@ -153,13 +152,15 @@ int main(int argc, char** argv) {
     cases.push_back(c);
   }
 
-  util::Table table(
-      {"case", "serial_ms", "parallel_ms", "speedup", "identical"});
+  util::Table table({"case", "messages", "serial_ms", "messages_per_s",
+                     "parallel_ms", "speedup", "identical"});
   table.set_double_precision(3);
   for (const CaseResult& c : cases) {
     table.row()
         .cell(c.name)
+        .cell(c.messages)
         .cell(c.serial_ms)
+        .cell(c.messages_per_second())
         .cell(c.parallel_ms)
         .cell(c.speedup())
         .cell(c.identical ? "yes" : "NO");
@@ -171,27 +172,24 @@ int main(int argc, char** argv) {
   std::cout << "\nequivalence: "
             << (all_identical ? "all cases identical" : "MISMATCH") << "\n";
 
-  std::ofstream json(json_path);
-  if (json) {
-    json << "{\n"
-         << "  \"bench\": \"sim_parallel\",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"hardware_concurrency\": " << hardware << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"seed\": " << options.seed << ",\n"
-         << "  \"cases\": [\n";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const CaseResult& c = cases[i];
-      json << "    {\"name\": \"" << c.name << "\", \"serial_ms\": "
-           << c.serial_ms << ", \"parallel_ms\": " << c.parallel_ms
-           << ", \"speedup\": " << c.speedup() << ", \"identical\": "
-           << (c.identical ? "true" : "false") << "}"
-           << (i + 1 < cases.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  } else {
-    std::cout << "could not open " << json_path << " for writing\n";
+  std::vector<bench::JsonFields> rows;
+  for (const CaseResult& c : cases) {
+    rows.push_back(bench::JsonFields()
+                       .add("name", c.name)
+                       .add("messages", c.messages)
+                       .add("serial_ms", c.serial_ms)
+                       .add("messages_per_second", c.messages_per_second())
+                       .add("parallel_ms", c.parallel_ms)
+                       .add("speedup", c.speedup())
+                       .add("identical", c.identical));
   }
+  bench::write_report(json_path,
+                      bench::JsonFields()
+                          .add("bench", "sim_parallel")
+                          .add("threads", threads)
+                          .add("hardware_concurrency", hardware)
+                          .add("reps", reps)
+                          .add("seed", options.seed),
+                      rows);
   return all_identical ? 0 : 1;
 }

@@ -45,7 +45,6 @@ BENCHES=(
   bench_tree_history        # T6
   bench_bit_complexity      # T7
   bench_sim_parallel        # P1
-  bench_sim_arena           # P2
   bench_fault_tolerance     # R1
   bench_mmap_graph          # P3
   bench_engine              # E1
@@ -70,10 +69,6 @@ for name in "${BENCHES[@]}"; do
       # google-benchmark binary: its wrapper main translates --json into
       # native gbench flags; bench_common.h flags are not understood.
       timeout 3000 "$bin" --json results/BENCH_micro.json \
-        > "results/${name}.txt" 2>&1
-      ;;
-    bench_sim_arena)
-      timeout 3000 "$bin" --json results/BENCH_sim_arena.json "$@" \
         > "results/${name}.txt" 2>&1
       ;;
     bench_sim_parallel)

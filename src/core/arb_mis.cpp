@@ -75,8 +75,8 @@ sim::RunStats run_stage(graph::GraphView g,
 /// nodes the stage ran on). No-op without an attached sink.
 void emit_phase(std::string_view name, std::uint64_t index,
                 std::uint64_t set_size, const sim::RunStats& stats) {
-  obs::emit(obs::make_event(obs::EventKind::kPhase, /*round=*/0, name, index,
-                            set_size, stats.rounds, stats.messages));
+  obs::emit(obs::make_event<obs::EventKind::kPhase>(
+      /*round=*/0, name, index, set_size, stats.rounds, stats.messages));
 }
 
 }  // namespace
@@ -169,9 +169,8 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
     emit_phase("shatter", 1, shatter_graph.num_nodes(),
                result.shatter_stats);
     for (const BoundedArbIndependentSet::ScaleStats& s : shatter.scale_stats) {
-      obs::emit(obs::make_event(obs::EventKind::kScale, /*round=*/0, {},
-                                s.scale, s.joined, s.covered, s.bad,
-                                s.active_after));
+      obs::emit(obs::make_event<obs::EventKind::kScale>(
+          /*round=*/0, s.scale, s.joined, s.covered, s.bad, s.active_after));
     }
   }
 
@@ -193,11 +192,10 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
   for (std::uint8_t b : vlo) result.vlo_size += b;
   for (std::uint8_t b : vhi) result.vhi_size += b;
   if (obs::telemetry_attached()) {
-    obs::emit(obs::make_event(obs::EventKind::kShatter, /*round=*/0, {},
-                              result.bad_size,
-                              result.bad_components.num_components,
-                              result.bad_components.largest_component,
-                              result.vlo_size, result.vhi_size));
+    obs::emit(obs::make_event<obs::EventKind::kShatter>(
+        /*round=*/0, result.bad_size, result.bad_components.num_components,
+        result.bad_components.largest_component, result.vlo_size,
+        result.vhi_size));
   }
 
   result.low_stats = run_stage(g, result.mis.state, vlo,

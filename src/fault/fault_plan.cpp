@@ -46,7 +46,7 @@ sim::RoundFaultEvents FaultPlan::begin_round(
         --pending_recoveries_;
         ++events.recoveries;
         obs::emit(
-            obs::make_event(obs::EventKind::kFaultRecovery, round, {}, v));
+            obs::make_event<obs::EventKind::kFaultRecovery>(round, v));
       }
     }
   }
@@ -65,8 +65,8 @@ sim::RoundFaultEvents FaultPlan::begin_round(
       recover_at_[v] = round + delay;
       ++pending_recoveries_;
     }
-    obs::emit(obs::make_event(obs::EventKind::kFaultCrash, round, {}, v,
-                              delay > 0 ? recover_at_[v] : kNever));
+    obs::emit(obs::make_event<obs::EventKind::kFaultCrash>(
+        round, v, delay > 0 ? recover_at_[v] : kNever));
   }
   totals_.crashes += events.crashes;
   totals_.recoveries += events.recoveries;

@@ -160,10 +160,9 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
     result.faults.duplicates += rep.faults.duplicates;
     result.faults.crashes += rep.faults.crashes;
     result.faults.recoveries += rep.faults.recoveries;
-    obs::emit(obs::make_event(obs::EventKind::kAttempt, /*round=*/0, {},
-                              rep.attempt, rep.residual_nodes, rep.committed,
-                              rep.covered, rep.faulty ? 1 : 0,
-                              rep.stats.rounds));
+    obs::emit(obs::make_event<obs::EventKind::kAttempt>(
+        /*round=*/0, rep.attempt, rep.residual_nodes, rep.committed,
+        rep.covered, rep.faulty ? 1 : 0, rep.stats.rounds));
     result.attempt_log.push_back(rep);
     ++result.attempts;
   }
@@ -173,9 +172,9 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
       mis::DistributedMisCheck::run(g, result.state, seed);
   result.rounds_to_recovery += final_check.stats.rounds;
   result.certified = final_check.all_ok && undecided_count == 0;
-  obs::emit(obs::make_event(obs::EventKind::kCertified, /*round=*/0, {},
-                            result.certified ? 1 : 0, result.attempts,
-                            result.rounds_to_recovery));
+  obs::emit(obs::make_event<obs::EventKind::kCertified>(
+      /*round=*/0, result.certified ? 1 : 0, result.attempts,
+      result.rounds_to_recovery));
   if (!result.certified) {
     // Failure seam: preserve the events leading up to the failed
     // certification while they are still in the ring.

@@ -4,76 +4,6 @@
 
 namespace arbmis::obs {
 
-namespace {
-
-constexpr std::size_t kNumKinds = static_cast<std::size_t>(EventKind::kCount);
-
-/// The wire schema. Order matches EventKind; tools/trace_inspect.py embeds
-/// the same table (docs/OBSERVABILITY.md documents both) — update all
-/// three together and bump the manifest schema version on breaking change.
-constexpr std::array<EventSchema, kNumKinds> kSchemas = {{
-    {"run_begin", "algorithm",
-     {"nodes", "edges", "seed", "max_rounds", "enforce_congest"}, 5},
-    {"round", nullptr,
-     {"halted", "messages", "payload_bits", "in_flight", "rng_draws",
-      "max_message_bits", "k_prev"},
-     7},
-    {"run_end", nullptr,
-     {"rounds", "messages", "payload_bits", "max_edge_load", "all_halted",
-      "rng_draws"},
-     6},
-    {"model_check", nullptr,
-     {"k", "max_message_bits", "max_edge_bits", "max_rng_reads", "violations",
-      "edge_bit_budget"},
-     6},
-    {"violation", "what", {}, 0},
-    {"fault_round", nullptr, {"drops", "duplicates", "crashes", "recoveries"},
-     4},
-    {"fault_crash", nullptr, {"node", "recover_at"}, 2},
-    {"fault_recovery", nullptr, {"node"}, 1},
-    {"phase", "name", {"index", "set_size", "rounds", "messages"}, 4},
-    {"scale", nullptr, {"scale", "joined", "covered", "bad", "active_after"},
-     5},
-    {"shatter", nullptr,
-     {"set_size", "components", "largest", "vlo", "vhi"}, 5},
-    {"attempt", nullptr,
-     {"attempt", "residual", "committed", "covered", "faulty", "rounds"}, 6},
-    {"certified", nullptr, {"certified", "attempts", "rounds_to_recovery"},
-     3},
-    {"log", "message", {"level"}, 1},
-    {"lane_merge", nullptr, {"lane", "sends", "messages", "halts"}, 4},
-    {"request_begin", "op", {"request", "graph"}, 2},
-    {"request_end", nullptr, {"request", "status", "payload_bytes"}, 3},
-    {"cache_hit", nullptr, {"graph", "seed", "key_hash"}, 3},
-    {"cache_miss", nullptr, {"graph", "seed", "key_hash"}, 3},
-    {"repair_begin", nullptr, {"graph", "epoch", "residual", "full_recompute"},
-     4},
-    {"repair_certified", nullptr,
-     {"graph", "epoch", "certified", "committed", "rounds"}, 5},
-    {"span_begin", "name", {"span", "parent", "ref"}, 3},
-    {"span_end", nullptr, {"span"}, 1},
-    {"recorder_dump", "reason",
-     {"buffered_events", "buffered_bytes", "evicted_events", "evicted_bytes"},
-     4},
-}};
-
-}  // namespace
-
-EventCategory event_category(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kLog:
-      return EventCategory::kLogText;
-    case EventKind::kLaneMerge:
-      return EventCategory::kExec;
-    default:
-      return EventCategory::kSemantic;
-  }
-}
-
-const EventSchema& event_schema(EventKind kind) noexcept {
-  return kSchemas[static_cast<std::size_t>(kind)];
-}
-
 void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
@@ -119,6 +49,32 @@ std::string to_json_line(const Event& e) {
   }
   out += '}';
   return out;
+}
+
+std::string event_table_json() {
+  std::string out;
+  const auto quote = [&out](const char* s) {  // nullptr renders as null
+    if (s == nullptr) {
+      out += "null";
+      return;
+    }
+    out += '"';
+    out += s;
+    out += '"';
+  };
+  for (const EventSchema& schema : kEventSchemas) {
+    out += out.empty() ? "[{\"name\":" : ",{\"name\":";
+    quote(schema.name);
+    out += ",\"text\":";
+    quote(schema.text_field);
+    out += ",\"fields\":[";
+    for (std::uint32_t i = 0; i < schema.num_fields; ++i) {
+      if (i != 0) out += ',';
+      quote(schema.fields[i]);
+    }
+    out += "]}";
+  }
+  return out + ']';
 }
 
 }  // namespace arbmis::obs

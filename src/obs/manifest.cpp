@@ -53,7 +53,8 @@ std::string to_json_object(const Manifest& m) {
 }
 
 std::string to_json_line(const Manifest& m) {
-  return "{\"manifest\":" + to_json_object(m) + "}";
+  return "{\"manifest\":" + to_json_object(m) +
+         ",\"events\":" + event_table_json() + "}";
 }
 
 }  // namespace arbmis::obs

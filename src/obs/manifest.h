@@ -20,8 +20,9 @@
 namespace arbmis::obs {
 
 /// Telemetry wire-format version; bump on any breaking schema change
-/// (tools/trace_inspect.py refuses unknown versions).
-inline constexpr const char* kSchemaVersion = "arbmis.obs.v1";
+/// (tools/trace_inspect.py refuses unknown versions). v2 headers carry
+/// the event table.
+inline constexpr const char* kSchemaVersion = "arbmis.obs.v2";
 
 struct Manifest {
   std::string schema = kSchemaVersion;
@@ -47,8 +48,10 @@ Manifest make_manifest(std::string tool);
 /// documents (the metrics dump, the Chrome trace's otherData).
 std::string to_json_object(const Manifest& m);
 
-/// Single-line JSON object: {"manifest":{...}}. The leading "manifest"
-/// key is how readers tell the header apart from event records.
+/// The artifact header, one JSON line: {"manifest":{...},"events":[...]}.
+/// "events" is the event table (event_table_json()), so readers decode
+/// kinds and fields from the file itself; the leading "manifest" key is
+/// how they tell the header apart from event records.
 std::string to_json_line(const Manifest& m);
 
 }  // namespace arbmis::obs

@@ -15,40 +15,36 @@ namespace {
 
 std::atomic<FlightRecorder*> g_recorder{nullptr};
 
-/// Worst-case encoded record: tag + kind + two small varints + eight
-/// 64-bit varints + text-length varint + truncated text.
-constexpr std::size_t kEncodeBufBytes =
-    2 + 5 + 1 + kMaxEventValues * 10 + 5 + kMaxRecorderText;
+/// Largest record the ring holds: the head plus truncated text.
+constexpr std::size_t kMaxRecordBytes = kMaxRecordHeadBytes + kMaxRecorderText;
 
-std::size_t put_varint(unsigned char* out, std::uint64_t v) noexcept {
-  std::size_t n = 0;
-  while (v >= 0x80) {
-    out[n++] = static_cast<unsigned char>(v) | 0x80u;
-    v >>= 7;
-  }
-  out[n++] = static_cast<unsigned char>(v);
-  return n;
+/// The ring's form of `e`: the shared record head (obs/sink.h) plus the
+/// text truncated to kMaxRecorderText, into `out` (kMaxRecordBytes).
+/// Allocation-free, so the signal-handler trailer can use it too.
+std::size_t encode_truncated(const Event& e, unsigned char* out) noexcept {
+  const std::size_t text_len = std::min(e.text.size(), kMaxRecorderText);
+  const std::size_t n = encode_record_head(e, text_len, out);
+  if (text_len != 0) std::memcpy(out + n, e.text.data(), text_len);
+  return n + text_len;
 }
 
-/// Encodes one ARBMISEV 0x01 event record (the BinaryWriter layout) into
-/// `out`, which must hold kEncodeBufBytes. Allocation-free so both the
-/// record path and the signal-handler trailer can use it.
-std::size_t encode_record(const Event& e, unsigned char* out) noexcept {
-  std::size_t n = 0;
-  out[n++] = 0x01;
-  out[n++] = static_cast<unsigned char>(e.kind);
-  n += put_varint(out + n, e.round);
-  n += put_varint(out + n, e.num_values);
-  for (std::uint32_t i = 0; i < e.num_values; ++i) {
-    n += put_varint(out + n, e.values[i]);
-  }
-  const std::size_t text_len = std::min(e.text.size(), kMaxRecorderText);
-  n += put_varint(out + n, text_len);
-  if (text_len != 0) {
-    std::memcpy(out + n, e.text.data(), text_len);
-    n += text_len;
-  }
-  return n;
+/// The kRecorderDump trailer every dump ends with: `reason` and the ring
+/// state in `stats`.
+std::size_t encode_trailer(const RecorderStats& stats,
+                           std::string_view reason,
+                           unsigned char* out) noexcept {
+  return encode_truncated(
+      make_event<EventKind::kRecorderDump>(
+          /*round=*/0, reason, stats.buffered_events, stats.buffered_bytes,
+          stats.evicted_events, stats.evicted_bytes),
+      out);
+}
+
+/// walk_records() consumer appending to `out`.
+auto append_to(std::string& out) {
+  return [&out](const unsigned char* data, std::size_t n) {
+    out.append(reinterpret_cast<const char*>(data), n);
+  };
 }
 
 /// Async-signal-safe full write; ignores errors beyond giving up (the
@@ -70,33 +66,41 @@ FlightRecorder::FlightRecorder(RecorderConfig config)
   attach_manifest(make_manifest("flight_recorder"));
 }
 
-bool FlightRecorder::accepts(EventKind kind) const noexcept {
-  switch (event_category(kind)) {
-    case EventCategory::kSemantic: return config_.semantic;
-    case EventCategory::kLogText: return config_.log_text;
-    case EventCategory::kExec: return config_.exec;
-  }
-  return false;
-}
-
 void FlightRecorder::attach_manifest(const Manifest& m) {
-  std::string header;
-  header.append("ARBMISEV", 8);
-  header += '\x01';
-  const std::string json = to_json_line(m);
-  header += '\x00';
-  append_varint(header, json.size());
-  header += json;
+  std::string header = binary_header(m);
   const std::lock_guard<std::mutex> lock(mu_);
   header_bytes_ = std::move(header);
 }
 
+std::uint32_t FlightRecorder::length_at(std::size_t pos) const noexcept {
+  std::uint32_t len = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
+  }
+  return len;
+}
+
+template <typename Out>
+void FlightRecorder::walk_records(Out&& out) const {
+  // On the signal path size_ may be mid-update: clamp it, and stop at the
+  // first length prefix no record() could have written.
+  const std::size_t cap = buf_.size();
+  const std::size_t size = std::min(size_, cap);
+  std::size_t pos = 0;
+  while (pos + 4 <= size) {
+    const std::uint32_t len = length_at(pos);
+    if (len > kMaxRecordBytes || pos + 4 + len > size) break;
+    const std::size_t start = (head_ + pos + 4) % cap;
+    const std::size_t first = std::min<std::size_t>(len, cap - start);
+    out(buf_.data() + start, first);
+    if (first < len) out(buf_.data(), len - first);
+    pos += 4 + len;
+  }
+}
+
 void FlightRecorder::evict_for(std::size_t needed) {
   while (buf_.size() - size_ < needed && size_ > 0) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(at(i)) << (8 * i);
-    }
+    const std::uint32_t len = length_at(0);
     head_ = (head_ + 4 + len) % buf_.size();
     size_ -= 4 + len;
     --stats_.buffered_events;
@@ -107,9 +111,12 @@ void FlightRecorder::evict_for(std::size_t needed) {
 }
 
 void FlightRecorder::record(const Event& e) {
-  if (!accepts(e.kind)) return;
-  unsigned char rec[kEncodeBufBytes];
-  const std::size_t len = encode_record(e, rec);
+  const SinkConfig filter{.semantic = config_.semantic,
+                          .log_text = config_.log_text,
+                          .exec = config_.exec};
+  if (!filter.accepts_category(event_category(e.kind))) return;
+  unsigned char rec[kMaxRecordBytes];
+  const std::size_t len = encode_truncated(e, rec);
 
   const std::lock_guard<std::mutex> lock(mu_);
   ++stats_.recorded_events;
@@ -145,45 +152,18 @@ std::string FlightRecorder::ring_bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   out.reserve(stats_.buffered_bytes);
-  std::size_t pos = 0;
-  while (pos + 4 <= size_) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
-    }
-    if (pos + 4 + len > size_) break;
-    for (std::size_t i = 0; i < len; ++i) out += static_cast<char>(
-        at(pos + 4 + i));
-    pos += 4 + len;
-  }
+  walk_records(append_to(out));
   return out;
 }
 
 std::string FlightRecorder::snapshot(std::string_view reason) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(header_bytes_.size() + size_ + 128);
-    out = header_bytes_;
-    std::size_t pos = 0;
-    while (pos + 4 <= size_) {
-      std::uint32_t len = 0;
-      for (std::size_t i = 0; i < 4; ++i) {
-        len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
-      }
-      if (pos + 4 + len > size_) break;
-      for (std::size_t i = 0; i < len; ++i) out += static_cast<char>(
-          at(pos + 4 + i));
-      pos += 4 + len;
-    }
-    const Event trailer = make_event(
-        EventKind::kRecorderDump, /*round=*/0, reason,
-        stats_.buffered_events, stats_.buffered_bytes,
-        stats_.evicted_events, stats_.evicted_bytes);
-    unsigned char rec[kEncodeBufBytes];
-    const std::size_t len = encode_record(trailer, rec);
-    out.append(reinterpret_cast<const char*>(rec), len);
-  }
+  out.reserve(header_bytes_.size() + size_ + 128);
+  out = header_bytes_;
+  walk_records(append_to(out));
+  unsigned char trailer[kMaxRecordBytes];
+  append_to(out)(trailer, encode_trailer(stats_, reason, trailer));
   return out;
 }
 
@@ -208,33 +188,15 @@ bool FlightRecorder::auto_dump(std::string_view reason) {
 
 void FlightRecorder::dump_to_fd(int fd, std::string_view reason)
     const noexcept {
-  // NO lock and no allocation: this runs from fatal-signal context. The
-  // fields below may be mid-update; the per-record length check below
-  // stops the walk at the first implausible prefix.
+  // NO lock and no allocation: this runs from fatal-signal context, and
+  // the ring may be mid-update (walk_records stops at a torn record).
   write_all(fd, reinterpret_cast<const unsigned char*>(header_bytes_.data()),
             header_bytes_.size());
-  const std::size_t cap = buf_.size();
-  const std::size_t size = std::min(size_, cap);
-  std::size_t pos = 0;
-  while (pos + 4 <= size) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(at(pos + i)) << (8 * i);
-    }
-    if (len > kEncodeBufBytes || pos + 4 + len > size) break;
-    const std::size_t start = (head_ + pos + 4) % cap;
-    const std::size_t seg1 = std::min<std::size_t>(len, cap - start);
-    write_all(fd, buf_.data() + start, seg1);
-    if (seg1 < len) write_all(fd, buf_.data(), len - seg1);
-    pos += 4 + len;
-  }
-  const Event trailer = make_event(
-      EventKind::kRecorderDump, /*round=*/0, reason,
-      stats_.buffered_events, stats_.buffered_bytes,
-      stats_.evicted_events, stats_.evicted_bytes);
-  unsigned char rec[kEncodeBufBytes];
-  const std::size_t len = encode_record(trailer, rec);
-  write_all(fd, rec, len);
+  walk_records([fd](const unsigned char* data, std::size_t n) {
+    write_all(fd, data, n);
+  });
+  unsigned char trailer[kMaxRecordBytes];
+  write_all(fd, trailer, encode_trailer(stats_, reason, trailer));
 }
 
 void FlightRecorder::clear() {

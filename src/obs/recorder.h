@@ -108,13 +108,19 @@ class FlightRecorder {
   void clear();
 
  private:
-  bool accepts(EventKind kind) const noexcept;
   /// Under mu_: frees >= needed bytes by evicting oldest records.
   void evict_for(std::size_t needed);
   /// Under mu_ (or lock-free from the signal path): byte at ring offset.
   unsigned char at(std::size_t logical) const noexcept {
     return buf_[(head_ + logical) % buf_.size()];
   }
+  /// The 4-byte little-endian length prefix at ring offset `pos`.
+  std::uint32_t length_at(std::size_t pos) const noexcept;
+  /// The one ring walk: hands each buffered record's bytes, oldest first,
+  /// to out(data, n) in at most two contiguous pieces. Takes no lock and
+  /// allocates nothing itself, so the signal path uses it too.
+  template <typename Out>
+  void walk_records(Out&& out) const;
 
   RecorderConfig config_;
   mutable std::mutex mu_;

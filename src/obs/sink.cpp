@@ -12,18 +12,43 @@ namespace {
 std::atomic<EventSink*> g_sink{nullptr};
 
 void log_hook(util::LogLevel level, std::string_view message) {
-  emit(make_event(EventKind::kLog, /*round=*/0, message,
-                  static_cast<std::uint64_t>(level)));
+  emit(make_event<EventKind::kLog>(/*round=*/0, message,
+                                   static_cast<std::uint64_t>(level)));
+}
+
+std::size_t put_varint(unsigned char* out, std::uint64_t v) noexcept {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<unsigned char>(v) | 0x80u;
+    v >>= 7;
+  }
+  out[n++] = static_cast<unsigned char>(v);
+  return n;
 }
 
 }  // namespace
 
-void append_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out += static_cast<char>(static_cast<unsigned char>(v) | 0x80u);
-    v >>= 7;
+std::size_t encode_record_head(const Event& e, std::size_t text_len,
+                               unsigned char* out) noexcept {
+  std::size_t n = 0;
+  out[n++] = 0x01;
+  out[n++] = static_cast<unsigned char>(e.kind);
+  n += put_varint(out + n, e.round);
+  n += put_varint(out + n, e.num_values);
+  for (std::uint32_t i = 0; i < e.num_values; ++i) {
+    n += put_varint(out + n, e.values[i]);
   }
-  out += static_cast<char>(v);
+  return n + put_varint(out + n, text_len);
+}
+
+std::string binary_header(const Manifest& m) {
+  const std::string json = to_json_line(m);
+  unsigned char length[10];
+  std::string out(kBinaryMagic);
+  out += '\x00';
+  out.append(reinterpret_cast<const char*>(length),
+             put_varint(length, json.size()));
+  return out + json;
 }
 
 bool SinkConfig::accepts_category(EventCategory category) const noexcept {
@@ -83,8 +108,7 @@ void JsonlWriter::write_manifest(const Manifest& m) {
 BinaryWriter::BinaryWriter(std::string path, SinkConfig config)
     : EventSink(config), path_(std::move(path)),
       out_(path_, std::ios::binary) {
-  out_.write("ARBMISEV", 8);
-  out_.put('\x01');
+  out_ << kBinaryMagic;
 }
 
 BinaryWriter::~BinaryWriter() = default;
@@ -95,26 +119,19 @@ void BinaryWriter::flush() {
 }
 
 void BinaryWriter::write(const Event& e) {
-  std::string rec;
-  rec += '\x01';
-  rec += static_cast<char>(e.kind);
-  append_varint(rec, e.round);
-  append_varint(rec, e.num_values);
-  for (std::uint32_t i = 0; i < e.num_values; ++i) {
-    append_varint(rec, e.values[i]);
-  }
-  append_varint(rec, e.text.size());
-  rec.append(e.text);
-  out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+  unsigned char head[kMaxRecordHeadBytes];
+  const std::size_t n = encode_record_head(e, e.text.size(), head);
+  out_.write(reinterpret_cast<const char*>(head),
+             static_cast<std::streamsize>(n));
+  out_ << e.text;
 }
 
 void BinaryWriter::write_manifest(const Manifest& m) {
-  const std::string json = to_json_line(m);
-  std::string rec;
-  rec += '\x00';
-  append_varint(rec, json.size());
-  rec += json;
-  out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+  // The constructor wrote the magic; each manifest adds its record.
+  const std::string header = binary_header(m);
+  out_.write(header.data() + kBinaryMagic.size(),
+             static_cast<std::streamsize>(header.size() -
+                                          kBinaryMagic.size()));
 }
 
 std::vector<OwnedEvent> VectorSink::events() const {

@@ -45,10 +45,24 @@ struct SinkConfig {
 /// to round sampling.
 bool is_per_round(EventKind kind) noexcept;
 
-/// Appends one unsigned LEB128 varint — the integer encoding of the
-/// ARBMISEV binary format, shared by BinaryWriter and the flight
-/// recorder's header rendering (obs/recorder.h).
-void append_varint(std::string& out, std::uint64_t v);
+/// The ARBMISEV binary encoding (layout at BinaryWriter), shared by
+/// BinaryWriter and the flight recorder (obs/recorder.h).
+inline constexpr std::string_view kBinaryMagic{"ARBMISEV\x01", 9};
+
+/// Upper bound on an event record's bytes before its text: tag, kind, and
+/// the round, count, value and text-length varints.
+inline constexpr std::size_t kMaxRecordHeadBytes =
+    2 + 10 * (kMaxEventValues + 3);
+
+/// Writes the 0x01 record of `e` into `out` up to and including the
+/// varint announcing `text_len` text bytes, which the caller appends.
+/// Returns the bytes written. Allocation-free.
+std::size_t encode_record_head(const Event& e, std::size_t text_len,
+                               unsigned char* out) noexcept;
+
+/// kBinaryMagic followed by the 0x00 header record of `m`: the head of
+/// every binary artifact.
+std::string binary_header(const Manifest& m);
 
 /// Base sink: thread-safe filtered emission. Derived classes implement
 /// write()/write_manifest(), which are always called under the sink lock.
@@ -109,7 +123,7 @@ class JsonlWriter : public EventSink {
 
 /// Compact binary stream (see docs/OBSERVABILITY.md for the layout):
 ///   magic "ARBMISEV", version byte 0x01, then records:
-///     0x00  manifest: varint length + manifest JSON bytes
+///     0x00  header: varint length + to_json_line(manifest) bytes
 ///     0x01  event: kind byte, varint round, varint num_values,
 ///           num_values varints, varint text length, text bytes
 /// All varints are unsigned LEB128.

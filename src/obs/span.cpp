@@ -27,12 +27,12 @@ ScopedSpan::ScopedSpan(std::string_view name, std::uint64_t id,
   g_span_tls.current = id_;
   g_span_tls.root = id_;
   g_span_tls.next_child = 0;
-  emit(make_event(EventKind::kSpanBegin, /*round=*/0, name, id_,
-                  /*parent=*/std::uint64_t{0}, ref));
+  emit(make_event<EventKind::kSpanBegin>(/*round=*/0, name, id_,
+                                         /*parent=*/std::uint64_t{0}, ref));
 }
 
 ScopedSpan::~ScopedSpan() {
-  emit(make_event(EventKind::kSpanEnd, /*round=*/0, {}, id_));
+  emit(make_event<EventKind::kSpanEnd>(/*round=*/0, id_));
   g_span_tls.current = prev_current_;
   g_span_tls.root = prev_root_;
   g_span_tls.next_child = prev_next_child_;
@@ -44,13 +44,13 @@ ScopedChildSpan::ScopedChildSpan(std::string_view name, std::uint64_t ref)
   prev_current_ = g_span_tls.current;
   id_ = g_span_tls.root * 4096 + (++g_span_tls.next_child);
   g_span_tls.current = id_;
-  emit(make_event(EventKind::kSpanBegin, /*round=*/0, name, id_,
-                  prev_current_, ref));
+  emit(make_event<EventKind::kSpanBegin>(/*round=*/0, name, id_, prev_current_,
+                                         ref));
 }
 
 ScopedChildSpan::~ScopedChildSpan() {
   if (!active_) return;
-  emit(make_event(EventKind::kSpanEnd, /*round=*/0, {}, id_));
+  emit(make_event<EventKind::kSpanEnd>(/*round=*/0, id_));
   g_span_tls.current = prev_current_;
 }
 

@@ -70,7 +70,10 @@ Server::Server(MisService& service, const ServerOptions& options)
   port_ = ntohs(bound.sin_port);
 }
 
-Server::~Server() { stop(); }
+Server::~Server() {
+  stop();
+  close_quiet(listen_fd_);
+}
 
 void Server::serve_forever() { accept_loop(); }
 
@@ -83,15 +86,22 @@ void Server::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+      break;  // listener shut down by stop()
     }
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      close_quiet(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        close_quiet(fd);
+        break;
+      }
+      finished.swap(finished_);
+      connections_.emplace(fd,
+                           std::thread([this, fd] { connection_loop(fd); }));
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    // Reap the connections that ended since the last accept, so a
+    // long-lived daemon holds no stack of a connection that is gone.
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -125,36 +135,33 @@ void Server::connection_loop(int fd) {
       alive = false;
     }
   }
-  {
-    // De-register before closing so stop() never shuts down a recycled fd.
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    std::erase(conn_fds_, fd);
-  }
+  // Close and hand this thread over for joining in one critical section:
+  // stop() never shuts down a recycled fd, and the map entry is gone
+  // before accept() can return the same fd number again.
+  const std::lock_guard<std::mutex> lock(conn_mu_);
   ::shutdown(fd, SHUT_RDWR);
   close_quiet(fd);
+  const auto self = connections_.find(fd);
+  finished_.push_back(std::move(self->second));
+  connections_.erase(self);
+  conn_done_.notify_all();
 }
 
 void Server::stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) {
-    // Second stop(): threads may already be joined; nothing left to do.
-  }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    close_quiet(listen_fd_);
-    listen_fd_ = -1;
-  }
+  stopping_.store(true, std::memory_order_release);
+  // Wakes a blocked accept(). The fd stays open, and listen_fd_ unchanged,
+  // until ~Server: the accept loop may still be reading it. A second
+  // stop() finds nothing left to do.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<int> fds;
-  std::vector<std::thread> threads;
+  std::vector<std::thread> finished;
   {
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    fds.swap(conn_fds_);
-    threads.swap(conn_threads_);
+    std::unique_lock<std::mutex> lock(conn_mu_);
+    for (const auto& [fd, thread] : connections_) ::shutdown(fd, SHUT_RDWR);
+    conn_done_.wait(lock, [this] { return connections_.empty(); });
+    finished.swap(finished_);
   }
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : finished) t.join();
 }
 
 }  // namespace arbmis::serve

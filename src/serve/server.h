@@ -1,6 +1,7 @@
 // Blocking TCP front end for MisService (docs/SERVING.md).
 //
-// One accept loop plus one thread per connection; every connection owns a
+// One accept loop plus one thread per connection; the accept loop joins
+// the threads of ended connections as it goes. Every connection owns a
 // FrameReader and forwards complete frames to MisService::handle, which
 // serializes requests on the service mutex. Threading here affects only
 // I/O concurrency — result bytes are governed by the simulator executor's
@@ -13,7 +14,9 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -43,7 +46,8 @@ class Server {
   void serve_forever();
   /// Runs the accept loop on a background thread (tests, benches).
   void start();
-  /// Stops accepting, closes every connection, joins all threads.
+  /// Stops accepting, shuts down every live connection and joins every
+  /// connection thread.
   void stop();
 
  private:
@@ -56,8 +60,9 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::condition_variable conn_done_;  ///< a connection ended
+  std::map<int, std::thread> connections_;  ///< live, keyed by fd
+  std::vector<std::thread> finished_;  ///< ended, not yet joined
 };
 
 }  // namespace arbmis::serve

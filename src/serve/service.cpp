@@ -105,14 +105,14 @@ const MisService::CacheEntry& MisService::ensure_entry(
   if (const auto it = cache_.find(key); it != cache_.end()) {
     *hit = true;
     ++stats_.cache_hits;
-    obs::emit(obs::make_event(obs::EventKind::kCacheHit, /*round=*/0, {},
-                              graph_id, params.seed, key_hash));
+    obs::emit(obs::make_event<obs::EventKind::kCacheHit>(
+        /*round=*/0, graph_id, params.seed, key_hash));
     return it->second;
   }
   *hit = false;
   ++stats_.cache_misses;
-  obs::emit(obs::make_event(obs::EventKind::kCacheMiss, /*round=*/0, {},
-                            graph_id, params.seed, key_hash));
+  obs::emit(obs::make_event<obs::EventKind::kCacheMiss>(/*round=*/0, graph_id,
+                                                        params.seed, key_hash));
   CacheEntry entry = solve_full(s.graph.view(), params, params.seed);
   if (!entry.certified) {
     throw ServeError(ErrorCode::kInternal, "pipeline failed to certify");
@@ -174,8 +174,8 @@ MisService::RepairOutcome MisService::repair(
     }
   }
 
-  obs::emit(obs::make_event(obs::EventKind::kRepairBegin, /*round=*/0, {},
-                            graph_id, epoch, residual_count, full ? 1 : 0));
+  obs::emit(obs::make_event<obs::EventKind::kRepairBegin>(
+      /*round=*/0, graph_id, epoch, residual_count, full ? 1 : 0));
 
   if (full) {
     out.entry = solve_full(g, params, repair_seed);
@@ -229,9 +229,9 @@ MisService::RepairOutcome MisService::repair(
     }
   }
   if (out.entry.certified) ++stats_.repairs_certified;
-  obs::emit(obs::make_event(obs::EventKind::kRepairCertified, /*round=*/0, {},
-                            graph_id, epoch, out.entry.certified ? 1 : 0,
-                            out.entry.mis_size, out.entry.rounds));
+  obs::emit(obs::make_event<obs::EventKind::kRepairCertified>(
+      /*round=*/0, graph_id, epoch, out.entry.certified ? 1 : 0,
+      out.entry.mis_size, out.entry.rounds));
   return out;
 }
 
@@ -406,40 +406,40 @@ Frame MisService::handle(const Frame& request) {
     switch (request.type) {
       case MsgType::kLoadGraph: {
         const auto m = parse_payload<LoadGraphRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, m.graph_id));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, m.graph_id));
         reply = make_frame(MsgType::kReplyLoadGraph, request.request_id,
                            load_impl(m));
         break;
       }
       case MsgType::kComputeMis: {
         const auto m = parse_payload<ComputeMisRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, m.graph_id));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, m.graph_id));
         reply = make_frame(MsgType::kReplyComputeMis, request.request_id,
                            compute_impl(m));
         break;
       }
       case MsgType::kQuery: {
         const auto m = parse_payload<QueryRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, m.graph_id));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, m.graph_id));
         reply = make_frame(MsgType::kReplyQuery, request.request_id,
                            query_impl(m));
         break;
       }
       case MsgType::kUpdateEdges: {
         const auto m = parse_payload<UpdateEdgesRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, m.graph_id));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, m.graph_id));
         reply = make_frame(MsgType::kReplyUpdateEdges, request.request_id,
                            update_impl(m));
         break;
       }
       case MsgType::kVerify: {
         const auto m = parse_payload<VerifyRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, m.graph_id));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, m.graph_id));
         reply = make_frame(MsgType::kReplyVerify, request.request_id,
                            verify_impl(m));
         break;
@@ -448,16 +448,16 @@ Frame MisService::handle(const Frame& request) {
         if (!request.payload.empty()) {
           throw ProtocolError("stats request carries a payload");
         }
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, 0));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, 0));
         reply =
             make_frame(MsgType::kReplyStats, request.request_id, stats_);
         break;
       }
       case MsgType::kMetrics: {
         const auto m = parse_payload<MetricsRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, 0));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, 0));
         MetricsReply mr;
         mr.version = m.version;
         // No embedded manifest: the snapshot must stay a deterministic
@@ -476,8 +476,8 @@ Frame MisService::handle(const Frame& request) {
       }
       case MsgType::kDumpRecorder: {
         const auto m = parse_payload<DumpRecorderRequest>(request);
-        obs::emit(obs::make_event(obs::EventKind::kRequestBegin, 0,
-                                  op_name(request.type), req, 0));
+        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+            0, op_name(request.type), req, 0));
         DumpRecorderReply dr;
         if (obs::FlightRecorder* const rec = obs::recorder()) {
           dr.recorder_attached = 1;
@@ -510,8 +510,8 @@ Frame MisService::handle(const Frame& request) {
     reply = make_frame(MsgType::kError, request.request_id,
                        ErrorReply{status, e.what()});
   }
-  obs::emit(obs::make_event(obs::EventKind::kRequestEnd, 0, {}, req, status,
-                            reply.payload.size()));
+  obs::emit(obs::make_event<obs::EventKind::kRequestEnd>(0, req, status,
+                                                         reply.payload.size()));
   // Registry feed: requests serialize on mu_, so this is a second
   // sanctioned deterministic metering point (tools/layering.toml).
   if (obs::Registry* const reg = obs::registry()) {

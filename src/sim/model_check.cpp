@@ -225,7 +225,7 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
   // Deferred violation telemetry: the events fire here, on the calling
   // thread, in lane-fold order — never from worker threads.
   for (const std::string& what : lane.violation_texts) {
-    obs::emit(obs::make_event(obs::EventKind::kViolation, round, what));
+    obs::emit(obs::make_event<obs::EventKind::kViolation>(round, what));
   }
   if (!lane.violation_texts.empty()) {
     obs::recorder_auto_dump("model_check_violation");

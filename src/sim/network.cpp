@@ -279,9 +279,8 @@ void Network::run_phase(Algorithm& algorithm) {
     if (emit_lanes) {
       // kExec category: legitimately varies by thread count, excluded by
       // the default sink configuration (see obs/events.h).
-      obs::emit(obs::make_event(obs::EventKind::kLaneMerge, round_, {}, w,
-                                lane.sends.size(), lane.messages,
-                                lane.halts));
+      obs::emit(obs::make_event<obs::EventKind::kLaneMerge>(
+          round_, w, lane.sends.size(), lane.messages, lane.halts));
     }
     merge(lanes_[w]);
   }
@@ -320,9 +319,9 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   const obs::ScopedChildSpan run_span("sim.run", graph_.num_nodes());
   const graph::NodeId n = graph_.num_nodes();
   if (obs::telemetry_attached()) {
-    obs::emit(obs::make_event(obs::EventKind::kRunBegin, /*round=*/0,
-                              algorithm.name(), n, graph_.num_edges(), seed_,
-                              max_rounds, options_.enforce_congest ? 1 : 0));
+    obs::emit(obs::make_event<obs::EventKind::kRunBegin>(
+        /*round=*/0, algorithm.name(), n, graph_.num_edges(), seed_, max_rounds,
+        options_.enforce_congest ? 1 : 0));
   }
   // Reset per-run state; RNG streams intentionally persist across runs.
   std::fill(halted_.begin(), halted_.end(), 0);
@@ -404,17 +403,15 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   if (fault_ != nullptr) checker_.record_fault_totals(fault_->totals());
   checker_.end_run(stats_.rounds);
   if (obs::telemetry_attached()) {
-    obs::emit(obs::make_event(obs::EventKind::kRunEnd, round_, {},
-                              stats_.rounds, stats_.messages,
-                              stats_.payload_bits, stats_.max_edge_load,
-                              stats_.all_halted ? 1 : 0, rng_draws_));
+    obs::emit(obs::make_event<obs::EventKind::kRunEnd>(
+        round_, stats_.rounds, stats_.messages, stats_.payload_bits,
+        stats_.max_edge_load, stats_.all_halted ? 1 : 0, rng_draws_));
     if (checker_.enabled()) {
       const ModelCheckReport& report = checker_.report();
-      obs::emit(obs::make_event(
-          obs::EventKind::kModelCheck, round_, {}, report.k,
-          report.max_message_bits, report.max_edge_bits_per_round,
-          report.max_rng_reads_per_round, report.violations,
-          report.edge_bit_budget));
+      obs::emit(obs::make_event<obs::EventKind::kModelCheck>(
+          round_, report.k, report.max_message_bits,
+          report.max_edge_bits_per_round, report.max_rng_reads_per_round,
+          report.violations, report.edge_bit_budget));
     }
   }
   if (obs::Registry* const reg = obs::registry()) {
@@ -456,16 +453,13 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
         round_ >= 1 && round_ - 1 < report.round_k.size()
             ? report.round_k[round_ - 1]
             : 0;
-    obs::emit(obs::make_event(obs::EventKind::kRound, round_, {}, num_halted_,
-                              last_round_.messages, last_round_.payload_bits,
-                              in_flight_next_, rng_draws_, width_now,
-                              k_prev));
+    obs::emit(obs::make_event<obs::EventKind::kRound>(
+        round_, num_halted_, last_round_.messages, last_round_.payload_bits,
+        in_flight_next_, rng_draws_, width_now, k_prev));
     if (fault_ != nullptr) {
-      obs::emit(obs::make_event(obs::EventKind::kFaultRound, round_, {},
-                                last_round_.fault_drops,
-                                last_round_.fault_duplicates,
-                                last_round_.fault_crashes,
-                                last_round_.fault_recoveries));
+      obs::emit(obs::make_event<obs::EventKind::kFaultRound>(
+          round_, last_round_.fault_drops, last_round_.fault_duplicates,
+          last_round_.fault_crashes, last_round_.fault_recoveries));
     }
   }
   if (obs::Registry* const reg = obs::registry()) {

@@ -61,11 +61,22 @@ class LogCapture {
 // ---------------------------------------------------------------------------
 
 TEST(ObsEvents, EveryKindHasASchema) {
+  // Binary records and old artifacts carry the kind byte: rows are only
+  // ever appended to the table, never reordered or renamed.
+  const std::vector<std::string> wire = {
+      "run_begin", "round", "run_end", "model_check", "violation",
+      "fault_round", "fault_crash", "fault_recovery", "phase", "scale",
+      "shatter", "attempt", "certified", "log", "lane_merge",
+      "request_begin", "request_end", "cache_hit", "cache_miss",
+      "repair_begin", "repair_certified", "span_begin", "span_end",
+      "recorder_dump"};
+  ASSERT_EQ(wire.size(), static_cast<std::size_t>(obs::EventKind::kCount));
   for (std::uint8_t k = 0;
        k < static_cast<std::uint8_t>(obs::EventKind::kCount); ++k) {
     const obs::EventSchema& schema =
         obs::event_schema(static_cast<obs::EventKind>(k));
-    EXPECT_NE(schema.name, nullptr) << "kind " << static_cast<int>(k);
+    ASSERT_NE(schema.name, nullptr) << "kind " << static_cast<int>(k);
+    EXPECT_EQ(schema.name, wire[k]) << "kind byte " << static_cast<int>(k);
     EXPECT_LE(schema.num_fields, obs::kMaxEventValues);
     for (std::uint32_t i = 0; i < schema.num_fields; ++i) {
       EXPECT_NE(schema.fields[i], nullptr)
@@ -87,12 +98,12 @@ TEST(ObsEvents, CategoryPartition) {
 
 TEST(ObsEvents, JsonLineMatchesSchemaFieldOrder) {
   const obs::Event recovery =
-      obs::make_event(obs::EventKind::kFaultRecovery, 2, {}, 7);
+      obs::make_event<obs::EventKind::kFaultRecovery>(2, 7);
   EXPECT_EQ(obs::to_json_line(recovery),
             "{\"ev\":\"fault_recovery\",\"round\":2,\"node\":7}");
 
   const obs::Event phase =
-      obs::make_event(obs::EventKind::kPhase, 0, "vlo", 2, 10, 3, 5);
+      obs::make_event<obs::EventKind::kPhase>(0, "vlo", 2, 10, 3, 5);
   EXPECT_EQ(obs::to_json_line(phase),
             "{\"ev\":\"phase\",\"round\":0,\"index\":2,\"set_size\":10,"
             "\"rounds\":3,\"messages\":5,\"name\":\"vlo\"}");
@@ -110,16 +121,16 @@ TEST(ObsEvents, EscapesJsonText) {
 
 TEST(ObsSink, DefaultConfigExcludesExecutorKinds) {
   obs::VectorSink capture;
-  capture.emit(obs::make_event(obs::EventKind::kRound, 1, {}, 0, 4));
   capture.emit(
-      obs::make_event(obs::EventKind::kLaneMerge, 1, {}, 0, 2, 2, 0));
+      obs::make_event<obs::EventKind::kRound>(1, 0, 4, 0, 0, 0, 0, 0));
+  capture.emit(obs::make_event<obs::EventKind::kLaneMerge>(1, 0, 2, 2, 0));
   ASSERT_EQ(capture.size(), 1u);
   EXPECT_EQ(capture.events()[0].kind, obs::EventKind::kRound);
 
   obs::SinkConfig exec_on;
   exec_on.exec = true;
   obs::VectorSink full(exec_on);
-  full.emit(obs::make_event(obs::EventKind::kLaneMerge, 1, {}, 0, 2, 2, 0));
+  full.emit(obs::make_event<obs::EventKind::kLaneMerge>(1, 0, 2, 2, 0));
   EXPECT_EQ(full.size(), 1u);
 }
 
@@ -127,13 +138,14 @@ TEST(ObsSink, RoundSamplingKeepsBoundaries) {
   obs::SinkConfig config;
   config.round_sample = 3;
   obs::VectorSink capture(config);
-  capture.emit(obs::make_event(obs::EventKind::kRunBegin, 0, "x", 8, 7, 1,
-                               100, 1));
+  capture.emit(
+      obs::make_event<obs::EventKind::kRunBegin>(0, "x", 8, 7, 1, 100, 1));
   for (std::uint32_t r = 1; r <= 9; ++r) {
-    capture.emit(obs::make_event(obs::EventKind::kRound, r, {}, 0, 1));
+    capture.emit(
+        obs::make_event<obs::EventKind::kRound>(r, 0, 1, 0, 0, 0, 0, 0));
   }
   capture.emit(
-      obs::make_event(obs::EventKind::kRunEnd, 9, {}, 9, 9, 72, 1, 1, 0));
+      obs::make_event<obs::EventKind::kRunEnd>(9, 9, 9, 72, 1, 1, 0));
   // Kept: run_begin, rounds 3/6/9, run_end — boundaries always pass.
   const std::vector<obs::OwnedEvent> events = capture.events();
   ASSERT_EQ(events.size(), 5u);
@@ -154,7 +166,7 @@ TEST(ObsSink, ScopedSinkInstallsAndRestores) {
     {
       const obs::ScopedSink attach_inner(&inner);
       EXPECT_EQ(obs::sink(), &inner);
-      obs::emit(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 3));
+      obs::emit(obs::make_event<obs::EventKind::kFaultRecovery>(1, 3));
     }
     EXPECT_EQ(obs::sink(), &outer);
     EXPECT_EQ(inner.size(), 1u);
@@ -162,7 +174,7 @@ TEST(ObsSink, ScopedSinkInstallsAndRestores) {
   }
   EXPECT_EQ(obs::sink(), nullptr);
   // Detached emission is a no-op, not a crash.
-  obs::emit(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 3));
+  obs::emit(obs::make_event<obs::EventKind::kFaultRecovery>(1, 3));
 }
 
 TEST(ObsSink, LogLinesBecomeEventsWhileAttached) {
@@ -209,18 +221,18 @@ TEST(ObsSink, JsonlWriterRotatesWithManifestHeader) {
     m.workload = "rotation";
     m.seed = 7;
     writer.attach_manifest(m);
-    writer.emit(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 3));
+    writer.emit(obs::make_event<obs::EventKind::kFaultRecovery>(1, 3));
     writer.rotate(path_b);
     EXPECT_EQ(writer.path(), path_b);
-    writer.emit(obs::make_event(obs::EventKind::kFaultRecovery, 2, {}, 4));
+    writer.emit(obs::make_event<obs::EventKind::kFaultRecovery>(2, 4));
     writer.flush();
   }
   const std::string file_a = read_file(path_a);
   const std::string file_b = read_file(path_b);
   // Both files are self-describing: manifest first, then events.
-  EXPECT_EQ(file_a.rfind("{\"manifest\":{\"schema\":\"arbmis.obs.v1\"", 0),
+  EXPECT_EQ(file_a.rfind("{\"manifest\":{\"schema\":\"arbmis.obs.v2\"", 0),
             0u);
-  EXPECT_EQ(file_b.rfind("{\"manifest\":{\"schema\":\"arbmis.obs.v1\"", 0),
+  EXPECT_EQ(file_b.rfind("{\"manifest\":{\"schema\":\"arbmis.obs.v2\"", 0),
             0u);
   EXPECT_NE(file_a.find("\"ev\":\"fault_recovery\",\"round\":1"),
             std::string::npos);
@@ -248,9 +260,9 @@ std::uint64_t read_varint(const std::string& buf, std::size_t& pos) {
 TEST(ObsSink, BinaryWriterRoundTrips) {
   const std::string path = tmp_path("obs_roundtrip.bin");
   const obs::Event phase =
-      obs::make_event(obs::EventKind::kPhase, 0, "shatter", 1, 200, 31, 4096);
-  const obs::Event round = obs::make_event(obs::EventKind::kRound, 300, {},
-                                           12, 345, 6789, 0, 24, 18, 2);
+      obs::make_event<obs::EventKind::kPhase>(0, "shatter", 1, 200, 31, 4096);
+  const obs::Event round = obs::make_event<obs::EventKind::kRound>(
+      300, 12, 345, 6789, 0, 24, 18, 2);
   {
     obs::BinaryWriter writer(path);
     obs::Manifest m = obs::make_manifest("test_obs");
@@ -356,7 +368,7 @@ TEST(ObsRecorder, ScopedRecorderReceivesEmitsAlongsideSink) {
     // emission guards must not skip event assembly.
     EXPECT_TRUE(obs::telemetry_attached());
     const obs::ScopedSink attach_sink(&sink_capture);
-    obs::emit(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 3));
+    obs::emit(obs::make_event<obs::EventKind::kFaultRecovery>(1, 3));
   }
   EXPECT_EQ(obs::recorder(), nullptr);
   EXPECT_EQ(recorder.stats().recorded_events, 1u);
@@ -368,7 +380,7 @@ TEST(ObsRecorder, WrapAroundEvictsOldestFirst) {
   config.max_bytes = 64;  // each fault_recovery record is 6 + 4 bytes
   obs::FlightRecorder recorder(config);
   for (std::uint32_t r = 1; r <= 20; ++r) {
-    recorder.record(obs::make_event(obs::EventKind::kFaultRecovery, r, {}, 2));
+    recorder.record(obs::make_event<obs::EventKind::kFaultRecovery>(r, 2));
   }
   const obs::RecorderStats stats = recorder.stats();
   EXPECT_EQ(stats.recorded_events, 20u);
@@ -392,9 +404,9 @@ TEST(ObsRecorder, OversizedEventIsDroppedNotBuffered) {
   obs::RecorderConfig config;
   config.max_bytes = 64;
   obs::FlightRecorder recorder(config);
-  recorder.record(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 2));
-  recorder.record(obs::make_event(obs::EventKind::kLog, 0,
-                                  std::string(100, 'x'), 2));
+  recorder.record(obs::make_event<obs::EventKind::kFaultRecovery>(1, 2));
+  recorder.record(obs::make_event<obs::EventKind::kLog>(
+      0, std::string(100, 'x'), 2));
   const obs::RecorderStats stats = recorder.stats();
   EXPECT_EQ(stats.recorded_events, 2u);
   EXPECT_EQ(stats.dropped_oversized, 1u);
@@ -411,8 +423,8 @@ TEST(ObsRecorder, PathologicalLogTextIsTruncated) {
   obs::RecorderConfig config;
   config.max_bytes = 16u << 10;
   obs::FlightRecorder recorder(config);
-  recorder.record(obs::make_event(obs::EventKind::kLog, 0,
-                                  std::string(5000, 'y'), 1));
+  recorder.record(obs::make_event<obs::EventKind::kLog>(
+      0, std::string(5000, 'y'), 1));
   const std::vector<DecodedRecord> records =
       decode_records(recorder.ring_bytes());
   ASSERT_EQ(records.size(), 1u);
@@ -424,11 +436,11 @@ TEST(ObsRecorder, DumpWhileAttachedIsAValidArtifactWithTrailer) {
   obs::FlightRecorder recorder;
   {
     const obs::ScopedRecorder attach(&recorder);
-    obs::emit(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 3));
-    obs::emit(obs::make_event(obs::EventKind::kFaultRecovery, 2, {}, 4));
+    obs::emit(obs::make_event<obs::EventKind::kFaultRecovery>(1, 3));
+    obs::emit(obs::make_event<obs::EventKind::kFaultRecovery>(2, 4));
     // Dumping while attached must not disturb recording.
     ASSERT_TRUE(recorder.dump(path, "unit_test"));
-    obs::emit(obs::make_event(obs::EventKind::kFaultRecovery, 3, {}, 5));
+    obs::emit(obs::make_event<obs::EventKind::kFaultRecovery>(3, 5));
   }
   EXPECT_EQ(recorder.stats().dumps, 1u);
   EXPECT_EQ(recorder.stats().buffered_events, 3u);
@@ -449,7 +461,7 @@ TEST(ObsRecorder, DumpWhileAttachedIsAValidArtifactWithTrailer) {
 
 TEST(ObsRecorder, ClearDropsBufferedButKeepsCumulativeCounters) {
   obs::FlightRecorder recorder;
-  recorder.record(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 2));
+  recorder.record(obs::make_event<obs::EventKind::kFaultRecovery>(1, 2));
   recorder.clear();
   const obs::RecorderStats stats = recorder.stats();
   EXPECT_EQ(stats.buffered_events, 0u);
@@ -457,13 +469,13 @@ TEST(ObsRecorder, ClearDropsBufferedButKeepsCumulativeCounters) {
   EXPECT_EQ(stats.recorded_events, 1u);
   EXPECT_TRUE(recorder.ring_bytes().empty());
   // The ring keeps working after a clear.
-  recorder.record(obs::make_event(obs::EventKind::kFaultRecovery, 2, {}, 2));
+  recorder.record(obs::make_event<obs::EventKind::kFaultRecovery>(2, 2));
   EXPECT_EQ(recorder.stats().buffered_events, 1u);
 }
 
 TEST(ObsRecorder, AutoDumpWithoutPathIsANoOp) {
   obs::FlightRecorder recorder;  // default config: no dump_path
-  recorder.record(obs::make_event(obs::EventKind::kFaultRecovery, 1, {}, 2));
+  recorder.record(obs::make_event<obs::EventKind::kFaultRecovery>(1, 2));
   EXPECT_FALSE(recorder.auto_dump("nowhere"));
   EXPECT_EQ(recorder.stats().dumps, 0u);
   // Detached helper is a safe no-op too.
@@ -541,7 +553,7 @@ TEST(ObsRegistry, EmbedsManifestWhenGiven) {
   obs::Manifest m = obs::make_manifest("test_obs");
   m.workload = "gnp(150,0.05)";
   const std::string json = reg.to_json(&m);
-  EXPECT_NE(json.find("\"manifest\":{\"schema\":\"arbmis.obs.v1\""),
+  EXPECT_NE(json.find("\"manifest\":{\"schema\":\"arbmis.obs.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"workload\":\"gnp(150,0.05)\""), std::string::npos);
 }
@@ -566,7 +578,16 @@ TEST(ObsManifest, JsonShapes) {
   EXPECT_EQ(object.back(), '}');
   EXPECT_NE(object.find("\"tool\":\"test_obs\""), std::string::npos);
   EXPECT_NE(object.find("\"threads\":4"), std::string::npos);
-  EXPECT_EQ(obs::to_json_line(m), "{\"manifest\":" + object + "}");
+  // The header line carries the event table after the manifest.
+  EXPECT_EQ(obs::to_json_line(m), "{\"manifest\":" + object +
+                                      ",\"events\":" +
+                                      obs::event_table_json() + "}");
+  EXPECT_EQ(obs::event_table_json().rfind(
+                "[{\"name\":\"run_begin\",\"text\":\"algorithm\","
+                "\"fields\":[\"nodes\",\"edges\",\"seed\",\"max_rounds\","
+                "\"enforce_congest\"]},{\"name\":\"round\",\"text\":null,",
+                0),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -403,6 +403,41 @@ TEST(ServeService, ErrorsCarryCodes) {
             static_cast<std::uint32_t>(ErrorCode::kBadRequest));
 }
 
+TEST(ServeService, RepairFallsBackPastTheFullRecomputeFraction) {
+  // Adding k isolated vertices to a fully decided n0-node graph leaves a
+  // residual of exactly k out of n0 + k nodes. repair() recomputes fully
+  // iff k > full_recompute_fraction * (n0 + k); at 0.5 the cliff sits
+  // between k = 10 and k = 11.
+  constexpr graph::NodeId kN0 = 10;
+  struct Row {
+    double fraction;
+    graph::NodeId k;
+    bool incremental;
+  };
+  for (const Row& row : {Row{0.5, 9, true}, Row{0.5, 10, true},
+                         Row{0.5, 11, false}, Row{0.25, 4, false}}) {
+    SCOPED_TRACE("fraction " + std::to_string(row.fraction) + ", k " +
+                 std::to_string(row.k));
+    ServiceOptions options;
+    options.full_recompute_fraction = row.fraction;
+    MisService service(options);
+    const graph::Graph g = graph::gen::path(kN0);
+    LoadGraphRequest load;
+    load.graph_id = 1;
+    load.num_nodes = g.num_nodes();
+    load.edges = g.edges();
+    service.load_graph(load);
+    const ComputeParams params{2, 3};
+    ASSERT_EQ(service.compute_mis({1, params}).certified, 1u);
+
+    const std::vector<EdgeUpdate> ops(row.k, {UpdateOp::kAddVertex, 0, 0});
+    const UpdateEdgesReply reply = service.update_edges({1, params, ops});
+    EXPECT_EQ(reply.certified, 1u);
+    EXPECT_EQ(reply.incremental, row.incremental ? 1u : 0u);
+    EXPECT_EQ(reply.residual, row.incremental ? row.k : kN0 + row.k);
+  }
+}
+
 // --- Live introspection (METRICS / DUMP_RECORDER) -------------------------
 
 TEST(ServeService, MetricsWithoutRegistryIsEmptyDocument) {
@@ -800,6 +835,33 @@ TEST(ServeServer, MalformedBytesGetErrorFrameThenHangup) {
     EXPECT_EQ(loaded.num_nodes, g.num_nodes());
   }
   server.stop();
+}
+
+/// Lines of /proc/self/maps: one per mapping, so every thread stack that
+/// was never released shows up here.
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(ServeServer, SequentialConnectionsDoNotLeak) {
+  // Each connection runs on its own thread. A server that keeps finished
+  // threads until stop() keeps their stacks mapped, two regions per
+  // connection, and aborts once the process runs out of mappings.
+  MisService service;
+  Server server(service, {});
+  server.start();
+  Client("127.0.0.1", server.port()).stats();  // warm the allocators
+  const std::size_t before = mapped_regions();
+  for (int i = 0; i < 2000; ++i) {
+    Client client("127.0.0.1", server.port());
+    ASSERT_EQ(client.stats().errors, 0u);
+  }
+  const std::size_t after = mapped_regions();
+  server.stop();
+  EXPECT_LT(after, before + 64);
 }
 
 TEST(ServeFault, CertifyLabelsAcceptsGoodRejectsCorrupt) {

@@ -18,10 +18,7 @@ Rule groups (``--list-rules`` for the table, ``--explain RULE`` for one):
           entropy source.
   LAY00x  layering rules: the allowed-include matrix and the
           restricted-header list, both read from tools/layering.toml.
-  HYG00x  contract hygiene: NOLINT justification discipline, the
-          three-way event-schema sync (src/obs/events.h enum,
-          src/obs/events.cpp kSchemas, tools/trace_inspect.py
-          EVENT_SCHEMAS) plus make_event call-site arities, and
+  HYG00x  contract hygiene: NOLINT justification discipline and
           bench-target coverage in run_benches.sh.
   CON00x  compile-time contract sync: src/sim/contract.h's poison list
           must stay a recognized subset of this tool's banned identifiers.
@@ -40,7 +37,6 @@ and fails if any rule under- or over-fires there.
 """
 
 import argparse
-import ast
 import json
 import os
 import re
@@ -143,17 +139,6 @@ findings on the same line forever — and (b) carry a justification after
 the check list, e.g. `// NOLINT(cert-err58-cpp): gtest registration
 object`. Matching NOLINTEND markers are exempt (the BEGIN carries the
 justification)."""),
-    "HYG002": (
-        "event schema drift or bad make_event arity",
-        """The telemetry wire format has one source of truth duplicated in
-three places by design (src/obs/events.h's EventKind enum,
-src/obs/events.cpp's kSchemas table, tools/trace_inspect.py's
-EVENT_SCHEMAS) plus N emit sites. This rule cross-checks all of them:
-enum entries must match kSchemas wire names in order, each kSchemas entry
-must declare num_fields equal to its field list, trace_inspect.py must
-carry the identical table, and every make_event(EventKind::kX, ...) call
-site must pass exactly the schema's field count. Update the three tables
-together and bump the manifest schema version on breaking change."""),
     "HYG003": (
         "bench target not covered by run_benches.sh",
         """Every bench target declared in bench/CMakeLists.txt must appear in
@@ -326,9 +311,10 @@ class SourceFile:
     """One lexed file.
 
     Three channels per line: `code` (comments stripped, string literals
-    intact — used for includes and table parsing), `scan` (additionally
-    blanks literal contents — used for the DET token scans so a string
-    mentioning rand() cannot fire), and `comments` (used by HYG001).
+    intact — used for includes and the contract poison list), `scan`
+    (additionally blanks literal contents — used for the DET token scans
+    so a string mentioning rand() cannot fire), and `comments` (used by
+    HYG001).
     """
 
     def __init__(self, root, relpath):
@@ -357,9 +343,6 @@ class SourceFile:
             m = re.match(r'\s*#\s*include\s*"([^"]+)"', line)
             if m:
                 yield lineno, m.group(1)
-
-    def code_joined(self):
-        return "\n".join(self.code)
 
 
 # ---------------------------------------------------------------------------
@@ -521,197 +504,6 @@ def scan_nolint(sf, findings):
 
 
 # ---------------------------------------------------------------------------
-# Event-schema sync (HYG002): events.h enum <-> events.cpp kSchemas <->
-# trace_inspect.py EVENT_SCHEMAS <-> make_event call sites.
-# ---------------------------------------------------------------------------
-
-def camel_to_wire(kind):
-    """kRunBegin -> run_begin."""
-    name = kind.lstrip("k")
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
-
-
-def parse_event_enum(sf):
-    """Returns the EventKind entry names (without kCount), in order."""
-    text = sf.code_joined()
-    m = re.search(r"enum\s+class\s+EventKind[^{]*\{(.*?)\}", text, re.S)
-    if not m:
-        return None
-    names = re.findall(r"\b(k[A-Z]\w*)\b", m.group(1))
-    return [n for n in names if n != "kCount"]
-
-
-def _split_top_level(text, sep=","):
-    """Splits text at top-level sep (outside (), {}, <> nesting)."""
-    parts, depth, cur = [], 0, []
-    for c in text:
-        if c in "({[":
-            depth += 1
-        elif c in ")}]":
-            depth -= 1
-        if c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
-def parse_cpp_schemas(sf):
-    """Parses kSchemas entries: [(wire_name, text_field, fields, declared_n)]."""
-    text = sf.code_joined()
-    m = re.search(r"kSchemas\s*=\s*\{\{(.*?)\}\};", text, re.S)
-    if not m:
-        return None
-    entries = []
-    body = m.group(1)
-    # Top-level {...} groups of the initializer list.
-    depth, start = 0, None
-    for i, c in enumerate(body):
-        if c == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0 and start is not None:
-                entry = body[start + 1:i]
-                parts = [p.strip() for p in _split_top_level(entry)]
-                if len(parts) < 3:
-                    continue
-                name = parts[0].strip('"')
-                text_field = (None if parts[1] == "nullptr"
-                              else parts[1].strip('"'))
-                fields = re.findall(r'"(\w+)"', parts[2])
-                declared = None
-                if len(parts) >= 4 and parts[3].strip().isdigit():
-                    declared = int(parts[3].strip())
-                elif parts[2].strip() == "{}":
-                    declared = None
-                entries.append((name, text_field, fields, declared))
-                start = None
-    return entries
-
-
-def parse_py_schemas(root, relpath):
-    """Returns trace_inspect.py's EVENT_SCHEMAS dict, or None."""
-    path = os.path.join(root, relpath)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if getattr(target, "id", None) == "EVENT_SCHEMAS":
-                    try:
-                        return ast.literal_eval(node.value)
-                    except ValueError:
-                        return None
-    return None
-
-
-MAKE_EVENT_RE = re.compile(r"\bmake_event\s*\(")
-
-
-def scan_make_event_sites(sf, field_counts, findings):
-    """Checks every make_event(EventKind::kX, ...) site's value arity."""
-    # The scan channel: commas inside string-literal arguments must not
-    # perturb the top-level argument split.
-    text = "\n".join(sf.scan)
-    for m in MAKE_EVENT_RE.finditer(text):
-        # Extract the balanced argument list.
-        depth, j = 0, m.end() - 1
-        while j < len(text):
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        args = _split_top_level(text[m.end():j])
-        km = re.search(r"EventKind\s*::\s*(k\w+)", args[0] if args else "")
-        if not km:
-            continue  # the template definition itself, or a forwarded kind
-        wire = camel_to_wire(km.group(1))
-        if wire not in field_counts:
-            lineno = text.count("\n", 0, m.start()) + 1
-            findings.append(Finding(
-                "HYG002", sf.relpath, lineno,
-                f"make_event uses unknown kind {km.group(1)}"))
-            continue
-        num_values = len(args) - 3  # (kind, round, text, values...)
-        expected = field_counts[wire]
-        if num_values != expected:
-            lineno = text.count("\n", 0, m.start()) + 1
-            findings.append(Finding(
-                "HYG002", sf.relpath, lineno,
-                f"make_event({km.group(1)}, ...) passes {num_values} "
-                f"values; schema '{wire}' declares {expected} fields"))
-
-
-def scan_event_schemas(root, files_by_path, findings):
-    events_h = files_by_path.get("src/obs/events.h")
-    events_cpp = files_by_path.get("src/obs/events.cpp")
-    if events_h is None or events_cpp is None:
-        return  # not an error: fixture repos may omit the obs layer
-    enum_names = parse_event_enum(events_h)
-    schemas = parse_cpp_schemas(events_cpp)
-    if enum_names is None:
-        findings.append(Finding("HYG002", events_h.relpath, 1,
-                                "could not parse enum EventKind"))
-        return
-    if schemas is None:
-        findings.append(Finding("HYG002", events_cpp.relpath, 1,
-                                "could not parse kSchemas table"))
-        return
-    wire_from_enum = [camel_to_wire(n) for n in enum_names]
-    wire_from_cpp = [s[0] for s in schemas]
-    if wire_from_enum != wire_from_cpp:
-        findings.append(Finding(
-            "HYG002", events_cpp.relpath, 1,
-            f"kSchemas wire names {wire_from_cpp} do not match EventKind "
-            f"entries {wire_from_enum}"))
-    for name, _text_field, fields, declared in schemas:
-        if declared is not None and declared != len(fields):
-            findings.append(Finding(
-                "HYG002", events_cpp.relpath, 1,
-                f"schema '{name}' declares num_fields={declared} but lists "
-                f"{len(fields)} field names"))
-    py = parse_py_schemas(root, "tools/trace_inspect.py")
-    if py is not None:
-        cpp_table = {s[0]: (s[2], s[1]) for s in schemas}
-        for name, (fields, text_field) in cpp_table.items():
-            if name not in py:
-                findings.append(Finding(
-                    "HYG002", "tools/trace_inspect.py", 1,
-                    f"EVENT_SCHEMAS is missing kind '{name}'"))
-            elif (list(py[name][0]), py[name][1]) != (fields, text_field):
-                findings.append(Finding(
-                    "HYG002", "tools/trace_inspect.py", 1,
-                    f"EVENT_SCHEMAS['{name}'] = {py[name]} disagrees with "
-                    f"events.cpp ({fields}, {text_field!r})"))
-        for name in py:
-            if name not in cpp_table:
-                findings.append(Finding(
-                    "HYG002", "tools/trace_inspect.py", 1,
-                    f"EVENT_SCHEMAS has unknown kind '{name}'"))
-        if list(py.keys()) != [s[0] for s in schemas] and \
-                set(py.keys()) == set(cpp_table):
-            findings.append(Finding(
-                "HYG002", "tools/trace_inspect.py", 1,
-                "EVENT_SCHEMAS kind order differs from events.cpp (binary "
-                "records index kinds by position)"))
-    field_counts = {s[0]: len(s[2]) for s in schemas}
-    for sf in files_by_path.values():
-        if sf.relpath.startswith("src/") and sf.relpath != "src/obs/events.h":
-            scan_make_event_sites(sf, field_counts, findings)
-
-
-# ---------------------------------------------------------------------------
 # Bench coverage (HYG003): bench/CMakeLists.txt <-> run_benches.sh.
 # ---------------------------------------------------------------------------
 
@@ -851,7 +643,6 @@ def run_audit(root, layering_path, baseline_path, compile_commands):
         scan_determinism(sf, findings)
         scan_layering(sf, matrix, restricted, findings)
         scan_nolint(sf, findings)
-    scan_event_schemas(root, files_by_path, findings)
     scan_bench_coverage(root, findings)
     scan_contract_sync(files_by_path, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
@@ -884,8 +675,6 @@ SELF_TEST_EXPECTED = {
                "src/engine/lay001_engine.cpp": 1},
     "LAY002": {"src/core/lay002_restricted.cpp": 1},
     "HYG001": {"src/mis/hyg001_nolint.cpp": 2},
-    "HYG002": {"src/obs/events.cpp": 1, "tools/trace_inspect.py": 1,
-               "src/sim/emit_bad.cpp": 1},
     "HYG003": {"run_benches.sh": 2},
     "CON001": {"src/sim/contract.h": 1},
 }

@@ -174,9 +174,25 @@ class BenchGateMainTest(unittest.TestCase):
             bench_gate.main([])
 
 
-def manifest_line():
-    return json.dumps({"manifest": {"schema": "arbmis.obs.v1",
-                                    "tool": "t", "seed": 1}})
+# The event table test artifacts carry in their headers. It is test data,
+# not a copy of src/obs/events.h: the tool decodes whatever table an
+# artifact declares.
+EVENT_TABLE = [
+    {"name": "run_begin", "text": "algorithm", "fields": ["nodes", "edges"]},
+    {"name": "round", "text": None, "fields": ["halted", "messages"]},
+    {"name": "violation", "text": "what", "fields": []},
+]
+
+
+def header(table=EVENT_TABLE, **manifest):
+    doc = {"manifest": {"schema": "arbmis.obs.v2", **manifest}}
+    if table is not None:
+        doc["events"] = table
+    return doc
+
+
+def manifest_line(table=EVENT_TABLE):
+    return json.dumps(header(table, tool="t", seed=1))
 
 
 class EventsJsonlTest(unittest.TestCase):
@@ -223,6 +239,31 @@ class EventsJsonlTest(unittest.TestCase):
         with self.assertRaises(trace_inspect.FormatError):
             trace_inspect.parse_events_jsonl(text)
 
+    def test_header_without_event_table_is_rejected(self):
+        text = "\n".join([manifest_line(table=None),
+                          json.dumps({"ev": "round", "round": 1})])
+        with self.assertRaises(trace_inspect.FormatError):
+            trace_inspect.parse_events_jsonl(text)
+
+    def test_v1_header_is_rejected(self):
+        line = json.dumps({"manifest": {"schema": "arbmis.obs.v1"}})
+        with self.assertRaises(trace_inspect.FormatError):
+            trace_inspect.parse_events_jsonl(line)
+
+    def test_kind_the_cpp_lacks_validates_from_the_header(self):
+        # The tool keeps no mirror of the C++ table: a kind that exists
+        # only in the artifact's header decodes like any other.
+        table = EVENT_TABLE + [{"name": "warp_drive", "text": "pilot",
+                                "fields": ["parsecs"]}]
+        text = "\n".join([manifest_line(table),
+                          json.dumps({"ev": "warp_drive", "round": 2,
+                                      "parsecs": 12, "pilot": "han"})])
+        _, events = trace_inspect.parse_events_jsonl(text)
+        self.assertEqual(events[0]["parsecs"], 12)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_temp(tmp, "warp.jsonl", text)
+            self.assertEqual(trace_inspect.do_validate(path), 0)
+
 
 def varint(value):
     out = bytearray()
@@ -236,17 +277,17 @@ def varint(value):
             return bytes(out)
 
 
-def binary_stream(records):
+def binary_stream(records, table=EVENT_TABLE):
     blob = trace_inspect.BINARY_MAGIC + bytes([trace_inspect.BINARY_VERSION])
-    manifest = json.dumps({"manifest": {"schema": "arbmis.obs.v1"}}).encode()
-    blob += b"\x00" + varint(len(manifest)) + manifest
+    head = json.dumps(header(table)).encode()
+    blob += b"\x00" + varint(len(head)) + head
     for rec in records:
         blob += rec
     return blob
 
 
-def binary_event(kind, round_no, values=(), text=b""):
-    kind_byte = trace_inspect.KIND_NAMES.index(kind)
+def binary_event(kind, round_no, values=(), text=b"", table=EVENT_TABLE):
+    kind_byte = [row["name"] for row in table].index(kind)
     rec = b"\x01" + bytes([kind_byte]) + varint(round_no)
     rec += varint(len(values))
     for v in values:
@@ -288,6 +329,26 @@ class EventsBinaryTest(unittest.TestCase):
         bad = b"\x01" + bytes([250]) + varint(0) + varint(0) + varint(0)
         with self.assertRaises(trace_inspect.FormatError):
             trace_inspect.parse_events_binary(binary_stream([bad]))
+
+    def test_kind_byte_just_past_the_table_is_rejected(self):
+        bad = (b"\x01" + bytes([len(EVENT_TABLE)]) + varint(0) + varint(0)
+               + varint(0))
+        with self.assertRaises(trace_inspect.FormatError):
+            trace_inspect.parse_events_binary(binary_stream([bad]))
+
+    def test_header_without_event_table_is_rejected(self):
+        blob = binary_stream([binary_event("round", 1)], table=None)
+        with self.assertRaises(trace_inspect.FormatError):
+            trace_inspect.parse_events_binary(blob)
+
+    def test_kind_the_cpp_lacks_decodes_from_the_header(self):
+        table = EVENT_TABLE + [{"name": "warp_drive", "text": None,
+                                "fields": ["parsecs"]}]
+        blob = binary_stream([binary_event("warp_drive", 5, values=(12,),
+                                           table=table)], table=table)
+        _, events = trace_inspect.parse_events_binary(blob)
+        self.assertEqual(events, [{"ev": "warp_drive", "round": 5,
+                                   "parsecs": 12}])
 
     def test_too_many_values_is_rejected(self):
         # "violation" declares zero counter fields.
@@ -346,7 +407,7 @@ class DetectAndDiffTest(unittest.TestCase):
         # A metrics dump embeds a "manifest" key; detection must not
         # misroute it to the JSONL event parser.
         doc = {"schema": "arbmis.metrics.v1", "counters": {"c": 1},
-               "manifest": {"schema": "arbmis.obs.v1"}}
+               "manifest": {"schema": "arbmis.obs.v2"}}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_temp(tmp, "m.json", json.dumps(doc))
             kind, _ = trace_inspect.detect_and_parse(path)

@@ -4,8 +4,10 @@
 Handles every artifact the telemetry subsystem (src/obs, documented in
 docs/OBSERVABILITY.md) writes, auto-detected by content:
 
-  * event streams, JSONL   — first line {"manifest":{...}}, then events
-  * event streams, binary  — magic "ARBMISEV" + version 0x01
+  * event streams, JSONL   — header line {"manifest":{...},"events":[...]},
+                             then events
+  * event streams, binary  — magic "ARBMISEV" + version 0x01, header
+                             record, then events
   * Chrome traces          — {"traceEvents":[...]} from --trace=
   * metrics dumps          — {"schema":"arbmis.metrics.v1"} from --metrics=
 
@@ -15,9 +17,9 @@ Usage:
     python3 tools/trace_inspect.py --summary  out.bin
     python3 tools/trace_inspect.py --diff a.jsonl b.jsonl
 
---validate exits 0 iff the artifact is well-formed against the embedded
-event schema (EVENT_SCHEMAS below mirrors kSchemas in src/obs/events.cpp;
-update the two together and bump the schema version on breaking change).
+--validate exits 0 iff the artifact is well-formed against the event
+table its own header carries (written from ARBMIS_OBS_EVENT_TABLE in
+src/obs/events.h), so this tool keeps no copy of the schema.
 --diff compares two event streams for semantic equality: manifests are
 excluded (they legitimately differ in threads/git_sha), event
 records must match exactly and in order — the offline version of the
@@ -30,60 +32,49 @@ import argparse
 import json
 import sys
 
-SCHEMA_VERSION = "arbmis.obs.v1"
+SCHEMA_VERSION = "arbmis.obs.v2"
 METRICS_SCHEMA_VERSION = "arbmis.metrics.v1"
 BINARY_MAGIC = b"ARBMISEV"
 BINARY_VERSION = 1
-
-# Mirrors kSchemas in src/obs/events.cpp: kind -> (fields, text_field).
-EVENT_SCHEMAS = {
-    "run_begin": (["nodes", "edges", "seed", "max_rounds",
-                   "enforce_congest"], "algorithm"),
-    "round": (["halted", "messages", "payload_bits", "in_flight",
-               "rng_draws", "max_message_bits", "k_prev"], None),
-    "run_end": (["rounds", "messages", "payload_bits", "max_edge_load",
-                 "all_halted", "rng_draws"], None),
-    "model_check": (["k", "max_message_bits", "max_edge_bits",
-                     "max_rng_reads", "violations", "edge_bit_budget"],
-                    None),
-    "violation": ([], "what"),
-    "fault_round": (["drops", "duplicates", "crashes", "recoveries"], None),
-    "fault_crash": (["node", "recover_at"], None),
-    "fault_recovery": (["node"], None),
-    "phase": (["index", "set_size", "rounds", "messages"], "name"),
-    "scale": (["scale", "joined", "covered", "bad", "active_after"], None),
-    "shatter": (["set_size", "components", "largest", "vlo", "vhi"], None),
-    "attempt": (["attempt", "residual", "committed", "covered", "faulty",
-                 "rounds"], None),
-    "certified": (["certified", "attempts", "rounds_to_recovery"], None),
-    "log": (["level"], "message"),
-    "lane_merge": (["lane", "sends", "messages", "halts"], None),
-    "request_begin": (["request", "graph"], "op"),
-    "request_end": (["request", "status", "payload_bytes"], None),
-    "cache_hit": (["graph", "seed", "key_hash"], None),
-    "cache_miss": (["graph", "seed", "key_hash"], None),
-    "repair_begin": (["graph", "epoch", "residual", "full_recompute"], None),
-    "repair_certified": (["graph", "epoch", "certified", "committed",
-                          "rounds"], None),
-    "span_begin": (["span", "parent", "ref"], "name"),
-    "span_end": (["span"], None),
-    "recorder_dump": (["buffered_events", "buffered_bytes",
-                       "evicted_events", "evicted_bytes"], "reason"),
-}
-# Binary event records carry the kind as a byte in EventKind order.
-KIND_NAMES = list(EVENT_SCHEMAS.keys())
 
 
 class FormatError(Exception):
     pass
 
 
-def check_event(obj, where):
-    """Validates one decoded JSONL event object against the schema."""
+def check_header(obj, where):
+    """Validates an artifact header {"manifest":{...},"events":[...]}.
+
+    Returns (manifest, kinds): kinds is the header's event table in
+    kind-byte order, as (name, fields, text_field) triples.
+    """
+    manifest = obj.get("manifest")
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{where}: 'manifest' is not an object")
+    if manifest.get("schema") != SCHEMA_VERSION:
+        raise FormatError(f"{where}: schema {manifest.get('schema')!r}, "
+                          f"expected {SCHEMA_VERSION!r}")
+    table = obj.get("events")
+    if not isinstance(table, list):
+        raise FormatError(f"{where}: header carries no 'events' table")
+    kinds = [(row.get("name"), row.get("fields"), row.get("text"))
+             if isinstance(row, dict) else (None, None, None)
+             for row in table]
+    for i, (name, fields, text) in enumerate(kinds):
+        if not (isinstance(name, str) and isinstance(fields, list)
+                and all(isinstance(f, str) for f in fields)
+                and (text is None or isinstance(text, str))):
+            raise FormatError(f"{where}: malformed events[{i}]")
+    return manifest, kinds
+
+
+def check_event(obj, where, schemas):
+    """Validates one decoded JSONL event object; `schemas` maps each kind
+    of the header table to its (fields, text_field)."""
     kind = obj.get("ev")
-    if kind not in EVENT_SCHEMAS:
+    if kind not in schemas:
         raise FormatError(f"{where}: unknown event kind {kind!r}")
-    fields, text_field = EVENT_SCHEMAS[kind]
+    fields, text_field = schemas[kind]
     if not isinstance(obj.get("round"), int):
         raise FormatError(f"{where}: missing/non-integer 'round'")
     allowed = {"ev", "round"} | set(fields)
@@ -97,17 +88,6 @@ def check_event(obj, where):
             raise FormatError(f"{where}: field {key!r} is not an integer")
         if key == text_field and not isinstance(value, str):
             raise FormatError(f"{where}: text field {key!r} is not a string")
-    return kind
-
-
-def check_manifest(obj, where):
-    manifest = obj.get("manifest")
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{where}: 'manifest' is not an object")
-    if manifest.get("schema") != SCHEMA_VERSION:
-        raise FormatError(f"{where}: schema {manifest.get('schema')!r}, "
-                          f"expected {SCHEMA_VERSION!r}")
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +97,7 @@ def check_manifest(obj, where):
 
 def parse_events_jsonl(text):
     """Returns (manifests, events) or raises FormatError."""
-    manifests, events = [], []
+    manifests, events, schemas = [], [], None
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty file")
@@ -128,14 +108,16 @@ def parse_events_jsonl(text):
         except json.JSONDecodeError as err:
             raise FormatError(f"{where}: not JSON: {err}") from err
         if "manifest" in obj:
-            manifests.append(check_manifest(obj, where))
+            manifest, kinds = check_header(obj, where)
+            manifests.append(manifest)
+            schemas = {name: (fields, text) for name, fields, text in kinds}
         elif "ev" in obj:
-            check_event(obj, where)
+            if schemas is None:
+                raise FormatError("first line is not the header")
+            check_event(obj, where, schemas)
             events.append(obj)
         else:
-            raise FormatError(f"{where}: neither a manifest nor an event")
-    if not manifests or "manifest" not in json.loads(lines[0]):
-        raise FormatError("first line is not the manifest header")
+            raise FormatError(f"{where}: neither a header nor an event")
     return manifests, events
 
 
@@ -162,7 +144,7 @@ def parse_events_binary(buf):
     if version != BINARY_VERSION:
         raise FormatError(f"unknown binary version {version}")
     pos = len(BINARY_MAGIC) + 1
-    manifests, events = [], []
+    manifests, events, kinds = [], [], None
     while pos < len(buf):
         where = f"offset {pos}"
         record_type = buf[pos]
@@ -171,25 +153,27 @@ def parse_events_binary(buf):
             length, pos = read_varint(buf, pos)
             blob = buf[pos:pos + length]
             if len(blob) != length:
-                raise FormatError(f"{where}: truncated manifest")
+                raise FormatError(f"{where}: truncated header")
             pos += length
             try:
                 obj = json.loads(blob.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError) as err:
-                raise FormatError(f"{where}: bad manifest JSON: {err}") \
+                raise FormatError(f"{where}: bad header JSON: {err}") \
                     from err
-            manifests.append(check_manifest(obj, where))
+            manifest, kinds = check_header(obj, where)
+            manifests.append(manifest)
         elif record_type == 0x01:
+            if kinds is None:
+                raise FormatError(f"{where}: event before the header")
             if pos >= len(buf):
                 raise FormatError(f"{where}: truncated event")
             kind_byte = buf[pos]
             pos += 1
-            if kind_byte >= len(KIND_NAMES):
+            if kind_byte >= len(kinds):
                 raise FormatError(f"{where}: unknown kind byte {kind_byte}")
-            kind = KIND_NAMES[kind_byte]
+            kind, fields, text_field = kinds[kind_byte]
             round_no, pos = read_varint(buf, pos)
             num_values, pos = read_varint(buf, pos)
-            fields, text_field = EVENT_SCHEMAS[kind]
             if num_values > len(fields):
                 raise FormatError(f"{where}: {kind}: {num_values} values, "
                                   f"schema has {len(fields)}")
@@ -209,7 +193,7 @@ def parse_events_binary(buf):
         else:
             raise FormatError(f"{where}: unknown record type {record_type}")
     if not manifests:
-        raise FormatError("no manifest record")
+        raise FormatError("no header record")
     return manifests, events
 
 
@@ -264,13 +248,13 @@ def detect_and_parse(path):
         head = None
     # Order matters: a metrics dump also embeds a "manifest" key, so the
     # single-document formats are ruled out before the JSONL event format
-    # (whose manifest header is exactly {"manifest":{...}}).
+    # (whose header line is {"manifest":{...},"events":[...]}).
     if isinstance(head, dict):
         if head.get("schema") == METRICS_SCHEMA_VERSION:
             return "metrics", parse_metrics(json.loads(text))
         if "traceEvents" in head:
             return "trace", parse_chrome_trace(json.loads(text))
-        if "ev" in head or set(head) == {"manifest"}:
+        if "ev" in head or "manifest" in head:
             return "events", parse_events_jsonl(text)
     doc = json.loads(text)
     if "traceEvents" in doc:
