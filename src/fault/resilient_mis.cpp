@@ -2,6 +2,7 @@
 
 #include "core/bounded_arb.h"
 #include "core/params.h"
+#include "graph/subgraph.h"
 #include "mis/distributed_verify.h"
 #include "mis/luby.h"
 #include "obs/recorder.h"
@@ -9,37 +10,6 @@
 #include "obs/span.h"
 
 namespace arbmis::fault {
-
-namespace {
-
-/// Induced subgraph of the kept nodes, with the residual → input id map.
-struct Residual {
-  graph::Graph graph;
-  std::vector<graph::NodeId> to_input;
-};
-
-Residual induced_subgraph(graph::GraphView g,
-                          const std::vector<std::uint8_t>& keep) {
-  const graph::NodeId n = g.num_nodes();
-  Residual res;
-  std::vector<graph::NodeId> to_sub(n, 0);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (keep[v] == 0) continue;
-    to_sub[v] = static_cast<graph::NodeId>(res.to_input.size());
-    res.to_input.push_back(v);
-  }
-  graph::Builder builder(static_cast<graph::NodeId>(res.to_input.size()));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (keep[v] == 0) continue;
-    for (graph::NodeId w : g.neighbors(v)) {
-      if (w > v && keep[w] != 0) builder.add_edge(to_sub[v], to_sub[w]);
-    }
-  }
-  res.graph = builder.build();
-  return res;
-}
-
-}  // namespace
 
 MisDriver shatter_driver(graph::NodeId alpha, core::PracticalTuning tuning) {
   return [alpha, tuning](graph::GraphView g, sim::Network& net,
@@ -103,7 +73,7 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
 
   for (std::uint32_t attempt = 0;
        attempt < options.max_attempts && undecided_count > 0; ++attempt) {
-    const Residual res = induced_subgraph(g, undecided);
+    const graph::Subgraph res = graph::induced_subgraph(g, undecided);
     const std::uint64_t attempt_seed = seed_tree.child(attempt).next();
     const bool faulty = attempt < options.fault_free_after;
 
@@ -135,7 +105,7 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
       if (labels[s] != mis::MisState::kInMis || check.local_ok[s] == 0) {
         continue;
       }
-      const graph::NodeId v = res.to_input[s];
+      const graph::NodeId v = res.to_original[s];
       result.state[v] = mis::MisState::kInMis;
       undecided[v] = 0;
       --undecided_count;
@@ -144,7 +114,7 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
     // Coverage is recomputed from the committed members, never taken from
     // the faulty run's labels.
     for (graph::NodeId s = 0; s < res.graph.num_nodes(); ++s) {
-      const graph::NodeId v = res.to_input[s];
+      const graph::NodeId v = res.to_original[s];
       if (result.state[v] != mis::MisState::kInMis) continue;
       for (graph::NodeId w : g.neighbors(v)) {
         if (undecided[w] != 0) {

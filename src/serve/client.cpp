@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 namespace arbmis::serve {
 
@@ -17,18 +16,6 @@ namespace {
 void throw_errno(const std::string& what) {
   throw std::runtime_error("serve client: " + what + ": " +
                            std::strerror(errno));
-}
-
-/// Re-throws a kError reply as ServeError; returns the frame otherwise.
-const Frame& check_reply(const Frame& reply, MsgType expected) {
-  if (reply.type == MsgType::kError) {
-    const auto err = parse_payload<ErrorReply>(reply);
-    throw ServeError(static_cast<ErrorCode>(err.code), err.message);
-  }
-  if (reply.type != expected) {
-    throw ProtocolError("unexpected reply type");
-  }
-  return reply;
 }
 
 }  // namespace
@@ -58,34 +45,9 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Frame Client::read_frame() {
-  Frame reply;
-  std::uint8_t buf[1 << 16];
-  while (!reader_.next(reply)) {
-    const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      throw std::runtime_error("serve client: connection closed by server");
-    }
-    reader_.feed(buf, static_cast<std::size_t>(n));
-  }
-  return reply;
-}
-
 Frame Client::call(Frame request) {
   request.request_id = next_request_id_++;
-  const std::vector<std::uint8_t> bytes = encode_frame(request);
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return read_frame();
+  return roundtrip_raw(encode_frame(request));
 }
 
 Frame Client::roundtrip_raw(const std::vector<std::uint8_t>& bytes) {
@@ -99,91 +61,17 @@ Frame Client::roundtrip_raw(const std::vector<std::uint8_t>& bytes) {
     }
     sent += static_cast<std::size_t>(n);
   }
-  return read_frame();
-}
-
-LoadGraphReply Client::load_inline(std::uint64_t graph_id,
-                                   graph::NodeId num_nodes,
-                                   std::vector<graph::Edge> edges) {
-  LoadGraphRequest m;
-  m.graph_id = graph_id;
-  m.num_nodes = num_nodes;
-  m.edges = std::move(edges);
-  const Frame reply = call(make_frame(MsgType::kLoadGraph, 0, m));
-  return parse_payload<LoadGraphReply>(
-      check_reply(reply, MsgType::kReplyLoadGraph));
-}
-
-LoadGraphReply Client::load_path(std::uint64_t graph_id,
-                                 const std::string& path) {
-  LoadGraphRequest m;
-  m.graph_id = graph_id;
-  m.from_path = true;
-  m.path = path;
-  const Frame reply = call(make_frame(MsgType::kLoadGraph, 0, m));
-  return parse_payload<LoadGraphReply>(
-      check_reply(reply, MsgType::kReplyLoadGraph));
-}
-
-ComputeMisReply Client::compute(std::uint64_t graph_id,
-                                const ComputeParams& params) {
-  const ComputeMisRequest m{graph_id, params};
-  const Frame reply = call(make_frame(MsgType::kComputeMis, 0, m));
-  return parse_payload<ComputeMisReply>(
-      check_reply(reply, MsgType::kReplyComputeMis));
-}
-
-QueryReply Client::query(std::uint64_t graph_id, const ComputeParams& params,
-                         std::vector<graph::NodeId> nodes) {
-  QueryRequest m;
-  m.graph_id = graph_id;
-  m.params = params;
-  m.nodes = std::move(nodes);
-  const Frame reply = call(make_frame(MsgType::kQuery, 0, m));
-  return parse_payload<QueryReply>(check_reply(reply, MsgType::kReplyQuery));
-}
-
-UpdateEdgesReply Client::update(std::uint64_t graph_id,
-                                const ComputeParams& params,
-                                std::vector<EdgeUpdate> ops) {
-  UpdateEdgesRequest m;
-  m.graph_id = graph_id;
-  m.params = params;
-  m.ops = std::move(ops);
-  const Frame reply = call(make_frame(MsgType::kUpdateEdges, 0, m));
-  return parse_payload<UpdateEdgesReply>(
-      check_reply(reply, MsgType::kReplyUpdateEdges));
-}
-
-VerifyReply Client::verify(std::uint64_t graph_id,
-                           const ComputeParams& params) {
-  const VerifyRequest m{graph_id, params};
-  const Frame reply = call(make_frame(MsgType::kVerify, 0, m));
-  return parse_payload<VerifyReply>(
-      check_reply(reply, MsgType::kReplyVerify));
-}
-
-StatsReply Client::stats() {
-  Frame request;
-  request.type = MsgType::kStats;
-  const Frame reply = call(std::move(request));
-  return parse_payload<StatsReply>(
-      check_reply(reply, MsgType::kReplyStats));
-}
-
-MetricsReply Client::metrics() {
-  const MetricsRequest m;
-  const Frame reply = call(make_frame(MsgType::kMetrics, 0, m));
-  return parse_payload<MetricsReply>(
-      check_reply(reply, MsgType::kReplyMetrics));
-}
-
-DumpRecorderReply Client::dump_recorder(bool clear_after) {
-  DumpRecorderRequest m;
-  m.clear_after = clear_after ? 1 : 0;
-  const Frame reply = call(make_frame(MsgType::kDumpRecorder, 0, m));
-  return parse_payload<DumpRecorderReply>(
-      check_reply(reply, MsgType::kReplyDumpRecorder));
+  Frame reply;
+  std::uint8_t buf[1 << 16];
+  while (!reader_.next(reply)) {
+    const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      throw std::runtime_error("serve client: connection closed by server");
+    }
+    reader_.feed(buf, static_cast<std::size_t>(n));
+  }
+  return reply;
 }
 
 }  // namespace arbmis::serve

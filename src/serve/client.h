@@ -1,14 +1,17 @@
 // Blocking TCP client for the serving protocol (docs/SERVING.md).
 //
 // One connection, synchronous call/response; request ids auto-increment
-// per client. Typed helpers parse the reply payload and throw ServeError
-// when the server answered with a kError frame, ProtocolError on malformed
-// reply bytes, and std::runtime_error on transport failures. Used by
-// tools/mis_loadgen, bench/bench_serve, and the protocol tests.
+// per client. The typed call(request) is serve::roundtrip over this
+// socket: it returns the request's reply struct and throws ServeError
+// when the server answered with a kError frame, ProtocolError on
+// malformed reply bytes, and std::runtime_error on transport failures.
+// Used by tools/mis_loadgen, tools/mis_scrape, bench/bench_serve, and the
+// protocol tests.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -27,26 +30,21 @@ class Client {
   /// returns the reply frame, whatever its type.
   Frame call(Frame request);
 
-  // Typed round trips (throw ServeError on kError replies).
-  LoadGraphReply load_inline(std::uint64_t graph_id, graph::NodeId num_nodes,
-                             std::vector<graph::Edge> edges);
-  LoadGraphReply load_path(std::uint64_t graph_id, const std::string& path);
-  ComputeMisReply compute(std::uint64_t graph_id, const ComputeParams& params);
-  QueryReply query(std::uint64_t graph_id, const ComputeParams& params,
-                   std::vector<graph::NodeId> nodes);
-  UpdateEdgesReply update(std::uint64_t graph_id, const ComputeParams& params,
-                          std::vector<EdgeUpdate> ops);
-  VerifyReply verify(std::uint64_t graph_id, const ComputeParams& params);
-  StatsReply stats();
-  MetricsReply metrics();
-  DumpRecorderReply dump_recorder(bool clear_after = false);
+  /// Typed round trip: the reply struct of `request`'s message kind.
+  template <RequestMessage Request>
+  ReplyOf<Request> call(const Request& request) {
+    return roundtrip([this](Frame f) { return call(std::move(f)); },
+                     request);
+  }
+  StatsReply stats() { return call(StatsRequest{}); }
+  DumpRecorderReply dump_recorder(bool clear_after = false) {
+    return call(DumpRecorderRequest{clear_after});
+  }
 
   /// Sends raw bytes as-is (malformed-frame tests) and reads one reply.
   Frame roundtrip_raw(const std::vector<std::uint8_t>& bytes);
 
  private:
-  Frame read_frame();
-
   int fd_ = -1;
   std::uint64_t next_request_id_ = 1;
   FrameReader reader_;

@@ -1,39 +1,16 @@
 #include "serve/protocol.h"
 
-#include <algorithm>
-
 namespace arbmis::serve {
 
 namespace {
 
-void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool known_type(std::uint16_t t) {
-  switch (static_cast<MsgType>(t)) {
-    case MsgType::kLoadGraph:
-    case MsgType::kComputeMis:
-    case MsgType::kQuery:
-    case MsgType::kUpdateEdges:
-    case MsgType::kVerify:
-    case MsgType::kStats:
-    case MsgType::kMetrics:
-    case MsgType::kDumpRecorder:
-    case MsgType::kReplyLoadGraph:
-    case MsgType::kReplyComputeMis:
-    case MsgType::kReplyQuery:
-    case MsgType::kReplyUpdateEdges:
-    case MsgType::kReplyVerify:
-    case MsgType::kReplyStats:
-    case MsgType::kReplyMetrics:
-    case MsgType::kReplyDumpRecorder:
-    case MsgType::kError:
-      return true;
-  }
-  return false;
+/// True for every MsgType value: each request, its reply, and kError.
+constexpr bool is_table_type(std::uint16_t type) noexcept {
+#define ARBMIS_SERVE_KNOWN(name, type_byte, wire, Request, Reply) \
+  if (type == (type_byte) || type == (type_byte) + 128) return true;
+  ARBMIS_SERVE_MESSAGES(ARBMIS_SERVE_KNOWN)
+#undef ARBMIS_SERVE_KNOWN
+  return type == static_cast<std::uint16_t>(MsgType::kError);
 }
 
 }  // namespace
@@ -44,11 +21,9 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   }
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
-  put_le(out, kMagic, 4);
-  put_le(out, kProtocolVersion, 2);
-  put_le(out, static_cast<std::uint16_t>(frame.type), 2);
-  put_le(out, frame.request_id, 8);
-  put_le(out, frame.payload.size(), 4);
+  PayloadWriter header(out);
+  header(kMagic, kProtocolVersion, static_cast<std::uint16_t>(frame.type),
+         frame.request_id, static_cast<std::uint32_t>(frame.payload.size()));
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
 }
@@ -75,7 +50,7 @@ bool FrameReader::next(Frame& out) {
     throw ProtocolError("unsupported protocol version");
   }
   if (buffer_.size() >= 8 &&
-      !known_type(static_cast<std::uint16_t>(le(6, 2)))) {
+      !is_table_type(static_cast<std::uint16_t>(le(6, 2)))) {
     throw ProtocolError("unknown message type");
   }
   if (buffer_.size() < kFrameHeaderBytes) return false;
@@ -97,54 +72,30 @@ bool FrameReader::next(Frame& out) {
   return true;
 }
 
-void PayloadWriter::u8(std::uint8_t v) { put_le(out_, v, 1); }
-void PayloadWriter::u16(std::uint16_t v) { put_le(out_, v, 2); }
-void PayloadWriter::u32(std::uint32_t v) { put_le(out_, v, 4); }
-void PayloadWriter::u64(std::uint64_t v) { put_le(out_, v, 8); }
+void PayloadWriter::put_le(std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
 
-void PayloadWriter::str(const std::string& s) {
+void PayloadWriter::put_bytes(const std::string& s) {
   if (s.size() > kMaxPayloadBytes) throw ProtocolError("string too long");
-  u32(static_cast<std::uint32_t>(s.size()));
+  put_le(s.size(), 4);
   out_.insert(out_.end(), s.begin(), s.end());
 }
 
-std::uint8_t PayloadReader::u8() {
-  if (remaining() < 1) throw ProtocolError("payload truncated");
-  return data_[pos_++];
-}
-
-std::uint16_t PayloadReader::u16() {
-  if (remaining() < 2) throw ProtocolError("payload truncated");
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v = static_cast<std::uint16_t>(v | (data_[pos_ + i] << (8 * i)));
-  }
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t PayloadReader::u32() {
-  if (remaining() < 4) throw ProtocolError("payload truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t PayloadReader::u64() {
-  if (remaining() < 8) throw ProtocolError("payload truncated");
+std::uint64_t PayloadReader::le(std::size_t bytes) {
+  if (remaining() < bytes) throw ProtocolError("payload truncated");
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < bytes; ++i) {
     v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
   }
-  pos_ += 8;
+  pos_ += bytes;
   return v;
 }
 
-std::string PayloadReader::str() {
-  const std::uint32_t len = u32();
+std::string PayloadReader::get_bytes() {
+  const std::uint64_t len = le(4);
   if (remaining() < len) throw ProtocolError("payload truncated");
   std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
@@ -153,292 +104,6 @@ std::string PayloadReader::str() {
 
 void PayloadReader::finish() const {
   if (pos_ != size_) throw ProtocolError("trailing payload bytes");
-}
-
-// --- Message codecs -------------------------------------------------------
-
-void encode(PayloadWriter& w, const LoadGraphRequest& m) {
-  w.u64(m.graph_id);
-  w.u8(m.from_path ? 1 : 0);
-  if (m.from_path) {
-    w.str(m.path);
-  } else {
-    w.u32(m.num_nodes);
-    w.u64(m.edges.size());
-    for (const graph::Edge& e : m.edges) {
-      w.u32(e.u);
-      w.u32(e.v);
-    }
-  }
-}
-
-void decode(PayloadReader& r, LoadGraphRequest& m) {
-  m.graph_id = r.u64();
-  const std::uint8_t source = r.u8();
-  if (source > 1) throw ProtocolError("bad load source tag");
-  m.from_path = source == 1;
-  if (m.from_path) {
-    m.path = r.str();
-  } else {
-    m.num_nodes = r.u32();
-    const std::uint64_t count = r.u64();
-    if (count * 8 > r.remaining()) throw ProtocolError("payload truncated");
-    m.edges.resize(count);
-    for (graph::Edge& e : m.edges) {
-      e.u = r.u32();
-      e.v = r.u32();
-    }
-  }
-}
-
-void encode(PayloadWriter& w, const LoadGraphReply& m) {
-  w.u32(m.num_nodes);
-  w.u64(m.num_edges);
-  w.u64(m.content_hash);
-}
-
-void decode(PayloadReader& r, LoadGraphReply& m) {
-  m.num_nodes = r.u32();
-  m.num_edges = r.u64();
-  m.content_hash = r.u64();
-}
-
-namespace {
-
-void encode_params(PayloadWriter& w, const ComputeParams& p) {
-  w.u32(p.alpha);
-  w.u64(p.seed);
-}
-
-void decode_params(PayloadReader& r, ComputeParams& p) {
-  p.alpha = r.u32();
-  p.seed = r.u64();
-}
-
-}  // namespace
-
-void encode(PayloadWriter& w, const ComputeMisRequest& m) {
-  w.u64(m.graph_id);
-  encode_params(w, m.params);
-}
-
-void decode(PayloadReader& r, ComputeMisRequest& m) {
-  m.graph_id = r.u64();
-  decode_params(r, m.params);
-}
-
-void encode(PayloadWriter& w, const ComputeMisReply& m) {
-  w.u64(m.mis_size);
-  w.u64(m.labels_hash);
-  w.u64(m.content_hash);
-  w.u8(m.cache_hit);
-  w.u8(m.certified);
-  w.u32(m.attempts);
-  w.u64(m.rounds);
-}
-
-void decode(PayloadReader& r, ComputeMisReply& m) {
-  m.mis_size = r.u64();
-  m.labels_hash = r.u64();
-  m.content_hash = r.u64();
-  m.cache_hit = r.u8();
-  m.certified = r.u8();
-  m.attempts = r.u32();
-  m.rounds = r.u64();
-}
-
-void encode(PayloadWriter& w, const QueryRequest& m) {
-  w.u64(m.graph_id);
-  encode_params(w, m.params);
-  w.u64(m.nodes.size());
-  for (const graph::NodeId v : m.nodes) w.u32(v);
-}
-
-void decode(PayloadReader& r, QueryRequest& m) {
-  m.graph_id = r.u64();
-  decode_params(r, m.params);
-  const std::uint64_t count = r.u64();
-  if (count * 4 > r.remaining()) throw ProtocolError("payload truncated");
-  m.nodes.resize(count);
-  for (graph::NodeId& v : m.nodes) v = r.u32();
-}
-
-void encode(PayloadWriter& w, const QueryReply& m) {
-  w.u64(m.states.size());
-  for (const std::uint8_t s : m.states) w.u8(s);
-  w.u8(m.cache_hit);
-}
-
-void decode(PayloadReader& r, QueryReply& m) {
-  const std::uint64_t count = r.u64();
-  if (count > r.remaining()) throw ProtocolError("payload truncated");
-  m.states.resize(count);
-  for (std::uint8_t& s : m.states) s = r.u8();
-  m.cache_hit = r.u8();
-}
-
-void encode(PayloadWriter& w, const UpdateEdgesRequest& m) {
-  w.u64(m.graph_id);
-  encode_params(w, m.params);
-  w.u64(m.ops.size());
-  for (const EdgeUpdate& op : m.ops) {
-    w.u8(static_cast<std::uint8_t>(op.op));
-    w.u32(op.u);
-    w.u32(op.v);
-  }
-}
-
-void decode(PayloadReader& r, UpdateEdgesRequest& m) {
-  m.graph_id = r.u64();
-  decode_params(r, m.params);
-  const std::uint64_t count = r.u64();
-  if (count * 9 > r.remaining()) throw ProtocolError("payload truncated");
-  m.ops.resize(count);
-  for (EdgeUpdate& op : m.ops) {
-    const std::uint8_t tag = r.u8();
-    if (tag > static_cast<std::uint8_t>(UpdateOp::kDetachVertex)) {
-      throw ProtocolError("bad update op tag");
-    }
-    op.op = static_cast<UpdateOp>(tag);
-    op.u = r.u32();
-    op.v = r.u32();
-  }
-}
-
-void encode(PayloadWriter& w, const UpdateEdgesReply& m) {
-  w.u64(m.epoch);
-  w.u8(m.incremental);
-  w.u8(m.certified);
-  w.u32(m.residual);
-  w.u64(m.mis_size);
-  w.u64(m.labels_hash);
-  w.u64(m.content_hash);
-}
-
-void decode(PayloadReader& r, UpdateEdgesReply& m) {
-  m.epoch = r.u64();
-  m.incremental = r.u8();
-  m.certified = r.u8();
-  m.residual = r.u32();
-  m.mis_size = r.u64();
-  m.labels_hash = r.u64();
-  m.content_hash = r.u64();
-}
-
-void encode(PayloadWriter& w, const VerifyRequest& m) {
-  w.u64(m.graph_id);
-  encode_params(w, m.params);
-}
-
-void decode(PayloadReader& r, VerifyRequest& m) {
-  m.graph_id = r.u64();
-  decode_params(r, m.params);
-}
-
-void encode(PayloadWriter& w, const VerifyReply& m) {
-  w.u8(m.ok);
-  w.u64(m.mis_size);
-  w.u64(m.labels_hash);
-}
-
-void decode(PayloadReader& r, VerifyReply& m) {
-  m.ok = r.u8();
-  m.mis_size = r.u64();
-  m.labels_hash = r.u64();
-}
-
-void encode(PayloadWriter& w, const StatsReply& m) {
-  w.u32(14);  // field count — bump together with the struct and SERVING.md
-  w.u64(m.requests_total);
-  w.u64(m.errors);
-  w.u64(m.graphs_loaded);
-  w.u64(m.computes);
-  w.u64(m.cache_hits);
-  w.u64(m.cache_misses);
-  w.u64(m.queries);
-  w.u64(m.updates);
-  w.u64(m.update_ops);
-  w.u64(m.repairs_incremental);
-  w.u64(m.repairs_full);
-  w.u64(m.repairs_certified);
-  w.u64(m.verifies);
-  w.u64(m.cache_evictions);
-}
-
-void decode(PayloadReader& r, StatsReply& m) {
-  if (r.u32() != 14) throw ProtocolError("bad stats field count");
-  m.requests_total = r.u64();
-  m.errors = r.u64();
-  m.graphs_loaded = r.u64();
-  m.computes = r.u64();
-  m.cache_hits = r.u64();
-  m.cache_misses = r.u64();
-  m.queries = r.u64();
-  m.updates = r.u64();
-  m.update_ops = r.u64();
-  m.repairs_incremental = r.u64();
-  m.repairs_full = r.u64();
-  m.repairs_certified = r.u64();
-  m.verifies = r.u64();
-  m.cache_evictions = r.u64();
-}
-
-void encode(PayloadWriter& w, const MetricsRequest& m) {
-  w.u16(m.version);
-}
-
-void decode(PayloadReader& r, MetricsRequest& m) {
-  m.version = r.u16();
-  if (m.version != kMetricsPayloadVersion) {
-    throw ProtocolError("unsupported metrics payload version");
-  }
-}
-
-void encode(PayloadWriter& w, const MetricsReply& m) {
-  w.u16(m.version);
-  w.str(m.json);
-}
-
-void decode(PayloadReader& r, MetricsReply& m) {
-  m.version = r.u16();
-  if (m.version != kMetricsPayloadVersion) {
-    throw ProtocolError("unsupported metrics payload version");
-  }
-  m.json = r.str();
-}
-
-void encode(PayloadWriter& w, const DumpRecorderRequest& m) {
-  w.u8(m.clear_after);
-}
-
-void decode(PayloadReader& r, DumpRecorderRequest& m) {
-  m.clear_after = r.u8();
-  if (m.clear_after > 1) throw ProtocolError("bad clear_after flag");
-}
-
-void encode(PayloadWriter& w, const DumpRecorderReply& m) {
-  w.u8(m.recorder_attached);
-  w.u64(m.buffered_events);
-  w.u64(m.evicted_events);
-  w.str(m.artifact);
-}
-
-void decode(PayloadReader& r, DumpRecorderReply& m) {
-  m.recorder_attached = r.u8();
-  if (m.recorder_attached > 1) throw ProtocolError("bad recorder flag");
-  m.buffered_events = r.u64();
-  m.evicted_events = r.u64();
-  m.artifact = r.str();
-}
-
-void encode(PayloadWriter& w, const ErrorReply& m) {
-  w.u32(m.code);
-  w.str(m.message);
-}
-
-void decode(PayloadReader& r, ErrorReply& m) {
-  m.code = r.u32();
-  m.message = r.str();
 }
 
 }  // namespace arbmis::serve

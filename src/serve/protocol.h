@@ -9,6 +9,13 @@
 // trailing payload bytes are all rejected with ProtocolError — a malformed
 // frame can never be half-read.
 //
+// ARBMIS_SERVE_MESSAGES below is the one list of message kinds: it
+// generates MsgType, the frame reader's known-type check, message_name()
+// and the request → (type, reply) trait MessageTraits. Each payload struct
+// carries one field list, `fields(io, m)`, that PayloadWriter and
+// PayloadReader both run, so each wire layout and each strictness check is
+// written once.
+//
 // Determinism contract: encode/decode are pure byte-for-byte inverses with
 // no timestamps, process ids, or other ambient state in any frame, so a
 // reply is a deterministic function of the request sequence alone.
@@ -18,6 +25,7 @@
 #include <deque>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -30,32 +38,43 @@ inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Hard cap on one frame's payload; a header announcing more is malformed.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 28;
 
+// The message table. One row per request kind:
+//   X(Name, type byte, wire name, request struct, reply struct)
+// The reply's type byte is the request's + 128. The wire name names the
+// request's span, its request_begin event and its serve.req.<name>
+// registry counter. Rows 7/8 are the live-introspection surface, additive
+// at protocol version 1: old servers reject them as unknown types.
+#define ARBMIS_SERVE_MESSAGES(X)                                           \
+  X(LoadGraph, 1, "load_graph", LoadGraphRequest, LoadGraphReply)          \
+  X(ComputeMis, 2, "compute_mis", ComputeMisRequest, ComputeMisReply)      \
+  X(Query, 3, "query", QueryRequest, QueryReply)                           \
+  X(UpdateEdges, 4, "update_edges", UpdateEdgesRequest, UpdateEdgesReply)  \
+  X(Verify, 5, "verify", VerifyRequest, VerifyReply)                       \
+  X(Stats, 6, "stats", StatsRequest, StatsReply)                           \
+  X(Metrics, 7, "metrics", MetricsRequest, MetricsReply)                   \
+  X(DumpRecorder, 8, "dump_recorder", DumpRecorderRequest, DumpRecorderReply)
+
 enum class MsgType : std::uint16_t {
-  kLoadGraph = 1,
-  kComputeMis = 2,
-  kQuery = 3,
-  kUpdateEdges = 4,
-  kVerify = 5,
-  kStats = 6,
-  // Introspection (obs v2): live metrics and flight-recorder access.
-  // Additive at protocol version 1 — old clients never send them, old
-  // servers reject them as unknown types.
-  kMetrics = 7,
-  kDumpRecorder = 8,
-  kReplyLoadGraph = 129,
-  kReplyComputeMis = 130,
-  kReplyQuery = 131,
-  kReplyUpdateEdges = 132,
-  kReplyVerify = 133,
-  kReplyStats = 134,
-  kReplyMetrics = 135,
-  kReplyDumpRecorder = 136,
-  kError = 255,
+#define ARBMIS_SERVE_TYPE(name, type, wire, Request, Reply) \
+  k##name = (type), kReply##name = (type) + 128,
+  ARBMIS_SERVE_MESSAGES(ARBMIS_SERVE_TYPE)
+#undef ARBMIS_SERVE_TYPE
+  kError = 255,  ///< reply-only: the request failed (ErrorReply)
 };
 
 /// Reply type of a request type (request value + 128).
 constexpr MsgType reply_type(MsgType request) noexcept {
   return static_cast<MsgType>(static_cast<std::uint16_t>(request) + 128);
+}
+
+/// Wire name of a request type ("load_graph", ...); "unknown" for reply
+/// types and kError.
+constexpr const char* message_name(MsgType type) noexcept {
+#define ARBMIS_SERVE_NAME(name, type_byte, wire, Request, Reply) \
+  if (type == MsgType::k##name) return wire;
+  ARBMIS_SERVE_MESSAGES(ARBMIS_SERVE_NAME)
+#undef ARBMIS_SERVE_NAME
+  return "unknown";
 }
 
 /// Error codes carried by kError replies (and ServeError).
@@ -110,38 +129,135 @@ class FrameReader {
   std::deque<std::uint8_t> buffer_;
 };
 
-// --- Payload encode/decode helpers ---------------------------------------
+// --- Payload codec ----------------------------------------------------------
+//
+// A field list is a static member `fields(io, m)` that hands the struct's
+// fields, in wire order, to `io`:
+//   io(a, b, ...)              scalars (u8/u16/u32/u64), strings (u32
+//                              length + bytes), arrays (u64 count +
+//                              elements) and nested payload structs;
+//   io.tag(field, max)         a u8 on the wire in [0, max] (bool or enum);
+//   io.pinned(field, expected) a field whose only accepted value is
+//                              `expected` (a payload version, a count).
+// A list may branch on a field it has already handed over: by then the
+// reader has filled it in (LoadGraphRequest's source tag).
 
-/// Appends little-endian scalars and length-prefixed strings to a byte
-/// vector; the write-side half of the payload codec.
+/// Runs the field list of `m` on `io`. graph::Edge lives below serve, so
+/// its list ({u, v}) is kept here.
+template <typename Io, typename Message>
+void visit_fields(Io& io, Message& m) {
+  if constexpr (std::is_same_v<std::remove_const_t<Message>, graph::Edge>) {
+    io(m.u, m.v);
+  } else {
+    std::remove_const_t<Message>::fields(io, m);
+  }
+}
+
+/// The write-side visitor: appends each field little-endian.
 class PayloadWriter {
  public:
   explicit PayloadWriter(std::vector<std::uint8_t>& out) : out_(out) {}
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void str(const std::string& s);  ///< u32 length + raw bytes
+
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (put(fields), ...);
+  }
+  template <typename T>
+  void tag(const T& field, std::type_identity_t<T> /*max*/) {
+    put(static_cast<std::uint8_t>(field));
+  }
+  template <typename T>
+  void pinned(const T& field, std::type_identity_t<T> /*expected*/) {
+    put(field);
+  }
 
  private:
+  void put_le(std::uint64_t v, std::size_t bytes);
+  void put_bytes(const std::string& s);  ///< u32 length + raw bytes
+
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+      put_le(v, sizeof(T));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put_bytes(v);
+    } else if constexpr (requires { typename T::value_type; }) {
+      put_le(v.size(), 8);
+      for (const auto& e : v) put(e);
+    } else {
+      visit_fields(*this, v);
+    }
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
-/// Bounds-checked little-endian reads; throws ProtocolError on underflow.
-/// finish() additionally rejects trailing bytes, making decoders strict.
+/// The read-side visitor: bounds-checked little-endian reads that throw
+/// ProtocolError on underflow, a tag out of range, or a pinned mismatch.
+/// An array count is checked against the bytes left before the array is
+/// sized. finish() additionally rejects trailing bytes.
 class PayloadReader {
  public:
   explicit PayloadReader(const std::vector<std::uint8_t>& bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::string str();
+
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (get(fields), ...);
+  }
+  template <typename T>
+  void tag(T& field, std::type_identity_t<T> max) {
+    const auto v = static_cast<std::uint8_t>(le(1));
+    if (v > static_cast<std::uint8_t>(max)) {
+      throw ProtocolError("flag or tag byte out of range");
+    }
+    field = static_cast<T>(v);
+  }
+  template <typename T>
+  void pinned(T& field, std::type_identity_t<T> expected) {
+    get(field);
+    if (field != expected) {
+      throw ProtocolError("unsupported payload version or field count");
+    }
+  }
+
   std::size_t remaining() const noexcept { return size_ - pos_; }
   void finish() const;
 
  private:
+  std::uint64_t le(std::size_t bytes);
+  std::string get_bytes();  ///< u32 length + raw bytes
+
+  /// Wire size of an array element. Elements have a fixed size: that of
+  /// a default one.
+  template <typename Element>
+  static std::size_t fixed_size() {
+    std::vector<std::uint8_t> bytes;
+    PayloadWriter w(bytes);
+    w(Element{});
+    return bytes.size();
+  }
+
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+      v = static_cast<T>(le(sizeof(T)));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = get_bytes();
+    } else if constexpr (requires { typename T::value_type; }) {
+      static const std::size_t element_bytes =
+          fixed_size<typename T::value_type>();
+      const std::uint64_t count = le(8);
+      if (count > remaining() / element_bytes) {
+        throw ProtocolError("payload truncated");
+      }
+      v.resize(count);
+      for (auto& e : v) get(e);
+    } else {
+      visit_fields(*this, v);
+    }
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -155,6 +271,7 @@ struct ComputeParams {
   std::uint32_t alpha = 2;   ///< arboricity bound fed to shatter_driver
   std::uint64_t seed = 1;    ///< pipeline seed
   friend bool operator==(const ComputeParams&, const ComputeParams&) = default;
+  static void fields(auto& io, auto& m) { io(m.alpha, m.seed); }
 };
 
 /// One dynamic-graph update op. Vertex ops ignore `v`; kAddVertex also
@@ -170,6 +287,10 @@ struct EdgeUpdate {
   UpdateOp op = UpdateOp::kInsertEdge;
   graph::NodeId u = 0;
   graph::NodeId v = 0;
+  static void fields(auto& io, auto& m) {
+    io.tag(m.op, UpdateOp::kDetachVertex);
+    io(m.u, m.v);
+  }
 };
 
 struct LoadGraphRequest {
@@ -178,17 +299,30 @@ struct LoadGraphRequest {
   std::string path;                     ///< when from_path
   graph::NodeId num_nodes = 0;          ///< when inline
   std::vector<graph::Edge> edges;       ///< when inline
+  static void fields(auto& io, auto& m) {
+    io(m.graph_id);
+    io.tag(m.from_path, true);
+    if (m.from_path) {
+      io(m.path);
+    } else {
+      io(m.num_nodes, m.edges);
+    }
+  }
 };
 
 struct LoadGraphReply {
   graph::NodeId num_nodes = 0;
   std::uint64_t num_edges = 0;
   std::uint64_t content_hash = 0;
+  static void fields(auto& io, auto& m) {
+    io(m.num_nodes, m.num_edges, m.content_hash);
+  }
 };
 
 struct ComputeMisRequest {
   std::uint64_t graph_id = 0;
   ComputeParams params;
+  static void fields(auto& io, auto& m) { io(m.graph_id, m.params); }
 };
 
 struct ComputeMisReply {
@@ -199,23 +333,30 @@ struct ComputeMisReply {
   std::uint8_t certified = 0;
   std::uint32_t attempts = 0;
   std::uint64_t rounds = 0;
+  static void fields(auto& io, auto& m) {
+    io(m.mis_size, m.labels_hash, m.content_hash, m.cache_hit, m.certified,
+       m.attempts, m.rounds);
+  }
 };
 
 struct QueryRequest {
   std::uint64_t graph_id = 0;
   ComputeParams params;
   std::vector<graph::NodeId> nodes;
+  static void fields(auto& io, auto& m) { io(m.graph_id, m.params, m.nodes); }
 };
 
 struct QueryReply {
   std::vector<std::uint8_t> states;  ///< mis::MisState per queried node
   std::uint8_t cache_hit = 0;
+  static void fields(auto& io, auto& m) { io(m.states, m.cache_hit); }
 };
 
 struct UpdateEdgesRequest {
   std::uint64_t graph_id = 0;
   ComputeParams params;
   std::vector<EdgeUpdate> ops;
+  static void fields(auto& io, auto& m) { io(m.graph_id, m.params, m.ops); }
 };
 
 struct UpdateEdgesReply {
@@ -226,20 +367,33 @@ struct UpdateEdgesReply {
   std::uint64_t mis_size = 0;
   std::uint64_t labels_hash = 0;
   std::uint64_t content_hash = 0;
+  static void fields(auto& io, auto& m) {
+    io(m.epoch, m.incremental, m.certified, m.residual, m.mis_size,
+       m.labels_hash, m.content_hash);
+  }
 };
 
 struct VerifyRequest {
   std::uint64_t graph_id = 0;
   ComputeParams params;
+  static void fields(auto& io, auto& m) { io(m.graph_id, m.params); }
 };
 
 struct VerifyReply {
   std::uint8_t ok = 0;
   std::uint64_t mis_size = 0;
   std::uint64_t labels_hash = 0;
+  static void fields(auto& io, auto& m) {
+    io(m.ok, m.mis_size, m.labels_hash);
+  }
 };
 
-/// Service counters, encoded as a fixed-order field list (docs/SERVING.md).
+/// STATS carries an empty payload.
+struct StatsRequest {
+  static void fields(auto& /*io*/, auto& /*m*/) {}
+};
+
+/// Service counters, encoded after a leading field count.
 struct StatsReply {
   std::uint64_t requests_total = 0;
   std::uint64_t errors = 0;
@@ -256,6 +410,15 @@ struct StatsReply {
   std::uint64_t verifies = 0;
   std::uint64_t cache_evictions = 0;
   friend bool operator==(const StatsReply&, const StatsReply&) = default;
+  static void fields(auto& io, auto& m) {
+    // Leading field count: bump it together with the list below.
+    std::uint32_t count = 14;
+    io.pinned(count, 14);
+    io(m.requests_total, m.errors, m.graphs_loaded, m.computes,
+       m.cache_hits, m.cache_misses, m.queries, m.updates, m.update_ops,
+       m.repairs_incremental, m.repairs_full, m.repairs_certified,
+       m.verifies, m.cache_evictions);
+  }
 };
 
 /// Metrics snapshot request. The request carries its own payload version
@@ -266,17 +429,25 @@ inline constexpr std::uint16_t kMetricsPayloadVersion = 1;
 
 struct MetricsRequest {
   std::uint16_t version = kMetricsPayloadVersion;
+  static void fields(auto& io, auto& m) {
+    io.pinned(m.version, kMetricsPayloadVersion);
+  }
 };
 
 struct MetricsReply {
   std::uint16_t version = kMetricsPayloadVersion;
   std::string json;  ///< arbmis.metrics.v1 document (obs/registry.h)
+  static void fields(auto& io, auto& m) {
+    io.pinned(m.version, kMetricsPayloadVersion);
+    io(m.json);
+  }
 };
 
 struct DumpRecorderRequest {
   /// When nonzero the server clears the ring after snapshotting, so a
   /// scraper can collect disjoint windows.
   std::uint8_t clear_after = 0;
+  static void fields(auto& io, auto& m) { io.tag(m.clear_after, 1); }
 };
 
 struct DumpRecorderReply {
@@ -285,48 +456,40 @@ struct DumpRecorderReply {
   std::uint64_t evicted_events = 0;
   /// Complete ARBMISEV binary artifact (obs/recorder.h snapshot()).
   std::string artifact;
+  static void fields(auto& io, auto& m) {
+    io.tag(m.recorder_attached, 1);
+    io(m.buffered_events, m.evicted_events, m.artifact);
+  }
 };
 
 struct ErrorReply {
   std::uint32_t code = 0;
   std::string message;
+  static void fields(auto& io, auto& m) { io(m.code, m.message); }
 };
 
-// Payload codecs. Decoders validate strictly (ProtocolError on any
-// malformation, including trailing bytes).
-void encode(PayloadWriter& w, const LoadGraphRequest& m);
-void encode(PayloadWriter& w, const LoadGraphReply& m);
-void encode(PayloadWriter& w, const ComputeMisRequest& m);
-void encode(PayloadWriter& w, const ComputeMisReply& m);
-void encode(PayloadWriter& w, const QueryRequest& m);
-void encode(PayloadWriter& w, const QueryReply& m);
-void encode(PayloadWriter& w, const UpdateEdgesRequest& m);
-void encode(PayloadWriter& w, const UpdateEdgesReply& m);
-void encode(PayloadWriter& w, const VerifyRequest& m);
-void encode(PayloadWriter& w, const VerifyReply& m);
-void encode(PayloadWriter& w, const StatsReply& m);
-void encode(PayloadWriter& w, const MetricsRequest& m);
-void encode(PayloadWriter& w, const MetricsReply& m);
-void encode(PayloadWriter& w, const DumpRecorderRequest& m);
-void encode(PayloadWriter& w, const DumpRecorderReply& m);
-void encode(PayloadWriter& w, const ErrorReply& m);
+// --- Message kinds of the payload structs -----------------------------------
 
-void decode(PayloadReader& r, LoadGraphRequest& m);
-void decode(PayloadReader& r, LoadGraphReply& m);
-void decode(PayloadReader& r, ComputeMisRequest& m);
-void decode(PayloadReader& r, ComputeMisReply& m);
-void decode(PayloadReader& r, QueryRequest& m);
-void decode(PayloadReader& r, QueryReply& m);
-void decode(PayloadReader& r, UpdateEdgesRequest& m);
-void decode(PayloadReader& r, UpdateEdgesReply& m);
-void decode(PayloadReader& r, VerifyRequest& m);
-void decode(PayloadReader& r, VerifyReply& m);
-void decode(PayloadReader& r, StatsReply& m);
-void decode(PayloadReader& r, MetricsRequest& m);
-void decode(PayloadReader& r, MetricsReply& m);
-void decode(PayloadReader& r, DumpRecorderRequest& m);
-void decode(PayloadReader& r, DumpRecorderReply& m);
-void decode(PayloadReader& r, ErrorReply& m);
+/// Request struct → its message type and reply struct. Defined for the
+/// request struct of every table row and nothing else.
+template <typename Request>
+struct MessageTraits;
+
+#define ARBMIS_SERVE_TRAITS(name, type, wire, RequestT, ReplyT) \
+  template <>                                                   \
+  struct MessageTraits<RequestT> {                              \
+    static constexpr MsgType kType = MsgType::k##name;          \
+    using Reply = ReplyT;                                       \
+  };
+ARBMIS_SERVE_MESSAGES(ARBMIS_SERVE_TRAITS)
+#undef ARBMIS_SERVE_TRAITS
+
+/// A request struct of the table.
+template <typename T>
+concept RequestMessage = requires { MessageTraits<T>::kType; };
+
+template <RequestMessage Request>
+using ReplyOf = typename MessageTraits<Request>::Reply;
 
 /// Builds a complete frame for `message` (encode + header).
 template <typename Message>
@@ -336,7 +499,7 @@ Frame make_frame(MsgType type, std::uint64_t request_id,
   f.type = type;
   f.request_id = request_id;
   PayloadWriter w(f.payload);
-  encode(w, message);
+  w(message);
   return f;
 }
 
@@ -345,9 +508,27 @@ template <typename Message>
 Message parse_payload(const Frame& frame) {
   PayloadReader r(frame.payload);
   Message m;
-  decode(r, m);
+  r(m);
   r.finish();
   return m;
+}
+
+/// The typed round trip every caller shares: frames `request`, hands it to
+/// `transport` (Client's socket, MisService::handle in process) and parses
+/// the reply. A kError reply is re-thrown as ServeError with its code; any
+/// other reply type but the request's is a ProtocolError.
+template <RequestMessage Request, typename Transport>
+ReplyOf<Request> roundtrip(Transport&& transport, const Request& request) {
+  constexpr MsgType kType = MessageTraits<Request>::kType;
+  const Frame reply = transport(make_frame(kType, 0, request));
+  if (reply.type == MsgType::kError) {
+    const auto err = parse_payload<ErrorReply>(reply);
+    throw ServeError(static_cast<ErrorCode>(err.code), err.message);
+  }
+  if (reply.type != reply_type(kType)) {
+    throw ProtocolError("unexpected reply type");
+  }
+  return parse_payload<ReplyOf<Request>>(reply);
 }
 
 }  // namespace arbmis::serve

@@ -123,14 +123,10 @@ void Server::connection_loop(int fd) {
       }
     } catch (const ProtocolError& e) {
       // Framing is unrecoverable: best-effort error frame, then hang up.
-      Frame err;
-      err.type = MsgType::kError;
-      err.request_id = 0;
-      PayloadWriter w(err.payload);
-      encode(w, ErrorReply{static_cast<std::uint32_t>(
-                               ErrorCode::kBadRequest),
-                           e.what()});
-      const std::vector<std::uint8_t> bytes = encode_frame(err);
+      const std::vector<std::uint8_t> bytes = encode_frame(make_frame(
+          MsgType::kError, 0,
+          ErrorReply{static_cast<std::uint32_t>(ErrorCode::kBadRequest),
+                     e.what()}));
       send_all(fd, bytes.data(), bytes.size());
       alive = false;
     }

@@ -25,20 +25,6 @@ std::uint64_t count_members(const std::vector<mis::MisState>& state) {
       std::count(state.begin(), state.end(), mis::MisState::kInMis));
 }
 
-const char* op_name(MsgType type) {
-  switch (type) {
-    case MsgType::kLoadGraph: return "load_graph";
-    case MsgType::kComputeMis: return "compute_mis";
-    case MsgType::kQuery: return "query";
-    case MsgType::kUpdateEdges: return "update_edges";
-    case MsgType::kVerify: return "verify";
-    case MsgType::kStats: return "stats";
-    case MsgType::kMetrics: return "metrics";
-    case MsgType::kDumpRecorder: return "dump_recorder";
-    default: return "unknown";
-  }
-}
-
 }  // namespace
 
 std::uint64_t labels_hash(const std::vector<mis::MisState>& state) {
@@ -235,37 +221,7 @@ MisService::RepairOutcome MisService::repair(
   return out;
 }
 
-LoadGraphReply MisService::load_graph(const LoadGraphRequest& request) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return load_impl(request);
-}
-
-ComputeMisReply MisService::compute_mis(const ComputeMisRequest& request) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return compute_impl(request);
-}
-
-QueryReply MisService::query(const QueryRequest& request) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return query_impl(request);
-}
-
-UpdateEdgesReply MisService::update_edges(const UpdateEdgesRequest& request) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return update_impl(request);
-}
-
-VerifyReply MisService::verify(const VerifyRequest& request) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return verify_impl(request);
-}
-
-StatsReply MisService::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-LoadGraphReply MisService::load_impl(const LoadGraphRequest& request) {
+LoadGraphReply MisService::run(const LoadGraphRequest& request) {
   GraphSlot s;
   if (request.from_path) {
     if (!options_.gr_loader) {
@@ -296,7 +252,7 @@ LoadGraphReply MisService::load_impl(const LoadGraphRequest& request) {
   return reply;
 }
 
-ComputeMisReply MisService::compute_impl(const ComputeMisRequest& request) {
+ComputeMisReply MisService::run(const ComputeMisRequest& request) {
   GraphSlot& s = slot(request.graph_id);
   ++stats_.computes;
   bool hit = false;
@@ -313,7 +269,7 @@ ComputeMisReply MisService::compute_impl(const ComputeMisRequest& request) {
   return reply;
 }
 
-QueryReply MisService::query_impl(const QueryRequest& request) {
+QueryReply MisService::run(const QueryRequest& request) {
   GraphSlot& s = slot(request.graph_id);
   ++stats_.queries;
   bool hit = false;
@@ -332,7 +288,7 @@ QueryReply MisService::query_impl(const QueryRequest& request) {
   return reply;
 }
 
-UpdateEdgesReply MisService::update_impl(const UpdateEdgesRequest& request) {
+UpdateEdgesReply MisService::run(const UpdateEdgesRequest& request) {
   GraphSlot& s = slot(request.graph_id);
   ++stats_.updates;
 
@@ -372,7 +328,7 @@ UpdateEdgesReply MisService::update_impl(const UpdateEdgesRequest& request) {
   return reply;
 }
 
-VerifyReply MisService::verify_impl(const VerifyRequest& request) {
+VerifyReply MisService::run(const VerifyRequest& request) {
   GraphSlot& s = slot(request.graph_id);
   ++stats_.verifies;
   bool hit = false;
@@ -389,108 +345,69 @@ VerifyReply MisService::verify_impl(const VerifyRequest& request) {
   return reply;
 }
 
+StatsReply MisService::run(const StatsRequest& /*request*/) {
+  return stats_;
+}
+
+MetricsReply MisService::run(const MetricsRequest& request) {
+  MetricsReply reply;
+  reply.version = request.version;
+  // No embedded manifest: the snapshot must stay a deterministic function
+  // of the request sequence (manifests carry thread/inbox provenance that
+  // legitimately varies across executors).
+  if (const obs::Registry* const reg = obs::registry()) {
+    reply.json = reg->to_json();
+  } else {
+    reply.json = std::string("{\"schema\":\"") + obs::kMetricsSchemaVersion +
+                 "\",\"counters\":{},\"gauges\":{},\"histograms\":{},"
+                 "\"rounds\":{}}";
+  }
+  return reply;
+}
+
+DumpRecorderReply MisService::run(const DumpRecorderRequest& request) {
+  DumpRecorderReply reply;
+  if (obs::FlightRecorder* const rec = obs::recorder()) {
+    reply.recorder_attached = 1;
+    const obs::RecorderStats rs = rec->stats();
+    reply.buffered_events = rs.buffered_events;
+    reply.evicted_events = rs.evicted_events;
+    reply.artifact = rec->snapshot("dump_recorder_request");
+    if (request.clear_after != 0) rec->clear();
+  }
+  return reply;
+}
+
+template <typename Request>
+Frame MisService::step(const Frame& frame, std::uint64_t req) {
+  const auto request = parse_payload<Request>(frame);
+  std::uint64_t graph_id = 0;
+  if constexpr (requires { request.graph_id; }) graph_id = request.graph_id;
+  obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
+      0, message_name(frame.type), req, graph_id));
+  return make_frame(reply_type(frame.type), frame.request_id, run(request));
+}
+
 Frame MisService::handle(const Frame& request) {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t req = ++request_seq_;
   ++stats_.requests_total;
+  const char* const name = message_name(request.type);
   // Root span per request: the id is the deterministic request sequence
   // number (nonzero — pre-incremented), the ref echoes the client-chosen
   // request id. Child spans below (repair, resilient_mis, Network::run)
   // activate only inside this bracket.
-  const obs::ScopedSpan span(op_name(request.type), req,
-                             request.request_id);
+  const obs::ScopedSpan span(name, req, request.request_id);
   Frame reply;
-  reply.request_id = request.request_id;
   std::uint32_t status = 0;
   try {
     switch (request.type) {
-      case MsgType::kLoadGraph: {
-        const auto m = parse_payload<LoadGraphRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, m.graph_id));
-        reply = make_frame(MsgType::kReplyLoadGraph, request.request_id,
-                           load_impl(m));
-        break;
-      }
-      case MsgType::kComputeMis: {
-        const auto m = parse_payload<ComputeMisRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, m.graph_id));
-        reply = make_frame(MsgType::kReplyComputeMis, request.request_id,
-                           compute_impl(m));
-        break;
-      }
-      case MsgType::kQuery: {
-        const auto m = parse_payload<QueryRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, m.graph_id));
-        reply = make_frame(MsgType::kReplyQuery, request.request_id,
-                           query_impl(m));
-        break;
-      }
-      case MsgType::kUpdateEdges: {
-        const auto m = parse_payload<UpdateEdgesRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, m.graph_id));
-        reply = make_frame(MsgType::kReplyUpdateEdges, request.request_id,
-                           update_impl(m));
-        break;
-      }
-      case MsgType::kVerify: {
-        const auto m = parse_payload<VerifyRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, m.graph_id));
-        reply = make_frame(MsgType::kReplyVerify, request.request_id,
-                           verify_impl(m));
-        break;
-      }
-      case MsgType::kStats: {
-        if (!request.payload.empty()) {
-          throw ProtocolError("stats request carries a payload");
-        }
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, 0));
-        reply =
-            make_frame(MsgType::kReplyStats, request.request_id, stats_);
-        break;
-      }
-      case MsgType::kMetrics: {
-        const auto m = parse_payload<MetricsRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, 0));
-        MetricsReply mr;
-        mr.version = m.version;
-        // No embedded manifest: the snapshot must stay a deterministic
-        // function of the request sequence (manifests carry thread/inbox
-        // provenance that legitimately varies across executors).
-        if (const obs::Registry* const reg = obs::registry()) {
-          mr.json = reg->to_json();
-        } else {
-          mr.json = std::string("{\"schema\":\"") +
-                    obs::kMetricsSchemaVersion +
-                    "\",\"counters\":{},\"gauges\":{},\"histograms\":{},"
-                    "\"rounds\":{}}";
-        }
-        reply = make_frame(MsgType::kReplyMetrics, request.request_id, mr);
-        break;
-      }
-      case MsgType::kDumpRecorder: {
-        const auto m = parse_payload<DumpRecorderRequest>(request);
-        obs::emit(obs::make_event<obs::EventKind::kRequestBegin>(
-            0, op_name(request.type), req, 0));
-        DumpRecorderReply dr;
-        if (obs::FlightRecorder* const rec = obs::recorder()) {
-          dr.recorder_attached = 1;
-          const obs::RecorderStats rs = rec->stats();
-          dr.buffered_events = rs.buffered_events;
-          dr.evicted_events = rs.evicted_events;
-          dr.artifact = rec->snapshot("dump_recorder_request");
-          if (m.clear_after != 0) rec->clear();
-        }
-        reply = make_frame(MsgType::kReplyDumpRecorder, request.request_id,
-                           dr);
-        break;
-      }
+#define ARBMIS_SERVE_DISPATCH(name, type, wire, Request, Reply) \
+  case MsgType::k##name:                                        \
+    reply = step<Request>(request, req);                        \
+    break;
+      ARBMIS_SERVE_MESSAGES(ARBMIS_SERVE_DISPATCH)
+#undef ARBMIS_SERVE_DISPATCH
       default:
         throw ServeError(ErrorCode::kBadRequest, "not a request type");
     }
@@ -516,7 +433,7 @@ Frame MisService::handle(const Frame& request) {
   // sanctioned deterministic metering point (tools/layering.toml).
   if (obs::Registry* const reg = obs::registry()) {
     reg->add("serve.requests");
-    reg->add(std::string("serve.req.") + op_name(request.type));
+    reg->add(std::string("serve.req.") + name);
     if (status != 0) reg->add("serve.errors");
     reg->set("serve.graphs", static_cast<std::int64_t>(graphs_.size()));
     reg->set("serve.cache.entries",

@@ -70,18 +70,11 @@ class MisService {
  public:
   explicit MisService(ServiceOptions options = {});
 
-  // Typed operations. All throw ServeError on request-level failures.
-  LoadGraphReply load_graph(const LoadGraphRequest& request);
-  ComputeMisReply compute_mis(const ComputeMisRequest& request);
-  QueryReply query(const QueryRequest& request);
-  UpdateEdgesReply update_edges(const UpdateEdgesRequest& request);
-  VerifyReply verify(const VerifyRequest& request);
-  StatsReply stats() const;
-
   /// Full dispatch: decodes a request frame, runs the operation, returns
   /// the reply frame (kError frame on ServeError/ProtocolError). Emits the
   /// request_begin/request_end event pair. Thread-safe; requests serialize
   /// on one service mutex, so the event stream is ordered by arrival.
+  /// Typed in-process callers go through roundtrip() (serve/protocol.h).
   Frame handle(const Frame& request);
 
  private:
@@ -112,12 +105,17 @@ class MisService {
     graph::NodeId residual = 0;
   };
 
-  // Unlocked implementations; the public wrappers and handle() take mu_.
-  LoadGraphReply load_impl(const LoadGraphRequest& request);
-  ComputeMisReply compute_impl(const ComputeMisRequest& request);
-  QueryReply query_impl(const QueryRequest& request);
-  UpdateEdgesReply update_impl(const UpdateEdgesRequest& request);
-  VerifyReply verify_impl(const VerifyRequest& request);
+  /// handle()'s one step for every table row: parse, request_begin, run,
+  /// reply frame. Runs under mu_.
+  template <typename Request>
+  Frame step(const Frame& frame, std::uint64_t req);
+
+  // One handler per table row; each throws ServeError on request-level
+  // failures. Run under mu_.
+#define ARBMIS_SERVE_HANDLER(name, type, wire, Request, Reply) \
+  Reply run(const Request& request);
+  ARBMIS_SERVE_MESSAGES(ARBMIS_SERVE_HANDLER)
+#undef ARBMIS_SERVE_HANDLER
 
   GraphSlot& slot(std::uint64_t graph_id);
   /// Cache lookup + solve-on-miss; emits cache_hit/cache_miss.
@@ -133,7 +131,7 @@ class MisService {
                        const ComputeParams& params);
   void cache_insert(const CacheKey& key, CacheEntry entry);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   ServiceOptions options_;
   std::map<std::uint64_t, GraphSlot> graphs_;
   std::map<CacheKey, CacheEntry> cache_;

@@ -1,6 +1,7 @@
 // Randomized property tests ("fuzz"): differential checks of the graph
-// substrate against naive reference implementations, and end-to-end
-// pipeline runs on randomly generated structures.
+// substrate against naive reference implementations, end-to-end pipeline
+// runs on randomly generated structures, and the serve codec under
+// seeded malformed bytes for every message of the table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "mis/matching.h"
 #include "mis/metivier.h"
 #include "mis/verifier.h"
+#include "serve/protocol.h"
 #include "sim/network.h"
 #include "util/rng.h"
 
@@ -409,6 +411,236 @@ TEST_P(Fuzz, EngineRandomGraphSeedAndKind) {
   EXPECT_EQ(first.in_mis, oracle.in_mis)
       << "engine=" << engine::engine_name(kind)
       << " diverged from the greedy oracle";
+}
+
+// --- Serve codec ------------------------------------------------------------
+
+/// Fills a payload struct through its field list with seeded values: tags
+/// in range, pinned fields at their one value, short strings and arrays —
+/// a valid message of any struct the table names.
+class RandomFill {
+ public:
+  explicit RandomFill(util::Rng& rng) : rng_(rng) {}
+
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (fill(fields), ...);
+  }
+  template <typename T>
+  void tag(T& field, std::type_identity_t<T> max) {
+    field = static_cast<T>(rng_.below(static_cast<std::uint64_t>(max) + 1));
+  }
+  template <typename T>
+  void pinned(T& field, std::type_identity_t<T> expected) {
+    field = expected;
+  }
+
+ private:
+  template <typename T>
+  void fill(T& v) {
+    if constexpr (std::is_unsigned_v<T>) {
+      v = static_cast<T>(rng_.next());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v.resize(rng_.below(12));
+      for (char& c : v) c = static_cast<char>(rng_.below(256));
+    } else if constexpr (requires { typename T::value_type; }) {
+      v.resize(rng_.below(6));
+      for (auto& e : v) fill(e);
+    } else {
+      serve::visit_fields(*this, v);
+    }
+  }
+
+  util::Rng& rng_;
+};
+
+template <typename Message>
+serve::Frame random_frame(serve::MsgType type, util::Rng& rng) {
+  Message m;
+  RandomFill fill(rng);
+  fill(m);
+  return serve::make_frame(type, rng.next(), m);
+}
+
+/// One seeded valid frame of every request and reply the table names, and
+/// of ErrorReply.
+std::vector<serve::Frame> random_frames(util::Rng& rng) {
+  std::vector<serve::Frame> frames;
+#define FUZZ_SERVE_ROW(name, type, wire, Request, Reply)                   \
+  frames.push_back(random_frame<serve::Request>(serve::MsgType::k##name,   \
+                                                rng));                     \
+  frames.push_back(                                                        \
+      random_frame<serve::Reply>(serve::MsgType::kReply##name, rng));
+  ARBMIS_SERVE_MESSAGES(FUZZ_SERVE_ROW)
+#undef FUZZ_SERVE_ROW
+  frames.push_back(
+      random_frame<serve::ErrorReply>(serve::MsgType::kError, rng));
+  return frames;
+}
+
+template <typename Message>
+std::vector<std::uint8_t> reencode_as(const serve::Frame& frame) {
+  return serve::make_frame(frame.type, 0,
+                           serve::parse_payload<Message>(frame))
+      .payload;
+}
+
+/// Strict decode of `frame` as the struct its type names, re-encoded.
+std::vector<std::uint8_t> reencode(const serve::Frame& frame) {
+  switch (frame.type) {
+#define FUZZ_SERVE_DECODE(name, type, wire, Request, Reply) \
+  case serve::MsgType::k##name:                             \
+    return reencode_as<serve::Request>(frame);              \
+  case serve::MsgType::kReply##name:                        \
+    return reencode_as<serve::Reply>(frame);
+    ARBMIS_SERVE_MESSAGES(FUZZ_SERVE_DECODE)
+#undef FUZZ_SERVE_DECODE
+    case serve::MsgType::kError:
+      return reencode_as<serve::ErrorReply>(frame);
+  }
+  ADD_FAILURE() << "frame of unknown type "
+                << static_cast<int>(frame.type);
+  return {};
+}
+
+/// The codec contract for arbitrary payload bytes: the decode throws
+/// ProtocolError, or it accepts and re-encodes byte-identically. Returns
+/// whether it accepted.
+bool decodes(serve::MsgType type, const std::vector<std::uint8_t>& payload,
+             const std::string& what) {
+  try {
+    EXPECT_EQ(reencode(serve::Frame{type, 0, payload}), payload)
+        << "type " << static_cast<int>(type) << ", " << what;
+    return true;
+  } catch (const serve::ProtocolError&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "type " << static_cast<int>(type) << ", " << what
+                  << ": " << e.what();
+    return false;
+  }
+}
+
+/// Overwrites `bytes` little-endian with `value` at `at`.
+void put_at(std::vector<std::uint8_t>& bytes, std::size_t at,
+            std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// Pops frames until the reader waits or throws. ProtocolError ends the
+/// stream; any other exception fails the test. Each frame popped must
+/// satisfy the codec contract.
+void drain_lying_stream(const std::vector<std::uint8_t>& stream,
+                        const std::string& what) {
+  serve::FrameReader reader;
+  reader.feed(stream.data(), stream.size());
+  serve::Frame frame;
+  try {
+    while (reader.next(frame)) decodes(frame.type, frame.payload, what);
+  } catch (const serve::ProtocolError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+  }
+}
+
+TEST_P(Fuzz, ServeCodecHoldsForEveryTableMessage) {
+  util::Rng rng(GetParam() + 2000);
+  std::vector<serve::Frame> frames = random_frames(rng);
+  const std::vector<serve::Frame> more = random_frames(rng);
+  frames.insert(frames.end(), more.begin(), more.end());
+
+  // (a) A multi-frame stream split at every byte offset yields the same
+  // frames.
+  std::vector<std::uint8_t> stream;
+  for (const serve::Frame& f : frames) {
+    const std::vector<std::uint8_t> bytes = serve::encode_frame(f);
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  }
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    serve::FrameReader reader;
+    std::vector<serve::Frame> got;
+    serve::Frame out;
+    reader.feed(stream.data(), split);
+    while (reader.next(out)) got.push_back(out);
+    reader.feed(stream.data() + split, stream.size() - split);
+    while (reader.next(out)) got.push_back(out);
+    ASSERT_EQ(got.size(), frames.size()) << "split " << split;
+    EXPECT_EQ(reader.buffered(), 0u);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_EQ(got[i].type, frames[i].type) << "split " << split;
+      ASSERT_EQ(got[i].request_id, frames[i].request_id);
+      ASSERT_EQ(got[i].payload, frames[i].payload);
+    }
+  }
+
+  // (b) Malformed payloads and frames end in ProtocolError or in a decode
+  // that re-encodes byte-identically.
+  const std::uint64_t count_lies[] = {0,
+                                      1,
+                                      255,
+                                      std::uint64_t{1} << 32,
+                                      std::uint64_t{1} << 61,
+                                      std::uint64_t{1} << 62,
+                                      0x1c71c71c71c71c72,
+                                      ~std::uint64_t{0}};
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const serve::MsgType type = frames[f].type;
+    const std::vector<std::uint8_t>& payload = frames[f].payload;
+    ASSERT_TRUE(decodes(type, payload, "valid"));
+
+    // Truncation at every length, and one trailing byte: the encoding is
+    // self-delimiting, so both always reject.
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      EXPECT_FALSE(decodes(
+          type, {payload.begin(), payload.begin() + static_cast<long>(k)},
+          "truncated to " + std::to_string(k)));
+    }
+    std::vector<std::uint8_t> trailing = payload;
+    trailing.push_back(static_cast<std::uint8_t>(rng.next()));
+    EXPECT_FALSE(decodes(type, trailing, "one trailing byte"));
+
+    // Every single-bit flip.
+    for (std::size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+      std::vector<std::uint8_t> flipped = payload;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      decodes(type, flipped, "bit flip " + std::to_string(bit));
+    }
+    // Random bytes.
+    for (int k = 0; k < 16; ++k) {
+      std::vector<std::uint8_t> random(rng.below(2 * payload.size() + 2));
+      for (std::uint8_t& b : random) b = static_cast<std::uint8_t>(rng.next());
+      decodes(type, random, "random bytes");
+    }
+    // Count lies: every u64 window (so every array count) and every u32
+    // window (every string length) overwritten.
+    for (std::size_t at = 0; at + 4 <= payload.size(); ++at) {
+      for (const std::uint64_t lie : count_lies) {
+        for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
+          if (at + width > payload.size()) continue;
+          std::vector<std::uint8_t> lying = payload;
+          put_at(lying, at, lie, width);
+          decodes(type, lying, "count lie at " + std::to_string(at));
+        }
+      }
+    }
+    // payload_len lies, with the next frame behind for a short lie to
+    // run into.
+    std::vector<std::uint8_t> bytes = serve::encode_frame(frames[f]);
+    const std::vector<std::uint8_t> next =
+        serve::encode_frame(frames[(f + 1) % frames.size()]);
+    bytes.insert(bytes.end(), next.begin(), next.end());
+    for (const std::uint64_t len :
+         {std::uint64_t{0}, std::uint64_t{payload.size()} - 1,
+          std::uint64_t{payload.size()} + 1, rng.below(64),
+          std::uint64_t{serve::kMaxPayloadBytes} + 1,
+          std::uint64_t{0xffffffff}}) {
+      std::vector<std::uint8_t> lying = bytes;
+      put_at(lying, 16, len, 4);
+      drain_lying_stream(lying, "payload_len lie " + std::to_string(len));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,

@@ -42,6 +42,21 @@ graph::Graph test_graph(graph::NodeId n, std::uint64_t seed) {
   return graph::gen::union_of_random_forests(n, 2, rng);
 }
 
+LoadGraphRequest inline_load(std::uint64_t graph_id, const graph::Graph& g) {
+  LoadGraphRequest load;
+  load.graph_id = graph_id;
+  load.num_nodes = g.num_nodes();
+  load.edges = g.edges();
+  return load;
+}
+
+/// The shared typed round trip, in process through MisService::handle.
+template <RequestMessage Request>
+ReplyOf<Request> call(MisService& service, const Request& request) {
+  return roundtrip([&service](const Frame& f) { return service.handle(f); },
+                   request);
+}
+
 /// Feeds encoded bytes through a FrameReader in two chunks (exercising
 /// incremental reassembly) and returns the single decoded frame.
 Frame reread(const Frame& frame) {
@@ -244,25 +259,45 @@ TEST(ServeProtocol, RejectsMalformedFrames) {
     // A huge element count prefix must be rejected before any allocation.
     Frame bad{MsgType::kQuery, 5, {}};
     PayloadWriter w(bad.payload);
-    w.u64(1);          // graph_id
-    w.u32(2);          // alpha
-    w.u64(3);          // seed
-    w.u32(0xffffffff); // node count with no bytes behind it
+    w(std::uint64_t{1},            // graph_id
+      std::uint32_t{2},            // alpha
+      std::uint64_t{3},            // seed
+      std::uint64_t{0xffffffff});  // node count with no bytes behind it
     EXPECT_THROW(parse_payload<QueryRequest>(bad), ProtocolError);
+  }
+  {
+    // Counts whose byte size wraps past 2^64 (count * element bytes
+    // overflows to a small number) are rejected too, not sized.
+    Frame query{MsgType::kQuery, 8, {}};
+    PayloadWriter(query.payload)(std::uint64_t{1}, std::uint32_t{2},
+                                 std::uint64_t{3}, std::uint64_t{1} << 62);
+    EXPECT_THROW(parse_payload<QueryRequest>(query), ProtocolError);
+
+    Frame update{MsgType::kUpdateEdges, 9, {}};
+    PayloadWriter(update.payload)(std::uint64_t{1}, std::uint32_t{2},
+                                  std::uint64_t{3},
+                                  std::uint64_t{0x1c71c71c71c71c72},
+                                  EdgeUpdate{});  // 9 * count wraps to 2
+    EXPECT_THROW(parse_payload<UpdateEdgesRequest>(update), ProtocolError);
+
+    Frame load{MsgType::kLoadGraph, 10, {}};
+    PayloadWriter(load.payload)(std::uint64_t{1}, std::uint8_t{0},
+                                std::uint32_t{4}, std::uint64_t{1} << 61);
+    EXPECT_THROW(parse_payload<LoadGraphRequest>(load), ProtocolError);
   }
   {
     // Unknown metrics payload version: strict decoders refuse rather
     // than guess at a future exposition format.
     Frame bad{MsgType::kMetrics, 6, {}};
     PayloadWriter w(bad.payload);
-    w.u16(2);  // only version 1 is defined
+    w(std::uint16_t{2});  // only version 1 is defined
     EXPECT_THROW(parse_payload<MetricsRequest>(bad), ProtocolError);
   }
   {
     // clear_after is a strict boolean on the wire.
     Frame bad{MsgType::kDumpRecorder, 7, {}};
     PayloadWriter w(bad.payload);
-    w.u8(2);
+    w(std::uint8_t{2});
     EXPECT_THROW(parse_payload<DumpRecorderRequest>(bad), ProtocolError);
   }
 }
@@ -327,33 +362,30 @@ TEST(ServeService, CacheHitsByContentNotId) {
   const graph::Graph g = test_graph(150, 21);
   const ComputeParams params{2, 77};
 
-  LoadGraphRequest load;
-  load.graph_id = 1;
-  load.num_nodes = g.num_nodes();
-  load.edges = g.edges();
-  const LoadGraphReply loaded = service.load_graph(load);
+  const LoadGraphReply loaded = call(service, inline_load(1, g));
   EXPECT_EQ(loaded.content_hash, graph::content_hash(g));
 
-  const ComputeMisReply first = service.compute_mis({1, params});
+  const ComputeMisReply first = call(service, ComputeMisRequest{1, params});
   EXPECT_EQ(first.cache_hit, 0u);
   EXPECT_EQ(first.certified, 1u);
-  const ComputeMisReply second = service.compute_mis({1, params});
+  const ComputeMisReply second = call(service, ComputeMisRequest{1, params});
   EXPECT_EQ(second.cache_hit, 1u);
   EXPECT_EQ(second.labels_hash, first.labels_hash);
   EXPECT_EQ(second.mis_size, first.mis_size);
 
   // Same content under a different id shares the cache entry.
-  load.graph_id = 2;
-  service.load_graph(load);
-  const ComputeMisReply other_id = service.compute_mis({2, params});
+  call(service, inline_load(2, g));
+  const ComputeMisReply other_id =
+      call(service, ComputeMisRequest{2, params});
   EXPECT_EQ(other_id.cache_hit, 1u);
   EXPECT_EQ(other_id.labels_hash, first.labels_hash);
 
   // A different seed is a different key.
-  const ComputeMisReply other_seed = service.compute_mis({1, {2, 78}});
+  const ComputeMisReply other_seed =
+      call(service, ComputeMisRequest{1, {2, 78}});
   EXPECT_EQ(other_seed.cache_hit, 0u);
 
-  const StatsReply stats = service.stats();
+  const StatsReply stats = call(service, StatsRequest{});
   EXPECT_EQ(stats.computes, 4u);
   EXPECT_EQ(stats.cache_hits, 2u);
   EXPECT_EQ(stats.cache_misses, 2u);
@@ -364,23 +396,21 @@ TEST(ServeService, CacheEvictsFifoAndCounts) {
   ServiceOptions options;
   options.max_cache_entries = 1;
   MisService service(options);
-  const graph::Graph g = test_graph(100, 3);
-  LoadGraphRequest load;
-  load.graph_id = 1;
-  load.num_nodes = g.num_nodes();
-  load.edges = g.edges();
-  service.load_graph(load);
+  call(service, inline_load(1, test_graph(100, 3)));
 
-  EXPECT_EQ(service.compute_mis({1, {2, 1}}).cache_hit, 0u);
-  EXPECT_EQ(service.compute_mis({1, {2, 2}}).cache_hit, 0u);  // evicts seed 1
-  EXPECT_EQ(service.compute_mis({1, {2, 1}}).cache_hit, 0u);  // gone again
-  EXPECT_GE(service.stats().cache_evictions, 2u);
+  const auto compute = [&](std::uint64_t seed) {
+    return call(service, ComputeMisRequest{1, {2, seed}});
+  };
+  EXPECT_EQ(compute(1).cache_hit, 0u);
+  EXPECT_EQ(compute(2).cache_hit, 0u);  // evicts seed 1
+  EXPECT_EQ(compute(1).cache_hit, 0u);  // gone again
+  EXPECT_GE(call(service, StatsRequest{}).cache_evictions, 2u);
 }
 
 TEST(ServeService, ErrorsCarryCodes) {
   MisService service;  // no gr_loader
   try {
-    service.compute_mis({99, {2, 1}});
+    call(service, ComputeMisRequest{99, {2, 1}});
     FAIL() << "expected ServeError";
   } catch (const ServeError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kUnknownGraph);
@@ -390,17 +420,26 @@ TEST(ServeService, ErrorsCarryCodes) {
   by_path.from_path = true;
   by_path.path = "/nonexistent.gr";
   try {
-    service.load_graph(by_path);
+    call(service, by_path);
     FAIL() << "expected ServeError";
   } catch (const ServeError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kUnsupported);
   }
-  // Stats requests must carry an empty payload.
+  // Malformed payloads in well-formed frames are BAD_REQUEST: a STATS
+  // request with a payload, and a QUERY whose node count's byte size
+  // wraps past 2^64.
   Frame stats_with_junk{MsgType::kStats, 1, {0}};
-  const Frame reply = service.handle(stats_with_junk);
-  ASSERT_EQ(reply.type, MsgType::kError);
-  EXPECT_EQ(parse_payload<ErrorReply>(reply).code,
-            static_cast<std::uint32_t>(ErrorCode::kBadRequest));
+  Frame query_overflow{MsgType::kQuery, 2, {}};
+  PayloadWriter(query_overflow.payload)(std::uint64_t{1}, std::uint32_t{2},
+                                        std::uint64_t{3},
+                                        std::uint64_t{1} << 62);
+  for (const Frame& bad : {stats_with_junk, query_overflow}) {
+    const Frame reply = service.handle(bad);
+    ASSERT_EQ(reply.type, MsgType::kError);
+    EXPECT_EQ(parse_payload<ErrorReply>(reply).code,
+              static_cast<std::uint32_t>(ErrorCode::kBadRequest))
+        << parse_payload<ErrorReply>(reply).message;
+  }
 }
 
 TEST(ServeService, RepairFallsBackPastTheFullRecomputeFraction) {
@@ -421,17 +460,13 @@ TEST(ServeService, RepairFallsBackPastTheFullRecomputeFraction) {
     ServiceOptions options;
     options.full_recompute_fraction = row.fraction;
     MisService service(options);
-    const graph::Graph g = graph::gen::path(kN0);
-    LoadGraphRequest load;
-    load.graph_id = 1;
-    load.num_nodes = g.num_nodes();
-    load.edges = g.edges();
-    service.load_graph(load);
+    call(service, inline_load(1, graph::gen::path(kN0)));
     const ComputeParams params{2, 3};
-    ASSERT_EQ(service.compute_mis({1, params}).certified, 1u);
+    ASSERT_EQ(call(service, ComputeMisRequest{1, params}).certified, 1u);
 
     const std::vector<EdgeUpdate> ops(row.k, {UpdateOp::kAddVertex, 0, 0});
-    const UpdateEdgesReply reply = service.update_edges({1, params, ops});
+    const UpdateEdgesReply reply =
+        call(service, UpdateEdgesRequest{1, params, ops});
     EXPECT_EQ(reply.certified, 1u);
     EXPECT_EQ(reply.incremental, row.incremental ? 1u : 0u);
     EXPECT_EQ(reply.residual, row.incremental ? row.k : kN0 + row.k);
@@ -456,11 +491,7 @@ TEST(ServeService, MetricsSnapshotExcludesItsOwnRequest) {
   const obs::ScopedRegistry attach(&registry);
   MisService service;
   const graph::Graph g = test_graph(80, 9);
-  LoadGraphRequest load;
-  load.graph_id = 1;
-  load.num_nodes = g.num_nodes();
-  load.edges = g.edges();
-  service.handle(make_frame(MsgType::kLoadGraph, 1, load));
+  service.handle(make_frame(MsgType::kLoadGraph, 1, inline_load(1, g)));
   service.handle(
       make_frame(MsgType::kComputeMis, 2, ComputeMisRequest{1, {2, 5}}));
 
@@ -501,11 +532,7 @@ TEST(ServeService, DumpRecorderSnapshotsRingAndClearsOnRequest) {
   const obs::ScopedRecorder attach(&recorder);
   MisService service;
   const graph::Graph g = test_graph(80, 9);
-  LoadGraphRequest load;
-  load.graph_id = 1;
-  load.num_nodes = g.num_nodes();
-  load.edges = g.edges();
-  service.handle(make_frame(MsgType::kLoadGraph, 1, load));
+  service.handle(make_frame(MsgType::kLoadGraph, 1, inline_load(1, g)));
   service.handle(
       make_frame(MsgType::kComputeMis, 2, ComputeMisRequest{1, {2, 5}}));
 
@@ -590,11 +617,7 @@ std::vector<Frame> fuzzed_sequence(std::uint64_t seed, std::uint32_t updates,
   const ComputeParams params{2, seed};
   std::vector<Frame> frames;
   std::uint64_t rid = 1;
-  LoadGraphRequest load;
-  load.graph_id = 1;
-  load.num_nodes = g.num_nodes();
-  load.edges = g.edges();
-  frames.push_back(make_frame(MsgType::kLoadGraph, rid++, load));
+  frames.push_back(make_frame(MsgType::kLoadGraph, rid++, inline_load(1, g)));
   frames.push_back(
       make_frame(MsgType::kComputeMis, rid++, ComputeMisRequest{1, params}));
 
@@ -736,33 +759,30 @@ TEST(ServeDifferential, StorageBackendsProduceIdenticalResults) {
   };
   MisService service(options);
 
-  LoadGraphRequest inline_load;
-  inline_load.graph_id = 1;
-  inline_load.num_nodes = g.num_nodes();
-  inline_load.edges = g.edges();
-  const LoadGraphReply from_memory = service.load_graph(inline_load);
+  const LoadGraphReply from_memory = call(service, inline_load(1, g));
 
   LoadGraphRequest path_load;
   path_load.graph_id = 2;
   path_load.from_path = true;
   path_load.path = path;
-  const LoadGraphReply from_disk = service.load_graph(path_load);
+  const LoadGraphReply from_disk = call(service, path_load);
 
   EXPECT_EQ(from_disk.num_nodes, from_memory.num_nodes);
   EXPECT_EQ(from_disk.num_edges, from_memory.num_edges);
   EXPECT_EQ(from_disk.content_hash, from_memory.content_hash);
 
   const ComputeParams params{2, 5};
-  const ComputeMisReply memory_mis = service.compute_mis({1, params});
-  const ComputeMisReply disk_mis = service.compute_mis({2, params});
+  const ComputeMisReply memory_mis =
+      call(service, ComputeMisRequest{1, params});
+  const ComputeMisReply disk_mis = call(service, ComputeMisRequest{2, params});
   EXPECT_EQ(memory_mis.cache_hit, 0u);
   EXPECT_EQ(disk_mis.cache_hit, 1u)  // same content hash -> shared entry
       << "mapped backend produced a different cache key";
   EXPECT_EQ(disk_mis.labels_hash, memory_mis.labels_hash);
 
   // Updates work on mapped-backed graphs too (materialize-on-write).
-  const UpdateEdgesReply updated = service.update_edges(
-      {2, params, {{UpdateOp::kAddVertex, 0, 0}}});
+  const UpdateEdgesReply updated = call(
+      service, UpdateEdgesRequest{2, params, {{UpdateOp::kAddVertex, 0, 0}}});
   EXPECT_EQ(updated.certified, 1u);
   std::remove(path.c_str());
 }
@@ -777,31 +797,30 @@ TEST(ServeServer, EndToEndOverLoopback) {
   Client client("127.0.0.1", server.port());
   const graph::Graph g = test_graph(120, 31);
   const ComputeParams params{2, 8};
-  const LoadGraphReply loaded =
-      client.load_inline(1, g.num_nodes(), g.edges());
+  const LoadGraphReply loaded = client.call(inline_load(1, g));
   EXPECT_EQ(loaded.num_nodes, g.num_nodes());
 
-  const ComputeMisReply computed = client.compute(1, params);
+  const ComputeMisReply computed = client.call(ComputeMisRequest{1, params});
   EXPECT_EQ(computed.certified, 1u);
   EXPECT_GT(computed.mis_size, 0u);
 
-  const QueryReply queried = client.query(1, params, {0, 1, 2});
+  const QueryReply queried = client.call(QueryRequest{1, params, {0, 1, 2}});
   ASSERT_EQ(queried.states.size(), 3u);
 
-  const UpdateEdgesReply updated =
-      client.update(1, params, {{UpdateOp::kDetachVertex, 0, 0}});
+  const UpdateEdgesReply updated = client.call(
+      UpdateEdgesRequest{1, params, {{UpdateOp::kDetachVertex, 0, 0}}});
   EXPECT_EQ(updated.certified, 1u);
   EXPECT_EQ(updated.epoch, 1u);
 
-  const VerifyReply verified = client.verify(1, params);
+  const VerifyReply verified = client.call(VerifyRequest{1, params});
   EXPECT_EQ(verified.ok, 1u);
 
-  const StatsReply stats = client.stats();
+  const StatsReply stats = client.call(StatsRequest{});
   EXPECT_EQ(stats.requests_total, 6u);  // the stats request counts itself
   EXPECT_EQ(stats.errors, 0u);
 
   // Request-level errors come back as typed ServeError, connection intact.
-  EXPECT_THROW(client.compute(99, params), ServeError);
+  EXPECT_THROW(client.call(ComputeMisRequest{99, params}), ServeError);
   EXPECT_EQ(client.stats().errors, 1u);
 
   server.stop();
@@ -830,8 +849,7 @@ TEST(ServeServer, MalformedBytesGetErrorFrameThenHangup) {
     const Frame reply = client.roundtrip_raw(encode_frame(bad));
     EXPECT_EQ(reply.type, MsgType::kError);
     const graph::Graph g = test_graph(60, 1);
-    const LoadGraphReply loaded =
-        client.load_inline(1, g.num_nodes(), g.edges());
+    const LoadGraphReply loaded = client.call(inline_load(1, g));
     EXPECT_EQ(loaded.num_nodes, g.num_nodes());
   }
   server.stop();
@@ -867,18 +885,14 @@ TEST(ServeServer, SequentialConnectionsDoNotLeak) {
 TEST(ServeFault, CertifyLabelsAcceptsGoodRejectsCorrupt) {
   const graph::Graph g = test_graph(100, 13);
   MisService service;
-  LoadGraphRequest load;
-  load.graph_id = 1;
-  load.num_nodes = g.num_nodes();
-  load.edges = g.edges();
-  service.load_graph(load);
-  service.compute_mis({1, {2, 4}});
+  call(service, inline_load(1, g));
+  call(service, ComputeMisRequest{1, {2, 4}});
 
   QueryRequest all;
   all.graph_id = 1;
   all.params = {2, 4};
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) all.nodes.push_back(v);
-  const QueryReply reply = service.query(all);
+  const QueryReply reply = call(service, all);
   std::vector<mis::MisState> state;
   for (const std::uint8_t s : reply.states) {
     state.push_back(static_cast<mis::MisState>(s));

@@ -137,15 +137,20 @@ inline ClientTotals run_client(const std::string& host, std::uint16_t port,
   graph::Graph g =
       graph::gen::union_of_random_forests(options.nodes, 2, rng);
   graph::NodeId n = g.num_nodes();
-  const auto load = timed(
-      kOpLoad, [&] { return client.load_inline(graph_id, n, g.edges()); });
+  serve::LoadGraphRequest load_request;
+  load_request.graph_id = graph_id;
+  load_request.num_nodes = n;
+  load_request.edges = g.edges();
+  const auto load =
+      timed(kOpLoad, [&] { return client.call(load_request); });
   if (load.num_nodes != n) ++totals.failures;
 
   // COMPUTE xK: the first call must miss, repeats must hit and agree.
   std::uint64_t first_hash = 0;
   for (std::uint32_t i = 0; i < options.computes; ++i) {
-    const auto reply = timed(
-        kOpCompute, [&] { return client.compute(graph_id, params); });
+    const auto reply = timed(kOpCompute, [&] {
+      return client.call(serve::ComputeMisRequest{graph_id, params});
+    });
     if (reply.cache_hit != 0) {
       ++totals.cache_hits;
     } else {
@@ -167,9 +172,10 @@ inline ClientTotals run_client(const std::string& host, std::uint16_t port,
       nodes.push_back(static_cast<graph::NodeId>(rng.below(n)));
     }
     const auto count = nodes.size();
-    const auto reply = timed(
-        kOpQuery,
-        [&] { return client.query(graph_id, params, std::move(nodes)); });
+    const auto reply = timed(kOpQuery, [&] {
+      return client.call(
+          serve::QueryRequest{graph_id, params, std::move(nodes)});
+    });
     if (reply.states.size() != count) ++totals.failures;
   }
 
@@ -201,9 +207,10 @@ inline ClientTotals run_client(const std::string& host, std::uint16_t port,
       }
       ops.push_back(op);
     }
-    const auto reply = timed(
-        kOpUpdate,
-        [&] { return client.update(graph_id, params, std::move(ops)); });
+    const auto reply = timed(kOpUpdate, [&] {
+      return client.call(
+          serve::UpdateEdgesRequest{graph_id, params, std::move(ops)});
+    });
     ++totals.updates_total;
     if (reply.certified != 0) {
       ++totals.updates_certified;
@@ -218,8 +225,9 @@ inline ClientTotals run_client(const std::string& host, std::uint16_t port,
   }
 
   // VERIFY must pass on the final maintained labeling.
-  const auto verify =
-      timed(kOpVerify, [&] { return client.verify(graph_id, params); });
+  const auto verify = timed(kOpVerify, [&] {
+    return client.call(serve::VerifyRequest{graph_id, params});
+  });
   if (verify.ok != 0) {
     ++totals.verifies_ok;
   } else {
@@ -227,7 +235,7 @@ inline ClientTotals run_client(const std::string& host, std::uint16_t port,
   }
 
   // STATS: exercised for protocol coverage; totals are server-wide.
-  (void)timed(kOpStats, [&] { return client.stats(); });
+  (void)timed(kOpStats, [&] { return client.call(serve::StatsRequest{}); });
 
   return totals;
 }

@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
 
     if (!dump_out.empty()) {
       const arbmis::serve::DumpRecorderReply dump =
-          client.dump_recorder(clear_after);
+          client.call(arbmis::serve::DumpRecorderRequest{clear_after});
       if (dump.recorder_attached == 0) {
         std::cerr << "mis_scrape: daemon has no flight recorder attached\n";
         return 2;
@@ -304,7 +304,8 @@ int main(int argc, char** argv) {
       if (seq > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
       }
-      const arbmis::serve::MetricsReply reply = client.metrics();
+      const arbmis::serve::MetricsReply reply =
+          client.call(arbmis::serve::MetricsRequest{});
       if (!json_out.empty() && seq == 0) {
         std::ofstream out(json_out);
         out << reply.json << "\n";
