@@ -10,7 +10,10 @@
 // tools/bench_gate.py gates rows from this file directly; the gated row
 // loads the checked-in data/corpus_small.gr corpus in a loop. Exits
 // nonzero on any equivalence mismatch so run_benches.sh fails loudly.
+#include <sys/resource.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "bench_common.h"
@@ -34,6 +37,19 @@ std::uint64_t hash_mis(const mis::MisResult& r) {
   return h;
 }
 
+/// Scratch file `name` in the system temp directory ($TMPDIR, else /tmp).
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Peak resident set size of this process so far, in MiB (getrusage's
+/// ru_maxrss is in KiB on Linux).
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 struct CaseResult {
   std::string name;
   std::uint64_t items = 0;  ///< edges processed per rep
@@ -49,7 +65,8 @@ struct CaseResult {
 /// results/BENCH_mmap_large.json rather than part of the default sweep).
 /// Pipeline mirrors real ingest: edge-list text -> convert (gr_convert's
 /// parser) -> write .gr -> mmap load with verification -> arb_mis solve
-/// off the mapped file; each stage timed once at full scale.
+/// off the mapped file; each stage timed once at full scale. The header
+/// records the process's peak RSS over all stages.
 int run_large(const bench::BenchOptions& options) {
   const std::string json_path = options.json_out.empty()
                                     ? "results/BENCH_mmap_large.json"
@@ -68,8 +85,8 @@ int run_large(const bench::BenchOptions& options) {
 
   // Untimed setup: materialize the edge-list text input gr_convert would
   // see. Timing starts at the parse, the first stage a user actually runs.
-  const std::string text_path = "/tmp/arbmis_large_edges.txt";
-  const std::string gr_path = "/tmp/arbmis_large.gr";
+  const std::string text_path = temp_path("arbmis_large_edges.txt");
+  const std::string gr_path = temp_path("arbmis_large.gr");
   {
     std::ofstream text(text_path);
     for (const auto [u, v] : g.edges()) text << u << ' ' << v << '\n';
@@ -134,6 +151,8 @@ int run_large(const bench::BenchOptions& options) {
   }
   std::cout << '\n';
   table.print(std::cout);
+  const double peak_mib = peak_rss_mib();
+  std::cout << "\npeak RSS (whole process) " << peak_mib << " MiB\n";
 
   const bool all_ok = convert_identical && solve_identical;
   std::vector<bench::JsonFields> rows;
@@ -151,6 +170,7 @@ int run_large(const bench::BenchOptions& options) {
                           .add("n", n)
                           .add("m", m)
                           .add("seed", options.seed)
+                          .add("peak_rss_mib", peak_mib)
                           .add("identical", all_ok),
                       rows);
   return all_ok ? 0 : 1;
@@ -182,7 +202,7 @@ int main(int argc, char** argv) {
     const graph::Graph g = graph::gen::hubbed_forest_union(n, 2, 64, rng);
     const std::uint64_t m = g.num_edges();
     const std::string path =
-        "/tmp/arbmis_bench_" + std::to_string(n) + ".gr";
+        temp_path("arbmis_bench_" + std::to_string(n) + ".gr");
     const std::string suffix = "_n" + std::to_string(n);
 
     {

@@ -90,8 +90,7 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
   // Stage 0 (optional): degree reduction.
   std::vector<std::uint8_t> residual(g.num_nodes(), 1);
   if (options.degree_reduction) {
-    const std::uint32_t budget = mis::degree_reduction_budget(
-        g.num_nodes(), options.degree_reduction_c);
+    const std::uint32_t budget = mis::degree_reduction_budget(g.num_nodes());
     mis::DegreeReductionResult reduction =
         mis::degree_reduction(g, budget, seed);
     result.reduction_stats = reduction.stats;
@@ -115,8 +114,7 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
   };
   result.params =
       options.paper_faithful_params
-          ? Params::paper_faithful(options.alpha, shatter_graph.max_degree(),
-                                   options.paper_p)
+          ? Params::paper_faithful(options.alpha, shatter_graph.max_degree())
           : Params::practical(options.alpha, shatter_graph.max_degree(),
                               options.tuning);
   BoundedArbIndependentSet::Result shatter = [&] {

@@ -42,12 +42,10 @@ struct ArbMisOptions {
   /// Use Params::practical (default) or Params::paper_faithful.
   bool paper_faithful_params = false;
   Params::PracticalTuning tuning{};
-  std::uint32_t paper_p = 1;
 
   /// Enable the degree-reduction pre-phase (paper Theorem 2.1's route to
   /// an n-only bound).
   bool degree_reduction = false;
-  double degree_reduction_c = 6.0;
 
   Finisher low_finisher = Finisher::kMetivier;
   Finisher high_finisher = Finisher::kMetivier;

@@ -13,8 +13,7 @@ GhaffariArbResult ghaffari_arb_mis(graph::GraphView g, std::uint64_t seed,
 
   std::vector<std::uint8_t> residual(g.num_nodes(), 1);
   if (!options.skip_reduction) {
-    const std::uint32_t budget =
-        mis::degree_reduction_budget(g.num_nodes(), options.reduction_c);
+    const std::uint32_t budget = mis::degree_reduction_budget(g.num_nodes());
     mis::DegreeReductionResult reduction =
         mis::degree_reduction(g, budget, seed);
     result.reduction_stats = reduction.stats;

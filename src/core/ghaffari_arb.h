@@ -25,8 +25,6 @@ struct GhaffariArbResult {
 };
 
 struct GhaffariArbOptions {
-  /// Degree-reduction budget constant (rounds = c·√(log n·log log n)).
-  double reduction_c = 6.0;
   /// Skip the reduction entirely (plain Ghaffari, for ablation).
   bool skip_reduction = false;
 };

@@ -11,9 +11,10 @@ LwTreeMisResult lw_tree_mis(graph::GraphView g, std::uint64_t seed,
                             LwTreeMisOptions options) {
   LwTreeMisResult result;
 
-  // Phase 1: budgeted Métivier competition (the shattering phase).
+  // Phase 1: budgeted Métivier competition (the shattering phase), for
+  // 3·√(log₂ n · log₂ log₂ n) rounds.
   const std::uint32_t budget =
-      mis::degree_reduction_budget(g.num_nodes(), options.budget_c);
+      mis::degree_reduction_budget(g.num_nodes(), /*c=*/3.0);
   mis::DegreeReductionResult shatter =
       mis::degree_reduction(g, budget, seed);
   result.shatter_stats = shatter.stats;

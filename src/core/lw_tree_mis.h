@@ -20,8 +20,6 @@
 namespace arbmis::core {
 
 struct LwTreeMisOptions {
-  /// Métivier phase budget constant: rounds = c·√(log₂ n · log₂ log₂ n).
-  double budget_c = 3.0;
   /// Finish residual components deterministically (forest decomposition +
   /// Cole–Vishkin via SparseMis) instead of by id election. Requires the
   /// residual graph to have small arboricity (true for forests).

@@ -1,5 +1,7 @@
 #include "fault/resilient_mis.h"
 
+#include <optional>
+
 #include "core/bounded_arb.h"
 #include "core/params.h"
 #include "graph/subgraph.h"
@@ -84,14 +86,18 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
 
     std::vector<mis::MisState> labels;
     {
-      FaultPlan plan(res.graph, attempt_seed, adversary);
+      // Only faulty attempts build a plan (and bind the adversary); the
+      // serving path, with fault_free_after = 0, never does.
+      std::optional<FaultPlan> plan;
       sim::NetworkOptions net_options;
       net_options.num_threads = options.num_threads;
-      if (faulty) net_options.fault = &plan;
+      if (faulty) {
+        net_options.fault = &plan.emplace(res.graph, attempt_seed, adversary);
+      }
       sim::Network net(res.graph, attempt_seed, net_options);
       labels = driver(res.graph, net, options.max_rounds_per_attempt,
                       rep.stats);
-      if (faulty) rep.faults = plan.totals();
+      if (plan) rep.faults = plan->totals();
     }
 
     // Certify fault-free within the residual; only verified members are

@@ -116,6 +116,9 @@ class GraphView {
     return static_cast<NodeId>(offsets_[v + 1] - offsets_[v]);
   }
 
+  /// CSR offset of v's row: the directed-edge index of (v, port 0).
+  std::uint64_t offset(NodeId v) const noexcept { return offsets_[v]; }
+
   NodeId max_degree() const noexcept { return max_degree_; }
 
   /// True if {u, v} is an edge (binary search; O(log deg)).

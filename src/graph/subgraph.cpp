@@ -6,20 +6,23 @@ namespace arbmis::graph {
 
 namespace {
 
+constexpr NodeId kNotInSubgraph = ~NodeId{0};
+
 Subgraph build_from_nodes(GraphView g, std::vector<NodeId> nodes) {
   std::sort(nodes.begin(), nodes.end());
   Subgraph out;
   out.to_original = std::move(nodes);
-  out.to_local.assign(g.num_nodes(), Subgraph::kNotInSubgraph);
+  // original -> local, alive only while the edges are filtered.
+  std::vector<NodeId> to_local(g.num_nodes(), kNotInSubgraph);
   for (NodeId local = 0; local < out.to_original.size(); ++local) {
-    out.to_local[out.to_original[local]] = local;
+    to_local[out.to_original[local]] = local;
   }
   Builder b(static_cast<NodeId>(out.to_original.size()));
   for (NodeId local = 0; local < out.to_original.size(); ++local) {
     const NodeId v = out.to_original[local];
     for (NodeId w : g.neighbors(v)) {
-      const NodeId w_local = out.to_local[w];
-      if (w_local != Subgraph::kNotInSubgraph && local < w_local) {
+      const NodeId w_local = to_local[w];
+      if (w_local != kNotInSubgraph && local < w_local) {
         b.add_edge(local, w_local);
       }
     }

@@ -1,6 +1,6 @@
-// Induced subgraphs with bidirectional node-id mappings. The finishing
-// pipeline (ArbMIS Algorithm 2) runs sub-algorithms on G[Vlo], G[Vhi], and
-// the bad-set components; this type carries the relabeling.
+// Induced subgraphs with their local -> original node-id mapping. The
+// finishing pipeline (ArbMIS Algorithm 2) runs sub-algorithms on G[Vlo],
+// G[Vhi], and the bad-set components; this type carries the relabeling.
 #pragma once
 
 #include <span>
@@ -12,17 +12,11 @@ namespace arbmis::graph {
 
 struct Subgraph {
   Graph graph{0};
-  /// to_original[local] = node id in the parent graph.
+  /// to_original[local] = node id in the parent graph, ascending (so a
+  /// node's local id is its position here).
   std::vector<NodeId> to_original;
-  /// to_local[original] = local id, or kNotInSubgraph.
-  std::vector<NodeId> to_local;
-
-  static constexpr NodeId kNotInSubgraph = ~NodeId{0};
 
   NodeId original(NodeId local) const { return to_original[local]; }
-  bool contains(NodeId original_id) const {
-    return to_local[original_id] != kNotInSubgraph;
-  }
 };
 
 /// Subgraph induced by the nodes with mask[v] == true.

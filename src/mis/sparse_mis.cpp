@@ -14,9 +14,9 @@ SparseMisResult sparse_mis(graph::GraphView g, SparseMisOptions options,
   SparseMisResult result;
   sim::Network net(g, seed);
 
-  // Stage 1: H-partition into forests.
-  ForestDecomposition decomposition(
-      g, {.alpha = options.alpha, .eps = options.eps});
+  // Stage 1: H-partition into forests (ForestDecomposition's default
+  // eps = 2, the (2+eps)·α = 4α threshold).
+  ForestDecomposition decomposition(g, {.alpha = options.alpha});
   result.mis.stats = net.run(decomposition, 1 << 20);
   for (graph::NodeId level : decomposition.levels()) {
     if (level == ForestDecomposition::kUnassigned) {

@@ -24,8 +24,6 @@ namespace arbmis::mis {
 struct SparseMisOptions {
   /// Arboricity bound for the forest decomposition (>= true arboricity).
   graph::NodeId alpha = 1;
-  /// eps of the (2+eps)·α H-partition threshold.
-  double eps = 2.0;
   /// Fall back to ElectionMis when 3^(#forests) exceeds this.
   std::uint64_t composite_class_budget = 2048;
 };

@@ -42,7 +42,8 @@ enum class EventCategory : std::uint8_t {
 // A row's index is the kind byte binary records carry, so new kinds are
 // appended at the end; each row's comment says where it is emitted.
 #define ARBMIS_OBS_EVENT_TABLE(X)                                            \
-  /* Network::run entry. */                                                  \
+  /* Network::run entry. enforce_congest is always 1 (the cap is fixed);   \
+     the field stays so streams remain byte-identical. */                    \
   X(RunBegin, "run_begin", kSemantic, "algorithm",                           \
     ("nodes", "edges", "seed", "max_rounds", "enforce_congest"))             \
   /* Every round barrier, including the round-0 on_start flush.              \

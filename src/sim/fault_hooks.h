@@ -22,7 +22,8 @@
 //   * a dropped message is lost in transit — the sender still pays its
 //     CONGEST budget (it sent the message; the network ate it);
 //   * a duplicated message is delivered twice to the same recipient (the
-//     network duplicated it in transit — no extra sender budget);
+//     network duplicated it in transit — no extra sender budget); a fate
+//     never asks for more than two copies, and the Network checks that;
 //   * a down (crashed) node receives no callbacks and sends nothing;
 //     messages addressed to a node that is down at send time are dropped.
 //     Recovery is crash-recover with state intact: the node resumes its
@@ -41,8 +42,11 @@
 namespace arbmis::sim {
 
 /// Fate of one message: how many copies reach the recipient's next-round
-/// inbox. 0 = dropped, 1 = delivered, 2 = duplicated.
+/// inbox. 0 = dropped, 1 = delivered, 2 = duplicated. The Network sizes
+/// its arena for at most kMaxCopies per directed edge and throws
+/// std::logic_error at send time on a fate asking for more.
 struct FaultDecision {
+  static constexpr std::uint8_t kMaxCopies = 2;
   std::uint8_t copies = 1;
 };
 

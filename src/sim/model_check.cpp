@@ -28,7 +28,6 @@ ModelCheckerLane::ModelCheckerLane()
 void ModelCheckerLane::reset() {
   active_node = ModelChecker::kNoNode;
   max_message_bits = 0;
-  max_edge_bits = 0;
   max_rng_reads = 0;
   any_first_draw = false;
   consumed_origins.clear();
@@ -53,20 +52,13 @@ std::string ModelCheckReport::summary() const {
   return out.str();
 }
 
-ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
-                           std::uint32_t allowed_messages_per_edge)
+ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options)
     : options_(options), num_nodes_(g.num_nodes()) {
   if (!options_.enabled) return;
-  const std::uint32_t per_message =
+  edge_bit_budget_ =
       std::max(options_.min_edge_bits,
                options_.log_n_factor *
                    ceil_log2(static_cast<std::uint64_t>(num_nodes_) + 1));
-  edge_bit_budget_ =
-      per_message * std::max<std::uint32_t>(allowed_messages_per_edge, 1);
-  std::uint64_t slots = 0;  // directed edges, Network's edge-slot space
-  for (graph::NodeId v = 0; v < num_nodes_; ++v) slots += g.degree(v);
-  edge_bits_.assign(slots, 0);
-  edge_bits_epoch_.assign(slots, kStaleEpoch);
   rng_reads_.assign(num_nodes_, 0);
   rng_epoch_.assign(num_nodes_, kStaleEpoch);
   for (int s = 0; s < 2; ++s) {
@@ -78,7 +70,6 @@ ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options,
 
 void ModelChecker::begin_run() {
   if (!options_.enabled) return;
-  std::fill(edge_bits_epoch_.begin(), edge_bits_epoch_.end(), kStaleEpoch);
   std::fill(rng_epoch_.begin(), rng_epoch_.end(), kStaleEpoch);
   for (int s = 0; s < 2; ++s) {
     std::fill(mult_epoch_[s].begin(), mult_epoch_[s].end(), kStaleEpoch);
@@ -107,8 +98,7 @@ std::string node_name(graph::NodeId v) {
 }  // namespace
 
 bool ModelChecker::on_send(ModelCheckerLane& lane, graph::NodeId from,
-                           std::uint64_t slot, std::uint64_t payload,
-                           std::uint32_t round) {
+                           std::uint64_t payload, std::uint32_t round) {
   if (!options_.enabled) return false;
   if (from != lane.active_node) {
     violation(lane, "out-of-context send: node " + std::to_string(from) +
@@ -118,15 +108,10 @@ bool ModelChecker::on_send(ModelCheckerLane& lane, graph::NodeId from,
   const auto width = static_cast<std::uint32_t>(
       options_.tag_bits + std::bit_width(payload));
   lane.max_message_bits = std::max(lane.max_message_bits, width);
-
-  // Per-edge bits live in the sender's slots, which belong to exactly one
-  // lane during a phase — safe to update in place.
-  std::uint32_t& bits =
-      stamped(edge_bits_, edge_bits_epoch_, slot, round);
-  bits += width;
-  lane.max_edge_bits = std::max(lane.max_edge_bits, bits);
-  if (bits > edge_bit_budget_) {
-    violation(lane, "message budget exceeded: " + std::to_string(bits) +
+  // The message is its edge's only one this round: its width is the
+  // edge's bits.
+  if (width > edge_bit_budget_) {
+    violation(lane, "message budget exceeded: " + std::to_string(width) +
                         " bits on one edge in round " +
                         std::to_string(round) + " (budget " +
                         std::to_string(edge_bit_budget_) + ")");
@@ -213,8 +198,7 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
     report_.round_max_message_bits[round] =
         std::max(report_.round_max_message_bits[round], lane.max_message_bits);
   }
-  report_.max_edge_bits_per_round =
-      std::max(report_.max_edge_bits_per_round, lane.max_edge_bits);
+  report_.max_edge_bits_per_round = report_.max_message_bits;
   report_.max_rng_reads_per_round =
       std::max(report_.max_rng_reads_per_round, lane.max_rng_reads);
   if (lane.any_first_draw) {

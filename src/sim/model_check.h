@@ -5,8 +5,8 @@
 // of cheating the model remain expressible:
 //
 //   1. width  — packing more than O(log n) significant bits into the
-//      payload word, or smuggling extra words down one edge in a round
-//      when the per-edge message cap is relaxed;
+//      payload word (the Network's fixed cap already stops a second word
+//      down one edge in a round);
 //   2. state  — reading or mutating another node's simulator state outside
 //      message delivery, e.g. by stashing a NodeContext in one callback and
 //      using it from another node's callback (global peeking);
@@ -54,8 +54,9 @@ struct ModelCheckOptions {
   bool fail_fast = true;
   /// Bits charged for the message tag (O(1) distinct kinds per algorithm).
   std::uint32_t tag_bits = 8;
-  /// Per-edge per-round budget = allowed_messages *
-  /// max(min_edge_bits, log_n_factor * ceil(log2(n + 1))).
+  /// Per-edge per-round budget =
+  /// max(min_edge_bits, log_n_factor * ceil(log2(n + 1))), checked on the
+  /// one message an edge may carry per round.
   std::uint32_t log_n_factor = 8;
   /// Floor of the per-message budget: one CONGEST word (64 payload bits +
   /// tag), so the budget never dips below what Message physically holds.
@@ -69,11 +70,12 @@ struct ModelCheckOptions {
 /// What the checker saw over one Network::run.
 struct ModelCheckReport {
   std::uint32_t rounds_observed = 0;
-  /// Enforced per-edge per-round budget in bits (for one allowed message).
+  /// Enforced per-edge per-round budget in bits, for the edge's one message.
   std::uint32_t edge_bit_budget = 0;
   /// Widest single message: tag_bits + significant payload bits.
   std::uint32_t max_message_bits = 0;
-  /// Max cumulative bits one directed edge carried in one round.
+  /// Max bits one directed edge carried in one round; one message per edge
+  /// per round makes it max_message_bits.
   std::uint32_t max_edge_bits_per_round = 0;
   /// Max logical RNG draws by one node in one round.
   std::uint32_t max_rng_reads_per_round = 0;
@@ -101,17 +103,13 @@ struct ModelCheckReport {
 /// consumed-origin list of the read-k ledger — into its own staging area;
 /// ModelChecker::merge_lane folds the lanes back in shard (= node-id) order
 /// at the round barrier, so the merged report is independent of the lane
-/// count. Per-node/per-edge counters stay in the checker's shared arrays:
-/// every slot there is owned by exactly one node and therefore by exactly
-/// one lane.
+/// count. Per-node counters stay in the checker's shared arrays: every slot
+/// there is owned by exactly one node and therefore by exactly one lane.
 struct ModelCheckerLane {
   /// Node whose callback this lane is executing (the pinning check).
   graph::NodeId active_node;
   /// Max message width observed by this lane in the current phase.
   std::uint32_t max_message_bits = 0;
-  /// Max cumulative per-edge bits observed by this lane (edges are
-  /// sender-owned, so the counters are exact; only the max is staged).
-  std::uint32_t max_edge_bits = 0;
   /// Max per-node draws in one round observed by this lane.
   std::uint32_t max_rng_reads = 0;
   /// True if any node made its first draw of the round on this lane.
@@ -139,9 +137,7 @@ class ModelChecker {
  public:
   static constexpr graph::NodeId kNoNode = ~graph::NodeId{0};
 
-  ModelChecker() = default;
-  ModelChecker(graph::GraphView g, ModelCheckOptions options,
-               std::uint32_t allowed_messages_per_edge);
+  ModelChecker(graph::GraphView g, ModelCheckOptions options);
 
   bool enabled() const noexcept { return options_.enabled; }
   const ModelCheckReport& report() const noexcept { return report_; }
@@ -149,15 +145,15 @@ class ModelChecker {
   /// Resets per-run state (Network::run calls this at the top of each run).
   void begin_run();
 
-  /// Hook for every send: `slot` is the directed-edge slot (shared with
-  /// Network's per-edge counters). Enforces the bit budget and returns
-  /// true iff the message is randomness-bearing (`from` drew earlier this
-  /// round). The Network tags each delivered copy of such a message and,
+  /// Hook for every send. Enforces the per-edge bit budget on the message
+  /// (the Network has already checked it is the edge's only one this
+  /// round) and returns true iff it is randomness-bearing (`from` drew
+  /// earlier this round). The Network tags each delivered copy of such a message and,
   /// when a node consumes it, stages the sender in the consuming lane's
   /// consumed_origins: dropped messages never enter the read-k ledger and
   /// duplicated ones enter it twice, while the sender is charged its full
   /// CONGEST budget regardless.
-  bool on_send(ModelCheckerLane& lane, graph::NodeId from, std::uint64_t slot,
+  bool on_send(ModelCheckerLane& lane, graph::NodeId from,
                std::uint64_t payload, std::uint32_t round);
 
   /// Hook for one logical draw from node v's private stream.
@@ -199,11 +195,7 @@ class ModelChecker {
 
   ModelCheckOptions options_;
   std::uint32_t num_nodes_ = 0;
-  std::uint32_t edge_bit_budget_ = 0;  ///< budget for all allowed messages
-
-  // Per-directed-edge cumulative bits this round, epoch-stamped.
-  std::vector<std::uint32_t> edge_bits_;
-  std::vector<std::uint32_t> edge_bits_epoch_;
+  std::uint32_t edge_bit_budget_ = 0;
 
   // Per-node RNG draws this round, epoch-stamped. A node "drew this round"
   // iff rng_epoch_[v] == round and rng_reads_[v] > 0.

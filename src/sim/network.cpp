@@ -42,34 +42,29 @@ void RunStats::absorb(const RunStats& other) noexcept {
 Network::Network(graph::GraphView g, std::uint64_t seed,
                  NetworkOptions options)
     : graph_(g),
-      options_(options),
       seed_(seed),
       fault_(options.fault),
       num_threads_(options.num_threads != 0 ? options.num_threads
                                             : default_num_threads()),
-      checker_(g, options.model_check,
-               options.max_messages_per_edge_per_round) {
+      checker_(g, options.model_check) {
   const graph::NodeId n = g.num_nodes();
   rngs_.reserve(n);
   const util::Rng base(seed);
   for (graph::NodeId v = 0; v < n; ++v) rngs_.push_back(base.child(v));
   halted_.assign(n, 0);
-  edge_offset_.resize(n + 1, 0);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    edge_offset_[v + 1] = edge_offset_[v] + g.degree(v);
-  }
-  edge_sends_.assign(edge_offset_[n], 0);
-  edge_epoch_.assign(edge_offset_[n], ~std::uint32_t{0});
-  // All storage a run can touch on the fault-free path, sized once: one
-  // Message slot per directed edge, double-buffered, plus fill counts.
-  arena_cur_.resize(edge_offset_[n]);
-  arena_next_.resize(edge_offset_[n]);
-  bearing_cur_.resize(edge_offset_[n]);
-  bearing_next_.resize(edge_offset_[n]);
+  const std::uint64_t directed_edges = 2 * g.num_edges();
+  edge_epoch_.assign(directed_edges, ~std::uint32_t{0});
+  // All storage a run can touch, sized once: room for every copy the cap
+  // and the fault contract allow per directed edge, double-buffered, plus
+  // fill counts.
+  if (fault_ != nullptr) slots_per_edge_ = FaultDecision::kMaxCopies;
+  const std::uint64_t slots = directed_edges * slots_per_edge_;
+  arena_cur_.resize(slots);
+  arena_next_.resize(slots);
+  bearing_cur_.resize(slots);
+  bearing_next_.resize(slots);
   inbox_count_cur_.assign(n, 0);
   inbox_count_next_.assign(n, 0);
-  overflow_cur_.resize(n);
-  overflow_next_.resize(n);
   if (num_threads_ > 0) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
     shard_bounds_.resize(static_cast<std::size_t>(num_threads_) + 1, 0);
@@ -80,50 +75,24 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
 void Network::deliver(graph::NodeId target, const Message& msg,
                       bool rng_bearing) {
   ++in_flight_next_;
-  std::uint32_t& count = inbox_count_next_[target];
-  const std::uint64_t base = edge_offset_[target];
-  if (count < edge_offset_[target + 1] - base) [[likely]] {
-    arena_next_[base + count] = msg;
-    bearing_next_[base + count] = rng_bearing ? 1 : 0;
-  } else {
-    // Past one-per-directed-edge capacity: fault duplicates, or a run
-    // with enforce_congest off. Order is preserved — the side buffer
-    // holds exactly the suffix of the node's delivery sequence.
-    overflow_next_[target].push_back({msg, rng_bearing});
-    overflow_next_dirty_ = true;
-  }
-  ++count;
+  const std::uint64_t slot = inbox_base(target) + inbox_count_next_[target]++;
+  arena_next_[slot] = msg;
+  bearing_next_[slot] = rng_bearing ? 1 : 0;
 }
 
 std::span<const Message> Network::consume_inbox(graph::NodeId v,
                                                 ExecLane& lane) {
+  const std::uint64_t base = inbox_base(v);
   const std::uint32_t count = inbox_count_cur_[v];
-  const std::uint64_t base = edge_offset_[v];
-  const std::uint64_t cap = edge_offset_[v + 1] - base;
-  const std::uint64_t in_arena = std::min<std::uint64_t>(count, cap);
   if (checker_.enabled()) {
     // Read-k ledger: the sender of every tagged copy is one more reader of
     // its this-round randomness.
     std::vector<graph::NodeId>& origins = lane.check.consumed_origins;
-    for (std::uint64_t i = base; i < base + in_arena; ++i) {
+    for (std::uint64_t i = base; i < base + count; ++i) {
       if (bearing_cur_[i] != 0) origins.push_back(arena_cur_[i].src);
     }
-    if (count > cap) {
-      for (const Delivery& d : overflow_cur_[v]) {
-        if (d.rng_bearing) origins.push_back(d.msg.src);
-      }
-    }
   }
-  if (count <= cap) [[likely]] {
-    return std::span<const Message>(arena_cur_.data() + base, count);
-  }
-  // Overflowed inbox: splice region + side buffer into the lane's scratch
-  // (the callback only needs the span for its own duration).
-  std::vector<Message>& scratch = lane.scratch;
-  scratch.assign(arena_cur_.begin() + static_cast<std::ptrdiff_t>(base),
-                 arena_cur_.begin() + static_cast<std::ptrdiff_t>(base + cap));
-  for (const Delivery& d : overflow_cur_[v]) scratch.push_back(d.msg);
-  return scratch;
+  return std::span<const Message>(arena_cur_.data() + base, count);
 }
 
 void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
@@ -132,20 +101,16 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
   if (port >= nbrs.size()) {
     throw std::logic_error("send: port out of range");
   }
-  // The (from, port) counter slot is owned by the sender, hence by exactly
-  // one lane — updated in place.
-  const std::uint64_t slot = edge_offset_[from] + port;
-  if (edge_epoch_[slot] != round_) {
-    edge_epoch_[slot] = round_;
-    edge_sends_[slot] = 0;
-  }
-  const std::uint32_t load = ++edge_sends_[slot];
-  if (options_.enforce_congest &&
-      load > options_.max_messages_per_edge_per_round) {
+  // The (from, port) stamp is owned by the sender, hence by exactly one
+  // lane — updated in place. Stamped this round = the port already carried
+  // its one message.
+  const std::uint64_t slot = graph_.offset(from) + port;
+  if (edge_epoch_[slot] == round_) {
     throw std::logic_error(
         "CONGEST violation: more than the per-edge message budget sent on "
         "one edge in one round");
   }
+  edge_epoch_[slot] = round_;
   const graph::NodeId target = nbrs[port];
   // Fault seam: the fate of a message is a pure function of (plan, edge
   // slot, round), so lanes can decide it independently and determinism
@@ -158,13 +123,16 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
                  : fault_->on_message(from, target, slot, round_).copies;
     if (copies == 0) {
       ++lane.fault_drops;
+    } else if (copies > FaultDecision::kMaxCopies) {
+      throw std::logic_error(
+          "fault injector: more than two copies of one message");
     } else if (copies > 1) {
       lane.fault_duplicates += std::uint64_t{copies} - 1;
     }
   }
   const bool rng_bearing =
-      checker_.on_send(lane.check, from, slot, payload, round_);
-  lane.max_edge_load = std::max(lane.max_edge_load, load);
+      checker_.on_send(lane.check, from, payload, round_);
+  lane.max_edge_load = 1;  // the cap: a used edge carries exactly one
   if (copies > 0) {
     lane.sends.push_back(ExecLane::StagedSend{Message{from, tag, payload},
                                               target, rng_bearing, copies});
@@ -321,7 +289,7 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   if (obs::telemetry_attached()) {
     obs::emit(obs::make_event<obs::EventKind::kRunBegin>(
         /*round=*/0, algorithm.name(), n, graph_.num_edges(), seed_, max_rounds,
-        options_.enforce_congest ? 1 : 0));
+        /*enforce_congest=*/1));
   }
   // Reset per-run state; RNG streams intentionally persist across runs.
   std::fill(halted_.begin(), halted_.end(), 0);
@@ -334,14 +302,6 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   // dead once the counts read zero.
   std::fill(inbox_count_cur_.begin(), inbox_count_cur_.end(), 0);
   std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
-  if (overflow_cur_dirty_) {
-    for (auto& box : overflow_cur_) box.clear();
-    overflow_cur_dirty_ = false;
-  }
-  if (overflow_next_dirty_) {
-    for (auto& box : overflow_next_) box.clear();
-    overflow_next_dirty_ = false;
-  }
   in_flight_next_ = 0;
   rng_draws_ = 0;
   std::fill(edge_epoch_.begin(), edge_epoch_.end(), ~std::uint32_t{0});
@@ -382,12 +342,6 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
     std::swap(bearing_cur_, bearing_next_);
     std::swap(inbox_count_cur_, inbox_count_next_);
     std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
-    std::swap(overflow_cur_, overflow_next_);
-    std::swap(overflow_cur_dirty_, overflow_next_dirty_);
-    if (overflow_next_dirty_) {
-      for (auto& box : overflow_next_) box.clear();
-      overflow_next_dirty_ = false;
-    }
     in_flight_next_ = 0;
     ++round_;
     events = RoundFaultEvents{};

@@ -28,18 +28,18 @@
 // it is replayed does not matter.
 //
 // Accounting: rounds, total messages, total payload bits, and the maximum
-// number of messages any single directed edge carried in one round. With
-// `enforce_congest` (default on) a node sending more than
-// `max_messages_per_edge_per_round` on one port aborts the run with
+// number of messages any single directed edge carried in one round. The
+// CONGEST normalization is a fixed rule, not an option: a node sending a
+// second message on one port in one round aborts the run with
 // std::logic_error — this is how the test suite proves the algorithms obey
-// the CONGEST normalization rather than merely claiming it. On top of the
-// message-count cap, a ModelChecker (sim/model_check.h, also default-on)
-// enforces the per-edge bit budget, RNG-stream isolation with a per-round
-// randomness budget, and callback pinning (no cross-node state access),
-// and keeps the read-k multiplicity ledger reported via
-// model_check_report(). A phase that throws (a fail-fast violation, an
-// enforced cap) still merges every lane's checker accounting on its way
-// out, so the violation is counted, emitted and auto-dumped.
+// it rather than merely claiming it. On top of the message-count cap, a
+// ModelChecker (sim/model_check.h, default-on) enforces the per-edge bit
+// budget, RNG-stream isolation with a per-round randomness budget, and
+// callback pinning (no cross-node state access), and keeps the read-k
+// multiplicity ledger reported via model_check_report(). A phase that
+// throws (a fail-fast violation, the cap) still merges every lane's
+// checker accounting on its way out, so the violation is counted, emitted
+// and auto-dumped.
 //
 // Determinism: node v draws from Rng(seed).child(v); callback order never
 // affects the streams, so a run is a pure function of (graph, seed,
@@ -54,23 +54,20 @@
 // byte-identical across thread counts. With no injector attached every
 // fault path is skipped.
 //
-// Message arena (the inbox): the CONGEST normalization caps traffic at one
-// message per directed edge per round, so the inbox is a flat arena with
-// exactly one Message slot per directed edge, laid out in the CSR edge
-// order the per-edge counters already use (slot base of node v =
-// edge_offset_[v]). A delivery appends at inbox_count_next_[target], so
-// node v's inbox is the contiguous range [edge_offset_[v], edge_offset_[v]
-// + count) of the arena — filled in ascending sender id, which for sorted
-// adjacency IS port order. Each slot also carries a read-k tag (the copy
-// carries its sender's this-round randomness), so consuming an inbox tells
-// the ModelChecker whose randomness the node read without a second arena.
-// Delivery and fault-injected duplicates are plain index writes into
-// storage allocated once at construction. Fault
-// duplicates (and runs that opt out of enforce_congest) can exceed the
-// one-slot-per-edge capacity; the excess overflows into a per-node side
-// buffer that is empty — and costs nothing — on the normal path, keeping
-// "<= 1 message per directed edge per round" an enforced invariant rather
-// than a load-bearing assumption (tests/test_message_arena.cpp).
+// Message arena (the inbox): the cap allows one message per directed edge
+// per round, and a fault fate duplicates a message at most once, so the
+// inbox is a flat arena with one Message slot per directed edge — two with
+// a FaultInjector attached — laid out in the view's CSR edge order (slot
+// base of node v = slots_per_edge_ * graph_.offset(v)). A delivery is an
+// indexed write at inbox_count_next_[target], so node v's inbox is a span
+// of the arena, filled in delivery order: ascending sender id, which for
+// sorted adjacency IS port order, with a duplicate right behind its
+// original. Each slot also carries a read-k tag (the copy carries its
+// sender's this-round randomness), so consuming an inbox tells the
+// ModelChecker whose randomness the node read without a second arena. The
+// arena is allocated once at construction; since do_send enforces the cap
+// and rejects more than two copies, no region can overflow
+// (tests/test_message_arena.cpp).
 #pragma once
 
 #include <cstdint>
@@ -90,8 +87,6 @@
 namespace arbmis::sim {
 
 struct NetworkOptions {
-  bool enforce_congest = true;
-  std::uint32_t max_messages_per_edge_per_round = 1;
   /// Fault injector (non-owning; must outlive every run). nullptr (the
   /// default) disables every fault path — runs are byte-identical to a
   /// build without the subsystem. See sim/fault_hooks.h for the contract
@@ -149,7 +144,7 @@ struct ExecLane {
     graph::NodeId target;
     /// Carries the sender's this-round randomness (read-k ledger entry).
     bool rng_bearing;
-    /// Inbox copies to deliver (>= 1; dropped messages are never staged).
+    /// Inbox copies to deliver (1 or 2; dropped messages are never staged).
     std::uint8_t copies;
   };
 
@@ -165,11 +160,6 @@ struct ExecLane {
   /// the injector's ledger stays executor-independent).
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_duplicates = 0;
-  /// Contiguous copy of an overflowing arena inbox (region + side buffer)
-  /// for the duration of one callback; unused — and never allocated — on
-  /// the fault-free path. Not cleared by reset(): it is transient per
-  /// callback and keeps its capacity across rounds.
-  std::vector<Message> scratch;
   ModelCheckerLane check;
 
   void reset() noexcept {
@@ -217,9 +207,9 @@ class Network {
   graph::NodeId num_halted() const noexcept { return num_halted_; }
   /// Resolved worker count (0 = the inline lane).
   std::uint32_t num_threads() const noexcept { return num_threads_; }
-  /// Total Message slots in the arena = number of directed edges (one slot
-  /// per (node, port) pair, CSR order).
-  std::uint64_t arena_slots() const noexcept { return edge_offset_.back(); }
+  /// Total Message slots in the arena: one per directed edge (CSR order),
+  /// two with a FaultInjector attached.
+  std::uint64_t arena_slots() const noexcept { return arena_cur_.size(); }
   /// Logical RNG draws made so far in the current run, summed over nodes.
   /// Deterministic in (graph, seed, algorithm) and executor-independent.
   std::uint64_t total_rng_draws() const noexcept { return rng_draws_; }
@@ -228,14 +218,6 @@ class Network {
   std::uint64_t in_flight() const noexcept { return in_flight_next_; }
   std::uint32_t staged_inbox_size(graph::NodeId v) const noexcept {
     return inbox_count_next_[v];
-  }
-  /// Staged messages for v that exceeded its per-directed-edge slot
-  /// capacity and sit in the overflow side buffer (0 on the normal path).
-  std::uint32_t staged_overflow_size(graph::NodeId v) const noexcept {
-    const std::uint32_t cap = graph_.degree(v);
-    return inbox_count_next_[v] > cap
-               ? inbox_count_next_[v] - cap
-               : 0;
   }
 
   /// Called after every completed round with the round number just
@@ -276,16 +258,17 @@ class Network {
   void do_halt(ExecLane& lane, graph::NodeId v);
   /// Accounts one logical draw from v's stream, then exposes it.
   util::Rng& draw_rng(ExecLane& lane, graph::NodeId v);
-  /// Appends one inbox copy for `target` to next-round storage, tagged with
-  /// its read-k bit: an arena slot write, or the side buffer past
-  /// capacity. Runs on the calling thread only (lane flushes and barrier
-  /// merges).
+  /// First arena slot of v's inbox region.
+  std::uint64_t inbox_base(graph::NodeId v) const noexcept {
+    return graph_.offset(v) * slots_per_edge_;
+  }
+  /// Writes one inbox copy for `target` into its next-round arena slot,
+  /// tagged with its read-k bit. Runs on the calling thread only (lane
+  /// flushes and barrier merges).
   void deliver(graph::NodeId target, const Message& msg, bool rng_bearing);
-  /// The inbox v consumes this round, as contiguous storage; stages the
+  /// The inbox v consumes this round, a span into the arena; stages the
   /// senders of its randomness-bearing copies as the lane's consumed
-  /// read-k origins. Arena overflow (fault duplicates / congest-off runs)
-  /// is materialized into the lane's scratch buffer; the fast path is a
-  /// span into the arena.
+  /// read-k origins.
   std::span<const Message> consume_inbox(graph::NodeId v, ExecLane& lane);
 
   /// Runs one callback phase (on_start when round_ == 0, else on_round)
@@ -308,7 +291,6 @@ class Network {
                               RoundFaultEvents events);
 
   graph::GraphView graph_;
-  NetworkOptions options_;
   std::uint64_t seed_ = 0;  ///< base RNG seed (telemetry run_begin events)
   FaultInjector* fault_ = nullptr;  ///< non-owning; nullptr = fault-free
   std::uint32_t num_threads_ = 0;  ///< resolved at construction; 0 = inline
@@ -319,34 +301,23 @@ class Network {
   graph::NodeId num_halted_ = 0;
   std::uint32_t round_ = 0;
 
-  // Message arena: one slot per directed edge in CSR order (node v's inbox
-  // region is [edge_offset_[v], edge_offset_[v+1])), double-buffered for
+  // Message arena: slots_per_edge_ slots per directed edge in CSR order
+  // (node v's inbox region starts at inbox_base(v)), double-buffered for
   // the deliver/fill round phases, with a per-node fill count and a
   // per-slot read-k tag (1 = the copy carries its sender's this-round
-  // randomness, see ModelChecker::on_send). Messages past a node's region
-  // capacity — only possible with fault duplicates or enforce_congest off
-  // — land in the per-node overflow side buffers, whose dirty flags make
-  // the common no-overflow round reset O(1).
-  struct Delivery {
-    Message msg;
-    bool rng_bearing;
-  };
+  // randomness, see ModelChecker::on_send).
+  std::uint32_t slots_per_edge_ = 1;  ///< 2 with a FaultInjector attached
   std::vector<Message> arena_cur_;
   std::vector<Message> arena_next_;
   std::vector<std::uint8_t> bearing_cur_;
   std::vector<std::uint8_t> bearing_next_;
   std::vector<std::uint32_t> inbox_count_cur_;
   std::vector<std::uint32_t> inbox_count_next_;
-  std::vector<std::vector<Delivery>> overflow_cur_;
-  std::vector<std::vector<Delivery>> overflow_next_;
-  bool overflow_cur_dirty_ = false;
-  bool overflow_next_dirty_ = false;
   std::uint64_t in_flight_next_ = 0;  ///< messages staged for next round
 
-  // Per-directed-edge send counters, epoch-stamped by round to avoid a
-  // clear per round. Slot for (v, port) = edge_offset_[v] + port.
-  std::vector<std::uint64_t> edge_offset_;
-  std::vector<std::uint32_t> edge_sends_;
+  // Round of the last send per directed edge (slot of (v, port) =
+  // graph_.offset(v) + port): a stamp equal to the current round marks a
+  // port that already carried its one message.
   std::vector<std::uint32_t> edge_epoch_;
 
   // Executor state: one lane (inline) or one per worker (pool_ set).

@@ -1,10 +1,12 @@
 // Tests of the flat message arena backing the simulator inboxes
 // (sim/network.h, "Message arena" section): CSR slot indexing against
-// first/last ports and isolated nodes, occupancy reset across rounds and
-// across run() calls, the duplicate-overflow side buffer, the enforced
-// <= 1-message-per-directed-edge violation path, and rounds that stage
-// more than one of the inline lane's flush batches (sim/network.h,
-// executor section), byte-identical across thread counts.
+// first/last ports and isolated nodes, the arena's fixed size (one slot
+// per directed edge, two with a fault injector), occupancy reset across
+// rounds and across run() calls, fault duplicates landing in their own
+// slots in delivery order, the enforced <= 1-message-per-directed-edge and
+// <= 2-copies violation paths, and rounds that stage more than one of the
+// inline lane's flush batches (sim/network.h, executor section),
+// byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,19 +33,18 @@ struct Recorded {
   bool operator==(const Recorded&) const = default;
 };
 
-/// Broadcasts `copies_per_port` messages per port per round for `rounds`
-/// rounds and records every node's inbox contents in delivery order.
+/// Broadcasts one message per port per round for `rounds` rounds and
+/// records every node's inbox contents in delivery order.
 class RecordingBroadcast final : public sim::Algorithm {
  public:
-  RecordingBroadcast(graph::NodeId n, std::uint32_t rounds,
-                     std::uint32_t copies_per_port = 1)
-      : rounds_(rounds), copies_per_port_(copies_per_port), inboxes_(n) {}
+  RecordingBroadcast(graph::NodeId n, std::uint32_t rounds)
+      : rounds_(rounds), inboxes_(n) {}
 
   std::string_view name() const override { return "recording_broadcast"; }
 
   void on_start(sim::NodeContext& ctx) override {
     inboxes_[ctx.id()].clear();
-    send_all(ctx);
+    ctx.broadcast(0, ctx.id());
   }
 
   void on_round(sim::NodeContext& ctx,
@@ -55,7 +56,7 @@ class RecordingBroadcast final : public sim::Algorithm {
     // Send even in the halting round: those messages are staged but never
     // delivered, which is exactly the leftover state the cross-run
     // occupancy-reset test needs to exist.
-    send_all(ctx);
+    ctx.broadcast(0, ctx.id());
     if (ctx.round() >= rounds_) ctx.halt();
   }
 
@@ -65,16 +66,7 @@ class RecordingBroadcast final : public sim::Algorithm {
   }
 
  private:
-  void send_all(sim::NodeContext& ctx) {
-    for (graph::NodeId port = 0; port < ctx.degree(); ++port) {
-      for (std::uint32_t c = 0; c < copies_per_port_; ++c) {
-        ctx.send(port, c, ctx.id());
-      }
-    }
-  }
-
   std::uint32_t rounds_;
-  std::uint32_t copies_per_port_;
   std::vector<std::vector<Recorded>> inboxes_;
 };
 
@@ -127,6 +119,26 @@ class DoubleSender final : public sim::Algorithm {
   void on_round(sim::NodeContext&, std::span<const sim::Message>) override {}
 };
 
+/// Breaks the fault contract: asks for three copies of every message,
+/// one more than the arena holds per directed edge.
+class TriplingInjector final : public sim::FaultInjector {
+ public:
+  void begin_run() override {}
+  sim::RoundFaultEvents begin_round(std::uint32_t,
+                                    std::span<const std::uint8_t>) override {
+    return {};
+  }
+  sim::FaultDecision on_message(graph::NodeId, graph::NodeId, std::uint64_t,
+                                std::uint32_t) const override {
+    return {.copies = 3};
+  }
+  bool is_down(graph::NodeId) const override { return false; }
+  graph::NodeId num_down() const override { return 0; }
+  bool recovery_pending() const override { return false; }
+  void account(std::uint32_t, std::uint64_t, std::uint64_t) override {}
+  sim::FaultTotals totals() const override { return {}; }
+};
+
 TEST(MessageArena, SlotLayoutMatchesCsrAndInboxIsPortOrdered) {
   // Path 0-1-2-3: interior nodes receive on both their first and last
   // ports, the endpoints only on their single port.
@@ -160,6 +172,22 @@ TEST(MessageArena, IsolatedNodesGetEmptyRegions) {
   EXPECT_TRUE(algo.inbox(4).empty());
   EXPECT_EQ(algo.inbox(1),
             (std::vector<Recorded>{{0, 0, 0}, {2, 0, 2}}));
+}
+
+TEST(MessageArena, OneSlotPerDirectedEdgeTwoWithAnInjector) {
+  const graph::Graph g = [] {
+    util::Rng rng(12);
+    return graph::gen::gnp(60, 0.1, rng);
+  }();
+  const std::uint64_t m = g.num_edges();
+  ASSERT_GT(m, 0u);
+  EXPECT_EQ(sim::Network(g, 1).arena_slots(), 2 * m);
+  // Any injector, even one that never fires, reserves the duplicate slot.
+  fault::IidAdversary adversary({});
+  fault::FaultPlan plan(g, 1, adversary);
+  sim::NetworkOptions options;
+  options.fault = &plan;
+  EXPECT_EQ(sim::Network(g, 1, options).arena_slots(), 4 * m);
 }
 
 TEST(MessageArena, SelfLoopsAreRejectedAtGraphConstruction) {
@@ -203,10 +231,10 @@ TEST(MessageArena, OccupancyResetsBetweenRuns) {
   }
 }
 
-TEST(MessageArena, DuplicateStormOverflowsIntoSideBuffer) {
+TEST(MessageArena, DuplicateStormFillsBothSlotsInDeliveryOrder) {
   // duplicate_rate = 1.0: every send is delivered twice, so every node
-  // receives 2 * degree copies — degree of them past its arena region, in
-  // the side buffer. Delivery order duplicates each sender in place.
+  // receives 2 * degree copies, filling its two-slots-per-edge region.
+  // Delivery order puts each duplicate right behind its original.
   const graph::Graph g = graph::gen::path(4);
   fault::IidAdversary adversary({.duplicate_rate = 1.0});
   fault::FaultPlan plan(g, 5, adversary);
@@ -215,44 +243,34 @@ TEST(MessageArena, DuplicateStormOverflowsIntoSideBuffer) {
   sim::Network net(g, 5, options);
 
   std::vector<std::uint32_t> staged(4, 0);
-  std::vector<std::uint32_t> overflowed(4, 0);
   RecordingBroadcast algo(4, 1);
   net.run(algo, 2, [&](const sim::Network& n, std::uint32_t round) {
     if (round != 1) return;
-    for (graph::NodeId v = 0; v < 4; ++v) {
-      staged[v] = n.staged_inbox_size(v);
-      overflowed[v] = n.staged_overflow_size(v);
-    }
+    for (graph::NodeId v = 0; v < 4; ++v) staged[v] = n.staged_inbox_size(v);
   });
 
   EXPECT_EQ(algo.inbox(1),
             (std::vector<Recorded>{{0, 0, 0}, {0, 0, 0}, {2, 0, 2},
                                    {2, 0, 2}}));
   EXPECT_EQ(algo.inbox(0), (std::vector<Recorded>{{1, 0, 1}, {1, 0, 1}}));
-  // The round-1 observer sees round 2's staging: every copy doubled, the
-  // excess past one-slot-per-edge capacity sitting in the side buffer.
+  // The round-1 observer sees round 2's staging: every copy doubled.
   EXPECT_EQ(staged[1], 4u);
-  EXPECT_EQ(overflowed[1], 2u);
   EXPECT_EQ(staged[0], 2u);
-  EXPECT_EQ(overflowed[0], 1u);
 }
 
-TEST(MessageArena, RelaxedCapOverflowsInDeliveryOrder) {
-  // With the per-edge cap raised to 2 the arena region (one slot per
-  // directed edge) cannot hold everything; the overflow suffix must
-  // preserve the exact delivery order: both copies of sender u before any
-  // copy of sender w > u.
+TEST(MessageArena, MoreThanTwoCopiesThrows) {
+  // An injector asking for a third copy must abort the run at send time,
+  // on every executor, instead of writing past the node's region.
   const graph::Graph g = graph::gen::path(3);
-  sim::NetworkOptions options;
-  options.max_messages_per_edge_per_round = 2;
-  sim::Network net(g, 6, options);
-
-  RecordingBroadcast algo(3, 1, /*copies_per_port=*/2);
-  net.run(algo, 2);
-  EXPECT_EQ(algo.inbox(1),
-            (std::vector<Recorded>{{0, 0, 0}, {0, 1, 0}, {2, 0, 2},
-                                   {2, 1, 2}}));
-  EXPECT_EQ(algo.inbox(0), (std::vector<Recorded>{{1, 0, 1}, {1, 1, 1}}));
+  TriplingInjector injector;
+  for (const std::uint32_t threads : {0u, 2u}) {
+    sim::NetworkOptions options;
+    options.fault = &injector;
+    options.num_threads = threads;
+    sim::Network net(g, 6, options);
+    RecordingBroadcast algo(3, 1);
+    EXPECT_THROW(net.run(algo, 2), std::logic_error) << "threads " << threads;
+  }
 }
 
 TEST(MessageArena, EnforcedPerEdgeCapStillThrows) {
@@ -407,9 +425,9 @@ TEST(MessageArena, StarBeyondOneFlushBatchIsExecutorIndependent) {
 }
 
 TEST(MessageArena, DuplicateStormOverflowAcrossFlushBatches) {
-  // duplicate_rate = 1.0 doubles every delivery: the centre's region fills
-  // halfway through the leaves, so its overflow side buffer, read-k tags
-  // included, is filled by several flush batches.
+  // duplicate_rate = 1.0 doubles every delivery: the centre's region of
+  // two slots per leaf, read-k tags included, is filled by several flush
+  // batches, each duplicate right behind its original.
   const graph::Graph g = graph::gen::star(kStarLeaves + 1);
   const ExecutorRun inline_run = run_drawing_broadcast(g, 0, true);
   ASSERT_EQ(inline_run.inboxes[0].size(), 6u * kStarLeaves);

@@ -611,9 +611,9 @@ TEST_P(ArenaEquivalence, BfsRootingMatchesReferenceInboxes) {
 }
 
 TEST_P(ArenaEquivalence, FaultyLubyMatchesReferenceInboxes) {
-  // The faulty row of the matrix: duplicates overflow the arena's
-  // per-directed-edge capacity into the side buffers, so this is the path
-  // where a layout or batching bug would first diverge. The fault ledger
+  // The faulty row of the matrix: duplicates fill the second arena slot
+  // of each directed edge, so this is the path where a layout or batching
+  // bug would first diverge. The fault ledger
   // and final down mask ride along in the comparison.
   const std::uint64_t seed = GetParam();
   for (const GraphCase& gc : arena_graphs(seed)) {

@@ -83,17 +83,6 @@ TEST(Network, EnforcesCongestBudget) {
   EXPECT_THROW(net.run(algorithm, 4), std::logic_error);
 }
 
-TEST(Network, CongestBudgetCanBeRelaxed) {
-  const graph::Graph g = graph::gen::path(2);
-  NetworkOptions options;
-  options.max_messages_per_edge_per_round = 2;
-  Network net(g, 1, options);
-  CongestViolator algorithm;
-  RunStats stats;
-  EXPECT_NO_THROW(stats = net.run(algorithm, 4));
-  EXPECT_EQ(stats.max_edge_load, 2u);
-}
-
 TEST(Network, PortOutOfRangeThrows) {
   class BadPort : public Algorithm {
    public:

@@ -1,6 +1,8 @@
 // Tests for induced subgraph extraction and id mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 
@@ -14,8 +16,8 @@ TEST(Subgraph, MaskExtraction) {
   EXPECT_EQ(sub.graph.num_nodes(), 4u);
   // Edges kept: 0-1, 1-2, 5-0.
   EXPECT_EQ(sub.graph.num_edges(), 3u);
-  EXPECT_TRUE(sub.contains(0));
-  EXPECT_FALSE(sub.contains(3));
+  // Node 0 is in, node 3 is not.
+  EXPECT_EQ(sub.to_original, (std::vector<NodeId>{0, 1, 2, 5}));
 }
 
 TEST(Subgraph, MappingRoundTrips) {
@@ -27,7 +29,10 @@ TEST(Subgraph, MappingRoundTrips) {
   for (NodeId local = 0; local < sub.graph.num_nodes(); ++local) {
     const NodeId original = sub.original(local);
     EXPECT_TRUE(mask[original]);
-    EXPECT_EQ(sub.to_local[original], local);
+    // to_original ascends, so the local id is the original's position.
+    const auto it = std::lower_bound(sub.to_original.begin(),
+                                     sub.to_original.end(), original);
+    EXPECT_EQ(static_cast<NodeId>(it - sub.to_original.begin()), local);
   }
 }
 
