@@ -1,10 +1,10 @@
 #!/bin/bash
 # Runs every experiment binary in bench/ and captures its report under
-# results/. The list below mirrors the arbmis_bench() targets in
-# bench/CMakeLists.txt (plus bench_micro) — regenerate it when adding a
-# bench target. Fails on the first bench that exits nonzero, so a broken
-# experiment (e.g. a fault-tolerance cell that misses certification)
-# fails the whole sweep instead of scrolling by.
+# results/. The list is the one bench/CMakeLists.txt writes into the build
+# tree: bench/bench_targets.txt, one arbmis_bench() target a line, in
+# declaration order. Fails on the first bench that exits nonzero, so a
+# broken experiment (e.g. a fault-tolerance cell that misses
+# certification) fails the whole sweep instead of scrolling by.
 #
 # Timing results are only meaningful from a Release tree, so the script
 # refuses anything else, twice over: the configure-time stamp written by
@@ -29,28 +29,12 @@ if [[ "$build_type" != "Release" ]]; then
   exit 1
 fi
 
-BENCHES=(
-  bench_readk_conjunction   # T1
-  bench_readk_tail          # T2
-  bench_event1              # F1
-  bench_event2              # F2
-  bench_event3              # F3
-  bench_bad_probability     # T3
-  bench_shattering          # F4
-  bench_rounds_vs_n         # F5
-  bench_rounds_vs_alpha     # F6
-  bench_comparison          # T4
-  bench_forest_decomp       # T5
-  bench_ablation            # A1-A4
-  bench_tree_history        # T6
-  bench_bit_complexity      # T7
-  bench_sim_parallel        # P1
-  bench_fault_tolerance     # R1
-  bench_mmap_graph          # P3
-  bench_engine              # E1
-  bench_serve               # S1
-  bench_micro               # M1
-)
+targets="${BUILD_DIR}/bench/bench_targets.txt"
+if [[ ! -f "$targets" ]]; then
+  echo "=== MISSING ${targets} (reconfigure: cmake --preset bench) ===" >&2
+  exit 1
+fi
+mapfile -t BENCHES < "$targets"
 
 mkdir -p results
 for name in "${BENCHES[@]}"; do

@@ -1,6 +1,6 @@
 #include "core/arb_mis.h"
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/subgraph.h"
@@ -99,48 +99,36 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
     emit_phase("degree_reduction", 0, g.num_nodes(), result.reduction_stats);
   }
 
-  // Stage 1: BoundedArbIndependentSet on the residual graph. An all-ones
-  // residual (always, without degree reduction) induces g itself — same
-  // ids, same sorted adjacency — so g runs directly instead of a copy.
-  const bool whole_graph =
-      std::all_of(residual.begin(), residual.end(),
-                  [](std::uint8_t r) { return r != 0; });
-  const graph::Subgraph shatter_sub =
-      whole_graph ? graph::Subgraph{} : graph::induced_subgraph(g, residual);
-  const graph::GraphView shatter_graph =
-      whole_graph ? g : graph::GraphView(shatter_sub.graph);
-  const auto original = [&](graph::NodeId local) {
-    return whole_graph ? local : shatter_sub.original(local);
-  };
+  // Stage 1: BoundedArbIndependentSet on the residual graph. Without
+  // degree reduction the residual is every node, which restricts to g.
+  const graph::Subgraph shatter_sub = graph::induced_subgraph(g, residual);
+  const graph::GraphView shatter_graph = shatter_sub.graph;
   result.params =
       options.paper_faithful_params
           ? Params::paper_faithful(options.alpha, shatter_graph.max_degree())
           : Params::practical(options.alpha, shatter_graph.max_degree(),
                               options.tuning);
-  BoundedArbIndependentSet::Result shatter = [&] {
-    if (!options.audit_invariant) {
-      return BoundedArbIndependentSet::run(shatter_graph, result.params,
-                                           seed + 1);
-    }
+  BoundedArbIndependentSet::Result shatter;
+  {
     BoundedArbIndependentSet algorithm(shatter_graph, result.params);
-    InvariantAuditor auditor(shatter_graph, algorithm);
+    std::optional<InvariantAuditor> auditor;
+    if (options.audit_invariant) auditor.emplace(shatter_graph, algorithm);
     sim::Network net(shatter_graph, seed + 1);
-    BoundedArbIndependentSet::Result audited;
-    audited.stats =
-        net.run(algorithm, result.params.total_rounds(), auditor.observer());
-    audited.outcome = algorithm.outcomes();
-    audited.params = result.params;
-    audited.scale_stats = algorithm.scale_stats();
-    result.invariant_audits = auditor.audits();
-    result.invariant_held = auditor.all_hold();
-    return audited;
-  }();
-  result.shatter_stats = shatter.stats;
+    result.shatter_stats =
+        net.run(algorithm, result.params.total_rounds(),
+                auditor ? auditor->observer() : sim::Network::RoundObserver{});
+    shatter.outcome = algorithm.outcomes();
+    shatter.scale_stats = algorithm.scale_stats();
+    if (auditor) {
+      result.invariant_audits = auditor->audits();
+      result.invariant_held = auditor->all_hold();
+    }
+  }
 
   std::vector<std::uint8_t> bad_mask(g.num_nodes(), 0);
   std::vector<std::uint8_t> remaining_mask(g.num_nodes(), 0);
   for (graph::NodeId local = 0; local < shatter_graph.num_nodes(); ++local) {
-    const graph::NodeId v = original(local);
+    const graph::NodeId v = shatter_sub.original(local);
     result.shatter_outcome[v] = shatter.outcome[local];
     switch (shatter.outcome[local]) {
       case ArbOutcome::kInMis:

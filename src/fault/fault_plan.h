@@ -66,7 +66,6 @@ class FaultPlan final : public sim::FaultInjector {
   /// One entry per executed round of the latest run (round 0 = on_start).
   const std::vector<LedgerEntry>& ledger() const noexcept { return ledger_; }
   const Adversary& adversary() const noexcept { return *adversary_; }
-  std::span<const std::uint8_t> down_mask() const noexcept { return down_; }
 
  private:
   static constexpr std::uint32_t kNever = ~std::uint32_t{0};

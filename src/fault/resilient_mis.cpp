@@ -111,7 +111,7 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
       if (labels[s] != mis::MisState::kInMis || check.local_ok[s] == 0) {
         continue;
       }
-      const graph::NodeId v = res.to_original[s];
+      const graph::NodeId v = res.original(s);
       result.state[v] = mis::MisState::kInMis;
       undecided[v] = 0;
       --undecided_count;
@@ -120,7 +120,7 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
     // Coverage is recomputed from the committed members, never taken from
     // the faulty run's labels.
     for (graph::NodeId s = 0; s < res.graph.num_nodes(); ++s) {
-      const graph::NodeId v = res.to_original[s];
+      const graph::NodeId v = res.original(s);
       if (result.state[v] != mis::MisState::kInMis) continue;
       for (graph::NodeId w : g.neighbors(v)) {
         if (undecided[w] != 0) {

@@ -56,12 +56,6 @@ Builder& Builder::add_edge(NodeId u, NodeId v) {
   return *this;
 }
 
-bool Builder::has_edge(NodeId u, NodeId v) const noexcept {
-  if (u > v) std::swap(u, v);
-  const Edge e{u, v};
-  return std::find(edges_.begin(), edges_.end(), e) != edges_.end();
-}
-
 Graph Builder::build() const {
   std::vector<Edge> sorted = edges_;
   std::sort(sorted.begin(), sorted.end());
@@ -78,16 +72,14 @@ Graph Builder::build() const {
     g.offsets_[v + 1] = g.offsets_[v] + deg[v];
     g.max_degree_ = std::max<NodeId>(g.max_degree_, static_cast<NodeId>(deg[v]));
   }
+  // Filling rows in (u, v) order leaves each row ascending: a node x gets
+  // its smaller neighbours from the edges (u, x), in u order, before the
+  // edges (x, v) hand it the larger ones, in v order.
   g.adjacency_.resize(sorted.size() * 2);
   std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (const Edge& e : sorted) {
     g.adjacency_[cursor[e.u]++] = e.v;
     g.adjacency_[cursor[e.v]++] = e.u;
-  }
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    auto begin = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]);
-    auto end = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
   }
   return g;
 }

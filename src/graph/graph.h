@@ -152,13 +152,6 @@ class Builder {
   /// an endpoint >= n.
   Builder& add_edge(NodeId u, NodeId v);
 
-  /// True if the edge was already added (linear in edges added so far is
-  /// avoided by keeping the set sorted lazily at query time; intended for
-  /// generator-internal use on small batches).
-  bool has_edge(NodeId u, NodeId v) const noexcept;
-
-  std::uint64_t num_edges_added() const noexcept { return edges_.size(); }
-
   /// Finalizes. The builder may be reused afterwards (it keeps its edges).
   Graph build() const;
 

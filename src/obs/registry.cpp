@@ -1,7 +1,6 @@
 #include "obs/registry.h"
 
 #include <atomic>
-#include <cstdio>
 
 #include "obs/events.h"
 
@@ -10,12 +9,6 @@ namespace arbmis::obs {
 namespace {
 
 std::atomic<Registry*> g_registry{nullptr};
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
 
 void append_key(std::string& out, std::string_view key, bool& first) {
   if (!first) out += ',';
@@ -62,18 +55,6 @@ void Registry::observe(std::string_view name, std::uint64_t value) {
   auto it = log2_histograms_.find(name);
   if (it == log2_histograms_.end()) {
     it = log2_histograms_.emplace(std::string(name), util::Log2Histogram{})
-             .first;
-  }
-  it->second.add(value);
-}
-
-void Registry::observe_linear(std::string_view name, double lo, double hi,
-                              std::size_t buckets, double value) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = linear_histograms_.find(name);
-  if (it == linear_histograms_.end()) {
-    it = linear_histograms_
-             .emplace(std::string(name), util::Histogram(lo, hi, buckets))
              .first;
   }
   it->second.add(value);
@@ -141,20 +122,6 @@ std::string Registry::to_json(const Manifest* manifest) const {
     append_u64_array(out, buckets);
     out += ",\"total\":" + std::to_string(h.total());
     out += ",\"max_value\":" + std::to_string(h.max_value()) + "}";
-  }
-  for (const auto& [name, h] : linear_histograms_) {
-    append_key(out, name, first);
-    out += "{\"type\":\"linear\",\"lo\":";
-    append_double(out, h.bucket_lo(0));
-    out += ",\"hi\":";
-    append_double(out, h.bucket_hi(h.bucket_count() - 1));
-    out += ",\"buckets\":";
-    std::vector<std::uint64_t> buckets(h.bucket_count());
-    for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] = h.bucket(b);
-    append_u64_array(out, buckets);
-    out += ",\"underflow\":" + std::to_string(h.underflow());
-    out += ",\"overflow\":" + std::to_string(h.overflow());
-    out += ",\"total\":" + std::to_string(h.total()) + "}";
   }
 
   out += "},\"rounds\":{\"sample\":" + std::to_string(round_sample_);

@@ -48,10 +48,6 @@ class Registry {
   /// Power-of-two-bucket histogram (util::Log2Histogram) — the default
   /// for heavy-tailed integer quantities such as payload widths.
   void observe(std::string_view name, std::uint64_t value);
-  /// Fixed-bucket linear histogram over [lo, hi); the bucket layout is
-  /// fixed by the first call for a given name.
-  void observe_linear(std::string_view name, double lo, double hi,
-                      std::size_t buckets, double value);
 
   /// Opt `name` (a counter) into the per-round delta series recorded by
   /// snapshot_round().
@@ -80,7 +76,6 @@ class Registry {
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, std::int64_t, std::less<>> gauges_;
   std::map<std::string, util::Log2Histogram, std::less<>> log2_histograms_;
-  std::map<std::string, util::Histogram, std::less<>> linear_histograms_;
   std::map<std::string, Series, std::less<>> series_;
   std::vector<std::uint32_t> sampled_rounds_;
 };

@@ -18,20 +18,11 @@ std::uint64_t DynamicGraph::content_hash() const {
   return *hash_;
 }
 
-void DynamicGraph::materialize() {
-  if (materialized_) return;
-  current_ = graph::from_edges(base_view_.num_nodes(), base_view_.edges());
-  materialized_ = true;
-  owner_.reset();
-  base_view_ = graph::GraphView();
-}
-
 std::uint64_t DynamicGraph::apply(std::span<const EdgeUpdate> ops) {
-  materialize();
   // Work on a sorted unique edge list; commit by rebuilding the CSR only
   // after the whole batch validated.
-  std::vector<graph::Edge> edges = current_.edges();
-  graph::NodeId n = current_.num_nodes();
+  std::vector<graph::Edge> edges = view().edges();
+  graph::NodeId n = view().num_nodes();
   std::uint64_t applied = 0;
 
   const auto find = [&edges](graph::NodeId u, graph::NodeId v) {
@@ -93,6 +84,9 @@ std::uint64_t DynamicGraph::apply(std::span<const EdgeUpdate> ops) {
   }
 
   current_ = graph::from_edges(n, edges);
+  materialized_ = true;
+  owner_.reset();
+  base_view_ = graph::GraphView();
   hash_.reset();
   return applied;
 }

@@ -3,11 +3,11 @@
 // A DynamicGraph starts from either an in-memory Graph or any GraphView
 // (e.g. one backed by an mmap-mapped .gr file, whose owner is carried as a
 // type-erased shared_ptr so serve/ never names graph/storage types). The
-// base storage is used zero-copy until the first update batch; applying a
-// batch materializes an in-memory copy, edits the edge set, and rebuilds
-// the CSR — update batches are rare relative to reads, so per-batch O(n+m)
-// rebuild keeps every read on the same immutable-CSR fast path as the rest
-// of the repo.
+// base storage is used zero-copy until the first accepted update batch.
+// Applying a batch edits the current view's edge list and builds one new
+// in-memory CSR from it, which replaces the base storage — update batches
+// are rare relative to reads, so per-batch O(n+m) rebuild keeps every
+// read on the same immutable-CSR fast path as the rest of the repo.
 //
 // Update semantics (all deterministic):
 //   * kInsertEdge {u,v}: u != v, both < n; inserting an existing edge is a
@@ -40,7 +40,8 @@ class DynamicGraph {
   explicit DynamicGraph(graph::Graph g);
 
   /// Wraps externally owned storage (e.g. a MappedGraph); `owner` keeps the
-  /// bytes behind `view` alive. Zero-copy until the first update batch.
+  /// bytes behind `view` alive. Zero-copy until the first accepted update
+  /// batch, which releases `owner`.
   DynamicGraph(graph::GraphView view, std::shared_ptr<void> owner);
 
   graph::GraphView view() const noexcept {
@@ -60,8 +61,6 @@ class DynamicGraph {
   std::uint64_t apply(std::span<const EdgeUpdate> ops);
 
  private:
-  void materialize();
-
   std::shared_ptr<void> owner_;
   graph::GraphView base_view_;
   graph::Graph current_{0};

@@ -75,8 +75,6 @@ Server::~Server() {
   close_quiet(listen_fd_);
 }
 
-void Server::serve_forever() { accept_loop(); }
-
 void Server::start() {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }

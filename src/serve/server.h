@@ -42,9 +42,8 @@ class Server {
 
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Runs the accept loop on the calling thread until stop() (daemon use).
-  void serve_forever();
-  /// Runs the accept loop on a background thread (tests, benches).
+  /// Runs the accept loop on a background thread (the daemon, tests,
+  /// benches).
   void start();
   /// Stops accepting, shuts down every live connection and joins every
   /// connection thread.

@@ -186,7 +186,7 @@ MisService::RepairOutcome MisService::repair(
       if (sub_ok) {
         for (graph::NodeId local = 0; local < sub.graph.num_nodes();
              ++local) {
-          state[sub.to_original[local]] = sub_entry.state[local];
+          state[sub.original(local)] = sub_entry.state[local];
         }
       }
     }

@@ -1,6 +1,5 @@
-// Histograms for experiment outputs: a fixed-width linear histogram and a
-// power-of-two (log-bucket) histogram for heavy-tailed quantities such as
-// bad-set component sizes.
+// Histogram for experiment outputs: a power-of-two (log-bucket) histogram
+// for heavy-tailed quantities such as bad-set component sizes.
 #pragma once
 
 #include <cstddef>
@@ -9,34 +8,6 @@
 #include <vector>
 
 namespace arbmis::util {
-
-/// Linear histogram over [lo, hi) with `buckets` equal-width cells plus
-/// underflow/overflow counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const noexcept { return counts_[i]; }
-  double bucket_lo(std::size_t i) const noexcept;
-  double bucket_hi(std::size_t i) const noexcept;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
-
-  /// Multi-line ASCII rendering (one row per non-empty bucket).
-  std::string to_string(std::size_t bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Log2 histogram for nonnegative integers: bucket b counts values in
 /// [2^b, 2^(b+1)), with a dedicated zero bucket.

@@ -182,8 +182,8 @@ TEST(Determinism, GoldenFaultyPinAcrossExecutors) {
   // One pinned constant for a lossy run: Luby-B under an i.i.d. adversary
   // (drops, duplicates, crash/recover) must hash identically on the inline
   // lane and at every pool size. Duplicates are the interesting part —
-  // they are exactly what spills into the arena's overflow side buffer, so
-  // this pin covers the overflow delivery order.
+  // they fill the second arena slot a fault injector gives each directed
+  // edge, so this pin covers the delivery order of two-copy inboxes.
   util::Rng rng(2024);
   const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
 

@@ -106,20 +106,63 @@ TEST_P(Fuzz, DegeneracyMatchesBruteForceOnSmallGraphs) {
   EXPECT_EQ(graph::degeneracy(g), reference_degeneracy);
 }
 
+/// Test-local reference restriction of g to the nodes with mask[v] != 0:
+/// keep the edges with both ends kept, relabel them by rank, build with
+/// graph::from_edges.
+void expect_matches_reference(graph::GraphView g,
+                              const std::vector<std::uint8_t>& mask,
+                              const graph::Subgraph& sub) {
+  std::vector<graph::NodeId> to_original;
+  std::vector<graph::NodeId> rank(g.num_nodes());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (mask[v] == 0) continue;
+    rank[v] = static_cast<graph::NodeId>(to_original.size());
+    to_original.push_back(v);
+  }
+  std::vector<graph::Edge> edges;
+  for (const graph::Edge& e : g.edges()) {
+    if (mask[e.u] != 0 && mask[e.v] != 0) {
+      edges.push_back({rank[e.u], rank[e.v]});
+    }
+  }
+  const graph::Graph reference = graph::from_edges(
+      static_cast<graph::NodeId>(to_original.size()), edges);
+
+  ASSERT_EQ(sub.graph.num_nodes(), reference.num_nodes());
+  EXPECT_EQ(sub.graph.num_edges(), reference.num_edges());
+  EXPECT_EQ(sub.graph.max_degree(), reference.max_degree());
+  for (graph::NodeId local = 0; local < reference.num_nodes(); ++local) {
+    EXPECT_EQ(sub.original(local), to_original[local]);
+    EXPECT_TRUE(std::ranges::equal(sub.graph.neighbors(local),
+                                   reference.neighbors(local)))
+        << "row " << local;
+  }
+}
+
 TEST_P(Fuzz, SubgraphOfSubgraphConsistent) {
   util::Rng rng(GetParam() + 200);
   const graph::Graph g = graph::gen::gnp(50, 0.15, rng);
-  std::vector<std::uint8_t> mask1(50, 0);
-  for (auto& b : mask1) b = rng.bernoulli(0.7) ? 1 : 0;
-  const graph::Subgraph sub1 = graph::induced_subgraph(g, mask1);
-  std::vector<std::uint8_t> mask2(sub1.graph.num_nodes(), 0);
-  for (auto& b : mask2) b = rng.bernoulli(0.7) ? 1 : 0;
-  const graph::Subgraph sub2 = graph::induced_subgraph(sub1.graph, mask2);
-  // Edges of the nested subgraph are edges of the original graph.
-  for (const graph::Edge& e : sub2.graph.edges()) {
-    const graph::NodeId u = sub1.original(sub2.original(e.u));
-    const graph::NodeId v = sub1.original(sub2.original(e.v));
-    EXPECT_TRUE(g.has_edge(u, v));
+  // A random mask, then the edge cases: empty, all ones, one node.
+  std::vector<std::vector<std::uint8_t>> masks(
+      4, std::vector<std::uint8_t>(50, 0));
+  for (auto& b : masks[0]) b = rng.bernoulli(0.7) ? 1 : 0;
+  std::fill(masks[2].begin(), masks[2].end(), 1);
+  masks[3][GetParam() % 50] = 1;
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    SCOPED_TRACE("mask " + std::to_string(m));
+    const std::vector<std::uint8_t>& mask1 = masks[m];
+    const graph::Subgraph sub1 = graph::induced_subgraph(g, mask1);
+    expect_matches_reference(g, mask1, sub1);
+    std::vector<std::uint8_t> mask2(sub1.graph.num_nodes(), 0);
+    for (auto& b : mask2) b = rng.bernoulli(0.7) ? 1 : 0;
+    const graph::Subgraph sub2 = graph::induced_subgraph(sub1.graph, mask2);
+    expect_matches_reference(sub1.graph, mask2, sub2);
+    // Edges of the nested subgraph are edges of the original graph.
+    for (const graph::Edge& e : sub2.graph.edges()) {
+      const graph::NodeId u = sub1.original(sub2.original(e.u));
+      const graph::NodeId v = sub1.original(sub2.original(e.v));
+      EXPECT_TRUE(g.has_edge(u, v));
+    }
   }
 }
 

@@ -1,9 +1,13 @@
 // Unit tests for the CSR Graph and Builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.h"
+#include "util/rng.h"
 
 namespace arbmis::graph {
 namespace {
@@ -61,6 +65,34 @@ TEST(Graph, NeighborsAreSorted) {
   ASSERT_EQ(nbrs.size(), 4u);
   for (std::size_t i = 0; i + 1 < nbrs.size(); ++i) {
     EXPECT_LT(nbrs[i], nbrs[i + 1]);
+  }
+
+  // A shuffled random edge list holding every edge in both orientations,
+  // some twice: every row strictly ascending, and symmetric.
+  util::Rng rng(61);
+  constexpr NodeId n = 40;
+  std::vector<Edge> edges;
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    if (u == v) continue;
+    edges.push_back({u, v});
+    edges.push_back({v, u});
+    if (rng.bernoulli(0.3)) edges.push_back({u, v});
+  }
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.below(i)]);
+  }
+  const Graph shuffled = from_edges(n, edges);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto row = shuffled.neighbors(v);
+    for (std::size_t i = 0; i + 1 < row.size(); ++i) {
+      EXPECT_LT(row[i], row[i + 1]) << "row " << v;
+    }
+    for (const NodeId w : row) {
+      EXPECT_NE(std::ranges::find(shuffled.neighbors(w), v),
+                shuffled.neighbors(w).end());
+    }
   }
 }
 

@@ -274,9 +274,8 @@ TEST(MessageArena, MoreThanTwoCopiesThrows) {
 }
 
 TEST(MessageArena, EnforcedPerEdgeCapStillThrows) {
-  // The overflow side buffer must not soften enforcement: with the
-  // default cap of one message per directed edge per round, a second send
-  // on the same port aborts the run at send time.
+  // The fixed cap of one message per directed edge per round holds: a
+  // second send on the same port aborts the run at send time.
   const graph::Graph g = graph::gen::path(3);
   sim::Network net(g, 7);
   DoubleSender algo;

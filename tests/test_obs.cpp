@@ -494,7 +494,6 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   reg.set("sim.model.k", -3);
   reg.observe("sim.message_bits", 9);
   reg.observe("sim.message_bits", 1024);
-  reg.observe_linear("core.balance", 0.0, 1.0, 4, 0.3);
 
   EXPECT_EQ(reg.counter("sim.messages"), 7u);
   EXPECT_EQ(reg.counter("sim.runs"), 1u);
@@ -507,10 +506,8 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   EXPECT_NE(json.find("\"sim.messages\":7"), std::string::npos);
   EXPECT_NE(json.find("\"sim.model.k\":-3"), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"log2\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"linear\""), std::string::npos);
   // map storage ⇒ byte-stable key order regardless of insertion order.
   obs::Registry mirrored;
-  mirrored.observe_linear("core.balance", 0.0, 1.0, 4, 0.3);
   mirrored.observe("sim.message_bits", 9);
   mirrored.observe("sim.message_bits", 1024);
   mirrored.set("sim.model.k", -3);

@@ -303,9 +303,20 @@ TEST(ServeProtocol, RejectsMalformedFrames) {
 }
 
 TEST(ServeDynamicGraph, UpdateSemanticsAndAtomicity) {
-  DynamicGraph g(graph::from_edges(4, std::vector<graph::Edge>{{0, 1},
-                                                               {1, 2}}));
+  const auto base = std::make_shared<graph::Graph>(
+      graph::from_edges(4, std::vector<graph::Edge>{{0, 1}, {1, 2}}));
+  DynamicGraph g(*base);
   const std::uint64_t base_hash = g.content_hash();
+
+  // The same content on externally owned storage. A rejected first batch
+  // leaves it untouched (still the owner's bytes, nothing cached before).
+  DynamicGraph viewed(graph::GraphView(*base), base);
+  const std::vector<EdgeUpdate> poisoned = {{UpdateOp::kInsertEdge, 0, 2},
+                                            {UpdateOp::kInsertEdge, 3, 3}};
+  EXPECT_THROW(viewed.apply(poisoned), ServeError);
+  EXPECT_EQ(viewed.content_hash(), base_hash);
+  EXPECT_EQ(viewed.num_edges(), 2u);
+  EXPECT_EQ(viewed.view().neighbors(1).data(), base->neighbors(1).data());
 
   // No-ops: inserting an existing edge (either orientation) and removing
   // a non-edge apply zero ops and keep the content hash.
@@ -322,11 +333,12 @@ TEST(ServeDynamicGraph, UpdateSemanticsAndAtomicity) {
   EXPECT_EQ(g.num_nodes(), 5u);
   EXPECT_EQ(g.num_edges(), 1u);  // {0,4} only; 1's edges detached
   EXPECT_NE(g.content_hash(), base_hash);
+  EXPECT_EQ(viewed.apply(batch), 3u);
+  EXPECT_EQ(viewed.content_hash(), g.content_hash());
+  EXPECT_EQ(base.use_count(), 1);  // the accepted batch released the owner
 
   // Atomicity: an invalid op anywhere rejects the whole batch.
   const std::uint64_t pre = g.content_hash();
-  const std::vector<EdgeUpdate> poisoned = {{UpdateOp::kInsertEdge, 0, 2},
-                                            {UpdateOp::kInsertEdge, 3, 3}};
   EXPECT_THROW(g.apply(poisoned), ServeError);
   EXPECT_EQ(g.content_hash(), pre);
   EXPECT_EQ(g.num_edges(), 1u);

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "graph/generators.h"
+#include "graph/storage/gr_writer.h"
+#include "graph/storage/mapped_graph.h"
 #include "graph/subgraph.h"
 
 namespace arbmis::graph {
@@ -39,8 +43,10 @@ TEST(Subgraph, MappingRoundTrips) {
 TEST(Subgraph, EdgesMatchOriginal) {
   util::Rng rng(59);
   const Graph g = gen::random_apollonian(30, rng);
-  std::vector<NodeId> nodes{0, 3, 5, 7, 11, 13, 20};
-  const Subgraph sub = induced_subgraph(g, nodes);
+  const std::vector<NodeId> nodes{0, 3, 5, 7, 11, 13, 20};
+  std::vector<std::uint8_t> mask(g.num_nodes(), 0);
+  for (const NodeId v : nodes) mask[v] = 1;
+  const Subgraph sub = induced_subgraph(g, mask);
   EXPECT_EQ(sub.graph.num_nodes(), nodes.size());
   for (NodeId a = 0; a < sub.graph.num_nodes(); ++a) {
     for (NodeId b = a + 1; b < sub.graph.num_nodes(); ++b) {
@@ -61,9 +67,22 @@ TEST(Subgraph, EmptyMask) {
 TEST(Subgraph, FullMaskIsIsomorphic) {
   const Graph g = gen::cycle(8);
   const std::vector<std::uint8_t> mask(8, 1);
-  const Subgraph sub = induced_subgraph(g, mask);
-  EXPECT_EQ(sub.graph.num_edges(), g.num_edges());
-  for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(sub.original(v), v);
+  const std::string path = ::testing::TempDir() +
+                           "arbmis_subgraph_FullMaskIsIsomorphic.gr";
+  storage::write_gr(path, g);
+  const storage::MappedGraph mapped = storage::MappedGraph::open(path);
+  // An all-ones mask restricts to the parent itself: no copy, the
+  // parent's own rows, the identity mapping — for either storage.
+  for (const GraphView parent : {GraphView(g), mapped.view()}) {
+    const Subgraph sub = induced_subgraph(parent, mask);
+    EXPECT_EQ(sub.graph.num_edges(), g.num_edges());
+    EXPECT_EQ(sub.graph.max_degree(), g.max_degree());
+    for (NodeId v = 0; v < 8; ++v) {
+      EXPECT_EQ(sub.original(v), v);
+      EXPECT_EQ(sub.graph.neighbors(v).data(), parent.neighbors(v).data());
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

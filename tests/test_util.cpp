@@ -202,21 +202,6 @@ TEST(LogBinomial, MatchesSmallCases) {
             -std::numeric_limits<double>::infinity());
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  util::Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(5.0);
-  h.add(10.0);
-  h.add(25.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 2u);  // 0.0 and 1.9
-  EXPECT_EQ(h.bucket(2), 1u);  // 5.0
-  EXPECT_EQ(h.total(), 6u);
-}
-
 TEST(Log2Histogram, PowerBuckets) {
   util::Log2Histogram h;
   h.add(0);

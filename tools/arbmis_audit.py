@@ -18,8 +18,7 @@ Rule groups (``--list-rules`` for the table, ``--explain RULE`` for one):
           entropy source.
   LAY00x  layering rules: the allowed-include matrix and the
           restricted-header list, both read from tools/layering.toml.
-  HYG00x  contract hygiene: NOLINT justification discipline and
-          bench-target coverage in run_benches.sh.
+  HYG00x  contract hygiene: NOLINT justification discipline.
   CON00x  compile-time contract sync: src/sim/contract.h's poison list
           must stay a recognized subset of this tool's banned identifiers.
 
@@ -139,13 +138,6 @@ findings on the same line forever — and (b) carry a justification after
 the check list, e.g. `// NOLINT(cert-err58-cpp): gtest registration
 object`. Matching NOLINTEND markers are exempt (the BEGIN carries the
 justification)."""),
-    "HYG003": (
-        "bench target not covered by run_benches.sh",
-        """Every bench target declared in bench/CMakeLists.txt must appear in
-run_benches.sh's BENCHES array, and vice versa: a target missing from the
-script silently drops out of the committed results/ sweep, and a stale
-script entry fails the sweep at runtime. The two lists are compared in
-both directions."""),
     "CON001": (
         "contract header out of sync with audit rules",
         """src/sim/contract.h is the compile-time half of the determinism
@@ -504,38 +496,6 @@ def scan_nolint(sf, findings):
 
 
 # ---------------------------------------------------------------------------
-# Bench coverage (HYG003): bench/CMakeLists.txt <-> run_benches.sh.
-# ---------------------------------------------------------------------------
-
-def scan_bench_coverage(root, findings):
-    cml = os.path.join(root, "bench", "CMakeLists.txt")
-    script = os.path.join(root, "run_benches.sh")
-    if not os.path.exists(cml) or not os.path.exists(script):
-        return
-    with open(cml, "r", encoding="utf-8") as fh:
-        cml_text = "\n".join(line.split("#", 1)[0] for line in fh)
-    targets = set(re.findall(r"\barbmis_bench\s*\(\s*(\w+)", cml_text))
-    targets |= set(re.findall(r"\badd_executable\s*\(\s*(\w+)", cml_text))
-    with open(script, "r", encoding="utf-8") as fh:
-        sh_text = fh.read()
-    m = re.search(r"BENCHES=\(\s*(.*?)\)", sh_text, re.S)
-    listed = set()
-    if m:
-        for line in m.group(1).splitlines():
-            line = line.split("#", 1)[0].strip()
-            listed.update(line.split())
-    for missing in sorted(targets - listed):
-        findings.append(Finding(
-            "HYG003", "run_benches.sh", 1,
-            f"bench target '{missing}' (bench/CMakeLists.txt) is missing "
-            "from the BENCHES array"))
-    for stale in sorted(listed - targets):
-        findings.append(Finding(
-            "HYG003", "run_benches.sh", 1,
-            f"BENCHES entry '{stale}' is not a bench/CMakeLists.txt target"))
-
-
-# ---------------------------------------------------------------------------
 # Contract-header sync (CON001): src/sim/contract.h's poison list.
 # ---------------------------------------------------------------------------
 
@@ -643,7 +603,6 @@ def run_audit(root, layering_path, baseline_path, compile_commands):
         scan_determinism(sf, findings)
         scan_layering(sf, matrix, restricted, findings)
         scan_nolint(sf, findings)
-    scan_bench_coverage(root, findings)
     scan_contract_sync(files_by_path, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     baseline = load_baseline(baseline_path)
@@ -675,7 +634,6 @@ SELF_TEST_EXPECTED = {
                "src/engine/lay001_engine.cpp": 1},
     "LAY002": {"src/core/lay002_restricted.cpp": 1},
     "HYG001": {"src/mis/hyg001_nolint.cpp": 2},
-    "HYG003": {"run_benches.sh": 2},
     "CON001": {"src/sim/contract.h": 1},
 }
 

@@ -130,7 +130,7 @@ std::size_t section_at(const std::string& doc, const std::string& section) {
 
 struct HistogramSummary {
   long long total = 0;
-  long long max_value = -1;  ///< -1: linear histogram, no max tracked
+  long long max_value = 0;
 };
 
 /// name -> {total, max_value} for every entry under "histograms".
@@ -189,11 +189,9 @@ void print_prometheus(std::ostream& os, const std::string& doc) {
   for (const auto& [name, h] : parse_histograms(doc)) {
     const std::string p = prom_name(name);
     os << "# TYPE " << p << "_count counter\n"
-       << p << "_count " << h.total << "\n";
-    if (h.max_value >= 0) {
-      os << "# TYPE " << p << "_max gauge\n"
-         << p << "_max " << h.max_value << "\n";
-    }
+       << p << "_count " << h.total << "\n"
+       << "# TYPE " << p << "_max gauge\n"
+       << p << "_max " << h.max_value << "\n";
   }
 }
 
