@@ -13,7 +13,9 @@
 # into the binary itself). Point BUILD_DIR at build-bench to use the
 # dedicated `bench` preset tree; the default tree is Release too.
 set -euo pipefail
-cd /root/repo
+# Run from the checkout holding this script, so results/ and a relative
+# BUILD_DIR resolve against it wherever it is cloned.
+cd "$(dirname "$0")"
 
 BUILD_DIR="${BUILD_DIR:-build}"
 

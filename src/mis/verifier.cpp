@@ -10,6 +10,15 @@ constexpr std::size_t kMaxReportedViolations = 8;
 void note(Verification& v, graph::NodeId node) {
   if (v.violations.size() < kMaxReportedViolations) v.violations.push_back(node);
 }
+
+/// True iff some neighbor of v is in the set; stops at the first one.
+bool has_member_neighbor(graph::GraphView g, graph::NodeId v,
+                         std::span<const std::uint8_t> in_mis) {
+  for (graph::NodeId w : g.neighbors(v)) {
+    if (in_mis[w]) return true;
+  }
+  return false;
+}
 }  // namespace
 
 std::string Verification::describe() const {
@@ -33,15 +42,15 @@ Verification verify_mask(graph::GraphView g, std::span<const std::uint8_t> in_mi
   result.maximal = true;
   result.labels_consistent = true;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    bool covered = false;
-    for (graph::NodeId w : g.neighbors(v)) {
-      if (in_mis[w]) covered = true;
-      if (in_mis[v] && in_mis[w]) {
-        result.independent = false;
-        note(result, v);
+    if (in_mis[v]) {
+      // Independence: every MIS neighbor is one more noted violation.
+      for (graph::NodeId w : g.neighbors(v)) {
+        if (in_mis[w]) {
+          result.independent = false;
+          note(result, v);
+        }
       }
-    }
-    if (!in_mis[v] && !covered) {
+    } else if (!has_member_neighbor(g, v, in_mis)) {
       result.maximal = false;
       note(result, v);
     }
@@ -58,15 +67,12 @@ Verification verify(graph::GraphView g, const MisResult& result) {
         v.labels_consistent = false;
         note(v, node);
         break;
-      case MisState::kCovered: {
-        bool covered = false;
-        for (graph::NodeId w : g.neighbors(node)) covered |= mask[w];
-        if (!covered) {
+      case MisState::kCovered:
+        if (!has_member_neighbor(g, node, mask)) {
           v.labels_consistent = false;
           note(v, node);
         }
         break;
-      }
       case MisState::kInMis:
         break;
     }

@@ -50,14 +50,24 @@ void Registry::set(std::string_view name, std::int64_t value) {
   it->second = value;
 }
 
-void Registry::observe(std::string_view name, std::uint64_t value) {
-  const std::lock_guard<std::mutex> lock(mu_);
+util::Log2Histogram& Registry::histogram(std::string_view name) {
   auto it = log2_histograms_.find(name);
   if (it == log2_histograms_.end()) {
     it = log2_histograms_.emplace(std::string(name), util::Log2Histogram{})
              .first;
   }
-  it->second.add(value);
+  return it->second;
+}
+
+void Registry::observe(std::string_view name, std::uint64_t value) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  histogram(name).add(value);
+}
+
+void Registry::merge(std::string_view name,
+                     const util::Log2Histogram& staged) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  histogram(name).merge(staged);
 }
 
 void Registry::track_round_series(std::string_view name) {

@@ -48,6 +48,9 @@ class Registry {
   /// Power-of-two-bucket histogram (util::Log2Histogram) — the default
   /// for heavy-tailed integer quantities such as payload widths.
   void observe(std::string_view name, std::uint64_t value);
+  /// Adds every value of a histogram staged elsewhere (e.g. per simulator
+  /// lane, folded at a round barrier) to `name`, as observe() would.
+  void merge(std::string_view name, const util::Log2Histogram& staged);
 
   /// Opt `name` (a counter) into the per-round delta series recorded by
   /// snapshot_round().
@@ -70,6 +73,9 @@ class Registry {
     std::uint64_t last = 0;
     std::vector<std::uint64_t> deltas;
   };
+
+  /// `name`'s histogram, created empty on first use; mu_ must be held.
+  util::Log2Histogram& histogram(std::string_view name);
 
   mutable std::mutex mu_;
   std::uint32_t round_sample_;

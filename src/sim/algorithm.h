@@ -84,10 +84,12 @@ class NodeContext {
   graph::NodeId network_size() const noexcept;
 
   /// Sends to the neighbor at `port` (delivered next round). Throws
-  /// std::logic_error if the CONGEST per-edge budget is exceeded.
+  /// std::logic_error if the CONGEST per-edge budget is exceeded or `tag`
+  /// has its top bit set (Network::kReadKTagBit, reserved).
   void send(graph::NodeId port, std::uint32_t tag, std::uint64_t payload);
 
-  /// Sends the same message to every neighbor.
+  /// Sends the same message to every neighbor, with the same checks as
+  /// send() on each port; staged once for the whole row.
   void broadcast(std::uint32_t tag, std::uint64_t payload);
 
   /// This node's private random stream (deterministic in (seed, id)).

@@ -6,7 +6,9 @@
 // every graph this repository can hold, so any algorithm expressible on
 // this interface is a CONGEST algorithm. The network additionally enforces
 // "at most one message per directed edge per round" (the standard CONGEST
-// normalization) unless a test opts out.
+// normalization) as a fixed rule, and reserves the tag's top bit for its
+// read-k mark in the arena slot (sim::Network::kReadKTagBit): a send with
+// that bit set throws.
 #pragma once
 
 #include <bit>

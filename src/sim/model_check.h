@@ -14,12 +14,12 @@
 //      sampling a *different* node's private stream.
 //
 // ModelChecker turns each of these into an enforced runtime invariant.
-// Network calls the hooks below on every send, RNG read and halt, stages
-// the origins of the randomness-bearing copies each node consumes, and
-// pins each lane's active node for the duration of a callback; a
-// violation is reported through util/log and (by default) aborts the run
-// with CongestViolation. The checker also keeps
-// the read-k ledger the paper's analysis is built on: when a node draws
+// Network calls the hooks below on every staged send (a broadcast is one
+// call), RNG read and halt, stages the origins of the randomness-bearing
+// copies each node consumes, and pins each lane's active node for the
+// duration of a callback; a violation is reported through util/log and
+// (by default) aborts the run with CongestViolation. The checker also
+// keeps the read-k ledger the paper's analysis is built on: when a node draws
 // fresh randomness in round r, the draw is "read" once by the node itself
 // and once per *delivered* message it sends that round (neighbors consume
 // the value next round — exactly how priorities propagate in Algorithm 1).
@@ -141,20 +141,30 @@ class ModelChecker {
 
   bool enabled() const noexcept { return options_.enabled; }
   const ModelCheckReport& report() const noexcept { return report_; }
+  /// Bytes of the per-node ledger arrays the constructor sizes (zero when
+  /// disabled).
+  std::uint64_t footprint_bytes() const noexcept;
 
   /// Resets per-run state (Network::run calls this at the top of each run).
   void begin_run();
 
-  /// Hook for every send. Enforces the per-edge bit budget on the message
-  /// (the Network has already checked it is the edge's only one this
-  /// round) and returns true iff it is randomness-bearing (`from` drew
-  /// earlier this round). The Network tags each delivered copy of such a message and,
-  /// when a node consumes it, stages the sender in the consuming lane's
-  /// consumed_origins: dropped messages never enter the read-k ledger and
-  /// duplicated ones enter it twice, while the sender is charged its full
-  /// CONGEST budget regardless.
+  /// Hook for one staged send of `payload` from `from` on `messages`
+  /// edges: a broadcast is one call for the whole row, a port send a call
+  /// with messages == 1. Enforces the per-edge bit budget on each message
+  /// (the Network has already checked it is its edge's only one this
+  /// round) and returns true iff the messages are randomness-bearing
+  /// (`from` drew earlier this round). A clean call costs the same for
+  /// any `messages`; a violating one is charged once per message, in the
+  /// per-message order, so the report (violations, their texts and
+  /// kViolation events) equals that of the same messages sent one by one.
+  /// The Network sets the read-k bit in the tag of each delivered copy of
+  /// a randomness-bearing message and, when a node consumes it, stages the
+  /// sender in the consuming lane's consumed_origins: dropped messages
+  /// never enter the read-k ledger and duplicated ones enter it twice,
+  /// while the sender is charged its full CONGEST budget regardless.
   bool on_send(ModelCheckerLane& lane, graph::NodeId from,
-               std::uint64_t payload, std::uint32_t round);
+               std::uint64_t payload, std::uint32_t round,
+               graph::NodeId messages);
 
   /// Hook for one logical draw from node v's private stream.
   void on_rng_read(ModelCheckerLane& lane, graph::NodeId v,

@@ -18,6 +18,31 @@ namespace {
 // single-threaded setup code, never to a running phase.
 std::uint32_t g_default_num_threads = 0;
 
+template <typename T>
+std::uint64_t buffer_bytes(const std::vector<T>& buffer) {
+  return buffer.size() * sizeof(T);
+}
+
+void check_tag(std::uint32_t tag) {
+  if ((tag & Network::kReadKTagBit) != 0) {
+    throw std::logic_error("send: tag uses the reserved read-k bit");
+  }
+}
+
+/// A staged message as the arena holds it: the read-k bit marks a copy
+/// that carries its sender's this-round randomness.
+Message arena_message(graph::NodeId from, std::uint32_t tag,
+                      std::uint64_t payload, bool rng_bearing) {
+  return Message{from, rng_bearing ? tag | Network::kReadKTagBit : tag,
+                 payload};
+}
+
+[[noreturn]] void throw_edge_cap() {
+  throw std::logic_error(
+      "CONGEST violation: more than the per-edge message budget sent on "
+      "one edge in one round");
+}
+
 }  // namespace
 
 std::uint32_t default_num_threads() noexcept { return g_default_num_threads; }
@@ -61,8 +86,6 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   const std::uint64_t slots = directed_edges * slots_per_edge_;
   arena_cur_.resize(slots);
   arena_next_.resize(slots);
-  bearing_cur_.resize(slots);
-  bearing_next_.resize(slots);
   inbox_count_cur_.assign(n, 0);
   inbox_count_next_.assign(n, 0);
   if (num_threads_ > 0) {
@@ -72,31 +95,41 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   lanes_.resize(std::max<std::uint32_t>(num_threads_, 1));
 }
 
-void Network::deliver(graph::NodeId target, const Message& msg,
-                      bool rng_bearing) {
-  ++in_flight_next_;
-  const std::uint64_t slot = inbox_base(target) + inbox_count_next_[target]++;
-  arena_next_[slot] = msg;
-  bearing_next_[slot] = rng_bearing ? 1 : 0;
+std::uint64_t Network::footprint_bytes() const noexcept {
+  return buffer_bytes(rngs_) + buffer_bytes(halted_) +
+         buffer_bytes(arena_cur_) + buffer_bytes(arena_next_) +
+         buffer_bytes(inbox_count_cur_) + buffer_bytes(inbox_count_next_) +
+         buffer_bytes(edge_epoch_) + buffer_bytes(lanes_) +
+         buffer_bytes(shard_bounds_) + checker_.footprint_bytes();
 }
 
 std::span<const Message> Network::consume_inbox(graph::NodeId v,
                                                 ExecLane& lane) {
-  const std::uint64_t base = inbox_base(v);
+  Message* const inbox = arena_cur_.data() + inbox_base(v);
   const std::uint32_t count = inbox_count_cur_[v];
-  if (checker_.enabled()) {
-    // Read-k ledger: the sender of every tagged copy is one more reader of
+  // Actual-width accounting (RoundDelta::payload_bits and the registry's
+  // histogram) is commutative, so each lane stages its own.
+  const bool histogram = obs::registry() != nullptr;
+  std::uint64_t consumed_bits = 0;
+  for (Message* m = inbox; m != inbox + count; ++m) {
+    // Read-k ledger: the sender of every marked copy is one more reader of
     // its this-round randomness.
-    std::vector<graph::NodeId>& origins = lane.check.consumed_origins;
-    for (std::uint64_t i = base; i < base + count; ++i) {
-      if (bearing_cur_[i] != 0) origins.push_back(arena_cur_[i].src);
+    if ((m->tag & kReadKTagBit) != 0) {
+      m->tag &= ~kReadKTagBit;
+      lane.check.consumed_origins.push_back(m->src);
     }
+    const std::uint64_t bits = message_bits(*m);
+    consumed_bits += bits;
+    if (histogram) lane.message_bits.add(bits);
   }
-  return std::span<const Message>(arena_cur_.data() + base, count);
+  lane.messages += count;
+  lane.payload_bits += consumed_bits;
+  return std::span<const Message>(inbox, count);
 }
 
 void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
                       std::uint32_t tag, std::uint64_t payload) {
+  check_tag(tag);
   const auto nbrs = graph_.neighbors(from);
   if (port >= nbrs.size()) {
     throw std::logic_error("send: port out of range");
@@ -105,19 +138,15 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
   // lane — updated in place. Stamped this round = the port already carried
   // its one message.
   const std::uint64_t slot = graph_.offset(from) + port;
-  if (edge_epoch_[slot] == round_) {
-    throw std::logic_error(
-        "CONGEST violation: more than the per-edge message budget sent on "
-        "one edge in one round");
-  }
+  if (edge_epoch_[slot] == round_) throw_edge_cap();
   edge_epoch_[slot] = round_;
-  const graph::NodeId target = nbrs[port];
   // Fault seam: the fate of a message is a pure function of (plan, edge
   // slot, round), so lanes can decide it independently and determinism
   // across thread counts is preserved. Messages to a down node are dropped
   // outright; the sender paid its CONGEST budget either way.
   std::uint8_t copies = 1;
   if (fault_ != nullptr) {
+    const graph::NodeId target = nbrs[port];
     copies = fault_->is_down(target)
                  ? std::uint8_t{0}
                  : fault_->on_message(from, target, slot, round_).copies;
@@ -131,12 +160,42 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
     }
   }
   const bool rng_bearing =
-      checker_.on_send(lane.check, from, payload, round_);
+      checker_.on_send(lane.check, from, payload, round_, 1);
   lane.max_edge_load = 1;  // the cap: a used edge carries exactly one
-  if (copies > 0) {
-    lane.sends.push_back(ExecLane::StagedSend{Message{from, tag, payload},
-                                              target, rng_bearing, copies});
+  // copies > 1 = network duplication: each copy is its own run, one inbox
+  // entry and (if randomness-bearing) one read-k ledger entry.
+  const ExecLane::StagedSend staged{
+      arena_message(from, tag, payload, rng_bearing), port, port + 1};
+  for (std::uint8_t c = 0; c < copies; ++c) lane.sends.push_back(staged);
+}
+
+void Network::do_broadcast(ExecLane& lane, graph::NodeId from,
+                           std::uint32_t tag, std::uint64_t payload) {
+  check_tag(tag);
+  const graph::NodeId degree = graph_.degree(from);
+  if (fault_ != nullptr) {
+    // Each port has its own fate: one run per port.
+    for (graph::NodeId port = 0; port < degree; ++port) {
+      do_send(lane, from, port, tag, payload);
+    }
+    return;
   }
+  if (degree == 0) return;
+  const std::uint64_t base = graph_.offset(from);
+  for (graph::NodeId port = 0; port < degree; ++port) {
+    if (edge_epoch_[base + port] == round_) {
+      // As port by port: the ports before the used one are checked, and
+      // charged, before the cap fires.
+      if (port > 0) checker_.on_send(lane.check, from, payload, round_, port);
+      throw_edge_cap();
+    }
+    edge_epoch_[base + port] = round_;
+  }
+  const bool rng_bearing =
+      checker_.on_send(lane.check, from, payload, round_, degree);
+  lane.max_edge_load = 1;
+  lane.sends.push_back(ExecLane::StagedSend{
+      arena_message(from, tag, payload, rng_bearing), 0, degree});
 }
 
 void Network::do_halt(ExecLane& lane, graph::NodeId v) {
@@ -160,20 +219,7 @@ void Network::step_node(Algorithm& algorithm, graph::NodeId v,
   if (round_ == 0) {
     algorithm.on_start(ctx);
   } else {
-    const std::span<const Message> inbox = consume_inbox(v, lane);
-    algorithm.on_round(ctx, inbox);
-    // Actual-width accounting (RoundDelta::payload_bits): sum the real
-    // per-message widths of the consumed inbox. Commutative, so worker
-    // threads may feed the attached registry's histogram directly.
-    std::uint64_t consumed_bits = 0;
-    obs::Registry* const reg = obs::registry();
-    for (const Message& m : inbox) {
-      const std::uint64_t bits = message_bits(m);
-      consumed_bits += bits;
-      if (reg != nullptr) reg->observe("sim.message_bits", bits);
-    }
-    lane.messages += inbox.size();
-    lane.payload_bits += consumed_bits;
+    algorithm.on_round(ctx, consume_inbox(v, lane));
   }
   lane.check.active_node = ModelChecker::kNoNode;
 }
@@ -256,11 +302,14 @@ void Network::run_phase(Algorithm& algorithm) {
 
 void Network::flush(ExecLane& lane) {
   for (const ExecLane::StagedSend& staged : lane.sends) {
-    // copies > 1 = network duplication: each delivered copy is one inbox
-    // entry and (if randomness-bearing) one read-k ledger entry.
-    for (std::uint8_t c = 0; c < staged.copies; ++c) {
-      deliver(staged.target, staged.msg, staged.rng_bearing);
+    const auto nbrs = graph_.neighbors(staged.msg.src);
+    for (graph::NodeId port = staged.first_port; port < staged.end_port;
+         ++port) {
+      const graph::NodeId target = nbrs[port];
+      arena_next_[inbox_base(target) + inbox_count_next_[target]++] =
+          staged.msg;
     }
+    in_flight_next_ += staged.end_port - staged.first_port;
   }
   lane.sends.clear();
   checker_.count_consumed(lane.check, round_);
@@ -270,6 +319,10 @@ void Network::merge(ExecLane& lane) {
   flush(lane);
   stats_.messages += lane.messages;
   round_payload_bits_ += lane.payload_bits;
+  if (obs::Registry* const reg = obs::registry();
+      reg != nullptr && lane.message_bits.total() > 0) {
+    reg->merge("sim.message_bits", lane.message_bits);
+  }
   stats_.max_edge_load = std::max(stats_.max_edge_load, lane.max_edge_load);
   num_halted_ += lane.halts;
   rng_draws_ += lane.rng_draws;
@@ -339,7 +392,6 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
     }
     // Deliver: next becomes current.
     std::swap(arena_cur_, arena_next_);
-    std::swap(bearing_cur_, bearing_next_);
     std::swap(inbox_count_cur_, inbox_count_next_);
     std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
     in_flight_next_ = 0;
@@ -452,8 +504,7 @@ void NodeContext::send(graph::NodeId port, std::uint32_t tag,
 }
 
 void NodeContext::broadcast(std::uint32_t tag, std::uint64_t payload) {
-  const auto deg = degree();
-  for (graph::NodeId port = 0; port < deg; ++port) send(port, tag, payload);
+  net_->do_broadcast(*lane_, id_, tag, payload);
 }
 
 void NodeContext::halt() { net_->do_halt(*lane_, id_); }

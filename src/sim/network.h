@@ -62,12 +62,27 @@
 // indexed write at inbox_count_next_[target], so node v's inbox is a span
 // of the arena, filled in delivery order: ascending sender id, which for
 // sorted adjacency IS port order, with a duplicate right behind its
-// original. Each slot also carries a read-k tag (the copy carries its
-// sender's this-round randomness), so consuming an inbox tells the
-// ModelChecker whose randomness the node read without a second arena. The
-// arena is allocated once at construction; since do_send enforces the cap
-// and rejects more than two copies, no region can overflow
-// (tests/test_message_arena.cpp).
+// original. The arena is allocated once at construction; since every send
+// enforces the cap and rejects more than two copies, no region can
+// overflow (tests/test_message_arena.cpp).
+//
+// Staging: a lane stages a message once per run of consecutive ports of
+// its sender's row — a broadcast is one record for the whole row, a send
+// a run of one, and a fault duplicate the same one-port run staged twice.
+// With a FaultInjector attached a broadcast stages one run per port,
+// because each port has its own fate. The cap is still checked, and
+// stamped, per port, and the ModelChecker charges a run as that many
+// messages; one flush loop expands every run over the sender's row into
+// the arena.
+//
+// Read-k bit: a copy that carries its sender's this-round randomness has
+// the top bit of its tag set in the arena slot (kReadKTagBit; see
+// ModelChecker::on_send). Consuming an inbox makes one pass over it: it
+// strips the bit, stages the senders of the marked copies as the lane's
+// consumed read-k origins, and sums the copies' actual widths. Every tag
+// in the tree is below 2^8 (the checker charges 8 tag bits), so the bit
+// is reserved: a send or broadcast whose tag has it set throws
+// std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +97,7 @@
 #include "sim/message.h"
 #include "sim/model_check.h"
 #include "sim/thread_pool.h"
+#include "util/histogram.h"
 #include "util/rng.h"
 
 namespace arbmis::sim {
@@ -139,13 +155,13 @@ struct RunStats {
 /// written to shared simulator state is buffered here and merged in shard
 /// order (see the executor section of the header comment).
 struct ExecLane {
+  /// One message sent on the ports [first_port, end_port) of its sender's
+  /// row (msg.src), its tag carrying the read-k bit. A dropped message is
+  /// never staged; a duplicated one is staged twice.
   struct StagedSend {
     Message msg;
-    graph::NodeId target;
-    /// Carries the sender's this-round randomness (read-k ledger entry).
-    bool rng_bearing;
-    /// Inbox copies to deliver (1 or 2; dropped messages are never staged).
-    std::uint8_t copies;
+    graph::NodeId first_port;
+    graph::NodeId end_port;
   };
 
   /// Sends in call order; senders within a shard ascend, so concatenating
@@ -153,6 +169,9 @@ struct ExecLane {
   std::vector<StagedSend> sends;
   std::uint64_t messages = 0;      ///< delivered messages consumed
   std::uint64_t payload_bits = 0;  ///< actual bits consumed (message_bits)
+  /// Widths of the consumed messages, staged for the attached registry's
+  /// sim.message_bits histogram (filled only while one is attached).
+  util::Log2Histogram message_bits;
   std::uint64_t rng_draws = 0;     ///< logical draws made in this shard
   std::uint32_t max_edge_load = 0;
   graph::NodeId halts = 0;         ///< nodes newly halted in this shard
@@ -166,6 +185,7 @@ struct ExecLane {
     sends.clear();
     messages = 0;
     payload_bits = 0;
+    message_bits.clear();
     rng_draws = 0;
     max_edge_load = 0;
     halts = 0;
@@ -198,6 +218,10 @@ struct RoundDelta {
 
 class Network {
  public:
+  /// Top bit of Message::tag: marks an arena copy as randomness-bearing
+  /// (see the header comment). Reserved: sending a tag with it throws.
+  static constexpr std::uint32_t kReadKTagBit = std::uint32_t{1} << 31;
+
   Network(graph::GraphView g, std::uint64_t seed,
           NetworkOptions options = {});
 
@@ -210,6 +234,9 @@ class Network {
   /// Total Message slots in the arena: one per directed edge (CSR order),
   /// two with a FaultInjector attached.
   std::uint64_t arena_slots() const noexcept { return arena_cur_.size(); }
+  /// Bytes of every buffer the constructor sizes (size × element size),
+  /// the ModelChecker's included. Deterministic in (graph, options).
+  std::uint64_t footprint_bytes() const noexcept;
   /// Logical RNG draws made so far in the current run, summed over nodes.
   /// Deterministic in (graph, seed, algorithm) and executor-independent.
   std::uint64_t total_rng_draws() const noexcept { return rng_draws_; }
@@ -248,13 +275,17 @@ class Network {
   friend class NodeContext;
   friend class NodeRandom;
 
-  /// Staged entries (sends, or consumed read-k origins) after which the
-  /// inline lane flushes: bounds its memory while keeping the scatter
+  /// Staged entries (send runs, or consumed read-k origins) after which
+  /// the inline lane flushes: bounds its memory while keeping the scatter
   /// batched. Results never depend on its value.
   static constexpr std::size_t kFlushBatch = 1024;
 
   void do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
                std::uint32_t tag, std::uint64_t payload);
+  /// Sends one message on every port of `from`: one staged run, or one
+  /// do_send per port with a FaultInjector attached.
+  void do_broadcast(ExecLane& lane, graph::NodeId from, std::uint32_t tag,
+                    std::uint64_t payload);
   void do_halt(ExecLane& lane, graph::NodeId v);
   /// Accounts one logical draw from v's stream, then exposes it.
   util::Rng& draw_rng(ExecLane& lane, graph::NodeId v);
@@ -262,13 +293,10 @@ class Network {
   std::uint64_t inbox_base(graph::NodeId v) const noexcept {
     return graph_.offset(v) * slots_per_edge_;
   }
-  /// Writes one inbox copy for `target` into its next-round arena slot,
-  /// tagged with its read-k bit. Runs on the calling thread only (lane
-  /// flushes and barrier merges).
-  void deliver(graph::NodeId target, const Message& msg, bool rng_bearing);
-  /// The inbox v consumes this round, a span into the arena; stages the
-  /// senders of its randomness-bearing copies as the lane's consumed
-  /// read-k origins.
+  /// The inbox v consumes this round, a span into the arena. One pass
+  /// strips the read-k bit, stages the senders of the marked copies as the
+  /// lane's consumed read-k origins, and counts the copies and their
+  /// actual widths (staging the sim.message_bits histogram).
   std::span<const Message> consume_inbox(graph::NodeId v, ExecLane& lane);
 
   /// Runs one callback phase (on_start when round_ == 0, else on_round)
@@ -279,11 +307,13 @@ class Network {
                  graph::NodeId end);
   /// Invokes the callback of one node.
   void step_node(Algorithm& algorithm, graph::NodeId v, ExecLane& lane);
-  /// Delivers the lane's staged sends in staging order and counts its
-  /// staged read-k consumptions, emptying both buffers.
+  /// Delivers the lane's staged sends in staging order, each run expanded
+  /// over its sender's row, and counts its staged read-k consumptions,
+  /// emptying both buffers. Runs on the calling thread only (inline lane
+  /// flushes and barrier merges).
   void flush(ExecLane& lane);
-  /// flush(), then folds the lane's counters and checker accounting into
-  /// the shared state and resets the lane.
+  /// flush(), then folds the lane's counters, staged width histogram and
+  /// checker accounting into the shared state and resets the lane.
   void merge(ExecLane& lane);
   /// Barrier bookkeeping: fills last_round_, flushes the round's fault
   /// drop/duplicate counts to the injector's ledger.
@@ -303,14 +333,11 @@ class Network {
 
   // Message arena: slots_per_edge_ slots per directed edge in CSR order
   // (node v's inbox region starts at inbox_base(v)), double-buffered for
-  // the deliver/fill round phases, with a per-node fill count and a
-  // per-slot read-k tag (1 = the copy carries its sender's this-round
-  // randomness, see ModelChecker::on_send).
+  // the deliver/fill round phases, with a per-node fill count. A slot's
+  // tag carries its copy's read-k bit (kReadKTagBit).
   std::uint32_t slots_per_edge_ = 1;  ///< 2 with a FaultInjector attached
   std::vector<Message> arena_cur_;
   std::vector<Message> arena_next_;
-  std::vector<std::uint8_t> bearing_cur_;
-  std::vector<std::uint8_t> bearing_next_;
   std::vector<std::uint32_t> inbox_count_cur_;
   std::vector<std::uint32_t> inbox_count_next_;
   std::uint64_t in_flight_next_ = 0;  ///< messages staged for next round

@@ -30,6 +30,25 @@ void Log2Histogram::add(std::uint64_t x) noexcept {
   ++counts_[b];
 }
 
+void Log2Histogram::merge(const Log2Histogram& other) {
+  zero_ += other.zero_;
+  total_ += other.total_;
+  max_value_ = std::max(max_value_, other.max_value_);
+  if (other.counts_.size() > counts_.size()) {
+    counts_.resize(other.counts_.size(), 0);
+  }
+  for (std::size_t b = 0; b < other.counts_.size(); ++b) {
+    counts_[b] += other.counts_[b];
+  }
+}
+
+void Log2Histogram::clear() noexcept {
+  zero_ = 0;
+  counts_.clear();
+  total_ = 0;
+  max_value_ = 0;
+}
+
 std::string Log2Histogram::to_string(std::size_t bar_width) const {
   std::uint64_t max_count = zero_;
   for (auto c : counts_) max_count = std::max(max_count, c);

@@ -14,6 +14,10 @@ namespace arbmis::util {
 class Log2Histogram {
  public:
   void add(std::uint64_t x) noexcept;
+  /// Adds every value `other` holds, as if each had been add()ed here.
+  void merge(const Log2Histogram& other);
+  /// Empties the histogram, keeping its bucket storage.
+  void clear() noexcept;
 
   std::uint64_t zero_count() const noexcept { return zero_; }
   std::size_t bucket_count() const noexcept { return counts_.size(); }

@@ -1,22 +1,26 @@
 // Tests of the flat message arena backing the simulator inboxes
-// (sim/network.h, "Message arena" section): CSR slot indexing against
-// first/last ports and isolated nodes, the arena's fixed size (one slot
-// per directed edge, two with a fault injector), occupancy reset across
-// rounds and across run() calls, fault duplicates landing in their own
-// slots in delivery order, the enforced <= 1-message-per-directed-edge and
-// <= 2-copies violation paths, and rounds that stage more than one of the
-// inline lane's flush batches (sim/network.h, executor section),
-// byte-identical across thread counts.
+// (sim/network.h, "Message arena" and "Staging" sections): CSR slot
+// indexing against first/last ports and isolated nodes, the arena's fixed
+// size (one slot per directed edge, two with a fault injector) and the
+// Network's exact byte footprint, occupancy reset across rounds and across
+// run() calls, fault duplicates landing in their own slots in delivery
+// order, the enforced <= 1-message-per-directed-edge and <= 2-copies
+// violation paths, a broadcast (one staged run) against the same message
+// sent port by port, the reserved read-k tag bit, and rounds that stage
+// more than one of the inline lane's flush batches (sim/network.h,
+// executor section), byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/adversary.h"
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "obs/sink.h"
 #include "sim/model_check.h"
 #include "sim/network.h"
 
@@ -190,6 +194,35 @@ TEST(MessageArena, OneSlotPerDirectedEdgeTwoWithAnInjector) {
   EXPECT_EQ(sim::Network(g, 1, options).arena_slots(), 4 * m);
 }
 
+TEST(MessageArena, FootprintIsPinnedPerConfiguration) {
+  // Exact bytes of every buffer the constructor sizes, on one graph with
+  // 60 nodes and 336 directed edges:
+  //   per directed edge: two 16 B Message arenas and a 4 B round stamp,
+  //     36 B (68 B with an injector's second slot in each arena);
+  //   per node: a 32 B Rng, a 1 B halt flag and two 4 B fill counts,
+  //     41 B, plus six 4 B checker counters (24 B) with the checker on;
+  //   one inline ExecLane, 192 B.
+  // A new per-slot or per-node buffer moves these numbers.
+  const graph::Graph g = [] {
+    util::Rng rng(12);
+    return graph::gen::gnp(60, 0.1, rng);
+  }();
+  ASSERT_EQ(g.num_nodes(), 60u);
+  ASSERT_EQ(g.num_edges(), 168u);
+  // 336 * 36 + 60 * (41 + 24) + 192
+  EXPECT_EQ(sim::Network(g, 1).footprint_bytes(), 16188u);
+  sim::NetworkOptions unchecked;
+  unchecked.model_check.enabled = false;
+  // 336 * 36 + 60 * 41 + 192
+  EXPECT_EQ(sim::Network(g, 1, unchecked).footprint_bytes(), 14748u);
+  fault::IidAdversary adversary({});
+  fault::FaultPlan plan(g, 1, adversary);
+  sim::NetworkOptions faulty;
+  faulty.fault = &plan;
+  // 336 * 68 + 60 * (41 + 24) + 192
+  EXPECT_EQ(sim::Network(g, 1, faulty).footprint_bytes(), 26940u);
+}
+
 TEST(MessageArena, SelfLoopsAreRejectedAtGraphConstruction) {
   // The arena assumes no (v, v) slot exists; the graph builder upholds
   // that by refusing self-loops outright.
@@ -314,18 +347,36 @@ TEST(MessageArena, ReferenceImplementationIsByteIdentical) {
   }
 }
 
-/// Every node draws once per round and broadcasts the draw, so every
-/// message is randomness-bearing: each consumed copy is one read in the
-/// checker's read-k ledger.
+/// How DrawingBroadcast puts its one message per round on every port.
+enum class Sending {
+  kBroadcast,   ///< NodeContext::broadcast: one staged run for the row
+  kPortByPort,  ///< NodeContext::send on each port: one run per port
+};
+
+/// Sends `payload` with `tag` on every port of the calling node.
+void send_everywhere(sim::NodeContext& ctx, Sending sending,
+                     std::uint32_t tag, std::uint64_t payload) {
+  if (sending == Sending::kBroadcast) {
+    ctx.broadcast(tag, payload);
+    return;
+  }
+  for (graph::NodeId port = 0; port < ctx.degree(); ++port) {
+    ctx.send(port, tag, payload);
+  }
+}
+
+/// Every node draws once per round and sends the draw on every port, so
+/// every message is randomness-bearing: each consumed copy is one read in
+/// the checker's read-k ledger.
 class DrawingBroadcast final : public sim::Algorithm {
  public:
-  DrawingBroadcast(graph::NodeId n, std::uint32_t rounds)
-      : rounds_(rounds), inboxes_(n) {}
+  DrawingBroadcast(graph::NodeId n, std::uint32_t rounds, Sending sending)
+      : rounds_(rounds), sending_(sending), inboxes_(n) {}
 
   std::string_view name() const override { return "drawing_broadcast"; }
 
   void on_start(sim::NodeContext& ctx) override {
-    ctx.broadcast(0, ctx.rng().next());
+    send_everywhere(ctx, sending_, 0, ctx.rng().next());
   }
 
   void on_round(sim::NodeContext& ctx,
@@ -338,7 +389,7 @@ class DrawingBroadcast final : public sim::Algorithm {
       ctx.halt();
       return;
     }
-    ctx.broadcast(ctx.round(), ctx.rng().next());
+    send_everywhere(ctx, sending_, ctx.round(), ctx.rng().next());
   }
 
   const std::vector<std::vector<Recorded>>& inboxes() const {
@@ -347,6 +398,7 @@ class DrawingBroadcast final : public sim::Algorithm {
 
  private:
   std::uint32_t rounds_;
+  Sending sending_;
   std::vector<std::vector<Recorded>> inboxes_;
 };
 
@@ -354,22 +406,24 @@ class DrawingBroadcast final : public sim::Algorithm {
 struct ExecutorRun {
   std::vector<std::vector<Recorded>> inboxes;
   std::vector<sim::RoundDelta> deltas;
+  sim::RunStats stats;
   sim::ModelCheckReport report;
   std::uint64_t rng_draws = 0;
 };
 
 ExecutorRun run_drawing_broadcast(const graph::Graph& g,
                                   std::uint32_t threads,
-                                  bool duplicate_storm) {
+                                  bool duplicate_storm,
+                                  Sending sending = Sending::kBroadcast) {
   fault::IidAdversary adversary({.duplicate_rate = 1.0});
   fault::FaultPlan plan(g, 5, adversary);
   sim::NetworkOptions options;
   options.num_threads = threads;
   if (duplicate_storm) options.fault = &plan;
   sim::Network net(g, 11, options);
-  DrawingBroadcast algo(g.num_nodes(), 3);
+  DrawingBroadcast algo(g.num_nodes(), 3, sending);
   ExecutorRun run;
-  net.run(algo, 4, [&](const sim::Network& n, std::uint32_t) {
+  run.stats = net.run(algo, 4, [&](const sim::Network& n, std::uint32_t) {
     run.deltas.push_back(n.last_round());
   });
   run.inboxes = algo.inboxes();
@@ -378,32 +432,45 @@ ExecutorRun run_drawing_broadcast(const graph::Graph& g,
   return run;
 }
 
+void expect_same_run(const ExecutorRun& a, const ExecutorRun& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.inboxes, b.inboxes) << label;
+  EXPECT_EQ(a.deltas, b.deltas) << label;
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds) << label;
+  EXPECT_EQ(a.stats.messages, b.stats.messages) << label;
+  EXPECT_EQ(a.stats.payload_bits, b.stats.payload_bits) << label;
+  EXPECT_EQ(a.stats.max_edge_load, b.stats.max_edge_load) << label;
+  EXPECT_EQ(a.stats.all_halted, b.stats.all_halted) << label;
+  EXPECT_EQ(a.rng_draws, b.rng_draws) << label;
+  EXPECT_EQ(a.report.k, b.report.k) << label;
+  EXPECT_EQ(a.report.round_k, b.report.round_k) << label;
+  EXPECT_EQ(a.report.max_message_bits, b.report.max_message_bits) << label;
+  EXPECT_EQ(a.report.round_max_message_bits, b.report.round_max_message_bits)
+      << label;
+  EXPECT_EQ(a.report.max_edge_bits_per_round,
+            b.report.max_edge_bits_per_round)
+      << label;
+  EXPECT_EQ(a.report.max_rng_reads_per_round,
+            b.report.max_rng_reads_per_round)
+      << label;
+  EXPECT_EQ(a.report.violations, b.report.violations) << label;
+  EXPECT_TRUE(a.report.faults == b.report.faults) << label;
+}
+
 void expect_identical_across_executors(const graph::Graph& g,
                                        bool duplicate_storm,
                                        const ExecutorRun& inline_run) {
   for (const std::uint32_t threads : {1u, 2u, 8u}) {
-    const ExecutorRun pool = run_drawing_broadcast(g, threads,
-                                                   duplicate_storm);
-    const std::string label = "threads " + std::to_string(threads);
-    EXPECT_EQ(inline_run.inboxes, pool.inboxes) << label;
-    EXPECT_EQ(inline_run.deltas, pool.deltas) << label;
-    EXPECT_EQ(inline_run.rng_draws, pool.rng_draws) << label;
-    const sim::ModelCheckReport& a = inline_run.report;
-    const sim::ModelCheckReport& b = pool.report;
-    EXPECT_EQ(a.k, b.k) << label;
-    EXPECT_EQ(a.round_k, b.round_k) << label;
-    EXPECT_EQ(a.max_message_bits, b.max_message_bits) << label;
-    EXPECT_EQ(a.round_max_message_bits, b.round_max_message_bits) << label;
-    EXPECT_EQ(a.max_edge_bits_per_round, b.max_edge_bits_per_round) << label;
-    EXPECT_EQ(a.max_rng_reads_per_round, b.max_rng_reads_per_round) << label;
-    EXPECT_EQ(a.violations, b.violations) << label;
-    EXPECT_TRUE(a.faults == b.faults) << label;
+    expect_same_run(inline_run,
+                    run_drawing_broadcast(g, threads, duplicate_storm),
+                    "threads " + std::to_string(threads));
   }
 }
 
 // More leaves than two of the inline lane's 1024-entry flush batches: the
 // leaves' sends and their consumed read-k origins each span several
-// batches in one round, while the centre stages one oversized callback.
+// batches in one round, while the centre's broadcast stages one record
+// for all of its ports.
 constexpr graph::NodeId kStarLeaves = 2500;
 
 TEST(MessageArena, StarBeyondOneFlushBatchIsExecutorIndependent) {
@@ -425,7 +492,7 @@ TEST(MessageArena, StarBeyondOneFlushBatchIsExecutorIndependent) {
 
 TEST(MessageArena, DuplicateStormOverflowAcrossFlushBatches) {
   // duplicate_rate = 1.0 doubles every delivery: the centre's region of
-  // two slots per leaf, read-k tags included, is filled by several flush
+  // two slots per leaf, read-k bits included, is filled by several flush
   // batches, each duplicate right behind its original.
   const graph::Graph g = graph::gen::star(kStarLeaves + 1);
   const ExecutorRun inline_run = run_drawing_broadcast(g, 0, true);
@@ -437,6 +504,205 @@ TEST(MessageArena, DuplicateStormOverflowAcrossFlushBatches) {
   EXPECT_EQ(inline_run.report.k, 2 * kStarLeaves + 1);
   EXPECT_EQ(inline_run.report.faults.duplicates, 3u * 2u * kStarLeaves);
   expect_identical_across_executors(g, true, inline_run);
+}
+
+TEST(MessageArena, BroadcastEqualsPortByPortSends) {
+  // A broadcast stages one run for the whole row; the same message sent
+  // port by port stages one run per port. Inboxes, per-round deltas, run
+  // stats and the checker's report (read-k ledger included) must not
+  // tell them apart, on any executor, with or without an injector (which
+  // splits a broadcast into per-port runs, each with its own fate).
+  const graph::Graph g = [] {
+    util::Rng rng(13);
+    return graph::gen::gnp(80, 0.1, rng);
+  }();
+  for (const bool storm : {false, true}) {
+    for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+      const std::string label = "threads " + std::to_string(threads) +
+                                (storm ? " duplicate storm" : "");
+      const ExecutorRun broadcast =
+          run_drawing_broadcast(g, threads, storm, Sending::kBroadcast);
+      const ExecutorRun by_port =
+          run_drawing_broadcast(g, threads, storm, Sending::kPortByPort);
+      ASSERT_GT(broadcast.stats.messages, 0u) << label;
+      expect_same_run(broadcast, by_port, label);
+      // Every copy is randomness-bearing, yet no inbox shows the read-k
+      // bit: a message sent in round r arrives with tag r.
+      for (const std::vector<Recorded>& inbox : broadcast.inboxes) {
+        for (const Recorded& m : inbox) {
+          EXPECT_LT(m.tag, 3u) << label;
+        }
+      }
+    }
+  }
+}
+
+/// Above the budget of a checker with min_edge_bits = 16 and
+/// log_n_factor = 1 on a small graph: 8 tag bits + 32 payload bits.
+constexpr std::uint64_t kWidePayload = 0xFFFFFFFFULL;
+
+sim::NetworkOptions counting_options(std::uint32_t threads) {
+  sim::NetworkOptions options;
+  options.num_threads = threads;
+  options.model_check.fail_fast = false;
+  options.model_check.min_edge_bits = 16;
+  options.model_check.log_n_factor = 1;
+  return options;
+}
+
+/// Node 0 sends one over-wide word on every port in on_start; every node
+/// halts there.
+class WideSender final : public sim::Algorithm {
+ public:
+  explicit WideSender(Sending sending) : sending_(sending) {}
+  std::string_view name() const override { return "wide_sender"; }
+  void on_start(sim::NodeContext& ctx) override {
+    if (ctx.id() == 0) send_everywhere(ctx, sending_, 1, kWidePayload);
+    ctx.halt();
+  }
+  void on_round(sim::NodeContext&, std::span<const sim::Message>) override {}
+
+ private:
+  Sending sending_;
+};
+
+TEST(MessageArena, CountingModeChargesAnOverWideBroadcastPerPort) {
+  // The checker sees a broadcast once, yet in counting mode it charges
+  // one violation, text and kViolation event per port, exactly as for the
+  // same word sent port by port.
+  constexpr graph::NodeId kDegree = 5;
+  const graph::Graph g = graph::gen::star(kDegree + 1);
+  ASSERT_EQ(g.degree(0), kDegree);
+  for (const std::uint32_t threads : {0u, 2u}) {
+    std::vector<std::string> texts[2];
+    for (const Sending sending : {Sending::kBroadcast, Sending::kPortByPort}) {
+      const std::string label = "threads " + std::to_string(threads) +
+                                (sending == Sending::kBroadcast
+                                     ? " broadcast"
+                                     : " port by port");
+      sim::Network net(g, 1, counting_options(threads));
+      WideSender algo(sending);
+      obs::VectorSink sink;
+      {
+        const obs::ScopedSink scoped(&sink);
+        net.run(algo, 2);
+      }
+      EXPECT_EQ(net.model_check_report().violations, kDegree) << label;
+      std::vector<std::string>& seen =
+          texts[sending == Sending::kBroadcast ? 0 : 1];
+      for (const obs::OwnedEvent& e : sink.events()) {
+        if (e.kind == obs::EventKind::kViolation) seen.push_back(e.text);
+      }
+      EXPECT_EQ(seen.size(), kDegree) << label;
+    }
+    EXPECT_EQ(texts[0], texts[1]) << "threads " << threads;
+  }
+}
+
+/// The message of the std::logic_error `run` throws ("" if it throws
+/// none), so a test can tell the cap from the other logic errors.
+template <typename Run>
+std::string logic_error_text(Run&& run) {
+  try {
+    run();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Node 0 mixes a port send and an over-wide broadcast in one round, in
+/// the given order; either order puts a second message on one port.
+class MixedSender final : public sim::Algorithm {
+ public:
+  MixedSender(bool broadcast_first, Sending sending)
+      : broadcast_first_(broadcast_first), sending_(sending) {}
+  std::string_view name() const override { return "mixed_sender"; }
+  void on_start(sim::NodeContext& ctx) override {
+    if (ctx.id() == 0) {
+      if (broadcast_first_) {
+        send_everywhere(ctx, sending_, 1, kWidePayload);
+        ctx.send(0, 1, kWidePayload);
+      } else {
+        // The last port: every other port of the broadcast comes first.
+        ctx.send(ctx.degree() - 1, 1, kWidePayload);
+        send_everywhere(ctx, sending_, 1, kWidePayload);
+      }
+    }
+    ctx.halt();
+  }
+  void on_round(sim::NodeContext&, std::span<const sim::Message>) override {}
+
+ private:
+  bool broadcast_first_;
+  Sending sending_;
+};
+
+TEST(MessageArena, BroadcastAndPortSendShareTheCap) {
+  // A broadcast stamps each port, so a port send after it hits the cap; a
+  // broadcast after a port send hits it at that port. In counting mode the
+  // ports checked before the throw are charged as port by port: every
+  // case charges the degree's worth of over-wide messages.
+  constexpr graph::NodeId kDegree = 4;
+  const graph::Graph g = graph::gen::star(kDegree + 1);
+  for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+    for (const bool broadcast_first : {true, false}) {
+      for (const Sending sending :
+           {Sending::kBroadcast, Sending::kPortByPort}) {
+        const std::string label =
+            "threads " + std::to_string(threads) +
+            (broadcast_first ? " broadcast, send" : " send, broadcast") +
+            (sending == Sending::kBroadcast ? "" : " (port by port)");
+        sim::Network net(g, 1, counting_options(threads));
+        MixedSender algo(broadcast_first, sending);
+        const std::string what =
+            logic_error_text([&] { net.run(algo, 2); });
+        EXPECT_NE(what.find("per-edge message budget"), std::string::npos)
+            << label << ": " << what;
+        EXPECT_EQ(net.model_check_report().violations, kDegree) << label;
+      }
+    }
+  }
+}
+
+/// Node 0 sends (on port 0, or by broadcast) a tag with the reserved
+/// read-k bit set.
+class ReservedTagSender final : public sim::Algorithm {
+ public:
+  explicit ReservedTagSender(bool broadcast) : broadcast_(broadcast) {}
+  std::string_view name() const override { return "reserved_tag_sender"; }
+  void on_start(sim::NodeContext& ctx) override {
+    const std::uint32_t tag = sim::Network::kReadKTagBit | 1;
+    if (ctx.id() == 0) {
+      if (broadcast_) {
+        ctx.broadcast(tag, 0);
+      } else {
+        ctx.send(0, tag, 0);
+      }
+    }
+    ctx.halt();
+  }
+  void on_round(sim::NodeContext&, std::span<const sim::Message>) override {}
+
+ private:
+  bool broadcast_;
+};
+
+TEST(MessageArena, ReservedTagBitThrowsOnEveryExecutor) {
+  const graph::Graph g = graph::gen::path(3);
+  for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+    for (const bool broadcast : {true, false}) {
+      const std::string label = "threads " + std::to_string(threads) +
+                                (broadcast ? " broadcast" : " send");
+      sim::NetworkOptions options;
+      options.num_threads = threads;
+      sim::Network net(g, 1, options);
+      ReservedTagSender algo(broadcast);
+      const std::string what = logic_error_text([&] { net.run(algo, 2); });
+      EXPECT_NE(what.find("reserved read-k bit"), std::string::npos)
+          << label << ": " << what;
+    }
+  }
 }
 
 }  // namespace

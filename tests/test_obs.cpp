@@ -514,6 +514,19 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   mirrored.add("sim.runs");
   mirrored.add("sim.messages", 7);
   EXPECT_EQ(mirrored.to_json(), json);
+  // Histograms staged elsewhere (as each simulator lane stages its
+  // message widths) and merged read exactly as the values observed.
+  util::Log2Histogram lane_a;
+  util::Log2Histogram lane_b;
+  lane_a.add(1024);
+  lane_b.add(9);
+  obs::Registry merged;
+  merged.merge("sim.message_bits", lane_a);
+  merged.merge("sim.message_bits", lane_b);
+  merged.set("sim.model.k", -3);
+  merged.add("sim.runs");
+  merged.add("sim.messages", 7);
+  EXPECT_EQ(merged.to_json(), json);
 }
 
 TEST(ObsRegistry, RoundSeriesRespectsSampling) {

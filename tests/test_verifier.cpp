@@ -1,6 +1,9 @@
 // Tests for the MIS verifier and the sequential greedy reference.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/properties.h"
 #include "mis/greedy.h"
@@ -137,6 +140,116 @@ TEST(Verifier, AdversarialPlantedDefectsOnGeneratorBattery) {
         << name << ": relabeling a member as covered must fail "
         << "(false coverage or lost maximality)";
   }
+}
+
+/// The two-pass verifier as it stood before the early-exit scans: every
+/// row is scanned in full, for independence and for coverage, and the
+/// kCovered label pass scans each claimed node's row again. The reference
+/// the early-exit verify()/verify_mask() must match exactly.
+Verification full_scan_verify_mask(graph::GraphView g,
+                                   std::span<const std::uint8_t> in_mis) {
+  Verification result;
+  result.independent = true;
+  result.maximal = true;
+  result.labels_consistent = true;
+  const auto note = [&](graph::NodeId v) {
+    if (result.violations.size() < 8) result.violations.push_back(v);
+  };
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    bool covered = false;
+    for (graph::NodeId w : g.neighbors(v)) {
+      if (in_mis[w]) covered = true;
+      if (in_mis[v] && in_mis[w]) {
+        result.independent = false;
+        note(v);
+      }
+    }
+    if (!in_mis[v] && !covered) {
+      result.maximal = false;
+      note(v);
+    }
+  }
+  return result;
+}
+
+Verification full_scan_verify(graph::GraphView g, const MisResult& result) {
+  const auto mask = result.mis_mask();
+  Verification v = full_scan_verify_mask(g, mask);
+  for (graph::NodeId node = 0; node < g.num_nodes(); ++node) {
+    if (result.state[node] == MisState::kUndecided) {
+      v.labels_consistent = false;
+      if (v.violations.size() < 8) v.violations.push_back(node);
+    } else if (result.state[node] == MisState::kCovered) {
+      bool covered = false;
+      for (graph::NodeId w : g.neighbors(node)) covered |= mask[w] != 0;
+      if (!covered) {
+        v.labels_consistent = false;
+        if (v.violations.size() < 8) v.violations.push_back(node);
+      }
+    }
+  }
+  return v;
+}
+
+void expect_same_verification(const Verification& a, const Verification& b,
+                              const std::string& label) {
+  EXPECT_EQ(a.independent, b.independent) << label;
+  EXPECT_EQ(a.maximal, b.maximal) << label;
+  EXPECT_EQ(a.labels_consistent, b.labels_consistent) << label;
+  EXPECT_EQ(a.violations, b.violations) << label;
+}
+
+TEST(Verifier, EarlyExitMatchesFullScanOnCorruptedLabelings) {
+  // Seeded corruptions of an honest MIS, alone and stacked: an adjacent
+  // MIS pair, an uncovered node, an undecided node, a kCovered label on a
+  // node with no MIS neighbor. Flags and the violation list, order
+  // included, must equal the full-scan reference's.
+  enum Corruption { kAdjacentPair, kUncovered, kUndecided, kFalseCover };
+  util::Rng rng(1905);
+  std::uint32_t failing = 0;
+  for (std::uint32_t trial = 0; trial < 200; ++trial) {
+    const graph::Graph g =
+        trial % 2 == 0 ? graph::gen::gnp(120, 0.05, rng)
+                       : graph::gen::union_of_random_forests(120, 2, rng);
+    MisResult labels = greedy_mis_random(g, rng);
+    const auto n = static_cast<std::uint32_t>(g.num_nodes());
+    const std::uint64_t corruptions = 1 + rng.below(4);
+    for (std::uint64_t c = 0; c < corruptions; ++c) {
+      const auto v = static_cast<graph::NodeId>(rng.below(n));
+      switch (static_cast<Corruption>(rng.below(4))) {
+        case kAdjacentPair:
+          // A covered node joins, next to the member that covers it.
+          if (labels.state[v] == MisState::kCovered) {
+            labels.state[v] = MisState::kInMis;
+          }
+          break;
+        case kUncovered:
+          // A member leaves: it and its neighbors may lose their only
+          // member neighbor.
+          if (labels.state[v] == MisState::kInMis) {
+            labels.state[v] = MisState::kCovered;
+          }
+          break;
+        case kUndecided:
+          labels.state[v] = MisState::kUndecided;
+          break;
+        case kFalseCover:
+          // A kCovered claim whatever the neighborhood holds.
+          labels.state[v] = MisState::kCovered;
+          break;
+      }
+    }
+    const std::string label = "trial " + std::to_string(trial);
+    const Verification early = verify(g, labels);
+    expect_same_verification(early, full_scan_verify(g, labels), label);
+    const std::vector<std::uint8_t> mask = labels.mis_mask();
+    expect_same_verification(verify_mask(g, mask),
+                             full_scan_verify_mask(g, mask), label);
+    if (!early.ok()) ++failing;
+  }
+  // The corruptions must actually produce failing labelings, most of the
+  // time, or the comparison above proves little.
+  EXPECT_GT(failing, 150u);
 }
 
 TEST(Greedy, ProducesValidMisOnBattery) {
