@@ -125,9 +125,8 @@ int main(int argc, char** argv) {
     cases.push_back(c);
   }
 
-  // --- Sampler case: block-parallel is a different (documented) stream
-  // decomposition than the legacy serial sampler, so the contract here is
-  // thread-count-invariance: T workers == 1 worker, draw for draw. ---
+  // --- Sampler case: the readk block grid is thread-count-invariant, so
+  // the contract here is T workers == 1 worker, draw for draw. ---
   {
     const std::uint64_t trials =
         options.trials ? options.trials : (options.quick ? 20000 : 200000);

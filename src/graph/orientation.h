@@ -35,10 +35,6 @@ class Orientation {
     return children_[v];
   }
 
-  NodeId out_degree(NodeId v) const noexcept {
-    return static_cast<NodeId>(parents_[v].size());
-  }
-
   /// Maximum out-degree over all nodes — an arboricity witness when the
   /// orientation is acyclic (α <= max out-degree ... within a factor 2).
   NodeId max_out_degree() const noexcept { return max_out_degree_; }

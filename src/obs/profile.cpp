@@ -107,8 +107,6 @@ ScopedProfiler::~ScopedProfiler() {
 
 void set_thread_lane(std::uint32_t lane) noexcept { tl_lane = lane; }
 
-std::uint32_t thread_lane() noexcept { return tl_lane; }
-
 std::uint64_t profile_now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -94,7 +94,6 @@ class ScopedProfiler {
 /// Lane id attached to spans recorded by this thread (0 = main/serial;
 /// the parallel executor tags workers with lane + 1).
 void set_thread_lane(std::uint32_t lane) noexcept;
-std::uint32_t thread_lane() noexcept;
 
 /// Monotonic nanoseconds for span timestamps.
 std::uint64_t profile_now_ns() noexcept;

@@ -2,7 +2,10 @@
 // (§3.1, Figure 1), run on real oriented graphs. Each kernel simulates one
 // iteration's priority draws centrally (the events are statements about a
 // single iteration, so no message passing is needed) and reports the
-// empirical event probability next to the paper's bound.
+// empirical event probability next to the paper's bound. The kernels
+// sample on montecarlo.h's seeded block grid, run inline on the calling
+// thread (num_threads = 0): one priority per node per trial, and exactly
+// one draw from the caller's rng per estimate.
 //
 //   Event (1) / Theorem 3.1 (Fig 1A): some node of M draws a priority
 //     above all of its children.

@@ -1,112 +1,46 @@
 #include "readk/montecarlo.h"
 
-#include <algorithm>
-
-#include "sim/thread_pool.h"
+#include "readk/trial_grid.h"
 
 namespace arbmis::readk {
 
-namespace {
-
-void draw_base(std::vector<double>& base, util::Rng& rng) {
-  for (double& x : base) x = rng.uniform01();
-}
-
-std::uint64_t num_blocks_for(std::uint64_t trials, std::uint64_t block_size) {
-  return (trials + block_size - 1) / block_size;
-}
-
-/// Runs `body(block, block_rng, begin, end)` for every trial block on the
-/// pool, with a deterministic strided block-to-worker assignment. Each
-/// block draws from child stream `stream_offset + block` of `block_base`,
-/// so the sample grid is a pure function of the salt — never of the
-/// worker count or the OS schedule.
-template <typename Body>
-void run_blocks(sim::ThreadPool& pool, const util::Rng& block_base,
-                std::uint64_t stream_offset, std::uint64_t trials,
-                std::uint64_t block_size, const Body& body) {
-  const std::uint64_t blocks = num_blocks_for(trials, block_size);
-  pool.run([&](std::uint32_t w) {
-    for (std::uint64_t b = w; b < blocks; b += pool.num_workers()) {
-      util::Rng block_rng = block_base.child(stream_offset + b);
-      const std::uint64_t begin = b * block_size;
-      const std::uint64_t end = std::min(trials, begin + block_size);
-      body(b, block_rng, begin, end);
-    }
-  });
-}
-
-}  // namespace
+using detail::ratio;
+using detail::set_proportion;
+using detail::TrialGrid;
 
 ConjunctionEstimate estimate_conjunction(const ReadKFamily& family,
                                          std::uint64_t trials,
                                          util::Rng& rng,
                                          McOptions options) {
+  struct Block {
+    std::uint64_t all_ones = 0;
+    std::uint64_t indicator_ones = 0;
+  };
+  const TrialGrid grid(rng, trials, options.num_threads);
+  const std::vector<Block> blocks = grid.run(
+      0, family.num_base(), Block{},
+      [&](Block& block, std::span<const double> base) {
+        bool all = true;
+        for (std::uint32_t j = 0; j < family.num_indicators(); ++j) {
+          const bool y = family.evaluate(j, base);
+          block.indicator_ones += y;
+          all = all && y;
+          // No early exit: indicator_ones feeds mean_indicator.
+        }
+        block.all_ones += all;
+      });
+
   ConjunctionEstimate estimate;
   estimate.trials = trials;
   std::uint64_t indicator_ones = 0;
-
-  if (options.num_threads == 0) {
-    // Legacy sequential sampler: consumes rng draw-for-draw exactly as
-    // before the parallel path existed, preserving all pinned results.
-    std::vector<double> base(family.num_base());
-    for (std::uint64_t t = 0; t < trials; ++t) {
-      draw_base(base, rng);
-      bool all = true;
-      for (std::uint32_t j = 0; j < family.num_indicators(); ++j) {
-        const bool y = family.evaluate(j, base);
-        indicator_ones += y;
-        all = all && y;
-        // No early exit: indicator_ones feeds mean_indicator.
-      }
-      estimate.all_ones += all;
-    }
-  } else {
-    const std::uint64_t block_size = std::max<std::uint64_t>(
-        options.block_size, 1);
-    // One salt from the caller's stream seeds the whole block grid.
-    const util::Rng block_base(rng.next());
-    struct BlockResult {
-      std::uint64_t all_ones = 0;
-      std::uint64_t indicator_ones = 0;
-    };
-    std::vector<BlockResult> blocks(num_blocks_for(trials, block_size));
-    sim::ThreadPool pool(options.num_threads);
-    run_blocks(pool, block_base, 0, trials, block_size,
-               [&](std::uint64_t b, util::Rng& block_rng, std::uint64_t begin,
-                   std::uint64_t end) {
-                 std::vector<double> base(family.num_base());
-                 for (std::uint64_t t = begin; t < end; ++t) {
-                   draw_base(base, block_rng);
-                   bool all = true;
-                   for (std::uint32_t j = 0; j < family.num_indicators();
-                        ++j) {
-                     const bool y = family.evaluate(j, base);
-                     blocks[b].indicator_ones += y;
-                     all = all && y;
-                   }
-                   blocks[b].all_ones += all;
-                 }
-               });
-    // Integer sums are exact and commutative; order is irrelevant here,
-    // but reduce in block order anyway for uniformity with the tail path.
-    for (const BlockResult& block : blocks) {
-      estimate.all_ones += block.all_ones;
-      indicator_ones += block.indicator_ones;
-    }
+  for (const Block& block : blocks) {
+    estimate.all_ones += block.all_ones;
+    indicator_ones += block.indicator_ones;
   }
-
-  estimate.probability = trials > 0
-                             ? static_cast<double>(estimate.all_ones) /
-                                   static_cast<double>(trials)
-                             : 0.0;
-  estimate.ci = util::wilson_interval(estimate.all_ones, trials);
-  const std::uint64_t total =
-      trials * static_cast<std::uint64_t>(family.num_indicators());
+  set_proportion(estimate, estimate.all_ones, trials);
   estimate.mean_indicator =
-      total > 0 ? static_cast<double>(indicator_ones) /
-                      static_cast<double>(total)
-                : 0.0;
+      ratio(static_cast<double>(indicator_ones),
+            trials * static_cast<std::uint64_t>(family.num_indicators()));
   return estimate;
 }
 
@@ -115,123 +49,58 @@ TailEstimate estimate_lower_tail(const ReadKFamily& family,
                                  std::span<const double> deltas,
                                  util::Rng& rng,
                                  McOptions options) {
-  TailEstimate estimate;
-  estimate.trials = trials;
-
-  const auto sum_of = [&](const std::vector<double>& base) {
+  const auto sum_of = [&](std::span<const double> base) {
     std::uint32_t sum = 0;
     for (std::uint32_t j = 0; j < family.num_indicators(); ++j) {
       sum += family.evaluate(j, base);
     }
     return sum;
   };
+  const TrialGrid grid(rng, trials, options.num_threads);
+  TailEstimate estimate;
+  estimate.trials = trials;
 
-  if (options.num_threads == 0) {
-    // Legacy sequential sampler (see estimate_conjunction).
-    std::vector<double> base(family.num_base());
-
-    // Pass 1: estimate E[Y].
-    double sum_total = 0.0;
-    for (std::uint64_t t = 0; t < trials; ++t) {
-      draw_base(base, rng);
-      sum_total += sum_of(base);
-    }
-    estimate.expected_sum =
-        trials > 0 ? sum_total / static_cast<double>(trials) : 0.0;
-
-    // Pass 2: tail counts at each threshold.
-    estimate.points.reserve(deltas.size());
-    for (double delta : deltas) {
-      TailEstimate::Point point;
-      point.delta = delta;
-      point.threshold = (1.0 - delta) * estimate.expected_sum;
-      estimate.points.push_back(point);
-    }
-    std::vector<std::uint64_t> hits(deltas.size(), 0);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-      draw_base(base, rng);
-      const std::uint32_t sum = sum_of(base);
-      estimate.sum_stats.add(static_cast<double>(sum));
-      for (std::size_t i = 0; i < estimate.points.size(); ++i) {
-        if (static_cast<double>(sum) <= estimate.points[i].threshold) {
-          ++hits[i];
-        }
-      }
-    }
-    for (std::size_t i = 0; i < estimate.points.size(); ++i) {
-      estimate.points[i].probability =
-          trials > 0
-              ? static_cast<double>(hits[i]) / static_cast<double>(trials)
-              : 0.0;
-      estimate.points[i].ci = util::wilson_interval(hits[i], trials);
-    }
-    return estimate;
-  }
-
-  const std::uint64_t block_size =
-      std::max<std::uint64_t>(options.block_size, 1);
-  const std::uint64_t blocks = num_blocks_for(trials, block_size);
-  const util::Rng block_base(rng.next());
-  sim::ThreadPool pool(options.num_threads);
-
-  // Pass 1: per-block sums reduced in block order (double addition is not
-  // associative, so the fixed order is what makes the estimate a pure
-  // function of the seed).
-  std::vector<double> block_sum(blocks, 0.0);
-  run_blocks(pool, block_base, 0, trials, block_size,
-             [&](std::uint64_t b, util::Rng& block_rng, std::uint64_t begin,
-                 std::uint64_t end) {
-               std::vector<double> base(family.num_base());
-               for (std::uint64_t t = begin; t < end; ++t) {
-                 draw_base(base, block_rng);
-                 block_sum[b] += sum_of(base);
-               }
-             });
+  // Pass 1 (streams 0 .. blocks-1): E[Y]. Block sums fold in block order,
+  // since double addition is not associative.
+  const std::vector<double> block_sums =
+      grid.run(0, family.num_base(), 0.0,
+               [&](double& sum, std::span<const double> base) {
+                 sum += sum_of(base);
+               });
   double sum_total = 0.0;
-  for (const double s : block_sum) sum_total += s;
-  estimate.expected_sum =
-      trials > 0 ? sum_total / static_cast<double>(trials) : 0.0;
+  for (const double s : block_sums) sum_total += s;
+  estimate.expected_sum = ratio(sum_total, trials);
 
   estimate.points.reserve(deltas.size());
-  for (double delta : deltas) {
+  for (const double delta : deltas) {
     TailEstimate::Point point;
     point.delta = delta;
     point.threshold = (1.0 - delta) * estimate.expected_sum;
     estimate.points.push_back(point);
   }
 
-  // Pass 2: independent streams (offset by `blocks`), per-block tail hits
-  // and Welford partials, merged in block order.
-  std::vector<std::vector<std::uint64_t>> block_hits(
-      blocks, std::vector<std::uint64_t>(deltas.size(), 0));
-  std::vector<util::RunningStats> block_stats(blocks);
-  run_blocks(pool, block_base, blocks, trials, block_size,
-             [&](std::uint64_t b, util::Rng& block_rng, std::uint64_t begin,
-                 std::uint64_t end) {
-               std::vector<double> base(family.num_base());
-               for (std::uint64_t t = begin; t < end; ++t) {
-                 draw_base(base, block_rng);
-                 const std::uint32_t sum = sum_of(base);
-                 block_stats[b].add(static_cast<double>(sum));
-                 for (std::size_t i = 0; i < estimate.points.size(); ++i) {
-                   if (static_cast<double>(sum) <=
-                       estimate.points[i].threshold) {
-                     ++block_hits[b][i];
-                   }
-                 }
-               }
-             });
+  // Pass 2 (independent streams, offset by the block count): tail hits at
+  // each threshold and the Welford moments of Y.
+  struct Block {
+    util::RunningStats stats;
+    std::vector<std::uint64_t> hits;
+  };
   std::vector<std::uint64_t> hits(deltas.size(), 0);
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    estimate.sum_stats.merge(block_stats[b]);
-    for (std::size_t i = 0; i < hits.size(); ++i) hits[i] += block_hits[b][i];
+  const std::vector<Block> blocks = grid.run(
+      grid.blocks(), family.num_base(), Block{{}, hits},
+      [&](Block& block, std::span<const double> base) {
+        const auto sum = static_cast<double>(sum_of(base));
+        block.stats.add(sum);
+        for (std::size_t i = 0; i < estimate.points.size(); ++i) {
+          if (sum <= estimate.points[i].threshold) ++block.hits[i];
+        }
+      });
+  for (const Block& block : blocks) {
+    estimate.sum_stats.merge(block.stats);
+    for (std::size_t i = 0; i < hits.size(); ++i) hits[i] += block.hits[i];
   }
   for (std::size_t i = 0; i < estimate.points.size(); ++i) {
-    estimate.points[i].probability =
-        trials > 0
-            ? static_cast<double>(hits[i]) / static_cast<double>(trials)
-            : 0.0;
-    estimate.points[i].ci = util::wilson_interval(hits[i], trials);
+    set_proportion(estimate.points[i], hits[i], trials);
   }
   return estimate;
 }

@@ -3,6 +3,13 @@
 // the indicator sum (Theorem 1.2 experiments), with Wilson confidence
 // intervals so benches can report statistically honest comparisons
 // against the closed-form bounds.
+//
+// Every estimator here and in events.h samples on one seeded block grid:
+// it takes one salt from the caller's rng (so an estimate advances that
+// stream by exactly one draw), cuts the trials into blocks of 4096, draws
+// block b from Rng(salt).child(b), and merges the block results in block
+// order. The estimate is a pure function of the seed: every thread count
+// returns the same bits.
 #pragma once
 
 #include <cstdint>
@@ -16,16 +23,10 @@ namespace arbmis::readk {
 
 /// Execution options for the Monte-Carlo estimators.
 struct McOptions {
-  /// 0 (default) = the legacy sequential sampler, bit-identical to the
-  /// pre-parallelism behavior draw-for-draw. >= 1 = the block-parallel
-  /// sampler: trials are partitioned into fixed-size blocks, each block
-  /// draws from its own child stream of a single salt taken from the
-  /// caller's rng, and block results are reduced in block order — so the
-  /// estimate depends only on the seed, never on the worker count.
+  /// Who runs the block grid: 0 (default) runs the blocks inline, in
+  /// order, on the calling thread; >= 1 runs them on that many pool
+  /// workers. The estimate is the same for every value.
   std::uint32_t num_threads = 0;
-  /// Trials per block in the parallel sampler. Part of the deterministic
-  /// decomposition, deliberately independent of num_threads.
-  std::uint64_t block_size = 4096;
 };
 
 struct ConjunctionEstimate {
@@ -57,7 +58,7 @@ struct TailEstimate {
 
 /// Estimates the lower tail P(Y <= (1-delta)·E[Y]) for each delta. Uses a
 /// first pass of `trials` draws to estimate E[Y] and a second independent
-/// pass for the tail itself.
+/// pass for the tail itself (the grid's streams blocks .. 2·blocks-1).
 TailEstimate estimate_lower_tail(const ReadKFamily& family,
                                  std::uint64_t trials,
                                  std::span<const double> deltas,

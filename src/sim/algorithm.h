@@ -80,8 +80,6 @@ class NodeContext {
   std::span<const graph::NodeId> neighbors() const noexcept;
   /// Current round number (0 during on_start).
   std::uint32_t round() const noexcept;
-  /// Number of nodes in the network (used for priority ranges etc.).
-  graph::NodeId network_size() const noexcept;
 
   /// Sends to the neighbor at `port` (delivered next round). Throws
   /// std::logic_error if the CONGEST per-edge budget is exceeded or `tag`

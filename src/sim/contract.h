@@ -1,31 +1,13 @@
-// Compile-time CONGEST contracts (see docs/TOOLING.md §9 and
-// tools/arbmis_audit.py --explain CON001).
+// Compile-time CONGEST contracts (see docs/TOOLING.md §9).
 //
-// Two enforcement layers live here:
-//
-//   1. static_asserts that pin the simulator's message layout and the
-//      model checker's nominal accounting to each other. These run in
-//      every build (sim/network.cpp includes this header), so a drive-by
-//      edit to Message, kBitsPerMessage, or ModelCheckOptions' defaults
-//      fails to compile instead of silently skewing every budget the
-//      paper's read-k analysis is calibrated against.
-//
-//   2. an identifier poison list, active only when the translation unit
-//      is compiled with -DARBMIS_CONTRACTS_POISON (the CMake option
-//      ARBMIS_CONTRACTS=ON force-includes this header into every
-//      semantic-module TU and defines that macro). Poisoned names are
-//      the process-global entropy and environment escape hatches that
-//      would break single-seed reproducibility: util/rng.h is the only
-//      sanctioned randomness source. The static audit (DET001–DET003)
-//      catches the same names without a compiler; the poison list is the
-//      layer that cannot be dodged by a clever spelling the tokenizer
-//      misses. CON001 in tools/arbmis_audit.py keeps the two lists in
-//      sync.
-//
-// The poison block pre-includes the standard library first: #pragma GCC
-// poison rejects any later *occurrence* of a name, including its own
-// declaration in a system header, so every header that legitimately
-// declares a banned name must already have been seen.
+// static_asserts that pin the simulator's message layout and the model
+// checker's nominal accounting to each other. They run in every build
+// (sim/network.cpp includes this header), so a drive-by edit to Message,
+// kBitsPerMessage, or ModelCheckOptions' defaults fails to compile instead
+// of silently skewing every budget the paper's read-k analysis is
+// calibrated against. The determinism bans (no std entropy, no
+// environment reads in semantic code) live in one place: the static
+// audit, tools/arbmis_audit.py (DET001-DET005).
 #pragma once
 
 #include <bit>
@@ -75,35 +57,12 @@ static_assert(message_bits(Message{0, 0, ~std::uint64_t{0}}) ==
               "a full payload word must cost exactly kBitsPerMessage");
 
 // --- Model checker defaults ----------------------------------------------
-// The runtime ModelChecker charges tag_bits per message and floors the
-// per-edge budget at min_edge_bits; both defaults must agree with the
+// The runtime ModelChecker charges message_bits() per message and floors
+// the per-edge budget at min_edge_bits; that default must agree with the
 // nominal layout or the budgets in tests/test_model_check.cpp drift.
-static_assert(ModelCheckOptions{}.tag_bits == kNominalTagBits,
-              "ModelCheckOptions::tag_bits default must match the nominal "
-              "tag width");
 static_assert(ModelCheckOptions{}.min_edge_bits == kNominalMessageBits,
               "ModelCheckOptions::min_edge_bits default must floor at one "
               "full message");
 
 }  // namespace arbmis::sim::contract
 
-// --- Identifier poison ----------------------------------------------------
-// Active only under ARBMIS_CONTRACTS=ON (which defines the macro below
-// and force-includes this header). GCC and Clang both implement the
-// pragma. Clock names are deliberately NOT poisoned: obs/profile.h uses
-// steady_clock for wall-clock profiling and is included by sim TUs; the
-// static audit (DET002) polices clocks in semantic code instead.
-#if defined(ARBMIS_CONTRACTS_POISON) && defined(__GNUC__)
-#if __has_include(<bits/stdc++.h>)
-#include <bits/stdc++.h>  // pre-declare everything poisonable (libstdc++)
-#else
-#include <chrono>
-#include <cstdlib>
-#include <ctime>
-#include <random>
-#endif
-#pragma GCC poison rand srand rand_r drand48 lrand48
-#pragma GCC poison random_device mt19937 mt19937_64 default_random_engine
-#pragma GCC poison minstd_rand minstd_rand0 knuth_b
-#pragma GCC poison getenv setenv putenv unsetenv
-#endif

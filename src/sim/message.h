@@ -29,8 +29,7 @@ struct Message {
 /// charge the full 64-bit word plus an 8-bit kind.
 inline constexpr std::uint64_t kBitsPerMessage = 72;
 
-/// Bits charged for the message tag in the *actual*-width accounting below
-/// (matches ModelCheckOptions::tag_bits' default).
+/// Bits charged for the message tag in the *actual*-width accounting below.
 inline constexpr std::uint32_t kTagBits = 8;
 
 /// Actual width of one message on the wire: the tag's O(1) kind bits plus

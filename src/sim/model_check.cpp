@@ -7,6 +7,7 @@
 
 #include "obs/recorder.h"
 #include "obs/sink.h"
+#include "sim/message.h"
 #include "util/log.h"
 
 namespace arbmis::sim {
@@ -60,7 +61,6 @@ ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options)
                options_.log_n_factor *
                    ceil_log2(static_cast<std::uint64_t>(num_nodes_) + 1));
   rng_reads_.assign(num_nodes_, 0);
-  rng_epoch_.assign(num_nodes_, kStaleEpoch);
   for (int s = 0; s < 2; ++s) {
     mult_[s].assign(num_nodes_, 0);
     mult_epoch_[s].assign(num_nodes_, kStaleEpoch);
@@ -69,29 +69,18 @@ ModelChecker::ModelChecker(graph::GraphView g, ModelCheckOptions options)
 }
 
 std::uint64_t ModelChecker::footprint_bytes() const noexcept {
-  return (rng_reads_.size() + rng_epoch_.size() + mult_[0].size() +
-          mult_[1].size() + mult_epoch_[0].size() + mult_epoch_[1].size()) *
+  return (rng_reads_.size() + mult_[0].size() + mult_[1].size() +
+          mult_epoch_[0].size() + mult_epoch_[1].size()) *
          sizeof(std::uint32_t);
 }
 
 void ModelChecker::begin_run() {
   if (!options_.enabled) return;
-  std::fill(rng_epoch_.begin(), rng_epoch_.end(), kStaleEpoch);
   for (int s = 0; s < 2; ++s) {
     std::fill(mult_epoch_[s].begin(), mult_epoch_[s].end(), kStaleEpoch);
   }
   report_ = ModelCheckReport{};
   report_.edge_bit_budget = edge_bit_budget_;
-}
-
-std::uint32_t& ModelChecker::stamped(std::vector<std::uint32_t>& counts,
-                                     std::vector<std::uint32_t>& epochs,
-                                     std::uint64_t i, std::uint32_t round) {
-  if (epochs[i] != round) {
-    epochs[i] = round;
-    counts[i] = 0;
-  }
-  return counts[i];
 }
 
 namespace {
@@ -107,8 +96,8 @@ bool ModelChecker::on_send(ModelCheckerLane& lane, graph::NodeId from,
                            std::uint64_t payload, std::uint32_t round,
                            graph::NodeId messages) {
   if (!options_.enabled) return false;
-  const auto width = static_cast<std::uint32_t>(
-      options_.tag_bits + std::bit_width(payload));
+  const auto width =
+      static_cast<std::uint32_t>(message_bits(Message{0, 0, payload}));
   // Each message is its edge's only one this round: its width is the
   // edge's bits. Identical messages make identical checks, so a clean call
   // checks one; a violating one repeats the per-message sequence.
@@ -132,7 +121,7 @@ bool ModelChecker::on_send(ModelCheckerLane& lane, graph::NodeId from,
 
   // A message sent after a draw in the same callback carries that round's
   // randomness to its target, which will read it when it consumes it.
-  return rng_epoch_[from] == round && rng_reads_[from] > 0;
+  return mult_epoch_[round & 1][from] == round;
 }
 
 void ModelChecker::count_consumption(graph::NodeId origin,
@@ -167,21 +156,22 @@ void ModelChecker::on_rng_read(ModelCheckerLane& lane, graph::NodeId v,
                         "'s private stream read while node " +
                         node_name(lane.active_node) + " was scheduled");
   }
-  const std::uint32_t reads = ++stamped(rng_reads_, rng_epoch_, v, round);
+  const int slot = round & 1;
+  const bool first_draw = mult_epoch_[slot][v] != round;
+  if (first_draw) rng_reads_[v] = 0;
+  const std::uint32_t reads = ++rng_reads_[v];
   lane.max_rng_reads = std::max(lane.max_rng_reads, reads);
-  if (reads > options_.max_rng_reads_per_round) {
+  if (reads > kMaxRngReadsPerRound) {
     violation(lane, "randomness budget exceeded: node " +
                         std::to_string(v) + " drew " +
                         std::to_string(reads) + " times in round " +
                         std::to_string(round) + " (budget " +
-                        std::to_string(options_.max_rng_reads_per_round) +
-                        ")");
+                        std::to_string(kMaxRngReadsPerRound) + ")");
   }
-  if (reads == 1) {
+  if (first_draw) {
     // Fresh per-round randomness: the drawing node is its first reader.
     // The parity ledger slot belongs to v (this lane); only the shared
     // report update is staged.
-    const int slot = round & 1;
     mult_epoch_[slot][v] = round;
     mult_[slot][v] = 1;
     lane.any_first_draw = true;

@@ -52,8 +52,6 @@ struct ModelCheckOptions {
   /// Throw CongestViolation at the first violation (after logging). When
   /// false, violations are only counted and logged.
   bool fail_fast = true;
-  /// Bits charged for the message tag (O(1) distinct kinds per algorithm).
-  std::uint32_t tag_bits = 8;
   /// Per-edge per-round budget =
   /// max(min_edge_bits, log_n_factor * ceil(log2(n + 1))), checked on the
   /// one message an edge may carry per round.
@@ -61,10 +59,6 @@ struct ModelCheckOptions {
   /// Floor of the per-message budget: one CONGEST word (64 payload bits +
   /// tag), so the budget never dips below what Message physically holds.
   std::uint32_t min_edge_bits = 72;
-  /// Randomness budget: logical draws one node may make in one round. Two
-  /// covers every algorithm in the repository (Israeli–Itai needs a coin
-  /// plus a port pick); the paper's Algorithm 1 uses exactly one.
-  std::uint32_t max_rng_reads_per_round = 2;
 };
 
 /// What the checker saw over one Network::run.
@@ -72,7 +66,8 @@ struct ModelCheckReport {
   std::uint32_t rounds_observed = 0;
   /// Enforced per-edge per-round budget in bits, for the edge's one message.
   std::uint32_t edge_bit_budget = 0;
-  /// Widest single message: tag_bits + significant payload bits.
+  /// Widest single message, as message_bits() measures it: kTagBits +
+  /// significant payload bits.
   std::uint32_t max_message_bits = 0;
   /// Max bits one directed edge carried in one round; one message per edge
   /// per round makes it max_message_bits.
@@ -136,6 +131,10 @@ struct ModelCheckerLane {
 class ModelChecker {
  public:
   static constexpr graph::NodeId kNoNode = ~graph::NodeId{0};
+  /// Randomness budget: logical draws one node may make in one round. Two
+  /// covers every algorithm in the repository (Israeli–Itai needs a coin
+  /// plus a port pick); the paper's Algorithm 1 uses exactly one.
+  static constexpr std::uint32_t kMaxRngReadsPerRound = 2;
 
   ModelChecker(graph::GraphView g, ModelCheckOptions options);
 
@@ -198,25 +197,21 @@ class ModelChecker {
   void count_consumption(graph::NodeId origin, std::uint32_t draw_round);
   /// Raises report_.round_k[round] to at least `m`.
   void raise_round_k(std::uint32_t round, std::uint32_t m);
-  /// Lazily epoch-stamped per-round counters.
-  std::uint32_t& stamped(std::vector<std::uint32_t>& counts,
-                         std::vector<std::uint32_t>& epochs, std::uint64_t i,
-                         std::uint32_t round);
 
   ModelCheckOptions options_;
   std::uint32_t num_nodes_ = 0;
   std::uint32_t edge_bit_budget_ = 0;
 
-  // Per-node RNG draws this round, epoch-stamped. A node "drew this round"
-  // iff rng_epoch_[v] == round and rng_reads_[v] > 0.
+  // Per-node RNG draws in the round v last drew in.
   std::vector<std::uint32_t> rng_reads_;
-  std::vector<std::uint32_t> rng_epoch_;
 
   // Read multiplicity of v's per-round randomness. A draw made in round r
   // is consumed by neighbors in round r + 1, when v may already be drawing
   // again — so the ledger keeps two slots indexed by round parity.
   // mult_[r & 1][v] counts consumers of v's round-r draw and is valid while
-  // mult_epoch_[r & 1][v] == r.
+  // mult_epoch_[r & 1][v] == r, which also stamps the round's draws: v
+  // drew in round r iff mult_epoch_[r & 1][v] == r (both are set at v's
+  // first draw of the round and reset by begin_run).
   std::vector<std::uint32_t> mult_[2];
   std::vector<std::uint32_t> mult_epoch_[2];
 

@@ -494,10 +494,6 @@ std::span<const graph::NodeId> NodeContext::neighbors() const noexcept {
 
 std::uint32_t NodeContext::round() const noexcept { return net_->round_; }
 
-graph::NodeId NodeContext::network_size() const noexcept {
-  return net_->graph_.num_nodes();
-}
-
 void NodeContext::send(graph::NodeId port, std::uint32_t tag,
                        std::uint64_t payload) {
   net_->do_send(*lane_, id_, port, tag, payload);

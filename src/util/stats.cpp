@@ -26,8 +26,6 @@ double RunningStats::variance() const noexcept {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
   if (n_ == 0) {
@@ -54,16 +52,6 @@ double quantile(std::span<const double> sorted_values, double q) noexcept {
   const std::size_t hi = std::min(lo + 1, sorted_values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac;
-}
-
-std::vector<double> quantiles(std::span<const double> values,
-                              std::span<const double> qs) {
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (double q : qs) out.push_back(quantile(sorted, q));
-  return out;
 }
 
 Interval wilson_interval(std::uint64_t successes, std::uint64_t trials,

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace arbmis::util {
 
@@ -18,7 +17,6 @@ class RunningStats {
   double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -40,10 +38,6 @@ class RunningStats {
 /// Quantile of a sample using linear interpolation between order statistics
 /// (type-7, the numpy/R default). q in [0,1]. Empty input returns 0.
 double quantile(std::span<const double> sorted_values, double q) noexcept;
-
-/// Sorts a copy of `values` and returns the requested quantiles.
-std::vector<double> quantiles(std::span<const double> values,
-                              std::span<const double> qs);
 
 /// Wilson score interval for a binomial proportion.
 struct Interval {

@@ -200,7 +200,7 @@ TEST(MessageArena, FootprintIsPinnedPerConfiguration) {
   //   per directed edge: two 16 B Message arenas and a 4 B round stamp,
   //     36 B (68 B with an injector's second slot in each arena);
   //   per node: a 32 B Rng, a 1 B halt flag and two 4 B fill counts,
-  //     41 B, plus six 4 B checker counters (24 B) with the checker on;
+  //     41 B, plus five 4 B checker counters (20 B) with the checker on;
   //   one inline ExecLane, 192 B.
   // A new per-slot or per-node buffer moves these numbers.
   const graph::Graph g = [] {
@@ -209,8 +209,8 @@ TEST(MessageArena, FootprintIsPinnedPerConfiguration) {
   }();
   ASSERT_EQ(g.num_nodes(), 60u);
   ASSERT_EQ(g.num_edges(), 168u);
-  // 336 * 36 + 60 * (41 + 24) + 192
-  EXPECT_EQ(sim::Network(g, 1).footprint_bytes(), 16188u);
+  // 336 * 36 + 60 * (41 + 20) + 192
+  EXPECT_EQ(sim::Network(g, 1).footprint_bytes(), 15948u);
   sim::NetworkOptions unchecked;
   unchecked.model_check.enabled = false;
   // 336 * 36 + 60 * 41 + 192
@@ -219,8 +219,8 @@ TEST(MessageArena, FootprintIsPinnedPerConfiguration) {
   fault::FaultPlan plan(g, 1, adversary);
   sim::NetworkOptions faulty;
   faulty.fault = &plan;
-  // 336 * 68 + 60 * (41 + 24) + 192
-  EXPECT_EQ(sim::Network(g, 1, faulty).footprint_bytes(), 26940u);
+  // 336 * 68 + 60 * (41 + 20) + 192
+  EXPECT_EQ(sim::Network(g, 1, faulty).footprint_bytes(), 26700u);
 }
 
 TEST(MessageArena, SelfLoopsAreRejectedAtGraphConstruction) {

@@ -241,7 +241,6 @@ TEST(ModelCheck, RuntimeChargesMatchCompileTimeContract) {
     EXPECT_EQ(net.model_check_report().max_message_bits,
               contract::kNominalTagBits);
   }
-  EXPECT_EQ(ModelCheckOptions{}.tag_bits, contract::kNominalTagBits);
   EXPECT_EQ(ModelCheckOptions{}.min_edge_bits, contract::kNominalMessageBits);
 }
 

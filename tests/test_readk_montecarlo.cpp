@@ -1,10 +1,16 @@
 // Monte-Carlo engine tests: estimates match closed forms on analyzable
-// families, and the paper's bounds hold empirically (Theorems 1.1, 1.2).
+// families, the paper's bounds hold empirically (Theorems 1.1, 1.2), and
+// the one block grid every estimator samples on is thread-count-invariant
+// and takes one draw of the caller's rng.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
 
+#include "graph/generators.h"
 #include "readk/bounds.h"
+#include "readk/events.h"
 #include "readk/family.h"
 #include "readk/montecarlo.h"
 
@@ -110,63 +116,113 @@ TEST(LowerTail, IndependentFamilyWithinChernoff) {
 }
 
 TEST(MonteCarlo, ParallelSamplerIsThreadCountInvariant) {
-  // The block-parallel sampler partitions trials into fixed-size blocks
-  // with per-block child streams, so the estimate is a pure function of
-  // the seed: any worker count must reproduce the 1-worker result draw
-  // for draw, including a ragged final block.
+  // Every estimator samples one grid of fixed 4096-trial blocks with
+  // per-block child streams, merged in block order, so the estimate is a
+  // pure function of the seed: the inline grid (0) and every pool size
+  // must agree bit for bit. 9 blocks, the last one ragged, so 2, 3 and 8
+  // workers each own a different set of blocks.
   const ReadKFamily family = shared_block_family(16, 4, 0.8);
-  const std::uint64_t trials = 10000;  // not a block_size multiple
-  const McOptions one{.num_threads = 1, .block_size = 1024};
+  const std::uint64_t trials = 8ULL * 4096 + 1000;
+  const std::vector<std::uint32_t> thread_counts{0, 1, 2, 3, 8};
 
   util::Rng base_rng(42);
   const ConjunctionEstimate base =
-      estimate_conjunction(family, trials, base_rng, one);
-  for (const std::uint32_t workers : {2u, 3u, 8u}) {
+      estimate_conjunction(family, trials, base_rng);
+  for (const std::uint32_t threads : thread_counts) {
     util::Rng rng(42);
-    const ConjunctionEstimate estimate = estimate_conjunction(
-        family, trials, rng, {.num_threads = workers, .block_size = 1024});
-    EXPECT_EQ(estimate.all_ones, base.all_ones) << "workers=" << workers;
+    const ConjunctionEstimate estimate =
+        estimate_conjunction(family, trials, rng, {.num_threads = threads});
+    EXPECT_EQ(estimate.all_ones, base.all_ones) << "threads=" << threads;
     EXPECT_EQ(estimate.mean_indicator, base.mean_indicator)
-        << "workers=" << workers;
+        << "threads=" << threads;
   }
 
   const std::vector<double> deltas{0.25, 0.5};
   util::Rng tail_base_rng(43);
   const TailEstimate tail_base =
-      estimate_lower_tail(family, trials, deltas, tail_base_rng, one);
-  for (const std::uint32_t workers : {2u, 5u}) {
+      estimate_lower_tail(family, trials, deltas, tail_base_rng);
+  for (const std::uint32_t threads : thread_counts) {
     util::Rng rng(43);
-    const TailEstimate tail = estimate_lower_tail(
-        family, trials, deltas, rng,
-        {.num_threads = workers, .block_size = 1024});
+    const TailEstimate tail = estimate_lower_tail(family, trials, deltas, rng,
+                                                  {.num_threads = threads});
     EXPECT_EQ(tail.expected_sum, tail_base.expected_sum)
-        << "workers=" << workers;
+        << "threads=" << threads;
     ASSERT_EQ(tail.points.size(), tail_base.points.size());
     for (std::size_t i = 0; i < tail.points.size(); ++i) {
       EXPECT_EQ(tail.points[i].probability, tail_base.points[i].probability)
-          << "workers=" << workers << " delta=" << tail.points[i].delta;
+          << "threads=" << threads << " delta=" << tail.points[i].delta;
     }
+    EXPECT_EQ(tail.sum_stats.count(), tail_base.sum_stats.count());
     EXPECT_EQ(tail.sum_stats.mean(), tail_base.sum_stats.mean())
-        << "workers=" << workers;
+        << "threads=" << threads;
+    EXPECT_EQ(tail.sum_stats.variance(), tail_base.sum_stats.variance())
+        << "threads=" << threads;
   }
 }
 
 TEST(MonteCarlo, ParallelSamplerAgreesStatisticallyWithLegacy) {
-  // The parallel stream decomposition is deliberately different from the
-  // legacy sequential draw order, so results are not bit-identical — but
-  // both sample the same distribution, so the closed form must sit inside
-  // both confidence intervals.
+  // There is no second sampler left to compare against: the inline grid
+  // is the pool's grid run on the calling thread. Its interval must hold
+  // the closed form, and a 4-worker pool must return the same estimate.
   const ReadKFamily family = shared_block_family(12, 4, 0.7);
   const double truth = std::pow(0.7, 3);
-  util::Rng serial_rng(9);
-  const ConjunctionEstimate serial =
-      estimate_conjunction(family, kTrials, serial_rng);
-  util::Rng parallel_rng(9);
-  const ConjunctionEstimate parallel = estimate_conjunction(
-      family, kTrials, parallel_rng, {.num_threads = 4});
-  EXPECT_TRUE(serial.ci.contains(truth));
-  EXPECT_TRUE(parallel.ci.contains(truth))
-      << parallel.probability << " vs " << truth;
+  util::Rng inline_rng(9);
+  const ConjunctionEstimate inline_grid =
+      estimate_conjunction(family, kTrials, inline_rng);
+  util::Rng pool_rng(9);
+  const ConjunctionEstimate pool = estimate_conjunction(
+      family, kTrials, pool_rng, {.num_threads = 4});
+  EXPECT_TRUE(inline_grid.ci.contains(truth))
+      << inline_grid.probability << " vs " << truth;
+  EXPECT_EQ(inline_grid.all_ones, pool.all_ones);
+  EXPECT_EQ(inline_grid.probability, pool.probability);
+}
+
+TEST(MonteCarlo, EachEstimatorTakesOneDrawOfTheCallersRng) {
+  // The grid takes one salt from the caller's stream and draws every trial
+  // from child streams of it, so each of the five estimators advances the
+  // caller's rng by exactly one word, whatever the trial count.
+  const ReadKFamily family = shared_block_family(8, 2, 0.5);
+  const std::vector<double> deltas{0.5};
+  util::Rng graph_rng(3);
+  const graph::Graph g = graph::gen::union_of_random_forests(60, 2, graph_rng);
+  const graph::Orientation orientation = graph::degeneracy_orientation(g);
+  const auto children = nodes_with_children(orientation);
+  const auto parents = nodes_with_parents(orientation);
+  const std::vector<std::pair<
+      const char*, std::function<void(std::uint64_t, util::Rng&)>>>
+      estimators{
+          {"conjunction",
+           [&](std::uint64_t t, util::Rng& rng) {
+             estimate_conjunction(family, t, rng);
+           }},
+          {"lower_tail",
+           [&](std::uint64_t t, util::Rng& rng) {
+             estimate_lower_tail(family, t, deltas, rng);
+           }},
+          {"event1",
+           [&](std::uint64_t t, util::Rng& rng) {
+             estimate_event1(g, orientation, children, 2, t, rng);
+           }},
+          {"event2",
+           [&](std::uint64_t t, util::Rng& rng) {
+             estimate_event2(g, orientation, parents, 2, t, rng);
+           }},
+          {"event3",
+           [&](std::uint64_t t, util::Rng& rng) {
+             estimate_event3(g, children, 2, t, rng);
+           }},
+      };
+  util::Rng once(77);
+  once.next();
+  const std::uint64_t expected = once.next();
+  for (const auto& [name, estimate] : estimators) {
+    for (const std::uint64_t trials : {0ULL, 5000ULL}) {
+      util::Rng rng(77);
+      estimate(trials, rng);
+      EXPECT_EQ(rng.next(), expected) << name << " trials=" << trials;
+    }
+  }
 }
 
 TEST(MonteCarlo, ZeroTrials) {

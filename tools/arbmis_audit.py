@@ -19,8 +19,6 @@ Rule groups (``--list-rules`` for the table, ``--explain RULE`` for one):
   LAY00x  layering rules: the allowed-include matrix and the
           restricted-header list, both read from tools/layering.toml.
   HYG00x  contract hygiene: NOLINT justification discipline.
-  CON00x  compile-time contract sync: src/sim/contract.h's poison list
-          must stay a recognized subset of this tool's banned identifiers.
 
 Drivers: the TU list comes from ``compile_commands.json`` when one exists
 (``--compile-commands``, or <repo>/build/compile_commands.json), unioned
@@ -69,9 +67,7 @@ standard libraries. Any of these breaks the
 reproducible-from-a-printed-seed story the golden determinism pins in
 tests/test_determinism.cpp enforce, which is why even including <random>
 is flagged. Fix: take a util::Rng (or a seed to derive one) as an
-argument. The one sanctioned exception is src/sim/contract.h, which must
-pre-include <random> so that #pragma GCC poison can ban its names — that
-exception is recorded in tools/audit_baseline.toml."""),
+argument."""),
     "DET002": (
         "wall-clock read in semantic code",
         """Simulation semantics must be a pure function of (graph, seed,
@@ -138,18 +134,9 @@ findings on the same line forever — and (b) carry a justification after
 the check list, e.g. `// NOLINT(cert-err58-cpp): gtest registration
 object`. Matching NOLINTEND markers are exempt (the BEGIN carries the
 justification)."""),
-    "CON001": (
-        "contract header out of sync with audit rules",
-        """src/sim/contract.h is the compile-time half of the determinism
-lints: under ARBMIS_CONTRACTS=ON its #pragma GCC poison list makes the
-banned identifiers hard compile errors in semantic TUs. This rule keeps
-the two layers agreeing: the poison list must contain the core banned set
-(rand, srand, random_device, mt19937, getenv) and must not poison any
-identifier this tool does not also recognize — otherwise one layer would
-accept what the other rejects."""),
 }
 
-# Identifier sets shared by the DET scanners and the CON001 sync check.
+# Identifier sets the DET scanners ban.
 ENTROPY_IDENTIFIERS = (
     "random_device", "mt19937", "mt19937_64", "default_random_engine",
     "minstd_rand", "minstd_rand0", "ranlux24", "ranlux48", "knuth_b",
@@ -159,9 +146,6 @@ ENTROPY_CALLS = ("rand", "srand")
 ENVIRONMENT_IDENTIFIERS = ("getenv", "setenv", "putenv", "unsetenv",
                            "secure_getenv")
 ENVIRONMENT_CALLS = ("system",)
-KNOWN_BANNED = (set(ENTROPY_IDENTIFIERS) | set(ENTROPY_CALLS)
-                | set(ENVIRONMENT_IDENTIFIERS) | set(ENVIRONMENT_CALLS))
-REQUIRED_POISON = {"rand", "srand", "random_device", "mt19937", "getenv"}
 
 CLOCK_IDENTIFIERS = ("system_clock", "steady_clock", "high_resolution_clock",
                      "clock_gettime", "gettimeofday", "timespec_get")
@@ -303,7 +287,7 @@ class SourceFile:
     """One lexed file.
 
     Three channels per line: `code` (comments stripped, string literals
-    intact — used for includes and the contract poison list), `scan`
+    intact — used for includes), `scan`
     (additionally blanks literal contents — used for the DET token scans
     so a string mentioning rand() cannot fire), and `comments` (used by
     HYG001).
@@ -370,8 +354,6 @@ def scan_determinism(sf, findings):
         return
     for lineno, line in enumerate(sf.scan, 1):
         stripped = line.lstrip()
-        if stripped.startswith("#pragma"):
-            continue  # poison pragmas in contract.h name banned tokens
         is_include = stripped.startswith("#include") or \
             re.match(r"#\s*include", stripped)
         if DET001_INCLUDE.match(line):
@@ -496,34 +478,6 @@ def scan_nolint(sf, findings):
 
 
 # ---------------------------------------------------------------------------
-# Contract-header sync (CON001): src/sim/contract.h's poison list.
-# ---------------------------------------------------------------------------
-
-def scan_contract_sync(files_by_path, findings):
-    contract = files_by_path.get("src/sim/contract.h")
-    if contract is None:
-        findings.append(Finding(
-            "CON001", "src/sim/contract.h", 1,
-            "missing: the compile-time contract header (static_asserts + "
-            "poison list) must exist"))
-        return
-    poisoned = set()
-    for line in contract.code:
-        m = re.match(r"\s*#\s*pragma\s+GCC\s+poison\s+(.*)", line)
-        if m:
-            poisoned.update(m.group(1).split())
-    for missing in sorted(REQUIRED_POISON - poisoned):
-        findings.append(Finding(
-            "CON001", contract.relpath, 1,
-            f"poison list is missing required identifier '{missing}'"))
-    for unknown in sorted(poisoned - KNOWN_BANNED):
-        findings.append(Finding(
-            "CON001", contract.relpath, 1,
-            f"poisons '{unknown}', which this audit does not recognize — "
-            "add it to the DET rule identifier sets so both layers agree"))
-
-
-# ---------------------------------------------------------------------------
 # Baseline (intentional, documented exceptions).
 # ---------------------------------------------------------------------------
 
@@ -591,7 +545,7 @@ def run_audit(root, layering_path, baseline_path, compile_commands):
     matrix, restricted = load_layering(layering_path)
     relpaths, n_tus = discover_files(root, compile_commands)
     findings = []
-    files_by_path = {}
+    scanned = 0
     for rel in relpaths:
         try:
             sf = SourceFile(root, rel)
@@ -599,11 +553,10 @@ def run_audit(root, layering_path, baseline_path, compile_commands):
             findings.append(Finding("HYG001", rel.replace(os.sep, "/"), 1,
                                     f"unreadable source file: {err}"))
             continue
-        files_by_path[sf.relpath] = sf
+        scanned += 1
         scan_determinism(sf, findings)
         scan_layering(sf, matrix, restricted, findings)
         scan_nolint(sf, findings)
-    scan_contract_sync(files_by_path, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     baseline = load_baseline(baseline_path)
     apply_baseline(findings, baseline)
@@ -611,7 +564,7 @@ def run_audit(root, layering_path, baseline_path, compile_commands):
         if entry["used"] == 0:
             print(f"note: unused baseline entry {entry['rule']} "
                   f"{entry['file']} (stale suppression — consider removing)")
-    return findings, len(files_by_path), n_tus
+    return findings, scanned, n_tus
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +587,6 @@ SELF_TEST_EXPECTED = {
                "src/engine/lay001_engine.cpp": 1},
     "LAY002": {"src/core/lay002_restricted.cpp": 1},
     "HYG001": {"src/mis/hyg001_nolint.cpp": 2},
-    "CON001": {"src/sim/contract.h": 1},
 }
 
 
