@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   };
 
+  bool all_verified = true;
   auto run_cell = [&](util::Table& table, const std::string& setting,
                       const core::ArbMisOptions& arb_options) {
     util::RunningStats shatter, finish, total, bad;
@@ -68,6 +69,7 @@ int main(int argc, char** argv) {
         .cell(total.mean())
         .cell(bad.mean())
         .cell(verified ? "yes" : "NO");
+    all_verified = all_verified && verified;
   };
 
   sweep("A1: iteration budget Λ (iteration_constant)", [&](util::Table& t) {
@@ -112,12 +114,11 @@ int main(int argc, char** argv) {
             arb_options.alpha = alpha;
             // Push the scale cut above Δ: zero scales, pure finisher.
             arb_options.tuning.shatter_constant = 1e9;
-            arb_options.low_finisher = finisher;
-            arb_options.high_finisher = finisher;
+            arb_options.finisher = finisher;
             arb_options.bad_finisher = finisher;
             run_cell(t, name, arb_options);
           }
         });
 
-  return 0;
+  return all_verified ? 0 : 1;
 }

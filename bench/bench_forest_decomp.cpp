@@ -16,6 +16,12 @@ int main(int argc, char** argv) {
   const bench::BenchOptions options = bench::BenchOptions::parse(argc, argv);
 
   bench::print_header("T5", "Lemma 3.8 machinery round counts");
+  // Every table's last column; any NO fails the run.
+  bool all_ok = true;
+  const auto verdict = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : "NO";
+  };
 
   std::cout << "\n(a) Barenboim–Elkin forest decomposition (eps = 2)\n\n";
   util::Table fd({"n", "alpha", "forests", "rounds", "log2(n)", "valid"});
@@ -36,10 +42,8 @@ int main(int argc, char** argv) {
           .cell(std::uint64_t{result.forests.num_forests()})
           .cell(std::uint64_t{result.stats.rounds})
           .cell(std::log2(static_cast<double>(n)))
-          .cell(result.complete &&
-                        graph::valid_forest_partition(g, result.forests)
-                    ? "yes"
-                    : "NO");
+          .cell(verdict(result.complete &&
+                        graph::valid_forest_partition(g, result.forests)));
     }
   }
   bench::emit(fd, options);
@@ -76,7 +80,7 @@ int main(int argc, char** argv) {
         .cell(std::uint64_t{n})
         .cell(std::uint64_t{result.stats.rounds})
         .cell(std::uint64_t{mis::ColeVishkin::reduction_iterations(n)})
-        .cell(mis::verify(t, mis_result).ok() ? "yes" : "NO");
+        .cell(verdict(mis::verify(t, mis_result).ok()));
   }
   bench::emit(cv, options);
 
@@ -99,7 +103,7 @@ int main(int argc, char** argv) {
         .cell(std::uint64_t{algorithm.schedule().steps.size()})
         .cell(algorithm.schedule().final_colors)
         .cell(std::uint64_t{stats.rounds})
-        .cell(mis::verify(g, result).ok() ? "yes" : "NO");
+        .cell(verdict(mis::verify(g, result).ok()));
   }
   bench::emit(linial, options);
 
@@ -120,9 +124,9 @@ int main(int argc, char** argv) {
           .cell(result.composite_classes)
           .cell(result.used_fallback ? "yes" : "no")
           .cell(std::uint64_t{result.mis.stats.rounds})
-          .cell(mis::verify(g, result.mis).ok() ? "yes" : "NO");
+          .cell(verdict(mis::verify(g, result.mis).ok()));
     }
   }
   bench::emit(sparse, options);
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -39,36 +39,20 @@ mis::MisResult run_finisher(graph::GraphView sub, Finisher finisher,
   throw std::logic_error("run_finisher: unknown finisher");
 }
 
-/// Runs a finisher stage on the nodes where stage_mask is set and the
-/// global state is still undecided; merges the results and flushes
-/// coverage. Returns the stage's run stats (+1 flush round).
-sim::RunStats run_stage(graph::GraphView g,
-                        std::vector<MisState>& state,
+/// Finishes the still-undecided nodes of stage_mask with `finisher`
+/// (mis::finish_stage). Returns the stage's run stats plus its coverage
+/// flush round; an empty stage costs nothing.
+sim::RunStats run_stage(graph::GraphView g, std::vector<MisState>& state,
                         const std::vector<std::uint8_t>& stage_mask,
                         Finisher finisher, graph::NodeId alpha,
                         std::uint64_t seed) {
-  std::vector<std::uint8_t> eligible(g.num_nodes(), 0);
-  bool any = false;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    eligible[v] = (stage_mask[v] != 0 && state[v] == MisState::kUndecided);
-    any = any || eligible[v];
-  }
-  if (!any) return {};
-
-  const graph::Subgraph sub = graph::induced_subgraph(g, eligible);
-  mis::MisResult stage = run_finisher(sub.graph, finisher, alpha, seed);
-  for (graph::NodeId local = 0; local < sub.graph.num_nodes(); ++local) {
-    const graph::NodeId v = sub.original(local);
-    if (stage.state[local] == MisState::kInMis) {
-      state[v] = MisState::kInMis;
-    } else if (stage.state[local] == MisState::kCovered) {
-      state[v] = MisState::kCovered;
-    }
-  }
-  mis::finalize_partial(g, state);
-  sim::RunStats stats = stage.stats;
-  stats.rounds += 1;  // the coverage flush between stages
-  return stats;
+  std::optional<sim::RunStats> stats = mis::finish_stage(
+      g, state, stage_mask, [&](graph::GraphView sub) {
+        return run_finisher(sub, finisher, alpha, seed);
+      });
+  if (!stats) return {};
+  stats->rounds += 1;  // the coverage flush between stages
+  return *stats;
 }
 
 /// Pipeline-stage transition event (index = stage position, set_size =
@@ -184,11 +168,11 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
         result.vhi_size));
   }
 
-  result.low_stats = run_stage(g, result.mis.state, vlo,
-                               options.low_finisher, options.alpha, seed + 2);
+  result.low_stats = run_stage(g, result.mis.state, vlo, options.finisher,
+                               options.alpha, seed + 2);
   emit_phase("vlo", 2, result.vlo_size, result.low_stats);
-  result.high_stats = run_stage(g, result.mis.state, vhi,
-                                options.high_finisher, options.alpha, seed + 3);
+  result.high_stats = run_stage(g, result.mis.state, vhi, options.finisher,
+                                options.alpha, seed + 3);
   emit_phase("vhi", 3, result.vhi_size, result.high_stats);
   result.bad_stats = run_stage(g, result.mis.state, bad_mask,
                                options.bad_finisher, options.alpha, seed + 4);
@@ -199,11 +183,8 @@ ArbMisResult arb_mis(graph::GraphView g, const ArbMisOptions& options,
   if (result.mis.undecided_count() > 0) {
     result.cleanup_used = true;
     const std::uint64_t leftover_count = result.mis.undecided_count();
-    std::vector<std::uint8_t> leftover(g.num_nodes(), 0);
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      leftover[v] = (result.mis.state[v] == MisState::kUndecided) ? 1 : 0;
-    }
-    const sim::RunStats stats = run_stage(g, result.mis.state, leftover,
+    const std::vector<std::uint8_t> every_node(g.num_nodes(), 1);
+    const sim::RunStats stats = run_stage(g, result.mis.state, every_node,
                                           Finisher::kElection, options.alpha,
                                           seed + 5);
     emit_phase("cleanup", 5, leftover_count, stats);

@@ -11,10 +11,11 @@
 //   5. union of the stage MISes, with a coverage flush between stages so
 //      later stages respect earlier joins.
 //
-// Stages run on induced subgraphs of the still-undecided stage set; that
-// is exactly the "process the sets one after the other" composition of the
-// paper, and the round counts add up (components of a stage run in
-// parallel inside one simulator run).
+// Vlo, Vhi and B each go through mis::finish_stage: the finisher runs on
+// the subgraph induced by the still-undecided stage set; that is exactly
+// the "process the sets one after the other" composition of the paper,
+// and the round counts add up (components of a stage run in parallel
+// inside one simulator run).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,8 @@ struct ArbMisOptions {
   /// an n-only bound).
   bool degree_reduction = false;
 
-  Finisher low_finisher = Finisher::kMetivier;
-  Finisher high_finisher = Finisher::kMetivier;
+  /// Finishes Vlo and Vhi; the bad set B has its own.
+  Finisher finisher = Finisher::kMetivier;
   Finisher bad_finisher = Finisher::kElection;
 
   /// Attach the Invariant auditor to the shattering phase (paper §3's

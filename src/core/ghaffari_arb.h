@@ -24,12 +24,7 @@ struct GhaffariArbResult {
   graph::NodeId residual_nodes = 0;
 };
 
-struct GhaffariArbOptions {
-  /// Skip the reduction entirely (plain Ghaffari, for ablation).
-  bool skip_reduction = false;
-};
-
-GhaffariArbResult ghaffari_arb_mis(graph::GraphView g, std::uint64_t seed,
-                                   GhaffariArbOptions options = {});
+/// Runs the reduction, then GhaffariMis on its residual (mis::finish_stage).
+GhaffariArbResult ghaffari_arb_mis(graph::GraphView g, std::uint64_t seed);
 
 }  // namespace arbmis::core

@@ -19,14 +19,6 @@
 
 namespace arbmis::core {
 
-struct LwTreeMisOptions {
-  /// Finish residual components deterministically (forest decomposition +
-  /// Cole–Vishkin via SparseMis) instead of by id election. Requires the
-  /// residual graph to have small arboricity (true for forests).
-  bool sparse_finish = true;
-  graph::NodeId alpha = 1;
-};
-
 struct LwTreeMisResult {
   mis::MisResult mis;
   sim::RunStats shatter_stats;
@@ -37,8 +29,11 @@ struct LwTreeMisResult {
 };
 
 /// Works on any graph (the finish is always correct); the round-complexity
-/// claim is for trees / bounded-arboricity inputs.
-LwTreeMisResult lw_tree_mis(graph::GraphView g, std::uint64_t seed,
-                            LwTreeMisOptions options = {});
+/// claim is for trees / bounded-arboricity inputs. The residual is
+/// finished deterministically by SparseMis (forest decomposition +
+/// Cole–Vishkin) with α = the residual's degeneracy: at most 1 on a
+/// forest, and never below the arboricity, so the decomposition cannot
+/// stall.
+LwTreeMisResult lw_tree_mis(graph::GraphView g, std::uint64_t seed);
 
 }  // namespace arbmis::core

@@ -6,24 +6,20 @@
 
 namespace arbmis::core {
 
-ArbMisResult tree_independent_set(graph::GraphView g, std::uint64_t seed,
-                                  TreeMisOptions options) {
+ArbMisResult tree_independent_set(graph::GraphView g, std::uint64_t seed) {
   if (!graph::is_forest(g)) {
     throw std::invalid_argument(
         "tree_independent_set: input contains a cycle — use arb_mis() for "
         "general bounded-arboricity graphs");
   }
-  ArbMisOptions arb_options;
-  arb_options.alpha = 1;
-  arb_options.paper_faithful_params = options.paper_faithful_params;
-  arb_options.tuning = options.tuning;
   // Deterministic forest finishing (Lemma 3.8 machinery) on every stage:
   // the leftovers of a forest are forests, where the composite
   // Cole–Vishkin path is cheap (<= 4 forests, <= 81 sweep classes).
-  arb_options.low_finisher = Finisher::kSparse;
-  arb_options.high_finisher = Finisher::kSparse;
-  arb_options.bad_finisher = Finisher::kSparse;
-  return arb_mis(g, arb_options, seed);
+  return arb_mis(g,
+                 {.alpha = 1,
+                  .finisher = Finisher::kSparse,
+                  .bad_finisher = Finisher::kSparse},
+                 seed);
 }
 
 }  // namespace arbmis::core

@@ -14,17 +14,11 @@
 
 namespace arbmis::core {
 
-struct TreeMisOptions {
-  /// Use the printed parameter formulas instead of the practical preset.
-  bool paper_faithful_params = false;
-  /// Practical-preset tuning knobs.
-  PracticalTuning tuning{};
-};
-
-/// Runs the tree MIS pipeline on a forest. Throws std::invalid_argument
-/// if `g` contains a cycle — this entry point is the *tree* algorithm;
-/// for general bounded-arboricity graphs call arb_mis() directly.
-ArbMisResult tree_independent_set(graph::GraphView g, std::uint64_t seed,
-                                  TreeMisOptions options = {});
+/// Runs the tree MIS pipeline on a forest: arb_mis at α = 1 with the
+/// practical preset and Finisher::kSparse on every stage. Throws
+/// std::invalid_argument if `g` contains a cycle — this entry point is the
+/// *tree* algorithm; for general bounded-arboricity graphs (or other
+/// parameters) call arb_mis() directly.
+ArbMisResult tree_independent_set(graph::GraphView g, std::uint64_t seed);
 
 }  // namespace arbmis::core

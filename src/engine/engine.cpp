@@ -66,13 +66,8 @@ std::vector<graph::NodeId> priority_order(
 
 EngineResult solve(graph::GraphView g, EngineKind kind,
                    const EngineOptions& options) {
-  std::vector<std::uint64_t> priority;
-  if (options.id_priorities) {
-    priority.resize(g.num_nodes());
-    std::iota(priority.begin(), priority.end(), std::uint64_t{0});
-  } else {
-    priority = node_priorities(options.seed, g.num_nodes());
-  }
+  const std::vector<std::uint64_t> priority =
+      node_priorities(options.seed, g.num_nodes());
   switch (kind) {
     case EngineKind::kTestAndSet:
       return internal::solve_tas(g, options, priority);

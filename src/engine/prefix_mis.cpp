@@ -48,10 +48,8 @@ EngineResult solve_prefix(graph::GraphView g, const EngineOptions& options,
   }
   std::vector<std::uint8_t> is_root(n, 0);
 
-  const std::uint32_t prefix_size =
-      options.prefix_size != 0
-          ? options.prefix_size
-          : std::max<std::uint32_t>(1024, n / 16);
+  // Nodes per rootset prefix.
+  const std::uint32_t prefix_size = std::max<std::uint32_t>(1024, n / 16);
   Workers workers(options.num_threads);
 
   for (graph::NodeId lo = 0; lo < n; lo += prefix_size) {

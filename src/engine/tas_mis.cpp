@@ -19,7 +19,7 @@
 // per round touches mostly-dead neighbors. The engine then compacts the
 // alive remnant into bitset adjacency rows and finishes with word-parallel
 // neighborhood removal (alive &= ~row). The switch is a pure function of
-// (alive count, options.dense_phase), so it cannot perturb determinism.
+// (n, alive count), so it cannot perturb determinism.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -32,15 +32,15 @@ namespace arbmis::engine::internal {
 
 namespace {
 
-/// Auto dense-phase ceiling: 4096 alive nodes is a 2 MiB bit matrix —
-/// the most the compaction is ever worth. The per-run cutoff is
-/// min(kDenseAutoCeiling, max(64, n/8)), so small graphs still exercise
-/// the sparse parallel rounds instead of jumping straight to the serial
+/// Dense-phase ceiling: 4096 alive nodes is a 2 MiB bit matrix — the
+/// most the compaction is ever worth. The per-run cutoff is
+/// min(kDenseCeiling, max(64, n/8)), so small graphs still exercise the
+/// sparse parallel rounds instead of jumping straight to the serial
 /// remnant.
-constexpr std::uint64_t kDenseAutoCeiling = 4096;
+constexpr std::uint64_t kDenseCeiling = 4096;
 
 /// Finishes the remnant on compacted bitset adjacency, serially (the
-/// remnant is small by construction; forced mode guards its own sizes).
+/// remnant is small by construction).
 /// `alive` flags double as input and output: members are recorded in
 /// `result`, every compacted node ends not-alive.
 void finish_dense(graph::GraphView g, std::span<const std::uint64_t> priority,
@@ -139,15 +139,12 @@ EngineResult solve_tas(graph::GraphView g, const EngineOptions& options,
 
   Workers workers(options.num_threads);
   std::vector<std::uint64_t> range_counts(workers.count() + 1, 0);
-  const std::uint64_t auto_cutoff = std::min<std::uint64_t>(
-      kDenseAutoCeiling, std::max<std::uint64_t>(64, std::uint64_t{n} / 8));
+  const std::uint64_t dense_cutoff = std::min<std::uint64_t>(
+      kDenseCeiling, std::max<std::uint64_t>(64, std::uint64_t{n} / 8));
 
   std::uint64_t alive_count = n;
   while (alive_count > 0) {
-    const bool go_dense =
-        options.dense_phase == 1 ||
-        (options.dense_phase == 2 && alive_count <= auto_cutoff);
-    if (go_dense) {
+    if (alive_count <= dense_cutoff) {
       finish_dense(g, priority, alive, result);
       break;
     }

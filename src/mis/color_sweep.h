@@ -1,7 +1,8 @@
 // Color-class sweep: given a proper coloring of the graph with C classes,
 // computes an MIS in C+1 rounds by letting class c join in round c+1
-// (minus nodes already covered by earlier classes). The standard final
-// step of every coloring-based MIS in this repository.
+// (minus nodes already covered by earlier classes). SparseMis's final
+// step over its composite coloring; LinialMis and ColeVishkin's
+// kForestMis mode run the same sweep built into their own schedules.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/subgraph.h"
 #include "mis/metivier.h"
 
 namespace arbmis::mis {
@@ -20,6 +21,29 @@ std::uint64_t finalize_partial(graph::GraphView g,
     }
   }
   return flushed;
+}
+
+std::optional<sim::RunStats> finish_stage(
+    graph::GraphView g, std::vector<MisState>& state,
+    std::span<const std::uint8_t> stage,
+    const std::function<MisResult(graph::GraphView)>& finisher) {
+  std::vector<std::uint8_t> eligible(g.num_nodes(), 0);
+  bool any = false;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    eligible[v] = (stage[v] != 0 && state[v] == MisState::kUndecided);
+    any = any || eligible[v];
+  }
+  if (!any) return std::nullopt;
+
+  const graph::Subgraph sub = graph::induced_subgraph(g, eligible);
+  const MisResult finished = finisher(sub.graph);
+  for (graph::NodeId local = 0; local < sub.graph.num_nodes(); ++local) {
+    if (finished.state[local] != MisState::kUndecided) {
+      state[sub.original(local)] = finished.state[local];
+    }
+  }
+  finalize_partial(g, state);
+  return finished.stats;
 }
 
 std::uint32_t degree_reduction_budget(graph::NodeId n, double c) noexcept {

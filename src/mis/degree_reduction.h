@@ -16,9 +16,17 @@
 // the final round without its neighbors having processed the announcement
 // yet; finalize_partial() flushes that one round of bookkeeping (charging
 // +1 round), so the returned labeling is always consistent.
+//
+// finish_stage() is the other half of every shatter-then-finish pipeline
+// (core::arb_mis's Vlo/Vhi/B stages, core::lw_tree_mis,
+// core::ghaffari_arb_mis): it finishes a stage's still-undecided nodes on
+// their induced subgraph and flushes the joins into the global labeling.
 #pragma once
 
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "mis/mis_types.h"
@@ -30,6 +38,17 @@ namespace arbmis::mis {
 /// Returns the number of nodes flushed.
 std::uint64_t finalize_partial(graph::GraphView g,
                                std::vector<MisState>& state);
+
+/// One finish step: restricts g to the nodes of `stage` (a byte mask, 1 =
+/// in the stage) that `state` still has undecided, runs `finisher` on that
+/// induced subgraph, copies every label it decided back into `state`, and
+/// flushes coverage with finalize_partial(). Returns the finisher's stats,
+/// which do not count the flush round (each pipeline charges its own), or
+/// std::nullopt, running nothing, when no stage node is undecided.
+std::optional<sim::RunStats> finish_stage(
+    graph::GraphView g, std::vector<MisState>& state,
+    std::span<const std::uint8_t> stage,
+    const std::function<MisResult(graph::GraphView)>& finisher);
 
 struct DegreeReductionResult {
   /// Consistent partial labeling: kInMis nodes are independent, kCovered

@@ -101,20 +101,13 @@ LinialSchedule LinialSchedule::compute(std::uint64_t n,
 }
 
 LinialMis::LinialMis(graph::GraphView g, Options options)
-    : options_(options),
-      schedule_(LinialSchedule::compute(g.num_nodes(),
+    : schedule_(LinialSchedule::compute(g.num_nodes(),
                                         options.max_degree)),
       color_(g.num_nodes(), 0),
       state_(g.num_nodes(), MisState::kUndecided),
       covered_(g.num_nodes(), false) {
-  const auto reduction_rounds =
-      static_cast<std::uint32_t>(schedule_.steps.size());
-  if (options_.color_only) {
-    final_round_ = reduction_rounds;
-  } else {
-    final_round_ = reduction_rounds +
-                   static_cast<std::uint32_t>(schedule_.final_colors) + 1;
-  }
+  final_round_ = static_cast<std::uint32_t>(schedule_.steps.size()) +
+                 static_cast<std::uint32_t>(schedule_.final_colors) + 1;
 }
 
 std::uint64_t LinialMis::reduce_color(
@@ -142,10 +135,6 @@ std::uint64_t LinialMis::reduce_color(
 
 void LinialMis::on_start(sim::NodeContext& ctx) {
   color_[ctx.id()] = ctx.id();
-  if (final_round_ == 0) {  // n tiny and color_only: ids already final
-    ctx.halt();
-    return;
-  }
   ctx.broadcast(kColor, color_[ctx.id()]);
 }
 
@@ -164,10 +153,6 @@ void LinialMis::on_round(sim::NodeContext& ctx,
     }
     color_[v] = reduce_color(color_[v], neighbor_colors,
                              schedule_.steps[round - 1]);
-    if (round == final_round_) {  // color_only
-      ctx.halt();
-      return;
-    }
     if (round < reduction_rounds) {
       ctx.broadcast(kColor, color_[v]);
     }

@@ -50,8 +50,6 @@ class LinialMis : public sim::Algorithm {
     /// maximum degree; the run throws std::logic_error if a node ever
     /// fails to find an evaluation point (which certifies D was wrong).
     graph::NodeId max_degree = 0;
-    /// Stop after coloring (skip the MIS sweep).
-    bool color_only = false;
   };
 
   LinialMis(graph::GraphView g, Options options);
@@ -79,7 +77,6 @@ class LinialMis : public sim::Algorithm {
                              const std::vector<std::uint64_t>& neighbor_colors,
                              const LinialSchedule::Step& step) const;
 
-  Options options_;
   LinialSchedule schedule_;
   std::uint32_t final_round_;
   std::vector<std::uint64_t> color_;

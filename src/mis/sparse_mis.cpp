@@ -31,10 +31,13 @@ SparseMisResult sparse_mis(graph::GraphView g, SparseMisOptions options,
   result.num_forests = forests.num_forests();
 
   std::uint64_t classes = 1;
-  for (graph::NodeId f = 0; f < result.num_forests; ++f) classes *= 3;
+  for (graph::NodeId f = 0;
+       f < result.num_forests && classes <= kCompositeClassBudget; ++f) {
+    classes *= 3;
+  }
   result.composite_classes = classes;
 
-  if (classes > options.composite_class_budget) {
+  if (classes > kCompositeClassBudget) {
     // Fallback: deterministic election (still deterministic, as Lemma 3.8
     // requires, just without the coloring shortcut).
     result.used_fallback = true;

@@ -32,8 +32,9 @@ Verification verify(graph::GraphView g, const MisResult& result);
 /// Check of a bare membership mask (independence + maximality only).
 Verification verify_mask(graph::GraphView g, std::span<const std::uint8_t> in_mis);
 
-/// Independence of a set within the subgraph induced by `active` (used by
-/// pipeline stages that produce partial independent sets).
+/// True iff no edge of g joins two members of `in_mis` (1 = member); no
+/// maximality check, so it also accepts the partial independent sets that
+/// pipeline stages produce.
 bool is_independent(graph::GraphView g, std::span<const std::uint8_t> in_mis);
 
 /// True iff `colors` is a proper coloring of g (adjacent nodes differ).

@@ -111,10 +111,7 @@ void FlightRecorder::evict_for(std::size_t needed) {
 }
 
 void FlightRecorder::record(const Event& e) {
-  const SinkConfig filter{.semantic = config_.semantic,
-                          .log_text = config_.log_text,
-                          .exec = config_.exec};
-  if (!filter.accepts_category(event_category(e.kind))) return;
+  if (event_category(e.kind) == EventCategory::kExec) return;
   unsigned char rec[kMaxRecordBytes];
   const std::size_t len = encode_truncated(e, rec);
 

@@ -45,19 +45,13 @@ inline constexpr std::size_t kMaxRecorderText = 4096;
 struct RecorderConfig {
   /// Ring capacity in encoded-record bytes (allocated once, up front).
   std::size_t max_bytes = std::size_t{1} << 20;
-  /// Category filter, mirroring SinkConfig. exec defaults to off for the
-  /// same reason as sinks: lane events vary by thread count and would
-  /// break the ring's byte-identity across executors.
-  bool semantic = true;
-  bool log_text = true;
-  bool exec = false;
   /// Auto-dump target for the failure seams (ModelChecker violations,
   /// resilient_mis certification failure). Empty disables auto dumps.
   std::string dump_path;
 };
 
 struct RecorderStats {
-  std::uint64_t recorded_events = 0;   ///< accepted by the filter, ever
+  std::uint64_t recorded_events = 0;   ///< non-exec events offered, ever
   std::uint64_t buffered_events = 0;   ///< currently held in the ring
   std::uint64_t buffered_bytes = 0;    ///< encoded bytes currently held
   std::uint64_t evicted_events = 0;    ///< displaced oldest-first
@@ -72,8 +66,10 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Filter, encode, and append one event, evicting oldest records until
-  /// it fits. Thread-safe; allocation-free (fixed stack encode buffer).
+  /// Encode and append one semantic or log event, evicting oldest records
+  /// until it fits; exec events are ignored (lane events vary by thread
+  /// count and would break the ring's byte-identity across executors).
+  /// Thread-safe; allocation-free (fixed stack encode buffer).
   void record(const Event& e);
 
   /// Replaces the pre-rendered stream header every dump re-emits. The

@@ -90,8 +90,7 @@ TEST(ArbMis, AllFinisherChoicesVerify) {
                             Finisher::kGather}) {
     ArbMisOptions options;
     options.alpha = 2;
-    options.low_finisher = finisher;
-    options.high_finisher = finisher;
+    options.finisher = finisher;
     options.bad_finisher = finisher;
     const ArbMisResult result = arb_mis(g, options, 13);
     EXPECT_TRUE(mis::verify(g, result.mis).ok())

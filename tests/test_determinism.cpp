@@ -10,6 +10,7 @@
 #include "core/arb_mis.h"
 #include "core/ghaffari_arb.h"
 #include "core/lw_tree_mis.h"
+#include "core/tree_mis.h"
 #include "engine/engine.h"
 #include "fault/adversary.h"
 #include "fault/fault_plan.h"
@@ -305,7 +306,7 @@ TEST(Determinism, EveryAlgorithmIsAPureFunctionOfGraphAndSeed) {
   expect_same([&](std::uint64_t s) { return core::arb_mis(g, {.alpha = 2}, s).mis.state; });
   expect_same([&](std::uint64_t s) { return core::ghaffari_arb_mis(g, s).mis.state; });
   expect_same([&](std::uint64_t s) {
-    return core::lw_tree_mis(g, s, {.alpha = 2}).mis.state;
+    return core::lw_tree_mis(g, s).mis.state;
   });
 }
 
@@ -330,6 +331,67 @@ TEST(Determinism, RoundCountsReproduce) {
             mis::MetivierMis::run(g, 7).stats.rounds);
   EXPECT_EQ(core::arb_mis(g, {.alpha = 3}, 7).mis.stats.rounds,
             core::arb_mis(g, {.alpha = 3}, 7).mis.stats.rounds);
+}
+
+TEST(Determinism, GoldenShatterThenFinishPins) {
+  // Pins for every pipeline that finishes its residual through the one
+  // finish step (mis::finish_stage): state hash, rounds and messages,
+  // recorded before the pipelines were routed through it. The five
+  // finisher rows push the scale cut above Δ (Θ = 0, as bench A4 does),
+  // so each finisher runs on the whole graph; on default tuning these
+  // stages get empty sets. On `star` lw_tree_mis and ghaffari_arb_mis
+  // leave a one-node residual, so their finish runs too.
+  struct Pin {
+    std::uint64_t hash;
+    std::uint32_t rounds;
+    std::uint64_t messages;
+  };
+  const auto expect_pin = [](const mis::MisResult& r, const Pin& pin,
+                             const char* what) {
+    EXPECT_EQ(state_hash(r.state), pin.hash) << what;
+    EXPECT_EQ(r.stats.rounds, pin.rounds) << what;
+    EXPECT_EQ(r.stats.messages, pin.messages) << what;
+  };
+  util::Rng tree_rng(2024);
+  const graph::Graph tree = graph::gen::random_tree(2000, tree_rng);
+  const graph::Graph star = graph::gen::star(3);
+  util::Rng rng(2024);
+  const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
+
+  expect_pin(core::lw_tree_mis(tree, 1).mis,
+             {0xfe36825b25530c14ULL, 7u, 6832u}, "lw_tree_mis tree");
+  expect_pin(core::lw_tree_mis(star, 1).mis, {0xea9ca31875dc4b97ULL, 5u, 4u},
+             "lw_tree_mis star");
+  expect_pin(core::tree_independent_set(tree, 1).mis,
+             {0x53468a989e8e9a30ULL, 131u, 31835u}, "tree_independent_set");
+  expect_pin(core::ghaffari_arb_mis(g, 1).mis,
+             {0x87b54202a38a4860ULL, 7u, 3021u}, "ghaffari_arb_mis");
+  expect_pin(core::ghaffari_arb_mis(star, 1).mis,
+             {0xea9ca31875dc4b97ULL, 3u, 4u}, "ghaffari_arb_mis star");
+  expect_pin(core::arb_mis(g, {.alpha = 2, .degree_reduction = true}, 1).mis,
+             {0x87b54202a38a4860ULL, 7u, 3021u}, "arb_mis degree_reduction");
+
+  const struct {
+    core::Finisher finisher;
+    const char* name;
+    Pin pin;
+  } finishers[] = {
+      {core::Finisher::kMetivier, "metivier",
+       {0xe1e2f725bdbeab0dULL, 7u, 2928u}},
+      {core::Finisher::kLinial, "linial", {0xbc00a096849bbff5ULL, 403u, 1989u}},
+      {core::Finisher::kElection, "election",
+       {0xd9e34a5391364345ULL, 6u, 2785u}},
+      {core::Finisher::kSparse, "sparse",
+       {0xbc00a096849bbff5ULL, 801u, 12712u}},
+      {core::Finisher::kGather, "gather",
+       {0xbc00a096849bbff5ULL, 595u, 166964u}},
+  };
+  for (const auto& row : finishers) {
+    core::ArbMisOptions options{.alpha = 2};
+    options.tuning.shatter_constant = 1e9;
+    options.finisher = row.finisher;
+    expect_pin(core::arb_mis(g, options, 1).mis, row.pin, row.name);
+  }
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 // set by the centralized verifier, (2) a set the 2-round distributed
 // protocol also accepts, (3) byte-identical labels across thread counts
 // {0, 1, 2, 4, 8}, and (4) the *same* set as every other engine — the
-// lexicographically-first MIS w.r.t. (priority, id). The differential rows
-// tie the family to the CONGEST side: with id priorities every engine
-// reproduces mis::greedy_mis(g) exactly, and the sequential-greedy engine
+// lexicographically-first MIS w.r.t. (priority, id). The differential row
+// ties the family to the CONGEST side: the sequential-greedy engine
 // matches mis::greedy_mis over the explicit priority order label for
-// label. Tuning knobs (dense_phase, prefix_size) must never move a byte.
+// label. The 4096-node rows walk several prefix windows and cross the
+// TAS engine's dense cutoff; neither may move a byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -119,25 +119,6 @@ TEST(EngineEquivalence, MatrixEnginesByFamiliesBySeedsByThreads) {
   }
 }
 
-// Differential vs the CONGEST-side reference: id priorities make every
-// engine a drop-in for mis::greedy_mis(g) — label for label, not just
-// hash for hash.
-TEST(EngineEquivalence, IdPrioritiesMatchSequentialGreedyExactly) {
-  for (const Family& family : kFamilies) {
-    const graph::Graph g = family.make(7);
-    const std::vector<std::uint8_t> reference = mis::greedy_mis(g).mis_mask();
-    for (const engine::EngineKind kind : engine::all_engines()) {
-      engine::EngineOptions options;
-      options.id_priorities = true;
-      options.num_threads = 4;
-      const engine::EngineResult got = engine::solve(g, kind, options);
-      EXPECT_EQ(got.in_mis, reference)
-          << family.name << ": engine " << engine::engine_name(kind)
-          << " with id priorities diverged from mis::greedy_mis";
-    }
-  }
-}
-
 // With seeded priorities the family equals mis::greedy_mis over the
 // explicit (priority, id) order — the permutation priority_order() exposes.
 TEST(EngineEquivalence, SeededPrioritiesMatchGreedyOverPriorityOrder) {
@@ -173,38 +154,38 @@ TEST(EngineEquivalence, PrioritiesArePureAndSeedSeparated) {
   EXPECT_EQ(same, 0u);
 }
 
-// Tuning knobs must not move a byte: dense phase off / forced / auto and
-// degenerate prefix windows all land on the canonical set.
-TEST(EngineEquivalence, TuningKnobsDoNotChangeTheSet) {
+// The engines' fixed schedule constants must not move a byte. At
+// n = 4096 kPrefixGreedy walks four 1024-node prefix windows, and
+// kTestAndSet runs sparse rounds until at most n/8 = 512 nodes stay alive,
+// then finishes that remnant on bitset adjacency. Both must land on the
+// sequential-greedy oracle's set at every thread count.
+TEST(EngineEquivalence, PrefixWindowsAndDenseRemnantMatchTheOracle) {
   util::Rng rng(5);
-  const graph::Graph g = graph::gen::hubbed_forest_union(400, 2, 4, rng);
-  engine::EngineOptions base;
-  base.seed = 99;
-  const std::uint64_t canonical =
-      engine::solve(g, engine::EngineKind::kTestAndSet, base).labels_hash();
-
-  for (const std::uint32_t dense : {0u, 1u, 2u}) {
-    engine::EngineOptions options = base;
-    options.dense_phase = dense;
-    options.num_threads = 2;
-    EXPECT_EQ(
-        engine::solve(g, engine::EngineKind::kTestAndSet, options)
-            .labels_hash(),
-        canonical)
-        << "dense_phase=" << dense;
-  }
-  const std::uint64_t prefix_canonical =
-      engine::solve(g, engine::EngineKind::kPrefixGreedy, base).labels_hash();
-  EXPECT_EQ(prefix_canonical, canonical);
-  for (const std::uint32_t prefix : {1u, 2u, 64u, 400u, 100000u}) {
-    engine::EngineOptions options = base;
-    options.prefix_size = prefix;
-    options.num_threads = 2;
-    EXPECT_EQ(
-        engine::solve(g, engine::EngineKind::kPrefixGreedy, options)
-            .labels_hash(),
-        prefix_canonical)
-        << "prefix_size=" << prefix;
+  const graph::Graph graphs[] = {
+      graph::gen::hubbed_forest_union(4096, 2, 8, rng),
+      graph::gen::union_of_random_forests(4096, 3, rng),
+      graph::gen::gnp(4096, 0.002, rng),
+  };
+  for (const graph::Graph& g : graphs) {
+    for (const std::uint64_t seed : kSeeds) {
+      engine::EngineOptions options;
+      options.seed = seed;
+      const std::vector<std::uint8_t> oracle =
+          engine::solve(g, engine::EngineKind::kSequentialGreedy, options)
+              .in_mis;
+      ASSERT_TRUE(mis::verify_mask(g, oracle).ok());
+      for (const engine::EngineKind kind :
+           {engine::EngineKind::kTestAndSet,
+            engine::EngineKind::kPrefixGreedy}) {
+        for (const std::uint32_t threads : {0u, 2u, 4u}) {
+          options.num_threads = threads;
+          EXPECT_EQ(engine::solve(g, kind, options).in_mis, oracle)
+              << "m=" << g.num_edges() << " seed=" << seed
+              << " engine=" << engine::engine_name(kind)
+              << " threads=" << threads;
+        }
+      }
+    }
   }
 }
 

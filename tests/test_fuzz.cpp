@@ -430,7 +430,6 @@ TEST_P(Fuzz, EngineRandomGraphSeedAndKind) {
   engine::EngineOptions options;
   options.seed = rng.next();
   options.num_threads = static_cast<std::uint32_t>(rng.below(5));
-  options.dense_phase = static_cast<std::uint32_t>(rng.below(3));
 
   const engine::EngineResult first = engine::solve(g, kind, options);
   const mis::Verification check = mis::verify_mask(g, first.in_mis);

@@ -94,8 +94,7 @@ TEST(GatherSolve, WorksAsArbMisBadFinisher) {
   const graph::Graph g = graph::gen::hubbed_forest_union(800, 2, 8, rng);
   core::ArbMisOptions options;
   options.alpha = 2;
-  options.low_finisher = core::Finisher::kGather;
-  options.high_finisher = core::Finisher::kGather;
+  options.finisher = core::Finisher::kGather;
   options.bad_finisher = core::Finisher::kGather;
   const core::ArbMisResult result = core::arb_mis(g, options, 5);
   EXPECT_TRUE(verify(g, result.mis).ok());

@@ -36,17 +36,6 @@ TEST(GhaffariArb, ReductionShrinksResidualDegree) {
   EXPECT_LT(result.residual_nodes, g.num_nodes());
 }
 
-TEST(GhaffariArb, SkipReductionAblation) {
-  util::Rng rng(7);
-  const graph::Graph g = graph::gen::union_of_random_forests(400, 2, rng);
-  GhaffariArbOptions options;
-  options.skip_reduction = true;
-  const GhaffariArbResult result = ghaffari_arb_mis(g, 3, options);
-  EXPECT_TRUE(mis::verify(g, result.mis).ok());
-  EXPECT_EQ(result.reduction_stats.rounds, 0u);
-  EXPECT_EQ(result.residual_nodes, g.num_nodes());
-}
-
 TEST(GhaffariArb, StatsAdditive) {
   util::Rng rng(9);
   const graph::Graph g = graph::gen::union_of_random_forests(600, 2, rng);

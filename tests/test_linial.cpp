@@ -42,7 +42,7 @@ class LinialSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(LinialSweep, ColoringIsProper) {
   util::Rng rng(GetParam());
   const graph::Graph g = graph::gen::gnp(150, 0.04, rng);
-  LinialMis algorithm(g, {.max_degree = g.max_degree(), .color_only = true});
+  LinialMis algorithm(g, {.max_degree = g.max_degree()});
   sim::Network net(g, GetParam());
   const sim::RunStats stats = net.run(algorithm, 1 << 20);
   EXPECT_TRUE(stats.all_halted);

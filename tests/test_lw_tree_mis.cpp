@@ -43,19 +43,8 @@ TEST(LwTreeMis, ShatteringLeavesSmallComponents) {
 TEST(LwTreeMis, WorksOnBoundedArbGraphsToo) {
   util::Rng rng(7);
   const graph::Graph g = graph::gen::union_of_random_forests(1500, 2, rng);
-  LwTreeMisOptions options;
-  options.alpha = 2;
-  const LwTreeMisResult result = lw_tree_mis(g, 9, options);
+  const LwTreeMisResult result = lw_tree_mis(g, 9);
   EXPECT_TRUE(mis::verify(g, result.mis).ok());
-}
-
-TEST(LwTreeMis, ElectionFinishOption) {
-  util::Rng rng(11);
-  const graph::Graph t = graph::gen::random_tree(1000, rng);
-  LwTreeMisOptions options;
-  options.sparse_finish = false;
-  const LwTreeMisResult result = lw_tree_mis(t, 13, options);
-  EXPECT_TRUE(mis::verify(t, result.mis).ok());
 }
 
 TEST(LwTreeMis, StatsAdditiveAndBudgetedPhaseBounded) {

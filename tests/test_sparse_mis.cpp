@@ -64,13 +64,24 @@ TEST(SparseMis, TreeUsesCompositePath) {
 }
 
 TEST(SparseMis, FallsBackWhenClassesExplode) {
+  // 7 or more forests put 3^k past kCompositeClassBudget.
   util::Rng rng(5);
   const graph::Graph g = graph::gen::union_of_random_forests(120, 4, rng);
-  SparseMisOptions options;
-  options.alpha = 4;
-  options.composite_class_budget = 100;  // force the fallback
-  const SparseMisResult result = sparse_mis(g, options, 1);
+  const SparseMisResult result = sparse_mis(g, {.alpha = 4}, 1);
+  EXPECT_GE(result.num_forests, 7u);
   EXPECT_TRUE(result.used_fallback);
+  EXPECT_EQ(result.composite_classes, 2187u);
+  EXPECT_TRUE(verify(g, result.mis).ok());
+}
+
+TEST(SparseMis, ClassCountSaturatesPastFortyForests) {
+  // K_45 decomposes into 44 forests: 3^44 does not fit std::uint64_t, so
+  // the count stops at the first power of 3 past the budget.
+  const graph::Graph g = graph::gen::complete(45);
+  const SparseMisResult result = sparse_mis(g, {.alpha = 23}, 1);
+  EXPECT_EQ(result.num_forests, 44u);
+  EXPECT_TRUE(result.used_fallback);
+  EXPECT_EQ(result.composite_classes, 2187u);
   EXPECT_TRUE(verify(g, result.mis).ok());
 }
 

@@ -65,11 +65,16 @@ TEST(TreeMis, HubTreesEngageScales) {
 }
 
 TEST(TreeMis, PaperFaithfulParamsStillCorrect) {
+  // tree_independent_set's pipeline (α = 1, forest finishers) under the
+  // printed constants, which only arb_mis takes.
   util::Rng rng(13);
   const graph::Graph t = graph::gen::random_tree(1000, rng);
-  TreeMisOptions options;
-  options.paper_faithful_params = true;
-  const ArbMisResult result = tree_independent_set(t, 7, options);
+  const ArbMisResult result = arb_mis(t,
+                                      {.alpha = 1,
+                                       .paper_faithful_params = true,
+                                       .finisher = Finisher::kSparse,
+                                       .bad_finisher = Finisher::kSparse},
+                                      7);
   EXPECT_TRUE(mis::verify(t, result.mis).ok());
 }
 
