@@ -4,7 +4,7 @@
 // identically on both, and the sampler case must be thread-count-invariant
 // (parallel at T == parallel at 1). The Métivier sweep over
 // union_of_random_forests(n, 2), n in {4096, 32768, 262144}, also reports
-// the message arena's throughput (messages per second on the inline
+// the simulator's message throughput (messages per second on the inline
 // lane). Prints a table and writes
 // results/BENCH_sim_parallel.json (path via --json); exits nonzero on any
 // mismatch, so the sweep in run_benches.sh fails loudly.

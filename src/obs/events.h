@@ -88,7 +88,7 @@ enum class EventCategory : std::uint8_t {
     ("certified", "attempts", "rounds_to_recovery"))                         \
   /* Every util/log line while a sink is attached. */                        \
   X(Log, "log", kLogText, "message", ("level"))                              \
-  /* Per lane at pool barriers (sends = staged runs); off by default. */     \
+  /* Per lane at pool barriers (sends = send + broadcast calls); off. */     \
   X(LaneMerge, "lane_merge", kExec, nullptr,                                 \
     ("lane", "sends", "messages", "halts"))                                  \
   /* MisService::handle dispatch (text = op name; docs/SERVING.md). */       \

@@ -8,7 +8,10 @@
 //   on_round(ctx, inbox)   once per non-halted node per round,
 //
 // where `inbox` contains exactly the messages the node's neighbors sent in
-// the previous round. Correct implementations read only their own node's
+// the previous round, in port order (ascending sender id). The span lives
+// only for the callback: the network gathers the next node's inbox into
+// the same buffer, so an algorithm that needs a message later copies it.
+// Correct implementations read only their own node's
 // state plus the inbox — the simulator cannot mechanically prevent global
 // peeking, but the audit hooks (core/invariant.h) are the only sanctioned
 // cross-node readers, and they run between rounds.
@@ -81,13 +84,16 @@ class NodeContext {
   /// Current round number (0 during on_start).
   std::uint32_t round() const noexcept;
 
-  /// Sends to the neighbor at `port` (delivered next round). Throws
-  /// std::logic_error if the CONGEST per-edge budget is exceeded or `tag`
-  /// has its top bit set (Network::kReadKTagBit, reserved).
+  /// Sends to the neighbor at `port` (delivered next round): one write
+  /// into that neighbor's port slot. Throws std::logic_error if the
+  /// CONGEST per-edge budget is exceeded or `tag` has its top bit set
+  /// (Network::kReadKTagBit, reserved).
   void send(graph::NodeId port, std::uint32_t tag, std::uint64_t payload);
 
   /// Sends the same message to every neighbor, with the same checks as
-  /// send() on each port; staged once for the whole row.
+  /// send() on each port: one write into this node's outbox, which every
+  /// neighbor reads next round (one port send per port with a fault
+  /// injector, since each port has its own fate).
   void broadcast(std::uint32_t tag, std::uint64_t payload);
 
   /// This node's private random stream (deterministic in (seed, id)).

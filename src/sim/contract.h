@@ -20,11 +20,11 @@
 namespace arbmis::sim::contract {
 
 // --- Message layout -------------------------------------------------------
-// The flat CSR message arena memcpys Messages between per-round buffers,
-// and the trace writer dumps them as raw bytes.
+// The simulator copies Messages from its outboxes into inbox buffers, and
+// the trace writer dumps them as raw bytes.
 static_assert(std::is_trivially_copyable_v<Message>,
-              "Message must stay trivially copyable: the message arena and "
-              "binary trace writer move it with memcpy");
+              "Message must stay trivially copyable: the simulator's inbox "
+              "gather and binary trace writer move it with memcpy");
 static_assert(std::is_standard_layout_v<Message>,
               "Message must stay standard-layout for the binary trace "
               "format to be well-defined");

@@ -11,9 +11,8 @@
 //     worker, or the calling thread). The fate of a message (delivered,
 //     dropped, duplicated) must be a pure function of (plan, edge slot,
 //     round) — the contract that keeps fault runs byte-identical across
-//     thread counts: the executor stages the surviving copies in its
-//     ExecLanes and replays pool lanes in shard order, reproducing the
-//     inline lane's inbox bytes.
+//     thread counts: the sender records the fate in its port slot, which
+//     the receiver reads next round in port order on any executor.
 //   * account: once per round at the barrier, with the round's summed drop
 //     and duplicate counts (merged from the lanes in shard order), so the
 //     injector's ledger is executor-independent.
@@ -43,7 +42,7 @@ namespace arbmis::sim {
 
 /// Fate of one message: how many copies reach the recipient's next-round
 /// inbox. 0 = dropped, 1 = delivered, 2 = duplicated. The Network sizes
-/// its arena for at most kMaxCopies per directed edge and throws
+/// its inbox buffers for at most kMaxCopies per port and throws
 /// std::logic_error at send time on a fate asking for more.
 struct FaultDecision {
   static constexpr std::uint8_t kMaxCopies = 2;

@@ -7,8 +7,9 @@
 // this interface is a CONGEST algorithm. The network additionally enforces
 // "at most one message per directed edge per round" (the standard CONGEST
 // normalization) as a fixed rule, and reserves the tag's top bit for its
-// read-k mark in the arena slot (sim::Network::kReadKTagBit): a send with
-// that bit set throws.
+// read-k mark on the stored message, an outbox or port slot, which the
+// receiver's gather strips (sim::Network::kReadKTagBit): a send with that
+// bit set throws.
 #pragma once
 
 #include <bit>

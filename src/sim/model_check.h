@@ -14,8 +14,8 @@
 //      sampling a *different* node's private stream.
 //
 // ModelChecker turns each of these into an enforced runtime invariant.
-// Network calls the hooks below on every staged send (a broadcast is one
-// call), RNG read and halt, stages the origins of the randomness-bearing
+// Network calls the hooks below on every send (a broadcast is one call),
+// RNG read and halt, stages the origins of the randomness-bearing
 // copies each node consumes, and pins each lane's active node for the
 // duration of a callback; a violation is reported through util/log and
 // (by default) aborts the run with CongestViolation. The checker also
@@ -147,7 +147,7 @@ class ModelChecker {
   /// Resets per-run state (Network::run calls this at the top of each run).
   void begin_run();
 
-  /// Hook for one staged send of `payload` from `from` on `messages`
+  /// Hook for one send of `payload` from `from` on `messages`
   /// edges: a broadcast is one call for the whole row, a port send a call
   /// with messages == 1. Enforces the per-edge bit budget on each message
   /// (the Network has already checked it is its edge's only one this
@@ -156,9 +156,9 @@ class ModelChecker {
   /// any `messages`; a violating one is charged once per message, in the
   /// per-message order, so the report (violations, their texts and
   /// kViolation events) equals that of the same messages sent one by one.
-  /// The Network sets the read-k bit in the tag of each delivered copy of
-  /// a randomness-bearing message and, when a node consumes it, stages the
-  /// sender in the consuming lane's consumed_origins: dropped messages
+  /// The Network sets the read-k bit in the tag of a randomness-bearing
+  /// message where it stores it and, when a node consumes a copy, stages
+  /// the sender in the consuming lane's consumed_origins: dropped messages
   /// never enter the read-k ledger and duplicated ones enter it twice,
   /// while the sender is charged its full CONGEST budget regardless.
   bool on_send(ModelCheckerLane& lane, graph::NodeId from,

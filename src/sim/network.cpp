@@ -29,14 +29,6 @@ void check_tag(std::uint32_t tag) {
   }
 }
 
-/// A staged message as the arena holds it: the read-k bit marks a copy
-/// that carries its sender's this-round randomness.
-Message arena_message(graph::NodeId from, std::uint32_t tag,
-                      std::uint64_t payload, bool rng_bearing) {
-  return Message{from, rng_bearing ? tag | Network::kReadKTagBit : tag,
-                 payload};
-}
-
 [[noreturn]] void throw_edge_cap() {
   throw std::logic_error(
       "CONGEST violation: more than the per-edge message budget sent on "
@@ -77,54 +69,118 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   const util::Rng base(seed);
   for (graph::NodeId v = 0; v < n; ++v) rngs_.push_back(base.child(v));
   halted_.assign(n, 0);
-  const std::uint64_t directed_edges = 2 * g.num_edges();
-  edge_epoch_.assign(directed_edges, ~std::uint32_t{0});
-  // All storage a run can touch, sized once: room for every copy the cap
-  // and the fault contract allow per directed edge, double-buffered, plus
-  // fill counts.
-  if (fault_ != nullptr) slots_per_edge_ = FaultDecision::kMaxCopies;
-  const std::uint64_t slots = directed_edges * slots_per_edge_;
-  arena_cur_.resize(slots);
-  arena_next_.resize(slots);
-  inbox_count_cur_.assign(n, 0);
-  inbox_count_next_.assign(n, 0);
+  // Per-node stores: each phase clears its parity's sent flags before it
+  // runs. The port slots are the one per-edge store, sized now only when
+  // an injector makes every send a port send.
+  for (int parity = 0; parity < 2; ++parity) {
+    sent_[parity].resize(n);
+    outbox_[parity].resize(n);
+  }
+  if (fault_ != nullptr) ensure_port_slots();
   if (num_threads_ > 0) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
     shard_bounds_.resize(static_cast<std::size_t>(num_threads_) + 1, 0);
   }
   lanes_.resize(std::max<std::uint32_t>(num_threads_, 1));
+  // The largest inbox: every port of the widest row, each copy of a fate.
+  const std::size_t copies = fault_ != nullptr ? FaultDecision::kMaxCopies : 1;
+  for (ExecLane& lane : lanes_) lane.inbox.resize(g.max_degree() * copies);
 }
 
 std::uint64_t Network::footprint_bytes() const noexcept {
-  return buffer_bytes(rngs_) + buffer_bytes(halted_) +
-         buffer_bytes(arena_cur_) + buffer_bytes(arena_next_) +
-         buffer_bytes(inbox_count_cur_) + buffer_bytes(inbox_count_next_) +
-         buffer_bytes(edge_epoch_) + buffer_bytes(lanes_) +
-         buffer_bytes(shard_bounds_) + checker_.footprint_bytes();
+  std::uint64_t bytes = buffer_bytes(rngs_) + buffer_bytes(halted_) +
+                        buffer_bytes(lanes_) + buffer_bytes(shard_bounds_) +
+                        checker_.footprint_bytes();
+  for (int parity = 0; parity < 2; ++parity) {
+    bytes += buffer_bytes(sent_[parity]) + buffer_bytes(outbox_[parity]) +
+             buffer_bytes(port_slots_[parity]) +
+             buffer_bytes(port_copies_[parity]);
+  }
+  bytes += buffer_bytes(reverse_port_);
+  for (const ExecLane& lane : lanes_) bytes += buffer_bytes(lane.inbox);
+  return bytes;
+}
+
+void Network::ensure_port_slots() {
+  // Double-checked: the flag is set last, so a lane that reads it set also
+  // sees the sized storage.
+  if (port_slots_sized_.load()) return;
+  const std::lock_guard<std::mutex> lock(port_slots_mutex_);
+  if (port_slots_sized_.load()) return;
+  const graph::NodeId n = graph_.num_nodes();
+  const std::uint64_t directed_edges = 2 * graph_.num_edges();
+  for (int parity = 0; parity < 2; ++parity) {
+    port_slots_[parity].assign(directed_edges, PortSlot{kNever, 0, 0});
+    if (fault_ != nullptr) port_copies_[parity].resize(directed_edges);
+  }
+  // Rows are sorted, so scanning v in ascending order meets the rows that
+  // hold v in their own port order: a cursor per row counts them off.
+  reverse_port_.resize(directed_edges);
+  std::vector<graph::NodeId> next_port(n, 0);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto nbrs = graph_.neighbors(v);
+    for (graph::NodeId port = 0; port < nbrs.size(); ++port) {
+      reverse_port_[graph_.offset(v) + port] = next_port[nbrs[port]]++;
+    }
+  }
+  port_slots_sized_.store(true);
+}
+
+template <typename Emit>
+void Network::gather(graph::NodeId v, std::uint32_t sent, Emit&& emit) const {
+  const int parity = static_cast<int>(sent & 1);
+  const std::vector<std::uint8_t>& flags = sent_[parity];
+  const auto nbrs = graph_.neighbors(v);
+  for (graph::NodeId port = 0; port < nbrs.size(); ++port) {
+    const graph::NodeId from = nbrs[port];
+    const std::uint8_t flag = flags[from];
+    if (flag == 0) continue;  // `from` sent nothing last round
+    if ((flag & kBroadcast) != 0) {
+      emit(outbox_[parity][from]);
+      continue;
+    }
+    // `from` sent on some of its ports: was one of them to v?
+    const std::uint64_t slot = graph_.offset(v) + port;
+    const PortSlot& stored = port_slots_[parity][slot];
+    if (stored.round != sent) continue;
+    const Message m{from, stored.tag, stored.payload};
+    const std::uint8_t copies =
+        fault_ != nullptr ? port_copies_[parity][slot] : 1;
+    for (std::uint8_t c = 0; c < copies; ++c) emit(m);
+  }
+}
+
+std::uint32_t Network::staged_inbox_size(graph::NodeId v) const {
+  std::uint32_t count = 0;
+  gather(v, round_, [&](const Message&) { ++count; });
+  return count;
 }
 
 std::span<const Message> Network::consume_inbox(graph::NodeId v,
                                                 ExecLane& lane) {
-  Message* const inbox = arena_cur_.data() + inbox_base(v);
-  const std::uint32_t count = inbox_count_cur_[v];
+  // Nothing was sent last round: every inbox is empty, no row to walk.
+  if (delivering_ == 0) return {};
+  std::size_t count = 0;
   // Actual-width accounting (RoundDelta::payload_bits and the registry's
   // histogram) is commutative, so each lane stages its own.
   const bool histogram = obs::registry() != nullptr;
   std::uint64_t consumed_bits = 0;
-  for (Message* m = inbox; m != inbox + count; ++m) {
+  gather(v, round_ - 1, [&](const Message& stored) {
+    Message& m = lane.inbox[count++];
+    m = stored;
     // Read-k ledger: the sender of every marked copy is one more reader of
     // its this-round randomness.
-    if ((m->tag & kReadKTagBit) != 0) {
-      m->tag &= ~kReadKTagBit;
-      lane.check.consumed_origins.push_back(m->src);
+    if ((m.tag & kReadKTagBit) != 0) {
+      m.tag &= ~kReadKTagBit;
+      lane.check.consumed_origins.push_back(m.src);
     }
-    const std::uint64_t bits = message_bits(*m);
+    const std::uint64_t bits = message_bits(m);
     consumed_bits += bits;
     if (histogram) lane.message_bits.add(bits);
-  }
+  });
   lane.messages += count;
   lane.payload_bits += consumed_bits;
-  return std::span<const Message>(inbox, count);
+  return std::span<const Message>(lane.inbox.data(), count);
 }
 
 void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
@@ -134,12 +190,19 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
   if (port >= nbrs.size()) {
     throw std::logic_error("send: port out of range");
   }
-  // The (from, port) stamp is owned by the sender, hence by exactly one
-  // lane — updated in place. Stamped this round = the port already carried
-  // its one message.
-  const std::uint64_t slot = graph_.offset(from) + port;
-  if (edge_epoch_[slot] == round_) throw_edge_cap();
-  edge_epoch_[slot] = round_;
+  const int parity = static_cast<int>(round_ & 1);
+  std::uint8_t& flag = sent_[parity][from];
+  // A broadcast this round already used every port.
+  if ((flag & kBroadcast) != 0) throw_edge_cap();
+  ensure_port_slots();
+  // The slot of (from, port) is written only by `from`, hence by exactly
+  // one lane — checked and stamped in place. Stamped this round = the
+  // port already carried its one message.
+  const std::uint64_t slot = port_slot(from, port);
+  PortSlot& stored = port_slots_[parity][slot];
+  if (stored.round == round_) throw_edge_cap();
+  stored.round = round_;
+  flag |= kPortSend;
   // Fault seam: the fate of a message is a pure function of (plan, edge
   // slot, round), so lanes can decide it independently and determinism
   // across thread counts is preserved. Messages to a down node are dropped
@@ -147,9 +210,10 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
   std::uint8_t copies = 1;
   if (fault_ != nullptr) {
     const graph::NodeId target = nbrs[port];
+    const std::uint64_t edge_slot = graph_.offset(from) + port;
     copies = fault_->is_down(target)
                  ? std::uint8_t{0}
-                 : fault_->on_message(from, target, slot, round_).copies;
+                 : fault_->on_message(from, target, edge_slot, round_).copies;
     if (copies == 0) {
       ++lane.fault_drops;
     } else if (copies > FaultDecision::kMaxCopies) {
@@ -158,15 +222,16 @@ void Network::do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
     } else if (copies > 1) {
       lane.fault_duplicates += std::uint64_t{copies} - 1;
     }
+    port_copies_[parity][slot] = copies;
   }
   const bool rng_bearing =
       checker_.on_send(lane.check, from, payload, round_, 1);
   lane.max_edge_load = 1;  // the cap: a used edge carries exactly one
-  // copies > 1 = network duplication: each copy is its own run, one inbox
-  // entry and (if randomness-bearing) one read-k ledger entry.
-  const ExecLane::StagedSend staged{
-      arena_message(from, tag, payload, rng_bearing), port, port + 1};
-  for (std::uint8_t c = 0; c < copies; ++c) lane.sends.push_back(staged);
+  // copies > 1 = network duplication: each copy is one inbox entry and (if
+  // randomness-bearing) one read-k ledger entry.
+  stored.tag = rng_bearing ? tag | kReadKTagBit : tag;
+  stored.payload = payload;
+  lane.in_flight += copies;
 }
 
 void Network::do_broadcast(ExecLane& lane, graph::NodeId from,
@@ -174,28 +239,32 @@ void Network::do_broadcast(ExecLane& lane, graph::NodeId from,
   check_tag(tag);
   const graph::NodeId degree = graph_.degree(from);
   if (fault_ != nullptr) {
-    // Each port has its own fate: one run per port.
+    // Each port has its own fate: one port send per port.
     for (graph::NodeId port = 0; port < degree; ++port) {
       do_send(lane, from, port, tag, payload);
     }
     return;
   }
   if (degree == 0) return;
-  const std::uint64_t base = graph_.offset(from);
-  for (graph::NodeId port = 0; port < degree; ++port) {
-    if (edge_epoch_[base + port] == round_) {
-      // As port by port: the ports before the used one are checked, and
-      // charged, before the cap fires.
-      if (port > 0) checker_.on_send(lane.check, from, payload, round_, port);
-      throw_edge_cap();
-    }
-    edge_epoch_[base + port] = round_;
+  const int parity = static_cast<int>(round_ & 1);
+  std::uint8_t& flag = sent_[parity][from];
+  // A second broadcast fires the cap at port 0.
+  if ((flag & kBroadcast) != 0) throw_edge_cap();
+  if ((flag & kPortSend) != 0) {
+    // As port by port: the ports before the first used one are checked,
+    // and charged, before the cap fires.
+    graph::NodeId port = 0;
+    while (port_slots_[parity][port_slot(from, port)].round != round_) ++port;
+    if (port > 0) checker_.on_send(lane.check, from, payload, round_, port);
+    throw_edge_cap();
   }
   const bool rng_bearing =
       checker_.on_send(lane.check, from, payload, round_, degree);
   lane.max_edge_load = 1;
-  lane.sends.push_back(ExecLane::StagedSend{
-      arena_message(from, tag, payload, rng_bearing), 0, degree});
+  outbox_[parity][from] =
+      Message{from, rng_bearing ? tag | kReadKTagBit : tag, payload};
+  flag = kBroadcast;
+  lane.in_flight += degree;
 }
 
 void Network::do_halt(ExecLane& lane, graph::NodeId v) {
@@ -226,8 +295,8 @@ void Network::step_node(Algorithm& algorithm, graph::NodeId v,
 
 void Network::run_shard(Algorithm& algorithm, ExecLane& lane,
                         graph::NodeId begin, graph::NodeId end) {
-  // Only the inline lane may flush mid-phase: its order is already final,
-  // while a pool lane must wait for the shard-order merge.
+  // Only the inline lane may count its read-k origins mid-phase; pool
+  // lanes wait for the barrier merge.
   const bool inline_lane = pool_ == nullptr;
   for (graph::NodeId v = begin; v < end; ++v) {
     if (halted_[v] != 0) continue;
@@ -235,15 +304,18 @@ void Network::run_shard(Algorithm& algorithm, ExecLane& lane,
     // snapshot (no mid-phase crashes).
     if (fault_ != nullptr && fault_->is_down(v)) continue;
     step_node(algorithm, v, lane);
-    if (inline_lane && (lane.sends.size() >= kFlushBatch ||
-                        lane.check.consumed_origins.size() >= kFlushBatch)) {
-      flush(lane);
+    if (inline_lane && lane.check.consumed_origins.size() >= kFlushBatch) {
+      checker_.count_consumed(lane.check, round_);
     }
   }
 }
 
 void Network::run_phase(Algorithm& algorithm) {
   const graph::NodeId n = graph_.num_nodes();
+  // The phase's sends flag its parity, which still holds the flags of two
+  // rounds ago.
+  std::vector<std::uint8_t>& sent = sent_[round_ & 1];
+  std::fill(sent.begin(), sent.end(), 0);
   try {
     if (pool_ == nullptr) {
       run_shard(algorithm, lanes_[0], 0, n);
@@ -284,8 +356,8 @@ void Network::run_phase(Algorithm& algorithm) {
   }
 
   // Barrier merge, in shard (= ascending node-id) order: replaying the
-  // lane buffers in this order reproduces the inline lane's inbox
-  // ordering, stats, and checker ledger byte-for-byte.
+  // lanes in this order reproduces the inline lane's stats and checker
+  // ledger byte-for-byte.
   OBS_SCOPE("net.merge");
   const bool emit_lanes = pool_ != nullptr && obs::telemetry_attached();
   for (std::uint32_t w = 0; w < lanes_.size(); ++w) {
@@ -294,29 +366,15 @@ void Network::run_phase(Algorithm& algorithm) {
       // kExec category: legitimately varies by thread count, excluded by
       // the default sink configuration (see obs/events.h).
       obs::emit(obs::make_event<obs::EventKind::kLaneMerge>(
-          round_, w, lane.sends.size(), lane.messages, lane.halts));
+          round_, w, lane.sends, lane.messages, lane.halts));
     }
     merge(lanes_[w]);
   }
 }
 
-void Network::flush(ExecLane& lane) {
-  for (const ExecLane::StagedSend& staged : lane.sends) {
-    const auto nbrs = graph_.neighbors(staged.msg.src);
-    for (graph::NodeId port = staged.first_port; port < staged.end_port;
-         ++port) {
-      const graph::NodeId target = nbrs[port];
-      arena_next_[inbox_base(target) + inbox_count_next_[target]++] =
-          staged.msg;
-    }
-    in_flight_next_ += staged.end_port - staged.first_port;
-  }
-  lane.sends.clear();
-  checker_.count_consumed(lane.check, round_);
-}
-
 void Network::merge(ExecLane& lane) {
-  flush(lane);
+  checker_.count_consumed(lane.check, round_);
+  in_flight_ += lane.in_flight;
   stats_.messages += lane.messages;
   round_payload_bits_ += lane.payload_bits;
   if (obs::Registry* const reg = obs::registry();
@@ -351,13 +409,13 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   stats_ = RunStats{};
   // A stashed context used between runs may have staged into a lane.
   for (ExecLane& lane : lanes_) lane.reset();
-  // Occupancy counts are the arena's only per-run state; slot contents are
-  // dead once the counts read zero.
-  std::fill(inbox_count_cur_.begin(), inbox_count_cur_.end(), 0);
-  std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
-  in_flight_next_ = 0;
+  // Port-slot stamps are the stores' only per-run state (each phase clears
+  // its sent flags): a slot whose stamp is not last round's holds nothing.
+  for (std::vector<PortSlot>& slots : port_slots_) {
+    for (PortSlot& stored : slots) stored.round = kNever;
+  }
+  in_flight_ = 0;
   rng_draws_ = 0;
-  std::fill(edge_epoch_.begin(), edge_epoch_.end(), ~std::uint32_t{0});
   last_round_ = RoundDelta{};
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;
@@ -386,15 +444,13 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
     }
     if (algorithm.is_reactive()) {
       // Quiescence cut: nothing in flight means every further round is a
-      // global no-op for a reactive algorithm. The staged-message counter
+      // global no-op for a reactive algorithm. The in-flight counter
       // makes this O(1).
-      if (in_flight_next_ == 0) break;
+      if (in_flight() == 0) break;
     }
-    // Deliver: next becomes current.
-    std::swap(arena_cur_, arena_next_);
-    std::swap(inbox_count_cur_, inbox_count_next_);
-    std::fill(inbox_count_next_.begin(), inbox_count_next_.end(), 0);
-    in_flight_next_ = 0;
+    // Deliver: this round's callbacks gather what the last round sent.
+    delivering_ = in_flight_;
+    in_flight_ = 0;
     ++round_;
     events = RoundFaultEvents{};
     if (fault_ != nullptr) events = fault_->begin_round(round_, halted_);
@@ -461,7 +517,7 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
             : 0;
     obs::emit(obs::make_event<obs::EventKind::kRound>(
         round_, num_halted_, last_round_.messages, last_round_.payload_bits,
-        in_flight_next_, rng_draws_, width_now, k_prev));
+        in_flight(), rng_draws_, width_now, k_prev));
     if (fault_ != nullptr) {
       obs::emit(obs::make_event<obs::EventKind::kFaultRound>(
           round_, last_round_.fault_drops, last_round_.fault_duplicates,
@@ -496,10 +552,12 @@ std::uint32_t NodeContext::round() const noexcept { return net_->round_; }
 
 void NodeContext::send(graph::NodeId port, std::uint32_t tag,
                        std::uint64_t payload) {
+  ++lane_->sends;
   net_->do_send(*lane_, id_, port, tag, payload);
 }
 
 void NodeContext::broadcast(std::uint32_t tag, std::uint64_t payload) {
+  ++lane_->sends;
   net_->do_broadcast(*lane_, id_, tag, payload);
 }
 

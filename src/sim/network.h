@@ -2,28 +2,28 @@
 //
 // Execution model: in each round the network (1) delivers all messages sent
 // in the previous round, (2) calls Algorithm::on_round for every non-halted
-// node, collecting its sends into next-round inboxes, and (3) advances the
+// node, collecting its sends for the next round, and (3) advances the
 // round counter. Nodes halt individually via NodeContext::halt(); the run
 // ends when every node has halted or the round budget is exhausted.
 //
 // Executor: every callback runs against an ExecLane, a staging area for
 // everything the callback would otherwise write to shared simulator state
-// (sends, halt count, checker accounting). With NetworkOptions::num_threads
-// == 0 (the default) one lane runs inline on the calling thread, scanning
-// v = 0..n-1; its order is already final, so it delivers its staged sends
-// and counts its staged read-k consumptions every kFlushBatch entries,
-// which bounds its memory and keeps delivery a tight batched scatter. With
-// num_threads >= 1 a persistent worker pool (sim/thread_pool.h) runs one
-// lane per worker over contiguous node-id shards of near-equal alive
-// count, and the lanes are merged at the round barrier in shard order.
-// A process-wide override for code that constructs its own Networks deep
-// inside pipelines is available via ScopedNumThreads.
+// (halt count, message and draw counters, checker accounting). With
+// NetworkOptions::num_threads == 0 (the default) one lane runs inline on
+// the calling thread, scanning v = 0..n-1; its order is already final, so
+// it counts its staged read-k consumptions every kFlushBatch entries, which
+// bounds its memory. With num_threads >= 1 a persistent worker pool
+// (sim/thread_pool.h) runs one lane per worker over contiguous node-id
+// shards of near-equal alive count, and the lanes are merged at the round
+// barrier in shard order. A process-wide override for code that constructs
+// its own Networks deep inside pipelines is available via ScopedNumThreads.
 //
-// Determinism-merge rule: the inline lane emits sends in ascending sender
-// id and each node's RNG stream is private, so replaying the pool's lanes
-// in shard (= node-id) order reproduces the inline lane's inbox order,
-// stats, and ModelChecker ledger *byte-identically* for every thread count
-// — tests/test_parallel_equivalence.cpp is the proof. Read-k consumption
+// Determinism-merge rule: a message's place in its receiver's inbox is
+// fixed by the receiver's row (see Delivery), never by when it was sent,
+// and each node's RNG stream is private, so replaying the pool's lanes in
+// shard (= node-id) order reproduces the inline lane's stats and
+// ModelChecker ledger *byte-identically* for every thread count —
+// tests/test_parallel_equivalence.cpp is the proof. Read-k consumption
 // counting only increments counters and takes maxima, so when a batch of
 // it is replayed does not matter.
 //
@@ -48,46 +48,57 @@
 // Fault injection: NetworkOptions::fault attaches a FaultInjector
 // (sim/fault_hooks.h; the deterministic FaultPlan lives in src/fault/).
 // Message fates are decided per send as a pure function of (plan, edge
-// slot, round), surviving copies ride the regular lane staging, and node
-// crashes/recoveries resolve serially at the round barrier — so a faulty
-// run is a pure function of (graph, seed, algorithm, plan) and remains
-// byte-identical across thread counts. With no injector attached every
-// fault path is skipped.
+// slot, round), and node crashes/recoveries resolve serially at the round
+// barrier — so a faulty run is a pure function of (graph, seed, algorithm,
+// plan) and remains byte-identical across thread counts. With no injector
+// attached every fault path is skipped.
 //
-// Message arena (the inbox): the cap allows one message per directed edge
-// per round, and a fault fate duplicates a message at most once, so the
-// inbox is a flat arena with one Message slot per directed edge — two with
-// a FaultInjector attached — laid out in the view's CSR edge order (slot
-// base of node v = slots_per_edge_ * graph_.offset(v)). A delivery is an
-// indexed write at inbox_count_next_[target], so node v's inbox is a span
-// of the arena, filled in delivery order: ascending sender id, which for
-// sorted adjacency IS port order, with a duplicate right behind its
-// original. The arena is allocated once at construction; since every send
-// enforces the cap and rejects more than two copies, no region can
-// overflow (tests/test_message_arena.cpp).
+// Delivery (pull): a message is written once, by its sender, and read
+// the next round by its receiver. Every store is double-buffered by round
+// parity: the callbacks of round r write parity r & 1 while they read
+// parity (r - 1) & 1, so no slot is written and read in one phase.
+//   * Sent flags, one byte per node and parity, cleared before each phase:
+//     kBroadcast when the node broadcast, kPortSend when it sent on a port.
+//   * A fault-free broadcast is one write into the sender's outbox slot,
+//     one Message per node and parity: nothing per edge.
+//   * A port send writes the receiver's port slot for that port, found
+//     through the reverse-port array, and stamps it with the round; with
+//     a FaultInjector each port slot also records its fate of 0-2 copies,
+//     and a broadcast is one port send per port, since each port has its
+//     own fate. The port slots (one per directed edge and parity, in the
+//     view's CSR order) and the reverse ports are the simulator's only
+//     per-edge memory: sized at construction with an injector, else by
+//     the first port send the Network carries (once, under a mutex, so a
+//     pool lane may make it). A broadcast-only run touches no per-edge
+//     memory, and the barrier merge only folds counters.
+// consume_inbox is the one delivery step: the receiver walks its own row
+// in port order and takes, per neighbour, the outbox message if that
+// neighbour broadcast last round, else its own port slot if that is
+// stamped with last round, into its lane's inbox buffer (max degree
+// messages, twice that with an injector), which the callback sees as its
+// inbox span; after a round that sent nothing no row is walked. Rows are
+// sorted, so the inbox ascends by sender id, each duplicate right behind
+// its original. The cap needs no per-edge stamp of its own: the sent
+// flags catch a second broadcast and a send after a broadcast, a port
+// slot's stamp a second send on its port (even one its fate dropped), and
+// a broadcast after port sends walks the sender's row to the first used
+// port. A message to a down node is a fate of 0 copies.
 //
-// Staging: a lane stages a message once per run of consecutive ports of
-// its sender's row — a broadcast is one record for the whole row, a send
-// a run of one, and a fault duplicate the same one-port run staged twice.
-// With a FaultInjector attached a broadcast stages one run per port,
-// because each port has its own fate. The cap is still checked, and
-// stamped, per port, and the ModelChecker charges a run as that many
-// messages; one flush loop expands every run over the sender's row into
-// the arena.
-//
-// Read-k bit: a copy that carries its sender's this-round randomness has
-// the top bit of its tag set in the arena slot (kReadKTagBit; see
-// ModelChecker::on_send). Consuming an inbox makes one pass over it: it
-// strips the bit, stages the senders of the marked copies as the lane's
-// consumed read-k origins, and sums the copies' actual widths. Every tag
-// in the tree is below 2^8 (the checker charges 8 tag bits), so the bit
-// is reserved: a send or broadcast whose tag has it set throws
+// Read-k bit: a message that carries its sender's this-round randomness
+// has the top bit of its tag set where it is stored (kReadKTagBit; see
+// ModelChecker::on_send). The gather strips it from the inbox copy, stages
+// the sender as one of the lane's consumed read-k origins per copy, and
+// sums the copies' actual widths, all in its one pass. Every tag in the
+// tree is below 2^8 (the checker charges 8 tag bits), so the bit is
+// reserved: a send or broadcast whose tag has it set throws
 // std::logic_error.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -155,18 +166,15 @@ struct RunStats {
 /// written to shared simulator state is buffered here and merged in shard
 /// order (see the executor section of the header comment).
 struct ExecLane {
-  /// One message sent on the ports [first_port, end_port) of its sender's
-  /// row (msg.src), its tag carrying the read-k bit. A dropped message is
-  /// never staged; a duplicated one is staged twice.
-  struct StagedSend {
-    Message msg;
-    graph::NodeId first_port;
-    graph::NodeId end_port;
-  };
-
-  /// Sends in call order; senders within a shard ascend, so concatenating
-  /// lanes in shard order reproduces the inline lane's send order.
-  std::vector<StagedSend> sends;
+  /// Inbox of the node whose callback the lane runs: consume_inbox gathers
+  /// into it, so the callback's span lives only until the lane's next
+  /// gather. Sized once, to the largest inbox a node can receive.
+  std::vector<Message> inbox;
+  /// send() and broadcast() calls (the exec-only lane_merge event).
+  std::uint64_t sends = 0;
+  /// Messages sent for next round: a broadcast counts its degree, a port
+  /// send its copies.
+  std::uint64_t in_flight = 0;
   std::uint64_t messages = 0;      ///< delivered messages consumed
   std::uint64_t payload_bits = 0;  ///< actual bits consumed (message_bits)
   /// Widths of the consumed messages, staged for the attached registry's
@@ -181,8 +189,10 @@ struct ExecLane {
   std::uint64_t fault_duplicates = 0;
   ModelCheckerLane check;
 
+  /// Clears the per-phase counters; the inbox buffer keeps its size.
   void reset() noexcept {
-    sends.clear();
+    sends = 0;
+    in_flight = 0;
     messages = 0;
     payload_bits = 0;
     message_bits.clear();
@@ -218,7 +228,7 @@ struct RoundDelta {
 
 class Network {
  public:
-  /// Top bit of Message::tag: marks an arena copy as randomness-bearing
+  /// Top bit of Message::tag: marks a stored message as randomness-bearing
   /// (see the header comment). Reserved: sending a tag with it throws.
   static constexpr std::uint32_t kReadKTagBit = std::uint32_t{1} << 31;
 
@@ -231,21 +241,23 @@ class Network {
   graph::NodeId num_halted() const noexcept { return num_halted_; }
   /// Resolved worker count (0 = the inline lane).
   std::uint32_t num_threads() const noexcept { return num_threads_; }
-  /// Total Message slots in the arena: one per directed edge (CSR order),
-  /// two with a FaultInjector attached.
-  std::uint64_t arena_slots() const noexcept { return arena_cur_.size(); }
-  /// Bytes of every buffer the constructor sizes (size × element size),
-  /// the ModelChecker's included. Deterministic in (graph, options).
+  /// Port slots allocated: one per directed edge and round parity, sized
+  /// at construction with a FaultInjector, else by the first port send
+  /// (0 until then). Read between runs or at round barriers.
+  std::uint64_t port_slots() const noexcept {
+    return port_slots_[0].size() + port_slots_[1].size();
+  }
+  /// Bytes of every buffer the Network holds (size × element size), the
+  /// ModelChecker's and the lazily sized port slots included.
+  /// Deterministic in (graph, options) and whether a port send happened.
   std::uint64_t footprint_bytes() const noexcept;
   /// Logical RNG draws made so far in the current run, summed over nodes.
   /// Deterministic in (graph, seed, algorithm) and executor-independent.
   std::uint64_t total_rng_draws() const noexcept { return rng_draws_; }
-  /// Messages staged for delivery next round, network-wide / to one node
+  /// Messages sent for delivery next round, network-wide / to one node
   /// (valid at round barriers, e.g. inside a RoundObserver; test hooks).
-  std::uint64_t in_flight() const noexcept { return in_flight_next_; }
-  std::uint32_t staged_inbox_size(graph::NodeId v) const noexcept {
-    return inbox_count_next_[v];
-  }
+  std::uint64_t in_flight() const noexcept { return in_flight_; }
+  std::uint32_t staged_inbox_size(graph::NodeId v) const;
 
   /// Called after every completed round with the round number just
   /// finished; used by audits and traces. May inspect but not mutate.
@@ -275,28 +287,49 @@ class Network {
   friend class NodeContext;
   friend class NodeRandom;
 
-  /// Staged entries (send runs, or consumed read-k origins) after which
-  /// the inline lane flushes: bounds its memory while keeping the scatter
-  /// batched. Results never depend on its value.
+  /// A message in a port slot: `round` is the round it was sent in
+  /// (kNever: empty), the tag carries the read-k bit, and the sender is
+  /// implied by the slot.
+  struct PortSlot {
+    std::uint32_t round;
+    std::uint32_t tag;
+    std::uint64_t payload;
+  };
+  static constexpr std::uint32_t kNever = ~std::uint32_t{0};
+  /// Bits of a node's per-round sent flags.
+  static constexpr std::uint8_t kBroadcast = 1;  ///< wrote its outbox
+  static constexpr std::uint8_t kPortSend = 2;   ///< wrote a port slot
+
+  /// Consumed read-k origins after which the inline lane counts them:
+  /// bounds its memory. Results never depend on its value.
   static constexpr std::size_t kFlushBatch = 1024;
 
   void do_send(ExecLane& lane, graph::NodeId from, graph::NodeId port,
                std::uint32_t tag, std::uint64_t payload);
-  /// Sends one message on every port of `from`: one staged run, or one
-  /// do_send per port with a FaultInjector attached.
+  /// One write into the sender's outbox slot, or one do_send per port
+  /// with a FaultInjector attached.
   void do_broadcast(ExecLane& lane, graph::NodeId from, std::uint32_t tag,
                     std::uint64_t payload);
   void do_halt(ExecLane& lane, graph::NodeId v);
   /// Accounts one logical draw from v's stream, then exposes it.
   util::Rng& draw_rng(ExecLane& lane, graph::NodeId v);
-  /// First arena slot of v's inbox region.
-  std::uint64_t inbox_base(graph::NodeId v) const noexcept {
-    return graph_.offset(v) * slots_per_edge_;
+  /// Sizes the port slots and the reverse ports on the first call, and
+  /// only then; safe from concurrent pool lanes.
+  void ensure_port_slots();
+  /// Index of the port slot of (from, port): the receiver's row, at its
+  /// port of `from`.
+  std::uint64_t port_slot(graph::NodeId from, graph::NodeId port) const {
+    const std::uint64_t edge = graph_.offset(from) + port;
+    return graph_.offset(graph_.neighbors(from)[port]) + reverse_port_[edge];
   }
-  /// The inbox v consumes this round, a span into the arena. One pass
-  /// strips the read-k bit, stages the senders of the marked copies as the
-  /// lane's consumed read-k origins, and counts the copies and their
-  /// actual widths (staging the sim.message_bits histogram).
+  /// Walks v's row in port order and calls emit(message) once per copy
+  /// sent to v in round `sent`, the read-k bit still in its tag.
+  template <typename Emit>
+  void gather(graph::NodeId v, std::uint32_t sent, Emit&& emit) const;
+  /// Gathers the inbox v consumes this round into the lane's buffer. The
+  /// same pass strips the read-k bit, stages the senders of the marked
+  /// copies as the lane's consumed read-k origins, and counts the copies
+  /// and their actual widths (staging the sim.message_bits histogram).
   std::span<const Message> consume_inbox(graph::NodeId v, ExecLane& lane);
 
   /// Runs one callback phase (on_start when round_ == 0, else on_round)
@@ -307,13 +340,9 @@ class Network {
                  graph::NodeId end);
   /// Invokes the callback of one node.
   void step_node(Algorithm& algorithm, graph::NodeId v, ExecLane& lane);
-  /// Delivers the lane's staged sends in staging order, each run expanded
-  /// over its sender's row, and counts its staged read-k consumptions,
-  /// emptying both buffers. Runs on the calling thread only (inline lane
-  /// flushes and barrier merges).
-  void flush(ExecLane& lane);
-  /// flush(), then folds the lane's counters, staged width histogram and
-  /// checker accounting into the shared state and resets the lane.
+  /// Folds the lane's counters, staged read-k origins, staged width
+  /// histogram and checker accounting into the shared state and resets
+  /// the lane. Runs on the calling thread only.
   void merge(ExecLane& lane);
   /// Barrier bookkeeping: fills last_round_, flushes the round's fault
   /// drop/duplicate counts to the injector's ledger.
@@ -331,21 +360,24 @@ class Network {
   graph::NodeId num_halted_ = 0;
   std::uint32_t round_ = 0;
 
-  // Message arena: slots_per_edge_ slots per directed edge in CSR order
-  // (node v's inbox region starts at inbox_base(v)), double-buffered for
-  // the deliver/fill round phases, with a per-node fill count. A slot's
-  // tag carries its copy's read-k bit (kReadKTagBit).
-  std::uint32_t slots_per_edge_ = 1;  ///< 2 with a FaultInjector attached
-  std::vector<Message> arena_cur_;
-  std::vector<Message> arena_next_;
-  std::vector<std::uint32_t> inbox_count_cur_;
-  std::vector<std::uint32_t> inbox_count_next_;
-  std::uint64_t in_flight_next_ = 0;  ///< messages staged for next round
-
-  // Round of the last send per directed edge (slot of (v, port) =
-  // graph_.offset(v) + port): a stamp equal to the current round marks a
-  // port that already carried its one message.
-  std::vector<std::uint32_t> edge_epoch_;
+  // Message stores, indexed by round parity (see Delivery). sent_[p][v]
+  // holds v's sent flags (kBroadcast, kPortSend) for the latest round of
+  // parity p, cleared before each phase writes its parity; outbox_[p][v]
+  // is v's broadcast; port_slots_[p] holds one slot per directed edge in
+  // the view's CSR order (the slot of v's port i is offset(v) + i) and,
+  // with an injector, port_copies_[p] each slot's fate.
+  std::vector<std::uint8_t> sent_[2];
+  std::vector<Message> outbox_[2];
+  std::vector<PortSlot> port_slots_[2];
+  std::vector<std::uint8_t> port_copies_[2];
+  // reverse_port_[offset(v) + i]: the port of v in the row of v's i-th
+  // neighbour. Sized with the port slots.
+  std::vector<graph::NodeId> reverse_port_;
+  // Set, under the mutex, once the port slots are sized.
+  std::atomic<bool> port_slots_sized_{false};
+  std::mutex port_slots_mutex_;
+  std::uint64_t in_flight_ = 0;  ///< messages sent this phase (lanes folded)
+  std::uint64_t delivering_ = 0;  ///< messages sent by the previous phase
 
   // Executor state: one lane (inline) or one per worker (pool_ set).
   std::unique_ptr<ThreadPool> pool_;

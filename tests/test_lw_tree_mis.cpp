@@ -34,10 +34,14 @@ TEST(LwTreeMis, ShatteringLeavesSmallComponents) {
   const graph::Graph t = graph::gen::random_tree(50000, rng);
   const LwTreeMisResult result = lw_tree_mis(t, 3);
   EXPECT_TRUE(mis::verify(t, result.mis).ok());
-  if (result.residual_components.set_size > 0) {
-    EXPECT_LT(result.residual_components.largest_component,
-              t.num_nodes() / 100);
-  }
+  EXPECT_LT(result.residual_components.largest_component,
+            t.num_nodes() / 100);
+  // Pinned at its recorded value: the budgeted Métivier phase decides
+  // every node of this tree, so the residual is empty and the bound above
+  // holds trivially (CHANGES.md, the FOUND line on lw_tree_mis reaching
+  // its finish step in no probe above 3 nodes). A change that starts
+  // leaving a residual moves this pin.
+  EXPECT_EQ(result.residual_components.set_size, 0u);
 }
 
 TEST(LwTreeMis, WorksOnBoundedArbGraphsToo) {

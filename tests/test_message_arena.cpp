@@ -1,19 +1,20 @@
-// Tests of the flat message arena backing the simulator inboxes
-// (sim/network.h, "Message arena" and "Staging" sections): CSR slot
-// indexing against first/last ports and isolated nodes, the arena's fixed
-// size (one slot per directed edge, two with a fault injector) and the
-// Network's exact byte footprint, occupancy reset across rounds and across
-// run() calls, fault duplicates landing in their own slots in delivery
-// order, the enforced <= 1-message-per-directed-edge and <= 2-copies
-// violation paths, a broadcast (one staged run) against the same message
-// sent port by port, the reserved read-k tag bit, and rounds that stage
-// more than one of the inline lane's flush batches (sim/network.h,
-// executor section), byte-identical across thread counts.
+// Tests of the simulator's message delivery (sim/network.h, "Delivery"):
+// inboxes gathered in port order against first/last ports and isolated
+// nodes, inboxes that mix outbox (broadcast) and port-slot messages, the
+// port slots sized only by an injector or the first port send (once, also
+// from a pool lane) and the Network's exact byte footprint, inbox resets
+// across rounds and across run() calls, fault duplicates right behind
+// their originals, the enforced <= 1-message-per-directed-edge and
+// <= 2-copies violation paths, a broadcast (one outbox write) against the
+// same message sent port by port, the reserved read-k tag bit, and rounds
+// that stage more than one of the inline lane's read-k flush batches
+// (sim/network.h, executor section), byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/adversary.h"
@@ -59,7 +60,7 @@ class RecordingBroadcast final : public sim::Algorithm {
     }
     // Send even in the halting round: those messages are staged but never
     // delivered, which is exactly the leftover state the cross-run
-    // occupancy-reset test needs to exist.
+    // reset test needs to exist.
     ctx.broadcast(0, ctx.id());
     if (ctx.round() >= rounds_) ctx.halt();
   }
@@ -75,7 +76,7 @@ class RecordingBroadcast final : public sim::Algorithm {
 };
 
 /// Broadcasts only in even rounds; odd-round inboxes must come back empty,
-/// which fails unless the occupancy counts really reset between rounds.
+/// which fails unless the sent flags really reset between rounds.
 class AlternatingBroadcast final : public sim::Algorithm {
  public:
   AlternatingBroadcast(graph::NodeId n, std::uint32_t rounds)
@@ -148,8 +149,8 @@ TEST(MessageArena, SlotLayoutMatchesCsrAndInboxIsPortOrdered) {
   // ports, the endpoints only on their single port.
   const graph::Graph g = graph::gen::path(4);
   sim::Network net(g, /*seed=*/1);
-  // One slot per directed edge: 2 * |E| = 2 * 3.
-  EXPECT_EQ(net.arena_slots(), 6u);
+  // A fault-free Network sizes no port slots before its first port send.
+  EXPECT_EQ(net.port_slots(), 0u);
 
   RecordingBroadcast algo(4, /*rounds=*/1);
   net.run(algo, /*max_rounds=*/2);
@@ -162,12 +163,12 @@ TEST(MessageArena, SlotLayoutMatchesCsrAndInboxIsPortOrdered) {
 }
 
 TEST(MessageArena, IsolatedNodesGetEmptyRegions) {
-  // Nodes 3 and 4 have no edges: their arena regions are empty and their
-  // inboxes stay empty, but they still receive callbacks and halt.
+  // Nodes 3 and 4 have no edges: their rows are empty, so their inboxes
+  // stay empty, but they still receive callbacks and halt.
   const std::vector<graph::Edge> edges = {{0, 1}, {1, 2}};
   const graph::Graph g = graph::from_edges(5, edges);
   sim::Network net(g, 2);
-  EXPECT_EQ(net.arena_slots(), 4u);
+  EXPECT_EQ(net.port_slots(), 0u);
 
   RecordingBroadcast algo(5, 1);
   const sim::RunStats stats = net.run(algo, 4);
@@ -179,48 +180,102 @@ TEST(MessageArena, IsolatedNodesGetEmptyRegions) {
 }
 
 TEST(MessageArena, OneSlotPerDirectedEdgeTwoWithAnInjector) {
+  // Port slots: one per directed edge and round parity, each recording a
+  // fate of up to two copies with an injector. A fault-free Network sizes
+  // none until its first port send; an injector makes every send a port
+  // send, so its Network sizes them at construction.
   const graph::Graph g = [] {
     util::Rng rng(12);
     return graph::gen::gnp(60, 0.1, rng);
   }();
   const std::uint64_t m = g.num_edges();
   ASSERT_GT(m, 0u);
-  EXPECT_EQ(sim::Network(g, 1).arena_slots(), 2 * m);
-  // Any injector, even one that never fires, reserves the duplicate slot.
+  EXPECT_EQ(sim::Network(g, 1).port_slots(), 0u);
+  // Any injector, even one that never fires, sizes the port slots.
   fault::IidAdversary adversary({});
   fault::FaultPlan plan(g, 1, adversary);
   sim::NetworkOptions options;
   options.fault = &plan;
-  EXPECT_EQ(sim::Network(g, 1, options).arena_slots(), 4 * m);
+  EXPECT_EQ(sim::Network(g, 1, options).port_slots(), 4 * m);
+}
+
+/// Node 0 sends one message on port 0 in on_start; every node halts there.
+class OnePortSend final : public sim::Algorithm {
+ public:
+  std::string_view name() const override { return "one_port_send"; }
+  void on_start(sim::NodeContext& ctx) override {
+    if (ctx.id() == 0) ctx.send(0, 1, 1);
+    ctx.halt();
+  }
+  void on_round(sim::NodeContext&, std::span<const sim::Message>) override {}
+};
+
+/// footprint_bytes() of a Network on `g` before and after a run whose one
+/// message is a port send.
+std::pair<std::uint64_t, std::uint64_t> footprint_around_a_port_send(
+    const graph::Graph& g, const sim::NetworkOptions& options) {
+  sim::Network net(g, 1, options);
+  const std::uint64_t before = net.footprint_bytes();
+  OnePortSend algo;
+  net.run(algo, 2);
+  return {before, net.footprint_bytes()};
 }
 
 TEST(MessageArena, FootprintIsPinnedPerConfiguration) {
-  // Exact bytes of every buffer the constructor sizes, on one graph with
-  // 60 nodes and 336 directed edges:
-  //   per directed edge: two 16 B Message arenas and a 4 B round stamp,
-  //     36 B (68 B with an injector's second slot in each arena);
-  //   per node: a 32 B Rng, a 1 B halt flag and two 4 B fill counts,
-  //     41 B, plus five 4 B checker counters (20 B) with the checker on;
-  //   one inline ExecLane, 192 B.
-  // A new per-slot or per-node buffer moves these numbers.
+  // Exact bytes of every buffer a Network holds, on one graph with 60
+  // nodes, 336 directed edges and maximum degree 10:
+  //   per node: a 32 B Rng, a 1 B halt flag, and per round parity a 1 B
+  //     sent flag and a 16 B outbox Message, 67 B; plus five 4 B checker
+  //     counters (20 B) with the checker on;
+  //   one inline ExecLane, 208 B, and its inbox buffer of 10 Messages,
+  //     160 B (20, 320 B, with an injector's second copies);
+  //   per directed edge, once a port send sized them (an injector sizes
+  //     them at construction): per parity a 16 B port slot, and a 4 B
+  //     reverse port, 36 B; plus per parity a 1 B fate with an injector,
+  //     38 B.
+  // A new per-node, per-edge or per-lane buffer moves these numbers.
   const graph::Graph g = [] {
     util::Rng rng(12);
     return graph::gen::gnp(60, 0.1, rng);
   }();
   ASSERT_EQ(g.num_nodes(), 60u);
   ASSERT_EQ(g.num_edges(), 168u);
-  // 336 * 36 + 60 * (41 + 20) + 192
-  EXPECT_EQ(sim::Network(g, 1).footprint_bytes(), 15948u);
+  ASSERT_EQ(g.max_degree(), 10u);
+  // 60 * (67 + 20) + 208 + 160, then + 336 * 36
+  EXPECT_EQ(footprint_around_a_port_send(g, {}),
+            std::make_pair(std::uint64_t{5588}, std::uint64_t{17684}));
   sim::NetworkOptions unchecked;
   unchecked.model_check.enabled = false;
-  // 336 * 36 + 60 * 41 + 192
-  EXPECT_EQ(sim::Network(g, 1, unchecked).footprint_bytes(), 14748u);
+  // 60 * 67 + 208 + 160, then + 336 * 36
+  EXPECT_EQ(footprint_around_a_port_send(g, unchecked),
+            std::make_pair(std::uint64_t{4388}, std::uint64_t{16484}));
   fault::IidAdversary adversary({});
   fault::FaultPlan plan(g, 1, adversary);
   sim::NetworkOptions faulty;
   faulty.fault = &plan;
-  // 336 * 68 + 60 * (41 + 20) + 192
-  EXPECT_EQ(sim::Network(g, 1, faulty).footprint_bytes(), 26700u);
+  // 60 * (67 + 20) + 208 + 320 + 336 * 38, unchanged by the send
+  EXPECT_EQ(footprint_around_a_port_send(g, faulty),
+            std::make_pair(std::uint64_t{18516}, std::uint64_t{18516}));
+}
+
+TEST(MessageArena, BroadcastOnlyRunHoldsNoPerEdgeMemory) {
+  // A fault-free run that only broadcasts writes outboxes, never a port
+  // slot: the Network's footprint is its per-node and per-lane buffers
+  // before and after, on the inline lane and on a pool.
+  const graph::Graph g = [] {
+    util::Rng rng(12);
+    return graph::gen::gnp(60, 0.1, rng);
+  }();
+  for (const std::uint32_t threads : {0u, 2u}) {
+    sim::NetworkOptions options;
+    options.num_threads = threads;
+    sim::Network net(g, 1, options);
+    const std::uint64_t before = net.footprint_bytes();
+    RecordingBroadcast algo(60, 3);
+    ASSERT_GT(net.run(algo, 5).messages, 0u) << "threads " << threads;
+    EXPECT_EQ(net.port_slots(), 0u) << "threads " << threads;
+    EXPECT_EQ(net.footprint_bytes(), before) << "threads " << threads;
+  }
 }
 
 TEST(MessageArena, SelfLoopsAreRejectedAtGraphConstruction) {
@@ -236,8 +291,8 @@ TEST(MessageArena, OccupancyResetsBetweenRounds) {
   AlternatingBroadcast algo(6, /*rounds=*/5);
   net.run(algo, 8);
   // Sends happen in rounds 0, 2, 4 => inboxes are non-empty in rounds
-  // 1, 3, 5 and empty in rounds 2, 4. A stale occupancy count would
-  // resurrect the previous round's messages in the empty rounds.
+  // 1, 3, 5 and empty in rounds 2, 4. A gather that read the wrong
+  // round's store would find an even round's broadcasts in them.
   const std::vector<std::uint32_t> interior = {2, 0, 2, 0, 2};
   const std::vector<std::uint32_t> endpoint = {1, 0, 1, 0, 1};
   EXPECT_EQ(algo.sizes(0), endpoint);
@@ -702,6 +757,223 @@ TEST(MessageArena, ReservedTagBitThrowsOnEveryExecutor) {
       EXPECT_NE(what.find("reserved read-k bit"), std::string::npos)
           << label << ": " << what;
     }
+  }
+}
+
+/// Every node draws once per round, so every message is randomness-bearing.
+/// Nodes whose id is a multiple of 3 broadcast; the others send the same
+/// message only on their even ports. A receiver's inbox then mixes outbox
+/// and port-slot messages, both carrying the read-k bit.
+class MixedSources final : public sim::Algorithm {
+ public:
+  MixedSources(graph::NodeId n, std::uint32_t rounds)
+      : rounds_(rounds), inboxes_(n) {}
+
+  std::string_view name() const override { return "mixed_sources"; }
+
+  static bool broadcasts(graph::NodeId v) { return v % 3 == 0; }
+  static std::uint32_t tag(graph::NodeId v) { return broadcasts(v) ? 1 : 2; }
+  static std::uint64_t payload(graph::NodeId v, std::uint32_t round) {
+    return std::uint64_t{v} * 8 + round;
+  }
+
+  void on_start(sim::NodeContext& ctx) override { send(ctx); }
+
+  void on_round(sim::NodeContext& ctx,
+                std::span<const sim::Message> inbox) override {
+    auto& record = inboxes_[ctx.id()];
+    for (const sim::Message& m : inbox) {
+      record.push_back({m.src, m.tag, m.payload});
+    }
+    if (ctx.round() >= rounds_) {
+      ctx.halt();
+      return;
+    }
+    send(ctx);
+  }
+
+  const std::vector<std::vector<Recorded>>& inboxes() const {
+    return inboxes_;
+  }
+
+ private:
+  void send(sim::NodeContext& ctx) {
+    const graph::NodeId v = ctx.id();
+    (void)ctx.rng().next();
+    if (broadcasts(v)) {
+      ctx.broadcast(tag(v), payload(v, ctx.round()));
+      return;
+    }
+    for (graph::NodeId port = 0; port < ctx.degree(); port += 2) {
+      ctx.send(port, tag(v), payload(v, ctx.round()));
+    }
+  }
+
+  std::uint32_t rounds_;
+  std::vector<std::vector<Recorded>> inboxes_;
+};
+
+TEST(MessageArena, MixedInboxAscendsBySenderOnEveryExecutor) {
+  // Test-local model: in each round r, node v hears each neighbour u in
+  // ascending id order, once (twice under the storm) if u broadcast or if
+  // v sits on an even port of u's row.
+  const graph::Graph g = [] {
+    util::Rng rng(14);
+    return graph::gen::gnp(48, 0.2, rng);
+  }();
+  constexpr std::uint32_t kRounds = 3;
+  for (const bool storm : {false, true}) {
+    const std::uint32_t copies = storm ? 2 : 1;
+    std::vector<std::vector<Recorded>> reference(g.num_nodes());
+    bool mixed = false;  // some inbox holds both kinds
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      bool heard[2] = {false, false};
+      for (std::uint32_t round = 1; round <= kRounds; ++round) {
+        for (const graph::NodeId u : g.neighbors(v)) {
+          if (!MixedSources::broadcasts(u) && g.port_of(u, v) % 2 != 0) {
+            continue;
+          }
+          heard[MixedSources::broadcasts(u) ? 0 : 1] = true;
+          for (std::uint32_t c = 0; c < copies; ++c) {
+            reference[v].push_back({u, MixedSources::tag(u),
+                                    MixedSources::payload(u, round - 1)});
+          }
+        }
+      }
+      mixed = mixed || (heard[0] && heard[1]);
+    }
+    ASSERT_TRUE(mixed);
+    ExecutorRun inline_run;
+    for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+      const std::string label = "threads " + std::to_string(threads) +
+                                (storm ? " duplicate storm" : "");
+      fault::IidAdversary adversary({.duplicate_rate = 1.0});
+      fault::FaultPlan plan(g, 5, adversary);
+      sim::NetworkOptions options;
+      options.num_threads = threads;
+      if (storm) options.fault = &plan;
+      sim::Network net(g, 11, options);
+      MixedSources algo(g.num_nodes(), kRounds);
+      ExecutorRun run;
+      run.stats = net.run(algo, kRounds + 1,
+                          [&](const sim::Network& n, std::uint32_t) {
+                            run.deltas.push_back(n.last_round());
+                          });
+      run.inboxes = algo.inboxes();
+      run.report = net.model_check_report();
+      run.rng_draws = net.total_rng_draws();
+      EXPECT_EQ(run.inboxes, reference) << label;
+      EXPECT_EQ(run.report.violations, 0u) << label;
+      if (threads == 0) {
+        inline_run = run;
+      } else {
+        expect_same_run(inline_run, run, label);
+      }
+    }
+  }
+}
+
+/// Broadcasts in rounds 0 and 1. In round 2 the nodes of the upper half
+/// make the Network's first port sends, on port 0; in round 3 every node
+/// sends on its last port; all halt in round 4. Records every inbox.
+class LatePortSender final : public sim::Algorithm {
+ public:
+  explicit LatePortSender(graph::NodeId n) : n_(n), inboxes_(n) {}
+
+  std::string_view name() const override { return "late_port_sender"; }
+
+  void on_start(sim::NodeContext& ctx) override {
+    ctx.broadcast(0, ctx.id());
+  }
+
+  void on_round(sim::NodeContext& ctx,
+                std::span<const sim::Message> inbox) override {
+    auto& record = inboxes_[ctx.id()];
+    for (const sim::Message& m : inbox) {
+      record.push_back({m.src, m.tag, m.payload});
+    }
+    const graph::NodeId v = ctx.id();
+    switch (ctx.round()) {
+      case 1:
+        ctx.broadcast(1, v);
+        break;
+      case 2:
+        if (v >= n_ / 2 && ctx.degree() > 0) ctx.send(0, 2, v);
+        break;
+      case 3:
+        if (ctx.degree() > 0) ctx.send(ctx.degree() - 1, 3, v);
+        break;
+      default:
+        ctx.halt();
+    }
+  }
+
+  const std::vector<std::vector<Recorded>>& inboxes() const {
+    return inboxes_;
+  }
+
+ private:
+  graph::NodeId n_;
+  std::vector<std::vector<Recorded>> inboxes_;
+};
+
+TEST(MessageArena, FirstPortSendSizesThePortSlotsOnce) {
+  // The first port sends come in round 2 from the upper half of the ids:
+  // on a pool, from the lanes of the later shards, several at once. The
+  // slots are sized then, exactly once: a second sizing would wipe the
+  // sends already stamped, which the exact inboxes below would show.
+  const graph::Graph g = [] {
+    util::Rng rng(15);
+    return graph::gen::gnp(64, 0.1, rng);
+  }();
+  const graph::NodeId n = g.num_nodes();
+  std::vector<std::vector<Recorded>> reference(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (const std::uint32_t tag : {0u, 1u}) {
+      for (const graph::NodeId u : g.neighbors(v)) {
+        reference[v].push_back({u, tag, u});
+      }
+    }
+    for (const graph::NodeId u : g.neighbors(v)) {
+      if (u >= n / 2 && g.neighbors(u).front() == v) {
+        reference[v].push_back({u, 2, u});
+      }
+    }
+    for (const graph::NodeId u : g.neighbors(v)) {
+      if (g.neighbors(u).back() == v) reference[v].push_back({u, 3, u});
+    }
+  }
+  // Per directed edge: a port slot per parity and a reverse port.
+  const std::uint64_t per_edge_bytes = 2 * 16 + 4;
+  for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+    const std::string label = "threads " + std::to_string(threads);
+    sim::NetworkOptions options;
+    options.num_threads = threads;
+    sim::Network net(g, 16, options);
+    const std::uint64_t before = net.footprint_bytes();
+    std::vector<std::uint64_t> slots;
+    LatePortSender algo(n);
+    const sim::RunStats stats =
+        net.run(algo, 5, [&](const sim::Network& net_now, std::uint32_t) {
+          slots.push_back(net_now.port_slots());
+        });
+    EXPECT_TRUE(stats.all_halted) << label;
+    EXPECT_EQ(algo.inboxes(), reference) << label;
+    // Sized in round 2, by its sends, and not before.
+    EXPECT_EQ(slots, (std::vector<std::uint64_t>{0, 4 * g.num_edges(),
+                                                 4 * g.num_edges(),
+                                                 4 * g.num_edges()}))
+        << label;
+    EXPECT_EQ(net.footprint_bytes(),
+              before + 2 * g.num_edges() * per_edge_bytes)
+        << label;
+    // A second run reuses them.
+    LatePortSender again(n);
+    net.run(again, 5);
+    EXPECT_EQ(again.inboxes(), reference) << label;
+    EXPECT_EQ(net.footprint_bytes(),
+              before + 2 * g.num_edges() * per_edge_bytes)
+        << label;
   }
 }
 

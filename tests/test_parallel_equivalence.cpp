@@ -447,13 +447,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,
 
 // ---------------------------------------------------------------------------
 // Arena message matrix: message-for-message equality of every delivered
-// inbox. The reference inboxes are the inline lane's (threads 0): it
-// flushes its staged sends in send order, which is ascending sender = port
-// order. Every pool size must reproduce them digest for digest — a wrapper
+// inbox. The reference inboxes are the inline lane's (threads 0): each is
+// gathered in its receiver's port order, which is ascending sender id.
+// Every pool size must reproduce them digest for digest — a wrapper
 // hash-chains each node's (src, tag, payload) stream — alongside the full
 // RunRecord. The graph list adds one with about 6000 directed edges, so
-// that a busy round stages several of the inline lane's 1024-entry flush
-// batches.
+// that a busy round stages several of the inline lane's 1024-entry read-k
+// flush batches.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kArenaThreadCounts[] = {1, 2, 4, 8};
@@ -586,8 +586,8 @@ TEST_P(ArenaEquivalence, BoundedArbMatchesReferenceInboxes) {
 
 TEST_P(ArenaEquivalence, BfsRootingMatchesReferenceInboxes) {
   // Reactive algorithm: terminates via the quiescence cut, which the
-  // arena answers from its staged-message counter — the cut must fire on
-  // exactly the same round whichever lane delivered the last message.
+  // Network answers from its in-flight counter — the cut must fire on
+  // exactly the same round whichever lane sent the last message.
   const std::uint64_t seed = GetParam();
   for (const GraphCase& gc : arena_graphs(seed)) {
     const auto run_with = [&](std::uint32_t threads) {
@@ -611,10 +611,10 @@ TEST_P(ArenaEquivalence, BfsRootingMatchesReferenceInboxes) {
 }
 
 TEST_P(ArenaEquivalence, FaultyLubyMatchesReferenceInboxes) {
-  // The faulty row of the matrix: duplicates fill the second arena slot
-  // of each directed edge, so this is the path where a layout or batching
-  // bug would first diverge. The fault ledger
-  // and final down mask ride along in the comparison.
+  // The faulty row of the matrix: every send is a port send whose slot
+  // records its fate, and duplicates double entries of the inbox, so this
+  // is the path where a layout or fate bug would first diverge. The fault
+  // ledger and final down mask ride along in the comparison.
   const std::uint64_t seed = GetParam();
   for (const GraphCase& gc : arena_graphs(seed)) {
     expect_arena_matches_reference(
