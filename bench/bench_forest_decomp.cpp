@@ -1,7 +1,8 @@
 // Experiment T5 (paper Lemma 3.8 machinery): the finishing toolbox —
 // (a) Barenboim–Elkin H-partition: ceil((2+eps)α) forests in O(log n)
 //     rounds,
-// (b) Cole–Vishkin: 3-coloring/MIS of a forest in O(log* n) rounds,
+// (b) Cole–Vishkin: 3-coloring of a forest in O(log* n) rounds, then the
+//     3-class sweep to an MIS,
 // (c) Linial bounded-degree MIS: O(log* n + D²) rounds, n-independent.
 #include "bench_common.h"
 #include "graph/properties.h"
@@ -72,15 +73,12 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const auto result = mis::ColeVishkin::run(
-        t, parent, mis::ColeVishkin::Mode::kForestMis, options.seed);
-    mis::MisResult mis_result;
-    mis_result.state = result.state;
+    const auto result = mis::cole_vishkin_mis(t, parent, options.seed);
     cv.row()
         .cell(std::uint64_t{n})
         .cell(std::uint64_t{result.stats.rounds})
         .cell(std::uint64_t{mis::ColeVishkin::reduction_iterations(n)})
-        .cell(verdict(mis::verify(t, mis_result).ok()));
+        .cell(verdict(mis::verify(t, result).ok()));
   }
   bench::emit(cv, options);
 

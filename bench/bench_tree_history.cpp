@@ -58,16 +58,13 @@ int main(int argc, char** argv) {
         beps.add(b.mis.stats.rounds);
 
         // Oriented-tree path: rooting cost (the orientation the paper's
-        // §1 contrast assumes given) + Cole–Vishkin MIS.
+        // §1 contrast assumes given) + Cole–Vishkin coloring and sweep.
         const auto root = sim::BfsRooting::run(t, options.seed + run,
                                                t.num_nodes() + 2);
         rooting.add(root.quiescence_round);
-        const auto colored = mis::ColeVishkin::run(
-            t, root.parent, mis::ColeVishkin::Mode::kForestMis);
-        mis::MisResult cv_result;
-        cv_result.state = colored.state;
-        verified = verified && mis::verify(t, cv_result).ok();
-        cv.add(colored.stats.rounds);
+        const auto oriented = mis::cole_vishkin_mis(t, root.parent);
+        verified = verified && mis::verify(t, oriented).ok();
+        cv.add(oriented.stats.rounds);
       }
       table.row()
           .cell(family)

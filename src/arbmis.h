@@ -31,7 +31,6 @@
 #include "mis/luby.h"             // IWYU pragma: export
 #include "mis/matching.h"         // IWYU pragma: export
 #include "mis/metivier.h"         // IWYU pragma: export
-#include "mis/slow_local.h"       // IWYU pragma: export
 #include "mis/sparse_mis.h"       // IWYU pragma: export
 #include "mis/verifier.h"         // IWYU pragma: export
 #include "readk/bounds.h"         // IWYU pragma: export

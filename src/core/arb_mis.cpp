@@ -8,7 +8,6 @@
 #include "mis/degree_reduction.h"
 #include "mis/linial.h"
 #include "mis/metivier.h"
-#include "mis/slow_local.h"
 #include "mis/gather_solve.h"
 #include "mis/sparse_mis.h"
 
@@ -27,7 +26,9 @@ mis::MisResult run_finisher(graph::GraphView sub, Finisher finisher,
     case Finisher::kLinial:
       return mis::LinialMis::run(sub, sub.max_degree(), seed);
     case Finisher::kElection:
-      return mis::ElectionMis::run(sub, seed);
+      return mis::MetivierMis::run(sub, seed,
+                                   {.priority = mis::PriorityRule::kId},
+                                   mis::kIdPriorityMaxRounds);
     case Finisher::kSparse: {
       mis::SparseMisResult sparse =
           mis::sparse_mis(sub, {.alpha = alpha}, seed);

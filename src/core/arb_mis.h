@@ -30,11 +30,15 @@ namespace arbmis::core {
 
 /// Which algorithm finishes a stage's leftover subgraph.
 enum class Finisher : std::uint8_t {
-  kMetivier,  ///< randomized, O(log residual) whp — pipeline default
+  kMetivier,  ///< random priorities, O(log residual) whp — pipeline default
   kLinial,    ///< deterministic, O(log* n + D²) for degree-D leftovers
-  kElection,  ///< deterministic id election — default for the bad set
+  kElection,  ///< MetivierMis with id priorities: deterministic parallel
+              ///< greedy, Θ(n) rounds worst case — default for the bad
+              ///< set, and the cleanup's finisher
   kSparse,    ///< Lemma 3.8 machinery: forest decomposition + Cole–Vishkin
+              ///< (the election past 6 forests)
   kGather,    ///< §2.1 literal: leaders gather small components and solve
+              ///< them with greedy_mis
 };
 
 struct ArbMisOptions {

@@ -3,12 +3,13 @@
 #include <bit>
 #include <stdexcept>
 
+#include "mis/color_sweep.h"
+
 namespace arbmis::mis {
 
 namespace {
 constexpr std::uint32_t kHelloRounds = 1;     // child discovery
 constexpr std::uint32_t kReducePairs = 3;     // colors 5, 4, 3 removed
-constexpr std::uint32_t kSweepRounds = 4;     // classes 0,1,2 + flush
 }  // namespace
 
 std::uint32_t ColeVishkin::reduction_iterations(graph::NodeId n) noexcept {
@@ -22,26 +23,19 @@ std::uint32_t ColeVishkin::reduction_iterations(graph::NodeId n) noexcept {
   return iterations;
 }
 
-std::uint32_t ColeVishkin::total_rounds(graph::NodeId n, Mode mode) noexcept {
-  std::uint32_t rounds =
-      kHelloRounds + reduction_iterations(n) + 2 * kReducePairs;
-  if (mode == Mode::kForestMis) rounds += kSweepRounds;
-  return rounds;
+std::uint32_t ColeVishkin::total_rounds(graph::NodeId n) noexcept {
+  return kHelloRounds + reduction_iterations(n) + 2 * kReducePairs;
 }
 
 ColeVishkin::ColeVishkin(graph::GraphView g,
-                         std::span<const graph::NodeId> parent, Mode mode)
+                         std::span<const graph::NodeId> parent)
     : graph_(g),
-      mode_(mode),
       reduction_rounds_(reduction_iterations(g.num_nodes())),
-      final_round_(total_rounds(g.num_nodes(), mode)),
       parent_port_(g.num_nodes(), graph::kNoParent),
       child_ports_(g.num_nodes()),
       color_(g.num_nodes(), 0),
       pre_shift_color_(g.num_nodes(), 0),
-      color3_(g.num_nodes(), 0),
-      state_(g.num_nodes(), MisState::kUndecided),
-      covered_(g.num_nodes(), false) {
+      color3_(g.num_nodes(), 0) {
   if (parent.size() != g.num_nodes()) {
     throw std::invalid_argument("ColeVishkin: parent array size mismatch");
   }
@@ -104,7 +98,6 @@ void ColeVishkin::on_round(sim::NodeContext& ctx,
       }
     }
     send_color_to_children(ctx, color_[v]);
-    if (round == final_round_) ctx.halt();  // degenerate tiny schedules
     return;
   }
 
@@ -154,28 +147,6 @@ void ColeVishkin::on_round(sim::NodeContext& ctx,
     send_color_to_children(ctx, color_[v]);
     if (round == pairs_end) {
       color3_[v] = static_cast<std::uint8_t>(color_[v]);
-      if (mode_ == Mode::kColorOnly) {
-        ctx.halt();
-        return;
-      }
-    }
-  } else if (mode_ == Mode::kForestMis && round > pairs_end) {
-    for (const sim::Message& m : inbox) {
-      if (m.tag == kJoined) covered_[v] = true;
-    }
-    const std::uint32_t sweep_class = round - pairs_end - 1;  // 0,1,2,3
-    if (sweep_class < 3 && !covered_[v] &&
-        state_[v] == MisState::kUndecided && color3_[v] == sweep_class) {
-      state_[v] = MisState::kInMis;
-      if (parent_port_[v] != graph::kNoParent) {
-        ctx.send(parent_port_[v], kJoined, 0);
-      }
-      for (graph::NodeId port : child_ports_[v]) ctx.send(port, kJoined, 0);
-    }
-    if (round == final_round_) {
-      if (state_[v] == MisState::kUndecided) {
-        state_[v] = covered_[v] ? MisState::kCovered : MisState::kInMis;
-      }
       ctx.halt();
     }
   }
@@ -183,14 +154,27 @@ void ColeVishkin::on_round(sim::NodeContext& ctx,
 
 ColeVishkin::Result ColeVishkin::run(graph::GraphView g,
                                      std::span<const graph::NodeId> parent,
-                                     Mode mode, std::uint64_t seed) {
-  ColeVishkin algorithm(g, parent, mode);
+                                     std::uint64_t seed) {
+  ColeVishkin algorithm(g, parent);
   sim::Network net(g, seed);
   Result result;
-  result.stats =
-      net.run(algorithm, total_rounds(g.num_nodes(), mode) + 1);
+  result.stats = net.run(algorithm, total_rounds(g.num_nodes()) + 1);
   result.colors = algorithm.color3_;
-  if (mode == Mode::kForestMis) result.state = algorithm.state_;
+  return result;
+}
+
+MisResult cole_vishkin_mis(graph::GraphView g,
+                           std::span<const graph::NodeId> parent,
+                           std::uint64_t seed) {
+  ColeVishkin coloring(g, parent);
+  sim::Network net(g, seed);
+  MisResult result;
+  result.stats =
+      net.run(coloring, ColeVishkin::total_rounds(g.num_nodes()) + 1);
+  ColorSweepMis sweep(
+      g, {coloring.colors().begin(), coloring.colors().end()}, 3);
+  result.stats.absorb(net.run(sweep, sweep.total_rounds() + 1));
+  result.state = sweep.states();
   return result;
 }
 

@@ -1,8 +1,14 @@
 // Color-class sweep: given a proper coloring of the graph with C classes,
 // computes an MIS in C+1 rounds by letting class c join in round c+1
 // (minus nodes already covered by earlier classes). SparseMis's final
-// step over its composite coloring; LinialMis and ColeVishkin's
-// kForestMis mode run the same sweep built into their own schedules.
+// step over its composite coloring, and cole_vishkin_mis's over a
+// forest's 3 classes.
+//
+// Only LinialMis keeps its own sweep, built into its schedule: when the
+// schedule has no reduction step (R = 0, as on the Finisher::kLinial
+// pin's graph) its round-0 color broadcast is delivered in sweep round 1,
+// and those 2m messages are part of its pinned count. A separate sweep
+// run would start on empty inboxes and drop them.
 #pragma once
 
 #include <cstdint>

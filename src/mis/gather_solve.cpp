@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "mis/greedy.h"
 #include "sim/bfs_rooting.h"
 
 namespace arbmis::mis {
@@ -52,47 +53,36 @@ void GatherSolveMis::on_start(sim::NodeContext& ctx) {
 }
 
 void GatherSolveMis::solve_locally(graph::NodeId leader) {
-  // Reconstruct the component and run greedy MIS by ascending id.
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+  // Rebuild the component on dense local ids, its nodes in sorted order,
+  // so greedy_mis's ascending-id scan is the ascending original-id greedy.
+  // No hashed containers in the decision path, so the solve's memory
+  // behavior is as deterministic as its output (tools/arbmis_audit.py
+  // --explain DET004).
   std::vector<graph::NodeId> nodes{leader};
   for (std::uint64_t code : gathered_[leader]) {
-    const auto a = static_cast<graph::NodeId>(code >> 32);
-    const auto b = static_cast<graph::NodeId>(code & 0xffffffffu);
-    edges.push_back({a, b});
-    nodes.push_back(a);
-    nodes.push_back(b);
+    nodes.push_back(static_cast<graph::NodeId>(code >> 32));
+    nodes.push_back(static_cast<graph::NodeId>(code & 0xffffffffu));
   }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-
-  // Dense local indices into the sorted node list: no hashed containers in
-  // the decision path, so the sweep's memory behavior is as deterministic
-  // as its output (tools/arbmis_audit.py --explain DET004).
-  const auto idx = [&nodes](graph::NodeId node) {
-    return static_cast<std::size_t>(
+  const auto local = [&nodes](std::uint64_t node) {
+    return static_cast<graph::NodeId>(
         std::lower_bound(nodes.begin(), nodes.end(), node) - nodes.begin());
   };
-  std::vector<bool> covered(nodes.size(), false);
-  std::vector<bool> in_mis(nodes.size(), false);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    // ascending id = deterministic greedy
-    if (covered[i]) continue;
-    in_mis[i] = true;
-    for (const auto& [a, b] : edges) {
-      if (a == nodes[i]) covered[idx(b)] = true;
-      if (b == nodes[i]) covered[idx(a)] = true;
-    }
+  graph::Builder component(static_cast<graph::NodeId>(nodes.size()));
+  for (std::uint64_t code : gathered_[leader]) {
+    component.add_edge(local(code >> 32), local(code & 0xffffffffu));
   }
+  const MisResult greedy = greedy_mis(component.build());
+
   // Queue decisions (own one applies immediately) and the end marker.
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
+  for (graph::NodeId i = 0; i < nodes.size(); ++i) {
     const graph::NodeId node = nodes[i];
-    const std::uint64_t payload = encode_pair(node, in_mis[i] ? 1 : 0);
     if (node == leader) {
-      state_[leader] =
-          in_mis[i] ? MisState::kInMis : MisState::kCovered;
+      state_[leader] = greedy.state[i];
       decided_[leader] = true;
     }
-    down_queue_[leader].push_back(payload);
+    down_queue_[leader].push_back(encode_pair(node, greedy.in_mis(i) ? 1 : 0));
   }
   down_queue_[leader].push_back(encode_pair(kEndMarker, 0));
 }

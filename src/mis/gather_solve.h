@@ -13,9 +13,9 @@
 //      as (u, v) in a single 64-bit payload. O(component edges +
 //      diameter) rounds; the component-size bound from Lemma 3.7 is what
 //      makes this affordable.
-//   4. The leader runs greedy MIS (smallest id first) on the gathered
-//      component and floods one decision per node down the tree, again
-//      pipelined one message per edge per round.
+//   4. The leader solves the gathered component with mis::greedy_mis
+//      (smallest id first) and floods one decision per node down the
+//      tree, again pipelined one message per edge per round.
 //
 // Rounds: O(rooting budget + m_C + diameter_C) where m_C is the largest
 // component's edge count. The budget parameter bounds phase 1 (callers

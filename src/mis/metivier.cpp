@@ -5,18 +5,44 @@
 
 namespace arbmis::mis {
 
+namespace {
+
+/// n^4 computed with saturation: at n = 2^16 the product is exactly 2^64
+/// and plain multiplication wraps to 0, which would collapse every
+/// priority to the same value (ties never win, so the competition would
+/// spin forever).
+std::uint64_t luby_a_range(graph::NodeId num_nodes) noexcept {
+  const auto n = std::max<std::uint64_t>(num_nodes, 2);
+  std::uint64_t range = 1;
+  for (int i = 0; i < 4; ++i) {
+    if (range > std::numeric_limits<std::uint64_t>::max() / n) {
+      return std::numeric_limits<std::uint64_t>::max();
+    }
+    range *= n;
+  }
+  return range;
+}
+
+}  // namespace
+
 MetivierMis::MetivierMis(graph::GraphView g, Options options)
     : options_(options),
+      luby_a_range_(luby_a_range(g.num_nodes())),
       state_(g.num_nodes(), MisState::kUndecided),
       my_priority_(g.num_nodes(), 0) {}
 
 void MetivierMis::start_iteration(sim::NodeContext& ctx) {
   const graph::NodeId v = ctx.id();
-  std::uint64_t r = 0;
-  if (options_.priority_range == 0) {
-    r = ctx.rng().next();
-  } else {
-    r = ctx.rng().below(options_.priority_range) + 1;
+  std::uint64_t r = v;
+  switch (options_.priority) {
+    case PriorityRule::kRandom:
+      r = ctx.rng().next();
+      break;
+    case PriorityRule::kLubyA:
+      r = ctx.rng().below(luby_a_range_) + 1;
+      break;
+    case PriorityRule::kId:
+      break;
   }
   my_priority_[v] = r;
   ctx.broadcast(kPriority, r);
@@ -78,22 +104,8 @@ MisResult MetivierMis::run(graph::GraphView g, std::uint64_t seed,
 
 MisResult luby_a_mis(graph::GraphView g, std::uint64_t seed,
                      std::uint32_t max_rounds) {
-  // Priorities from {1, ..., n^4}, computed with saturation: at n = 2^16
-  // the product is exactly 2^64 and plain multiplication wraps to 0,
-  // which would collapse every priority to the same value (ties never
-  // win, so the competition would spin forever).
-  const auto n = std::max<std::uint64_t>(g.num_nodes(), 2);
-  std::uint64_t range = 1;
-  for (int i = 0; i < 4; ++i) {
-    if (range > std::numeric_limits<std::uint64_t>::max() / n) {
-      range = std::numeric_limits<std::uint64_t>::max();
-      break;
-    }
-    range *= n;
-  }
-  MetivierMis::Options options;
-  options.priority_range = range;
-  return MetivierMis::run(g, seed, options, max_rounds);
+  return MetivierMis::run(g, seed, {.priority = PriorityRule::kLubyA},
+                          max_rounds);
 }
 
 }  // namespace arbmis::mis

@@ -4,8 +4,18 @@
 // priority and joins the MIS iff its priority strictly beats all active
 // neighbors; MIS nodes and their neighbors leave the graph.
 //
-// Luby's Algorithm A (priorities from {1, ..., n^4}) is the same protocol
-// with a discrete priority range, exposed here via Options::priority_range.
+// The priority rule (MetivierOptions::priority) is what a node competes
+// with in each iteration:
+//   * kRandom — a fresh random 64-bit word (Métivier et al.; the default);
+//   * kLubyA  — uniform in {1, ..., n^4}, saturating (Luby's Algorithm A,
+//               see luby_a_mis);
+//   * kId     — the node's own id, with no draw: the deterministic
+//               election that finishes the bad set (paper §2.1, Lemma 3.8;
+//               Finisher::kElection, SparseMis's fallback). Over fixed
+//               priorities the competition is parallel greedy — every
+//               local maximum joins — so a path whose ids increase gains
+//               one MIS node every two rounds: Θ(n) rounds, hence
+//               kIdPriorityMaxRounds.
 //
 // Round layout: the protocol is fully pipelined at one round per
 // iteration. In round t every active node (1) covers and halts if a
@@ -26,14 +36,18 @@
 
 namespace arbmis::mis {
 
+/// What a node competes with in each iteration (see the header comment).
+/// Ties never win, matching both papers.
+enum class PriorityRule : std::uint8_t { kRandom, kLubyA, kId };
+
+/// Round budget of an id-priority run: Θ(n) rounds in the worst case.
+inline constexpr std::uint32_t kIdPriorityMaxRounds = 1 << 24;
+
 /// Options for MetivierMis (namespace scope so it can carry default
 /// member initializers and still be a default argument — GCC rejects that
 /// combination for nested classes).
 struct MetivierOptions {
-  /// 0 = continuous priorities (full 64-bit draws, Métivier et al.);
-  /// k > 0 = uniform integer priorities from {1, ..., k} (Luby A uses
-  /// n^4). Ties never win, matching both papers.
-  std::uint64_t priority_range = 0;
+  PriorityRule priority = PriorityRule::kRandom;
 };
 
 class MetivierMis : public sim::Algorithm {
@@ -60,6 +74,7 @@ class MetivierMis : public sim::Algorithm {
   void start_iteration(sim::NodeContext& ctx);
 
   Options options_;
+  std::uint64_t luby_a_range_;  // n^4, saturated; read under kLubyA only
   std::vector<MisState> state_;
   std::vector<std::uint64_t> my_priority_;
 };

@@ -5,7 +5,7 @@
 #include "mis/cole_vishkin.h"
 #include "mis/color_sweep.h"
 #include "mis/forest_decomposition.h"
-#include "mis/slow_local.h"
+#include "mis/metivier.h"
 
 namespace arbmis::mis {
 
@@ -38,11 +38,11 @@ SparseMisResult sparse_mis(graph::GraphView g, SparseMisOptions options,
   result.composite_classes = classes;
 
   if (classes > kCompositeClassBudget) {
-    // Fallback: deterministic election (still deterministic, as Lemma 3.8
-    // requires, just without the coloring shortcut).
+    // Fallback: the id-priority competition (still deterministic, as
+    // Lemma 3.8 requires, just without the coloring shortcut).
     result.used_fallback = true;
-    ElectionMis election(g);
-    const sim::RunStats stats = net.run(election, 1 << 24);
+    MetivierMis election(g, {.priority = PriorityRule::kId});
+    const sim::RunStats stats = net.run(election, kIdPriorityMaxRounds);
     result.mis.stats.absorb(stats);
     result.mis.state = election.states();
     return result;
@@ -52,11 +52,9 @@ SparseMisResult sparse_mis(graph::GraphView g, SparseMisOptions options,
   std::vector<std::uint64_t> composite(g.num_nodes(), 0);
   std::uint64_t radix = 1;
   for (graph::NodeId f = 0; f < result.num_forests; ++f) {
-    ColeVishkin coloring(g, forests.forest_parent[f],
-                         ColeVishkin::Mode::kColorOnly);
-    const sim::RunStats stats = net.run(
-        coloring,
-        ColeVishkin::total_rounds(g.num_nodes(), ColeVishkin::Mode::kColorOnly) + 1);
+    ColeVishkin coloring(g, forests.forest_parent[f]);
+    const sim::RunStats stats =
+        net.run(coloring, ColeVishkin::total_rounds(g.num_nodes()) + 1);
     result.mis.stats.absorb(stats);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       composite[v] += radix * coloring.colors()[v];

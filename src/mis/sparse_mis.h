@@ -8,8 +8,9 @@
 // color-class sweep finishes deterministically. The sweep is exponential
 // in k, so it is used when 3^k stays within kCompositeClassBudget — the
 // regime the paper uses it in (small components / small α); beyond the
-// budget SparseMis falls back to the deterministic election finisher,
-// reported in the result so benchmarks can see which path ran.
+// budget SparseMis falls back to the deterministic election (MetivierMis
+// with id priorities, the Finisher::kElection protocol), reported in the
+// result so benchmarks can see which path ran.
 //
 // Total rounds: O(log n) decomposition + k·O(log* n) coloring + 3^k sweep.
 #pragma once
@@ -21,8 +22,9 @@
 
 namespace arbmis::mis {
 
-/// SparseMis falls back to ElectionMis when 3^(#forests) exceeds this:
-/// up to 6 forests take the color sweep, 7 or more the fallback.
+/// SparseMis falls back to the id-priority competition when 3^(#forests)
+/// exceeds this: up to 6 forests take the color sweep, 7 or more the
+/// fallback.
 inline constexpr std::uint64_t kCompositeClassBudget = 2048;
 
 struct SparseMisOptions {

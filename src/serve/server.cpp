@@ -13,6 +13,9 @@ namespace arbmis::serve {
 
 namespace {
 
+/// Pending-connection queue length passed to listen().
+constexpr int kListenBacklog = 64;
+
 void close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
 }
@@ -54,7 +57,7 @@ Server::Server(MisService& service, const ServerOptions& options)
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0 ||
-      ::listen(listen_fd_, options.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string what = std::strerror(errno);
     close_quiet(listen_fd_);
     throw std::runtime_error("serve: bind/listen: " + what);

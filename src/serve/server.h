@@ -29,7 +29,6 @@ namespace arbmis::serve {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back with port()
-  int backlog = 64;
 };
 
 class Server {

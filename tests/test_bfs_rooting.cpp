@@ -84,16 +84,14 @@ TEST(BfsRooting, StabilizesWithinDiameterPlusOne) {
 
 TEST(BfsRooting, ComposesWithColeVishkinIntoDistributedTreeMis) {
   // The fully distributed tree MIS of the paper's §1: O(diameter) rooting
-  // + O(log* n) Cole–Vishkin, no central orientation anywhere.
+  // + O(log* n) Cole–Vishkin coloring + the 3-class sweep, no central
+  // orientation anywhere.
   util::Rng rng(13);
   const graph::Graph t = graph::gen::random_tree(500, rng);
   const auto rooting = BfsRooting::run(t, 1, t.num_nodes());
   ASSERT_TRUE(rooting.stabilized);
-  const auto cv = mis::ColeVishkin::run(t, rooting.parent,
-                                        mis::ColeVishkin::Mode::kForestMis);
-  mis::MisResult result;
-  result.state = cv.state;
-  EXPECT_TRUE(mis::verify(t, result).ok());
+  EXPECT_TRUE(
+      mis::verify(t, mis::cole_vishkin_mis(t, rooting.parent)).ok());
 }
 
 TEST(BfsRooting, ForestConsistencyAuditCatchesLies) {

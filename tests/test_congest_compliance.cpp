@@ -22,7 +22,6 @@
 #include "mis/luby.h"
 #include "mis/matching.h"
 #include "mis/metivier.h"
-#include "mis/slow_local.h"
 #include "sim/bfs_rooting.h"
 
 namespace arbmis {
@@ -44,7 +43,10 @@ TEST(CongestCompliance, AllSimulatedAlgorithmsRespectEdgeBudget) {
     EXPECT_LE(mis::MetivierMis::run(g, i).stats.max_edge_load, 1u);
     EXPECT_LE(mis::LubyBMis::run(g, i).stats.max_edge_load, 1u);
     EXPECT_LE(mis::GhaffariMis::run(g, i).stats.max_edge_load, 1u);
-    EXPECT_LE(mis::ElectionMis::run(g, i).stats.max_edge_load, 1u);
+    EXPECT_LE(mis::MetivierMis::run(g, i, {.priority = mis::PriorityRule::kId},
+                                    mis::kIdPriorityMaxRounds)
+                  .stats.max_edge_load,
+              1u);
     EXPECT_LE(mis::IsraeliItaiMatching::run(g, i).stats.max_edge_load, 1u);
     EXPECT_LE(mis::LinialMis::run(g, g.max_degree(), i).stats.max_edge_load,
               1u);
@@ -66,8 +68,7 @@ TEST(CongestCompliance, ColeVishkinRespectsEdgeBudget) {
   const graph::Graph t = graph::gen::random_tree(400, rng);
   const auto rooting = sim::BfsRooting::run(t, 1, t.num_nodes());
   ASSERT_TRUE(rooting.stabilized);
-  const auto cv = mis::ColeVishkin::run(t, rooting.parent,
-                                        mis::ColeVishkin::Mode::kForestMis);
+  const auto cv = mis::cole_vishkin_mis(t, rooting.parent);
   EXPECT_LE(cv.stats.max_edge_load, 1u);
 }
 

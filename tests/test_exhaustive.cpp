@@ -15,7 +15,6 @@
 #include "mis/luby.h"
 #include "mis/matching.h"
 #include "mis/metivier.h"
-#include "mis/slow_local.h"
 #include "mis/verifier.h"
 
 namespace arbmis {
@@ -46,7 +45,11 @@ TEST(Exhaustive, AllMisAlgorithmsOnAllGraphsUpTo5Nodes) {
           << "luby_b n=" << n << " bits=" << bits;
       EXPECT_TRUE(mis::verify(g, mis::GhaffariMis::run(g, seed)).ok())
           << "ghaffari n=" << n << " bits=" << bits;
-      EXPECT_TRUE(mis::verify(g, mis::ElectionMis::run(g, seed)).ok())
+      EXPECT_TRUE(mis::verify(g, mis::MetivierMis::run(
+                                     g, seed,
+                                     {.priority = mis::PriorityRule::kId},
+                                     mis::kIdPriorityMaxRounds))
+                      .ok())
           << "election n=" << n << " bits=" << bits;
       EXPECT_TRUE(mis::verify_maximal_matching(
           g, mis::IsraeliItaiMatching::run(g, seed)))

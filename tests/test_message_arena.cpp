@@ -162,7 +162,7 @@ TEST(MessageArena, SlotLayoutMatchesCsrAndInboxIsPortOrdered) {
   EXPECT_EQ(algo.inbox(3), (std::vector<Recorded>{{2, 0, 2}}));
 }
 
-TEST(MessageArena, IsolatedNodesGetEmptyRegions) {
+TEST(MessageArena, IsolatedNodesGatherEmptyInboxes) {
   // Nodes 3 and 4 have no edges: their rows are empty, so their inboxes
   // stay empty, but they still receive callbacks and halt.
   const std::vector<graph::Edge> edges = {{0, 1}, {1, 2}};
@@ -179,7 +179,7 @@ TEST(MessageArena, IsolatedNodesGetEmptyRegions) {
             (std::vector<Recorded>{{0, 0, 0}, {2, 0, 2}}));
 }
 
-TEST(MessageArena, OneSlotPerDirectedEdgeTwoWithAnInjector) {
+TEST(MessageArena, AnInjectorSizesOnePortSlotPerDirectedEdgeAndParity) {
   // Port slots: one per directed edge and round parity, each recording a
   // fate of up to two copies with an injector. A fault-free Network sizes
   // none until its first port send; an injector makes every send a port
@@ -285,7 +285,7 @@ TEST(MessageArena, SelfLoopsAreRejectedAtGraphConstruction) {
   EXPECT_THROW(graph::from_edges(4, loop), std::invalid_argument);
 }
 
-TEST(MessageArena, OccupancyResetsBetweenRounds) {
+TEST(MessageArena, InboxesHoldOnlyThePreviousRoundsSends) {
   const graph::Graph g = graph::gen::path(6);
   sim::Network net(g, 3);
   AlternatingBroadcast algo(6, /*rounds=*/5);
@@ -300,7 +300,7 @@ TEST(MessageArena, OccupancyResetsBetweenRounds) {
   EXPECT_EQ(algo.sizes(5), endpoint);
 }
 
-TEST(MessageArena, OccupancyResetsBetweenRuns) {
+TEST(MessageArena, UndeliveredSendsDoNotLeakIntoTheNextRun) {
   // Two runs on one Network: the second must start from clean inboxes
   // (RNG streams persist by contract, but these algorithms draw none).
   const graph::Graph g = graph::gen::path(5);
@@ -319,10 +319,10 @@ TEST(MessageArena, OccupancyResetsBetweenRuns) {
   }
 }
 
-TEST(MessageArena, DuplicateStormFillsBothSlotsInDeliveryOrder) {
+TEST(MessageArena, DuplicateStormDeliversEachCopyBehindItsOriginal) {
   // duplicate_rate = 1.0: every send is delivered twice, so every node
-  // receives 2 * degree copies, filling its two-slots-per-edge region.
-  // Delivery order puts each duplicate right behind its original.
+  // receives 2 * degree copies, and its gather puts each duplicate right
+  // behind its original.
   const graph::Graph g = graph::gen::path(4);
   fault::IidAdversary adversary({.duplicate_rate = 1.0});
   fault::FaultPlan plan(g, 5, adversary);

@@ -10,11 +10,17 @@
 #include "mis/ghaffari.h"
 #include "mis/luby.h"
 #include "mis/metivier.h"
-#include "mis/slow_local.h"
 #include "mis/verifier.h"
+#include "sim/network.h"
 
 namespace arbmis::mis {
 namespace {
+
+/// The deterministic election: MetivierMis with id priorities.
+MisResult election(graph::GraphView g, std::uint64_t seed) {
+  return MetivierMis::run(g, seed, {.priority = PriorityRule::kId},
+                          kIdPriorityMaxRounds);
+}
 
 struct GraphCase {
   std::string name;
@@ -78,7 +84,7 @@ std::vector<AlgorithmCase> algorithm_battery() {
        }},
       {"election",
        [](const graph::Graph& g, std::uint64_t seed) {
-         return ElectionMis::run(g, seed);
+         return election(g, seed);
        }},
   };
 }
@@ -161,16 +167,74 @@ TEST(LubyA, PriorityRangeSaturatesAtHugeN) {
 TEST(Election, DeterministicAndSeedIndependent) {
   util::Rng rng(83);
   const graph::Graph g = graph::gen::gnp(60, 0.1, rng);
-  const MisResult a = ElectionMis::run(g, 1);
-  const MisResult b = ElectionMis::run(g, 999);
+  const MisResult a = election(g, 1);
+  const MisResult b = election(g, 999);
   EXPECT_EQ(a.state, b.state);  // the election never consults the RNG
 }
 
 TEST(Election, PicksLocalMaxima) {
   const graph::Graph g = graph::gen::path(3);
-  const MisResult result = ElectionMis::run(g, 0);
+  const MisResult result = election(g, 0);
   EXPECT_TRUE(result.in_mis(2));
   EXPECT_TRUE(result.in_mis(0));
+}
+
+/// FNV-1a over the per-node MIS states (the hash test_determinism pins).
+std::uint64_t state_hash(const std::vector<MisState>& state) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const MisState s : state) {
+    h ^= static_cast<std::uint64_t>(s);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Election, MatchesTheFormerElectionPins) {
+  // Labels hash, rounds and messages recorded from the election's former
+  // separate implementation (its own tags, same protocol). path(64) has
+  // increasing ids, the worst case: one MIS node every two rounds.
+  util::Rng rng(2024);
+  const graph::Graph tree = graph::gen::random_tree(2000, rng);
+  const graph::Graph path = graph::gen::path(64);
+  const graph::Graph star = graph::gen::star(30);
+  const struct {
+    const char* name;
+    const graph::Graph& g;
+    std::uint64_t hash;
+    std::uint32_t rounds;
+    std::uint64_t messages;
+  } pins[] = {
+      {"path", path, 0x929b6d41626ca1e5ULL, 64u, 4064u},
+      {"star", star, 0x7d8c3ef933d2f610ULL, 2u, 87u},
+      {"random_tree", tree, 0x3a4731c10cdd6b29ULL, 6u, 7044u},
+  };
+  for (const auto& pin : pins) {
+    const MisResult result = election(pin.g, 1);
+    EXPECT_EQ(state_hash(result.state), pin.hash) << pin.name;
+    EXPECT_EQ(result.stats.rounds, pin.rounds) << pin.name;
+    EXPECT_EQ(result.stats.messages, pin.messages) << pin.name;
+  }
+}
+
+TEST(Election, DrawsNoRandomnessOnAnyExecutor) {
+  // Id priorities are fixed: no node draws, so the checker's read
+  // multiplicity k is 0, and neither the seed nor the executor changes the
+  // labels.
+  util::Rng rng(2024);
+  const graph::Graph g = graph::gen::random_tree(2000, rng);
+  const std::vector<MisState> expected = election(g, 1).state;
+  for (const std::uint32_t threads : {0u, 1u, 2u, 8u}) {
+    for (const std::uint64_t seed : {1u, 999u}) {
+      sim::NetworkOptions options;
+      options.num_threads = threads;
+      sim::Network net(g, seed, options);
+      MetivierMis algorithm(g, {.priority = PriorityRule::kId});
+      net.run(algorithm, kIdPriorityMaxRounds);
+      EXPECT_EQ(net.total_rng_draws(), 0u) << threads << " " << seed;
+      EXPECT_EQ(net.model_check_report().k, 0u) << threads << " " << seed;
+      EXPECT_EQ(algorithm.states(), expected) << threads << " " << seed;
+    }
+  }
 }
 
 TEST(Ghaffari, DesiresStayInRange) {
