@@ -8,9 +8,10 @@
 //
 //   kTestAndSet       round-synchronous local-minima engine: every alive
 //                     node with the smallest (priority, id) among its alive
-//                     neighbors joins, then test-and-sets its neighbors out
-//                     of the alive set with relaxed atomics. Dense remnants
-//                     switch to bitset adjacency (word-parallel removal).
+//                     neighbors joins, then clears itself and its neighbors
+//                     out of the alive set with relaxed stores. Each round
+//                     scans only a frontier of the nodes still alive, which
+//                     it compacts as it counts them.
 //   kPrefixGreedy     Blelloch-style rootset-prefix parallel randomized
 //                     greedy (the algorithm Fischer–Noever prove runs in
 //                     O(log n) dependency depth): nodes sorted by priority,

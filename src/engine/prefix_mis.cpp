@@ -67,7 +67,8 @@ EngineResult solve_prefix(graph::GraphView g, const EngineOptions& options,
       // Rootset detection: i-th order slot is a root iff node order[i] is
       // undecided and no undecided neighbor precedes it in the order.
       // Reads the decided snapshot only; writes is_root[i - lo], own slot.
-      workers.run_ranges(span, [&](graph::NodeId begin, graph::NodeId end) {
+      workers.run_ranges(span, [&](std::uint32_t, graph::NodeId begin,
+                                   graph::NodeId end) {
         for (graph::NodeId s = begin; s < end; ++s) {
           const graph::NodeId v = order[lo + s];
           if (decided[v].load(std::memory_order_relaxed) != kUndecided) {
@@ -89,7 +90,8 @@ EngineResult solve_prefix(graph::GraphView g, const EngineOptions& options,
       // Commit: roots join, neighbors get covered. A covered neighbor can
       // never already be a member (it would have covered the root first),
       // so the concurrent relaxed stores all write kCovered — same value.
-      workers.run_ranges(span, [&](graph::NodeId begin, graph::NodeId end) {
+      workers.run_ranges(span, [&](std::uint32_t, graph::NodeId begin,
+                                   graph::NodeId end) {
         for (graph::NodeId s = begin; s < end; ++s) {
           if (is_root[s] == 0) continue;
           const graph::NodeId v = order[lo + s];

@@ -1,10 +1,10 @@
-// Engine (a): atomic test-and-set MIS.
+// Engine (a): atomic test-and-set MIS on a shrinking frontier.
 //
 // Round-synchronous local-minima elimination over static priorities: every
 // alive node whose (priority, id) beats all alive neighbors joins the MIS
-// and test-and-sets its neighborhood out of the alive set. Two adjacent
-// nodes can never both be local minima, so joins are conflict-free; the
-// only concurrent writes are same-value relaxed stores into the alive
+// and clears its neighborhood out of the alive set. Two adjacent nodes can
+// never both be local minima, so joins are conflict-free; the only
+// concurrent writes are same-value relaxed stores of 0 into the alive
 // flags, which is why the engine is lock-free AND byte-identical across
 // thread counts: each round's decisions read a snapshot frozen at the
 // round barrier.
@@ -15,14 +15,17 @@
 // count is the parallel dependency depth, O(log n) w.h.p. for random
 // priorities (Fischer–Noever, arXiv:1707.05124).
 //
-// Dense remnant: once few nodes survive, rescanning their CSR adjacency
-// per round touches mostly-dead neighbors. The engine then compacts the
-// alive remnant into bitset adjacency rows and finishes with word-parallel
-// neighborhood removal (alive &= ~row). The switch is a pure function of
-// (n, alive count), so it cannot perturb determinism.
+// Frontier rounds: the ids still alive are kept ascending in a frontier
+// array, so a round touches only those nodes and their rows, never all n.
+// A round is two barriers. First, each worker compacts its contiguous
+// range of the frontier down to the nodes still alive and tests each
+// survivor; the ranges are then joined in order, and the joined length is
+// the alive count. Second, each worker commits the winners its range
+// found. The loop ends when the compaction leaves nothing alive.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "engine/engine.h"
@@ -32,96 +35,46 @@ namespace arbmis::engine::internal {
 
 namespace {
 
-/// Dense-phase ceiling: 4096 alive nodes is a 2 MiB bit matrix — the
-/// most the compaction is ever worth. The per-run cutoff is
-/// min(kDenseCeiling, max(64, n/8)), so small graphs still exercise the
-/// sparse parallel rounds instead of jumping straight to the serial
-/// remnant.
-constexpr std::uint64_t kDenseCeiling = 4096;
+/// Rows up to this length are tested branch-free, as an OR over the row;
+/// longer rows (the hubs, every row of a dense graph) keep the early exit.
+/// Both halves are measured (EXPERIMENTS.md E1): on the engine workload's
+/// hubbed_forest_union(2^16, 2, 64) the early exit alone is slower, and
+/// on dense graphs an OR over every row is 30-150x slower. Cutoffs 4 to
+/// 64 read alike.
+constexpr std::size_t kBranchFreeRow = 16;
 
-/// Finishes the remnant on compacted bitset adjacency, serially (the
-/// remnant is small by construction).
-/// `alive` flags double as input and output: members are recorded in
-/// `result`, every compacted node ends not-alive.
-void finish_dense(graph::GraphView g, std::span<const std::uint64_t> priority,
-                  std::vector<std::atomic<std::uint8_t>>& alive,
-                  EngineResult& result) {
-  std::vector<graph::NodeId> ids;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (alive[v].load(std::memory_order_relaxed) != 0) ids.push_back(v);
-  }
-  const std::uint64_t a = ids.size();
-  if (a == 0) return;
-  const std::uint64_t words = (a + 63) / 64;
-
-  // Dense index of each alive node; dead nodes keep a sentinel.
-  std::vector<std::uint32_t> dense_index(g.num_nodes(), UINT32_MAX);
-  for (std::uint64_t i = 0; i < a; ++i) dense_index[ids[i]] = static_cast<std::uint32_t>(i);
-
-  // Adjacency rows restricted to the remnant.
-  std::vector<std::uint64_t> rows(a * words, 0);
-  for (std::uint64_t i = 0; i < a; ++i) {
-    for (const graph::NodeId w : g.neighbors(ids[i])) {
-      const std::uint32_t j = dense_index[w];
-      if (j != UINT32_MAX) rows[i * words + j / 64] |= 1ULL << (j % 64);
-    }
-  }
-
-  std::vector<std::uint64_t> live(words, 0);
-  for (std::uint64_t i = 0; i < a; ++i) live[i / 64] |= 1ULL << (i % 64);
-  std::vector<std::uint64_t> joined(words, 0);
-
-  std::uint64_t remaining = a;
-  while (remaining > 0) {
-    ++result.rounds;
-    std::fill(joined.begin(), joined.end(), 0);
-    for (std::uint64_t wd = 0; wd < words; ++wd) {
-      std::uint64_t bits = live[wd];
-      while (bits != 0) {
-        const auto bit = static_cast<std::uint64_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        const std::uint64_t i = wd * 64 + bit;
-        const graph::NodeId v = ids[i];
-        bool is_min = true;
-        // Local-minimum test over the still-live neighborhood.
-        for (std::uint64_t nw = 0; nw < words && is_min; ++nw) {
-          std::uint64_t nb = rows[i * words + nw] & live[nw];
-          while (nb != 0) {
-            const auto nbit = static_cast<std::uint64_t>(__builtin_ctzll(nb));
-            nb &= nb - 1;
-            const graph::NodeId u = ids[nw * 64 + nbit];
-            if (less(priority, u, v)) {
-              is_min = false;
-              break;
-            }
-          }
-        }
-        if (is_min) joined[wd] |= 1ULL << bit;
+/// True when no alive neighbor of v precedes it in the (priority, id) order.
+bool is_local_min(graph::GraphView g, std::span<const std::uint64_t> priority,
+                  const std::vector<std::atomic<std::uint8_t>>& alive,
+                  graph::NodeId v) {
+  const std::span<const graph::NodeId> row = g.neighbors(v);
+  if (row.size() > kBranchFreeRow) {
+    for (const graph::NodeId w : row) {
+      if (alive[w].load(std::memory_order_relaxed) != 0 &&
+          less(priority, w, v)) {
+        return false;
       }
     }
-    // Commit: members leave with their whole neighborhood, word-parallel.
-    for (std::uint64_t wd = 0; wd < words; ++wd) {
-      std::uint64_t bits = joined[wd];
-      while (bits != 0) {
-        const auto bit = static_cast<std::uint64_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        const std::uint64_t i = wd * 64 + bit;
-        result.in_mis[ids[i]] = 1;
-        for (std::uint64_t nw = 0; nw < words; ++nw) {
-          live[nw] &= ~rows[i * words + nw];
-        }
-        live[wd] &= ~(1ULL << bit);
-      }
-    }
-    remaining = 0;
-    for (const std::uint64_t wd : live) {
-      remaining += static_cast<std::uint64_t>(__builtin_popcountll(wd));
-    }
+    return true;
   }
-  for (const graph::NodeId v : ids) {
-    alive[v].store(0, std::memory_order_relaxed);
+  const std::uint64_t pv = priority[v];
+  std::uint32_t beaten = 0;
+  for (const graph::NodeId w : row) {
+    const std::uint64_t pw = priority[w];
+    beaten |= alive[w].load(std::memory_order_relaxed) &
+              static_cast<std::uint32_t>((pw < pv) | ((pw == pv) & (w < v)));
   }
+  return beaten == 0;
 }
+
+/// One worker's part of a round: its frontier range starts at `begin`,
+/// `kept` of its ids were still alive, and winners[begin, begin + won)
+/// holds those that won.
+struct Share {
+  graph::NodeId begin = 0;
+  graph::NodeId kept = 0;
+  graph::NodeId won = 0;
+};
 
 }  // namespace
 
@@ -135,69 +88,64 @@ EngineResult solve_tas(graph::GraphView g, const EngineOptions& options,
   for (graph::NodeId v = 0; v < n; ++v) {
     alive[v].store(1, std::memory_order_relaxed);
   }
-  std::vector<std::uint8_t> joined(n, 0);
+  std::vector<graph::NodeId> frontier(n);
+  std::iota(frontier.begin(), frontier.end(), graph::NodeId{0});
+  std::vector<graph::NodeId> winners(n);
 
   Workers workers(options.num_threads);
-  std::vector<std::uint64_t> range_counts(workers.count() + 1, 0);
-  const std::uint64_t dense_cutoff = std::min<std::uint64_t>(
-      kDenseCeiling, std::max<std::uint64_t>(64, std::uint64_t{n} / 8));
+  std::vector<Share> shares(workers.count());
 
-  std::uint64_t alive_count = n;
-  while (alive_count > 0) {
-    if (alive_count <= dense_cutoff) {
-      finish_dense(g, priority, alive, result);
-      break;
-    }
-    ++result.rounds;
-
-    // Phase A (barrier before and after): local minima mark themselves.
-    // Reads the alive snapshot only; writes joined[v], the writer's own
-    // slot.
-    workers.run_ranges(n, [&](graph::NodeId begin, graph::NodeId end) {
-      for (graph::NodeId v = begin; v < end; ++v) {
-        if (alive[v].load(std::memory_order_relaxed) == 0) {
-          joined[v] = 0;
-          continue;
-        }
-        bool is_min = true;
-        for (const graph::NodeId w : g.neighbors(v)) {
-          if (alive[w].load(std::memory_order_relaxed) != 0 &&
-              less(priority, w, v)) {
-            is_min = false;
-            break;
-          }
-        }
-        joined[v] = is_min ? 1 : 0;
+  graph::NodeId size = n;
+  while (true) {
+    // Compact and test. Each worker keeps the alive ids of its range in
+    // place, then records the local minima among them at the start of the
+    // same range of `winners`. Reads the alive snapshot only.
+    workers.run_ranges(size, [&](std::uint32_t worker, graph::NodeId begin,
+                                 graph::NodeId end) {
+      graph::NodeId kept = begin;
+      for (graph::NodeId i = begin; i < end; ++i) {
+        const graph::NodeId v = frontier[i];
+        frontier[kept] = v;
+        kept += alive[v].load(std::memory_order_relaxed);
       }
+      graph::NodeId won = begin;
+      for (graph::NodeId i = begin; i < kept; ++i) {
+        const graph::NodeId v = frontier[i];
+        winners[won] = v;
+        won += is_local_min(g, priority, alive, v);
+      }
+      shares[worker] = {begin, kept - begin, won - begin};
     });
 
-    // Phase B: winners commit and test-and-set their neighborhood out of
-    // the alive set. Concurrent exchanges write the same value (0), so
-    // the final flags are schedule-independent.
-    workers.run_ranges(n, [&](graph::NodeId begin, graph::NodeId end) {
-      for (graph::NodeId v = begin; v < end; ++v) {
-        if (joined[v] == 0) continue;
+    // Join the ranges' survivors in order; the joined length is the
+    // alive count.
+    size = 0;
+    for (const Share& share : shares) {
+      if (share.begin != size) {
+        std::copy_n(frontier.begin() + share.begin, share.kept,
+                    frontier.begin() + size);
+      }
+      size += share.kept;
+    }
+    if (size == 0) break;
+    ++result.rounds;
+
+    // Commit: each worker's winners join and clear their own flag and
+    // their row's. Concurrent stores all write 0, so the final flags are
+    // schedule-independent. The ranges go unused: `size` only decides
+    // whether the phase wakes the pool.
+    workers.run_ranges(size, [&](std::uint32_t worker, graph::NodeId,
+                                 graph::NodeId) {
+      const Share& share = shares[worker];
+      for (graph::NodeId i = share.begin; i < share.begin + share.won; ++i) {
+        const graph::NodeId v = winners[i];
         result.in_mis[v] = 1;
         alive[v].store(0, std::memory_order_relaxed);
         for (const graph::NodeId w : g.neighbors(v)) {
-          alive[w].exchange(0, std::memory_order_relaxed);
+          alive[w].store(0, std::memory_order_relaxed);
         }
       }
     });
-
-    // Phase C: survivors census (per-worker slots summed at the barrier).
-    std::fill(range_counts.begin(), range_counts.end(), 0);
-    std::atomic<std::uint32_t> next_slot{0};
-    workers.run_ranges(n, [&](graph::NodeId begin, graph::NodeId end) {
-      std::uint64_t count = 0;
-      for (graph::NodeId v = begin; v < end; ++v) {
-        count += alive[v].load(std::memory_order_relaxed);
-      }
-      range_counts[next_slot.fetch_add(1, std::memory_order_relaxed)] =
-          count;
-    });
-    alive_count = 0;
-    for (const std::uint64_t c : range_counts) alive_count += c;
   }
   return result;
 }

@@ -141,6 +141,62 @@ TEST(Determinism, GoldenPerSeedEngineLabels) {
       3u);
 }
 
+TEST(Determinism, GoldenTasRoundPins) {
+  // kTestAndSet's labels hash AND round count per (graph, seed), inline
+  // and on four workers. The round count is a gated metric of the engine
+  // benchmark, so every change to the round loop must leave both alone:
+  // the three 4096-node graphs of EngineEquivalence's prefix-window test,
+  // one graph of the engine workload's family, hubbed_forest_union(2^16,
+  // 2, 64), and a dense G(2048, 0.5).
+  struct Pin {
+    std::uint64_t hash;
+    std::uint64_t rounds;
+  };
+  util::Rng small_rng(5);
+  util::Rng large_rng(2024);
+  util::Rng dense_rng(7);
+  const graph::Graph graphs[] = {
+      graph::gen::hubbed_forest_union(4096, 2, 8, small_rng),
+      graph::gen::union_of_random_forests(4096, 3, small_rng),
+      graph::gen::gnp(4096, 0.002, small_rng),
+      graph::gen::hubbed_forest_union(1 << 16, 2, 64, large_rng),
+      graph::gen::gnp(2048, 0.5, dense_rng),
+  };
+  // kPins[graph][seed - 1].
+  constexpr Pin kPins[5][3] = {
+      {{0x3593dbcf44a66051ULL, 4},
+       {0xe203d06b4c794241ULL, 4},
+       {0xc0bcd887dd15809fULL, 3}},
+      {{0xeea603b17cee46feULL, 5},
+       {0xbd4d4b46fb0a2992ULL, 4},
+       {0x21a8f15fd231e45eULL, 5}},
+      {{0xad82844ed875ed83ULL, 4},
+       {0xc66871b395d75142ULL, 5},
+       {0xe2a62d4ebc29205fULL, 5}},
+      {{0xcd839f119187cf27ULL, 4},
+       {0x2ad90987e569b317ULL, 4},
+       {0xcc2d3b9c0d99ab9dULL, 4}},
+      {{0xa900543e24fe8616ULL, 5},
+       {0x75ad44e9fde51742ULL, 4},
+       {0x4aaa02fcb7071196ULL, 5}},
+  };
+  for (std::size_t i = 0; i < std::size(graphs); ++i) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (const std::uint32_t threads : {0u, 4u}) {
+        engine::EngineOptions options;
+        options.seed = seed;
+        options.num_threads = threads;
+        const engine::EngineResult got =
+            engine::solve(graphs[i], engine::EngineKind::kTestAndSet, options);
+        EXPECT_EQ(got.labels_hash(), kPins[i][seed - 1].hash)
+            << "graph " << i << " seed=" << seed << " threads=" << threads;
+        EXPECT_EQ(got.rounds, kPins[i][seed - 1].rounds)
+            << "graph " << i << " seed=" << seed << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(Determinism, GoldenPinsHoldUnderTheParallelExecutor) {
   // The same golden constants as GoldenPerSeedMisOutputs, re-checked with
   // every internally constructed Network routed through the worker pool,

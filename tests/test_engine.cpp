@@ -7,8 +7,10 @@
 // lexicographically-first MIS w.r.t. (priority, id). The differential row
 // ties the family to the CONGEST side: the sequential-greedy engine
 // matches mis::greedy_mis over the explicit priority order label for
-// label. The 4096-node rows walk several prefix windows and cross the
-// TAS engine's dense cutoff; neither may move a byte.
+// label. The 4096-node rows walk several prefix windows and run the TAS
+// engine's first two frontier rounds partly on the worker pool (phases
+// over fewer than 4096 items run their worker ranges on the calling
+// thread); neither may move a byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -156,9 +158,10 @@ TEST(EngineEquivalence, PrioritiesArePureAndSeedSeparated) {
 
 // The engines' fixed schedule constants must not move a byte. At
 // n = 4096 kPrefixGreedy walks four 1024-node prefix windows, and
-// kTestAndSet runs sparse rounds until at most n/8 = 512 nodes stay alive,
-// then finishes that remnant on bitset adjacency. Both must land on the
-// sequential-greedy oracle's set at every thread count.
+// kTestAndSet's frontier starts at all 4096 nodes, so at 2 and 4 threads
+// round 1's test and commit and round 2's compaction and test (sized by
+// round 1's 4096 ids) run on the pool, and the later phases inline. Both
+// must land on the sequential-greedy oracle's set at every thread count.
 TEST(EngineEquivalence, PrefixWindowsAndDenseRemnantMatchTheOracle) {
   util::Rng rng(5);
   const graph::Graph graphs[] = {
@@ -217,22 +220,39 @@ TEST(EngineEquivalence, EdgeCaseGraphs) {
 
 // Round counts: sequential greedy is one pass by definition; the parallel
 // engines' fixpoint loops must report at least one round on any non-empty
-// graph and must be thread-invariant like the labels.
+// graph and must be thread-invariant, with labels equal to the oracle's at
+// every thread count. The 2^16-node graph is large enough that both
+// engines' early phases run on the pool (its prefix windows are 4096
+// nodes), so it is the test that checks pool-run labels; the 400-node one
+// runs every thread count's worker ranges on the calling thread.
 TEST(EngineEquivalence, RoundAccounting) {
   util::Rng rng(3);
-  const graph::Graph g = graph::gen::union_of_random_forests(400, 2, rng);
-  engine::EngineOptions serial;
-  EXPECT_EQ(engine::solve(g, engine::EngineKind::kSequentialGreedy, serial)
-                .rounds,
-            1u);
-  for (const engine::EngineKind kind :
-       {engine::EngineKind::kTestAndSet, engine::EngineKind::kPrefixGreedy}) {
-    const std::uint64_t serial_rounds = engine::solve(g, kind, serial).rounds;
-    EXPECT_GE(serial_rounds, 1u);
-    engine::EngineOptions parallel;
-    parallel.num_threads = 4;
-    EXPECT_EQ(engine::solve(g, kind, parallel).rounds, serial_rounds)
-        << engine::engine_name(kind);
+  const graph::Graph graphs[] = {
+      graph::gen::union_of_random_forests(400, 2, rng),
+      graph::gen::union_of_random_forests(1 << 16, 2, rng),
+  };
+  for (const graph::Graph& g : graphs) {
+    engine::EngineOptions serial;
+    const engine::EngineResult oracle =
+        engine::solve(g, engine::EngineKind::kSequentialGreedy, serial);
+    EXPECT_EQ(oracle.rounds, 1u);
+    for (const engine::EngineKind kind : {engine::EngineKind::kTestAndSet,
+                                          engine::EngineKind::kPrefixGreedy}) {
+      const std::uint64_t serial_rounds =
+          engine::solve(g, kind, serial).rounds;
+      EXPECT_GE(serial_rounds, 1u);
+      for (const std::uint32_t threads : kThreadCounts) {
+        engine::EngineOptions options;
+        options.num_threads = threads;
+        const engine::EngineResult got = engine::solve(g, kind, options);
+        EXPECT_EQ(got.rounds, serial_rounds)
+            << "n=" << g.num_nodes() << " engine="
+            << engine::engine_name(kind) << " threads=" << threads;
+        EXPECT_EQ(got.labels_hash(), oracle.labels_hash())
+            << "n=" << g.num_nodes() << " engine="
+            << engine::engine_name(kind) << " threads=" << threads;
+      }
+    }
   }
 }
 
