@@ -12,11 +12,12 @@
 //                     out of the alive set with relaxed stores. Each round
 //                     scans only a frontier of the nodes still alive, which
 //                     it compacts as it counts them.
-//   kPrefixGreedy     Blelloch-style rootset-prefix parallel randomized
-//                     greedy (the algorithm Fischer–Noever prove runs in
-//                     O(log n) dependency depth): nodes sorted by priority,
-//                     processed in prefixes; within a prefix a node joins
-//                     once every earlier-priority neighbor is decided.
+//   kPrefixGreedy     Blelloch-style prefix parallel randomized greedy:
+//                     nodes sorted by (priority, id), then the same
+//                     frontier rounds run over successive priority windows
+//                     of max(1024, n/16) nodes, each until it is decided;
+//                     within a window a node joins once every earlier
+//                     neighbor is decided.
 //   kSequentialGreedy the reference oracle: plain sequential greedy over
 //                     the priority order.
 //
@@ -67,8 +68,9 @@ struct EngineResult {
   /// Byte mask, 1 = member (uint8_t so it can feed mis::verify_mask).
   std::vector<std::uint8_t> in_mis;
 
-  /// Fixpoint iterations (kTestAndSet), inner rootset iterations summed
-  /// over prefixes (kPrefixGreedy), or 1 (kSequentialGreedy).
+  /// Frontier rounds over the whole graph (kTestAndSet; Fischer–Noever's
+  /// dependency length), the frontier rounds of each priority window
+  /// summed (kPrefixGreedy), or 1 (kSequentialGreedy).
   std::uint64_t rounds = 0;
 
   std::uint64_t mis_size() const noexcept {
