@@ -3,7 +3,7 @@
 // The CONGEST simulator (sim/network.h) charges every algorithm per-message
 // overhead that real shared-memory hardware does not pay; this module is
 // the raw-speed ceiling it is measured against (DESIGN.md §8, EXPERIMENTS
-// §E1). Three engines sit behind one `solve(GraphView, kind, options)`
+// §E1). Two engines sit behind one `solve(GraphView, kind, options)`
 // surface:
 //
 //   kTestAndSet       round-synchronous local-minima engine: every alive
@@ -12,12 +12,6 @@
 //                     out of the alive set with relaxed stores. Each round
 //                     scans only a frontier of the nodes still alive, which
 //                     it compacts as it counts them.
-//   kPrefixGreedy     Blelloch-style prefix parallel randomized greedy:
-//                     nodes sorted by (priority, id), then the same
-//                     frontier rounds run over successive priority windows
-//                     of max(1024, n/16) nodes, each until it is decided;
-//                     within a window a node joins once every earlier
-//                     neighbor is decided.
 //   kSequentialGreedy the reference oracle: plain sequential greedy over
 //                     the priority order.
 //
@@ -25,7 +19,7 @@
 // one batched counter-based draw per node through util::mix64, no stateful
 // generator — and every parallel phase reads only a snapshot written before
 // the phase barrier, so the result is byte-identical for every thread
-// count. Stronger still, all three engines compute the *same set*: the
+// count. Stronger still, both engines compute the *same set*: the
 // lexicographically-first MIS with respect to the (priority, id) order,
 // i.e. exactly what sequential greedy over that order produces. The
 // EngineEquivalence matrix in tests/test_engine.cpp enforces both claims,
@@ -44,23 +38,22 @@ namespace arbmis::engine {
 
 enum class EngineKind : std::uint8_t {
   kTestAndSet = 0,
-  kPrefixGreedy = 1,
-  kSequentialGreedy = 2,
+  kSequentialGreedy = 1,
 };
 
 /// All engines, in declaration order (for test matrices and benches).
 std::span<const EngineKind> all_engines() noexcept;
 
-/// Stable lowercase name ("tas", "prefix", "greedy").
+/// Stable lowercase name ("tas", "greedy").
 std::string_view engine_name(EngineKind kind) noexcept;
 
 struct EngineOptions {
   std::uint64_t seed = 12345;
 
-  /// Worker threads for the parallel engines; 0 and 1 both run on the
-  /// calling thread. (sim::NetworkOptions::num_threads = 0 differs: it
-  /// means the sim::ScopedNumThreads process default.) The result is
-  /// byte-identical across all values by construction.
+  /// Worker threads for kTestAndSet; 0 and 1 both run on the calling
+  /// thread. (sim::NetworkOptions::num_threads = 0 differs: it means the
+  /// sim::ScopedNumThreads process default.) The result is byte-identical
+  /// across all values by construction.
   std::uint32_t num_threads = 0;
 };
 
@@ -68,9 +61,8 @@ struct EngineResult {
   /// Byte mask, 1 = member (uint8_t so it can feed mis::verify_mask).
   std::vector<std::uint8_t> in_mis;
 
-  /// Frontier rounds over the whole graph (kTestAndSet; Fischer–Noever's
-  /// dependency length), the frontier rounds of each priority window
-  /// summed (kPrefixGreedy), or 1 (kSequentialGreedy).
+  /// Frontier rounds (kTestAndSet; Fischer–Noever's dependency length),
+  /// or 1 (kSequentialGreedy).
   std::uint64_t rounds = 0;
 
   std::uint64_t mis_size() const noexcept {

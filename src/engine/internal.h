@@ -70,8 +70,6 @@ class Workers {
 
 EngineResult solve_tas(graph::GraphView g, const EngineOptions& options,
                        std::span<const std::uint64_t> priority);
-EngineResult solve_prefix(graph::GraphView g, const EngineOptions& options,
-                          std::span<const std::uint64_t> priority);
 EngineResult solve_greedy(graph::GraphView g,
                           std::span<const std::uint64_t> priority);
 

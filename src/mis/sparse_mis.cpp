@@ -9,21 +9,39 @@
 
 namespace arbmis::mis {
 
+namespace {
+
+std::invalid_argument stalled() {
+  return std::invalid_argument(
+      "sparse_mis: forest decomposition stalled — alpha is below the true "
+      "arboricity");
+}
+
+}  // namespace
+
 SparseMisResult sparse_mis(graph::GraphView g, SparseMisOptions options,
                            std::uint64_t seed) {
   SparseMisResult result;
   sim::Network net(g, seed);
 
   // Stage 1: H-partition into forests (ForestDecomposition's default
-  // eps = 2, the (2+eps)·α = 4α threshold).
+  // eps = 2, the (2+eps)·α = 4α threshold). A round that assigns no level
+  // while a node is unassigned is a stall, and a final one: each round an
+  // unassigned node counts kActive from the nodes still unassigned after
+  // the round before, so an unchanged set repeats every count and no later
+  // round assigns a node. The run stops there instead of at the cap.
   ForestDecomposition decomposition(g, {.alpha = options.alpha});
-  result.mis.stats = net.run(decomposition, 1 << 20);
-  for (graph::NodeId level : decomposition.levels()) {
-    if (level == ForestDecomposition::kUnassigned) {
-      throw std::invalid_argument(
-          "sparse_mis: forest decomposition stalled — alpha is below the "
-          "true arboricity");
+  const auto stop_at_stall = [&](const sim::Network&, std::uint32_t round) {
+    bool unassigned = false;
+    for (const graph::NodeId level : decomposition.levels()) {
+      if (level == round) return;
+      unassigned = unassigned || level == ForestDecomposition::kUnassigned;
     }
+    if (unassigned) throw stalled();
+  };
+  result.mis.stats = net.run(decomposition, 1 << 20, stop_at_stall);
+  for (graph::NodeId level : decomposition.levels()) {
+    if (level == ForestDecomposition::kUnassigned) throw stalled();
   }
   const graph::Orientation orientation = decomposition.orientation();
   const graph::ForestPartition forests =

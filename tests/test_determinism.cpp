@@ -110,8 +110,8 @@ TEST(Determinism, GoldenPerSeedMisOutputs) {
 
 TEST(Determinism, GoldenPerSeedEngineLabels) {
   // Golden labels-hash pins for the shared-memory engine family
-  // (src/engine/). One constant per seed, asserted for all THREE engines:
-  // the family's contract is that they compute the same set — the
+  // (src/engine/). One constant per seed, asserted for BOTH engines: the
+  // family's contract is that they compute the same set — the
   // lexicographically-first MIS w.r.t. (priority, id) — so distinct pins
   // per engine would be a bug, not extra coverage. Any drift in
   // util::mix64, the priority domain constant, or any engine's decision
@@ -131,21 +131,18 @@ TEST(Determinism, GoldenPerSeedEngineLabels) {
         << "seed=2 engine=" << engine::engine_name(kind);
   }
 
-  // Round counts are part of the pinned surface for the fixpoint engines.
+  // Round counts are part of the pinned surface for the fixpoint engine.
   engine::EngineOptions options;
   options.seed = 1;
   EXPECT_EQ(
       engine::solve(g, engine::EngineKind::kTestAndSet, options).rounds, 3u);
-  EXPECT_EQ(
-      engine::solve(g, engine::EngineKind::kPrefixGreedy, options).rounds,
-      3u);
 }
 
 TEST(Determinism, GoldenTasRoundPins) {
   // kTestAndSet's labels hash AND round count per (graph, seed), inline
   // and on four workers. The round count is a gated metric of the engine
   // benchmark, so every change to the round loop must leave both alone:
-  // the three 4096-node graphs of EngineEquivalence's prefix-window test,
+  // the three 4096-node graphs of EngineEquivalence's pool-grain test,
   // one graph of the engine workload's family, hubbed_forest_union(2^16,
   // 2, 64), and a dense G(2048, 0.5).
   struct Pin {
@@ -188,62 +185,6 @@ TEST(Determinism, GoldenTasRoundPins) {
         options.num_threads = threads;
         const engine::EngineResult got =
             engine::solve(graphs[i], engine::EngineKind::kTestAndSet, options);
-        EXPECT_EQ(got.labels_hash(), kPins[i][seed - 1].hash)
-            << "graph " << i << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(got.rounds, kPins[i][seed - 1].rounds)
-            << "graph " << i << " seed=" << seed << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(Determinism, GoldenPrefixRoundPins) {
-  // kPrefixGreedy's labels hash AND round count on GoldenTasRoundPins'
-  // graphs, inline and on four workers. The hashes are that test's: both
-  // engines find the same set. The rounds sum the depths of the priority
-  // windows (max(1024, n/16) nodes), so every graph here spans at least
-  // two windows and a change to how the windows are cut or walked moves
-  // them.
-  struct Pin {
-    std::uint64_t hash;
-    std::uint64_t rounds;
-  };
-  util::Rng small_rng(5);
-  util::Rng large_rng(2024);
-  util::Rng dense_rng(7);
-  const graph::Graph graphs[] = {
-      graph::gen::hubbed_forest_union(4096, 2, 8, small_rng),
-      graph::gen::union_of_random_forests(4096, 3, small_rng),
-      graph::gen::gnp(4096, 0.002, small_rng),
-      graph::gen::hubbed_forest_union(1 << 16, 2, 64, large_rng),
-      graph::gen::gnp(2048, 0.5, dense_rng),
-  };
-  // kPins[graph][seed - 1].
-  constexpr Pin kPins[5][3] = {
-      {{0x3593dbcf44a66051ULL, 9},
-       {0xe203d06b4c794241ULL, 9},
-       {0xc0bcd887dd15809fULL, 8}},
-      {{0xeea603b17cee46feULL, 9},
-       {0xbd4d4b46fb0a2992ULL, 10},
-       {0x21a8f15fd231e45eULL, 9}},
-      {{0xad82844ed875ed83ULL, 9},
-       {0xc66871b395d75142ULL, 8},
-       {0xe2a62d4ebc29205fULL, 9}},
-      {{0xcd839f119187cf27ULL, 29},
-       {0x2ad90987e569b317ULL, 28},
-       {0xcc2d3b9c0d99ab9dULL, 29}},
-      {{0xa900543e24fe8616ULL, 5},
-       {0x75ad44e9fde51742ULL, 5},
-       {0x4aaa02fcb7071196ULL, 5}},
-  };
-  for (std::size_t i = 0; i < std::size(graphs); ++i) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      for (const std::uint32_t threads : {0u, 4u}) {
-        engine::EngineOptions options;
-        options.seed = seed;
-        options.num_threads = threads;
-        const engine::EngineResult got = engine::solve(
-            graphs[i], engine::EngineKind::kPrefixGreedy, options);
         EXPECT_EQ(got.labels_hash(), kPins[i][seed - 1].hash)
             << "graph " << i << " seed=" << seed << " threads=" << threads;
         EXPECT_EQ(got.rounds, kPins[i][seed - 1].rounds)

@@ -1,16 +1,15 @@
 // The EngineEquivalence matrix — the contract of the shared-memory engine
-// family (src/engine/): every engine, on every generator family, for every
+// family (src/engine/): both engines, on every generator family, for every
 // seed and every thread count, must produce (1) an independent and maximal
 // set by the centralized verifier, (2) a set the 2-round distributed
 // protocol also accepts, (3) byte-identical labels across thread counts
-// {0, 1, 2, 4, 8}, and (4) the *same* set as every other engine — the
+// {0, 1, 2, 4, 8}, and (4) the *same* set as each other — the
 // lexicographically-first MIS w.r.t. (priority, id). The differential row
 // ties the family to the CONGEST side: the sequential-greedy engine
 // matches mis::greedy_mis over the explicit priority order label for
-// label. The 4096-node rows walk several prefix windows and run the TAS
-// engine's first two frontier rounds partly on the worker pool (phases
-// over fewer than 4096 items run their worker ranges on the calling
-// thread); neither may move a byte.
+// label. The 4096-node rows run the TAS engine's first two frontier
+// rounds partly on the worker pool (phases over fewer than 4096 items run
+// their worker ranges on the calling thread); that may not move a byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -156,12 +155,12 @@ TEST(EngineEquivalence, PrioritiesArePureAndSeedSeparated) {
   EXPECT_EQ(same, 0u);
 }
 
-// The engines' fixed schedule constants must not move a byte. At
-// n = 4096 kPrefixGreedy walks four 1024-node prefix windows, and
-// kTestAndSet's frontier starts at all 4096 nodes, so at 2 and 4 threads
-// round 1's test and commit and round 2's compaction and test (sized by
-// round 1's 4096 ids) run on the pool, and the later phases inline. Both
-// must land on the sequential-greedy oracle's set at every thread count.
+// The pool grain must not move a byte. At n = 4096 kTestAndSet's frontier
+// starts at all 4096 nodes, exactly Workers::kPoolGrain, so at 2 and 4
+// threads round 1's test and commit and round 2's compaction and test
+// (sized by round 1's 4096 ids) run on the pool, and the later phases
+// inline. It must land on the sequential-greedy oracle's set at every
+// thread count.
 TEST(EngineEquivalence, PrefixWindowsAndDenseRemnantMatchTheOracle) {
   util::Rng rng(5);
   const graph::Graph graphs[] = {
@@ -177,16 +176,13 @@ TEST(EngineEquivalence, PrefixWindowsAndDenseRemnantMatchTheOracle) {
           engine::solve(g, engine::EngineKind::kSequentialGreedy, options)
               .in_mis;
       ASSERT_TRUE(mis::verify_mask(g, oracle).ok());
-      for (const engine::EngineKind kind :
-           {engine::EngineKind::kTestAndSet,
-            engine::EngineKind::kPrefixGreedy}) {
-        for (const std::uint32_t threads : {0u, 2u, 4u}) {
-          options.num_threads = threads;
-          EXPECT_EQ(engine::solve(g, kind, options).in_mis, oracle)
-              << "m=" << g.num_edges() << " seed=" << seed
-              << " engine=" << engine::engine_name(kind)
-              << " threads=" << threads;
-        }
+      for (const std::uint32_t threads : {0u, 2u, 4u}) {
+        options.num_threads = threads;
+        EXPECT_EQ(
+            engine::solve(g, engine::EngineKind::kTestAndSet, options).in_mis,
+            oracle)
+            << "m=" << g.num_edges() << " seed=" << seed
+            << " threads=" << threads;
       }
     }
   }
@@ -218,13 +214,12 @@ TEST(EngineEquivalence, EdgeCaseGraphs) {
   }
 }
 
-// Round counts: sequential greedy is one pass by definition; the parallel
-// engines' fixpoint loops must report at least one round on any non-empty
+// Round counts: sequential greedy is one pass by definition; the TAS
+// engine's frontier loop must report at least one round on any non-empty
 // graph and must be thread-invariant, with labels equal to the oracle's at
-// every thread count. The 2^16-node graph is large enough that both
-// engines' early phases run on the pool (its prefix windows are 4096
-// nodes), so it is the test that checks pool-run labels; the 400-node one
-// runs every thread count's worker ranges on the calling thread.
+// every thread count. At 2+ threads the 2^16-node graph runs the TAS
+// engine's early phases on the pool; the 400-node one runs every thread
+// count's worker ranges on the calling thread.
 TEST(EngineEquivalence, RoundAccounting) {
   util::Rng rng(3);
   const graph::Graph graphs[] = {
@@ -236,22 +231,18 @@ TEST(EngineEquivalence, RoundAccounting) {
     const engine::EngineResult oracle =
         engine::solve(g, engine::EngineKind::kSequentialGreedy, serial);
     EXPECT_EQ(oracle.rounds, 1u);
-    for (const engine::EngineKind kind : {engine::EngineKind::kTestAndSet,
-                                          engine::EngineKind::kPrefixGreedy}) {
-      const std::uint64_t serial_rounds =
-          engine::solve(g, kind, serial).rounds;
-      EXPECT_GE(serial_rounds, 1u);
-      for (const std::uint32_t threads : kThreadCounts) {
-        engine::EngineOptions options;
-        options.num_threads = threads;
-        const engine::EngineResult got = engine::solve(g, kind, options);
-        EXPECT_EQ(got.rounds, serial_rounds)
-            << "n=" << g.num_nodes() << " engine="
-            << engine::engine_name(kind) << " threads=" << threads;
-        EXPECT_EQ(got.labels_hash(), oracle.labels_hash())
-            << "n=" << g.num_nodes() << " engine="
-            << engine::engine_name(kind) << " threads=" << threads;
-      }
+    const std::uint64_t serial_rounds =
+        engine::solve(g, engine::EngineKind::kTestAndSet, serial).rounds;
+    EXPECT_GE(serial_rounds, 1u);
+    for (const std::uint32_t threads : kThreadCounts) {
+      engine::EngineOptions options;
+      options.num_threads = threads;
+      const engine::EngineResult got =
+          engine::solve(g, engine::EngineKind::kTestAndSet, options);
+      EXPECT_EQ(got.rounds, serial_rounds)
+          << "n=" << g.num_nodes() << " threads=" << threads;
+      EXPECT_EQ(got.labels_hash(), oracle.labels_hash())
+          << "n=" << g.num_nodes() << " threads=" << threads;
     }
   }
 }
