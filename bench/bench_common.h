@@ -4,11 +4,14 @@
 // (--events/--trace/--metrics, docs/OBSERVABILITY.md).
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -60,11 +63,44 @@ struct BenchOptions {
   std::size_t recorder_bytes = std::size_t{1} << 20;  ///< ring capacity
   std::uint32_t trace_sample = 1;  ///< keep every Nth round event/series
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// Parses argv before any work. `extra_flags` are the bare flags a bench
+  /// reads from argv itself (bench_mmap_graph's --large). --help prints the
+  /// usage and exits 0; any other argument it does not know, or a flag
+  /// whose value is missing or not a number it takes, prints the usage to
+  /// stderr and exits 2.
+  static BenchOptions parse(
+      int argc, char** argv,
+      std::initializer_list<std::string_view> extra_flags = {}) {
+    const auto usage = [&](std::ostream& out) {
+      out << "usage: " << argv[0]
+          << " [--quick] [--csv] [--build-info] [--trials N] [--seed N]"
+             " [--json PATH] [--threads N] [--events=PATH] [--trace=PATH]"
+             " [--metrics=PATH] [--flightrec=PATH] [--recorder-bytes=N]"
+             " [--trace-sample=N]";
+      for (const std::string_view flag : extra_flags) {
+        out << " [" << flag << "]";
+      }
+      out << "\n";
+    };
+    const auto reject = [&](std::string_view what) {
+      std::cerr << argv[0] << ": cannot parse '" << what << "'\n";
+      usage(std::cerr);
+      std::exit(2);
+    };
+    // The whole of `text` must be a decimal that fits `out`.
+    const auto number = [&](std::string_view what, std::string_view text,
+                            auto& out) {
+      const char* const end = text.data() + text.size();
+      const auto [ptr, error] = std::from_chars(text.data(), end, out);
+      if (error != std::errc{} || ptr != end) reject(what);
+    };
     BenchOptions options;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--quick") {
+      if (arg == "--help") {
+        usage(std::cout);
+        std::exit(0);
+      } else if (arg == "--quick") {
         options.quick = true;
       } else if (arg == "--csv") {
         options.csv = true;
@@ -72,14 +108,16 @@ struct BenchOptions {
         std::cout << "build=" << build_type() << "\n";
         std::exit(0);
       } else if (arg == "--trials" && i + 1 < argc) {
-        options.trials = std::strtoull(argv[++i], nullptr, 10);
+        ++i;
+        number(arg + " " + argv[i], argv[i], options.trials);
       } else if (arg == "--seed" && i + 1 < argc) {
-        options.seed = std::strtoull(argv[++i], nullptr, 10);
+        ++i;
+        number(arg + " " + argv[i], argv[i], options.seed);
       } else if (arg == "--json" && i + 1 < argc) {
         options.json_out = argv[++i];
       } else if (arg == "--threads" && i + 1 < argc) {
-        options.threads =
-            static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+        ++i;
+        number(arg + " " + argv[i], argv[i], options.threads);
       } else if (arg.rfind("--events=", 0) == 0) {
         options.events_out = arg.substr(9);
       } else if (arg.rfind("--trace=", 0) == 0) {
@@ -89,11 +127,12 @@ struct BenchOptions {
       } else if (arg.rfind("--flightrec=", 0) == 0) {
         options.flightrec_out = arg.substr(12);
       } else if (arg.rfind("--recorder-bytes=", 0) == 0) {
-        options.recorder_bytes = std::strtoull(
-            arg.substr(17).c_str(), nullptr, 10);
+        number(arg, std::string_view(arg).substr(17), options.recorder_bytes);
       } else if (arg.rfind("--trace-sample=", 0) == 0) {
-        options.trace_sample = static_cast<std::uint32_t>(
-            std::strtoul(arg.substr(15).c_str(), nullptr, 10));
+        number(arg, std::string_view(arg).substr(15), options.trace_sample);
+      } else if (std::find(extra_flags.begin(), extra_flags.end(), arg) ==
+                 extra_flags.end()) {
+        reject(arg);
       }
     }
     return options;

@@ -35,12 +35,9 @@ struct CellResult {
 
 int main(int argc, char** argv) {
   const bench::BenchOptions options = bench::BenchOptions::parse(argc, argv);
-  std::string json_path = "results/BENCH_fault_tolerance.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
+  const std::string json_path = options.json_out.empty()
+                                    ? "results/BENCH_fault_tolerance.json"
+                                    : options.json_out;
 
   bench::print_header(
       "R1", "certified MIS under message loss and node crashes");

@@ -179,7 +179,8 @@ int run_large(const bench::BenchOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::BenchOptions::parse(argc, argv);
+  const bench::BenchOptions options =
+      bench::BenchOptions::parse(argc, argv, {"--large"});
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--large") return run_large(options);
   }

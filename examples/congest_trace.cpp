@@ -1,7 +1,8 @@
 // Example: what the CONGEST simulator actually does, round by round.
-// Runs Métivier's algorithm on a small tree with a per-round trace and a
-// verbose observer, then prints the final states — useful as a first look
-// at the simulator API and for debugging new algorithms.
+// Runs Métivier's algorithm on a small tree with a verbose observer, then
+// prints each round's Round event (halted nodes, messages, payload bits,
+// round 0 included) and the final states — useful as a first look at the
+// simulator API and its telemetry, and for debugging new algorithms.
 //
 //   ./congest_trace [n] [seed]
 #include <cstdlib>
@@ -10,8 +11,9 @@
 #include "graph/generators.h"
 #include "mis/metivier.h"
 #include "mis/verifier.h"
+#include "obs/events.h"
+#include "obs/sink.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 int main(int argc, char** argv) {
   using namespace arbmis;
@@ -28,15 +30,14 @@ int main(int argc, char** argv) {
 
   mis::MetivierMis algorithm(g);
   sim::Network net(g, seed);
-  sim::Trace trace;
+  // Every round barrier emits a Round event to the attached sink.
+  obs::VectorSink events;
+  const obs::ScopedSink scoped(&events);
 
   // Observer that narrates node decisions as they happen.
   std::vector<mis::MisState> last(n, mis::MisState::kUndecided);
-  auto trace_observer = trace.observer();
   const sim::RunStats stats = net.run(
-      algorithm, 1 << 16,
-      [&](const sim::Network& network, std::uint32_t round) {
-        trace_observer(network, round);
+      algorithm, 1 << 16, [&](const sim::Network&, std::uint32_t round) {
         for (graph::NodeId v = 0; v < n; ++v) {
           const mis::MisState now = algorithm.states()[v];
           if (now != last[v]) {
@@ -50,7 +51,11 @@ int main(int argc, char** argv) {
       });
 
   std::cout << "\nhalt progress per round:\n";
-  trace.print(std::cout);
+  for (const obs::OwnedEvent& e : events.events()) {
+    if (e.kind == obs::EventKind::kRound) {
+      std::cout << obs::to_json_line(e.view()) << "\n";
+    }
+  }
 
   mis::MisResult result;
   result.state = algorithm.states();

@@ -44,7 +44,6 @@
 #include "sim/bfs_rooting.h"      // IWYU pragma: export
 #include "sim/message.h"          // IWYU pragma: export
 #include "sim/network.h"          // IWYU pragma: export
-#include "sim/trace.h"            // IWYU pragma: export
 #include "util/histogram.h"       // IWYU pragma: export
 #include "util/log.h"             // IWYU pragma: export
 #include "util/rng.h"             // IWYU pragma: export

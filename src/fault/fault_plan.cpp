@@ -23,8 +23,6 @@ void FaultPlan::begin_run() {
   std::fill(recover_at_.begin(), recover_at_.end(), kNever);
   num_down_ = 0;
   pending_recoveries_ = 0;
-  ledger_.clear();
-  totals_ = sim::FaultTotals{};
   adversary_->begin_run();
 }
 
@@ -68,10 +66,6 @@ sim::RoundFaultEvents FaultPlan::begin_round(
     obs::emit(obs::make_event<obs::EventKind::kFaultCrash>(
         round, v, delay > 0 ? recover_at_[v] : kNever));
   }
-  totals_.crashes += events.crashes;
-  totals_.recoveries += events.recoveries;
-  ledger_.push_back(LedgerEntry{round, 0, 0, events.crashes,
-                                events.recoveries});
   return events;
 }
 
@@ -93,17 +87,6 @@ sim::FaultDecision FaultPlan::on_message(graph::NodeId from, graph::NodeId to,
     return sim::FaultDecision{2};
   }
   return sim::FaultDecision{1};
-}
-
-void FaultPlan::account(std::uint32_t round, std::uint64_t drops,
-                        std::uint64_t duplicates) {
-  if (ledger_.empty() || ledger_.back().round != round) {
-    ledger_.push_back(LedgerEntry{round, 0, 0, 0, 0});
-  }
-  ledger_.back().drops = drops;
-  ledger_.back().duplicates = duplicates;
-  totals_.drops += drops;
-  totals_.duplicates += duplicates;
 }
 
 }  // namespace arbmis::fault

@@ -10,13 +10,15 @@
 //     stream consumed serially at round barriers, in ascending node order;
 //   * the adversary (fault/adversary.h) supplies the odds and the crash
 //     targeting strategy, the plan supplies the mechanics (down set,
-//     recovery schedule, per-round ledger).
+//     recovery schedule).
+//
+// The plan keeps no record of what it injected: the Network does, as its
+// FaultRound events and RunStats::faults (sim/fault_hooks.h).
 //
 // Reuse across runs mirrors Network's RNG discipline: begin_run resets the
-// down set and the ledger but advances a run index mixed into the message
-// coins and keeps consuming the same event stream, so a plan driving a
-// multi-attempt pipeline injects fresh-but-reproducible faults each
-// attempt.
+// down set but advances a run index mixed into the message coins and keeps
+// consuming the same event stream, so a plan driving a multi-attempt
+// pipeline injects fresh-but-reproducible faults each attempt.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +31,6 @@
 #include "util/rng.h"
 
 namespace arbmis::fault {
-
-/// Per-round fault ledger entry. Drops/duplicates are charged to the round
-/// the message was *sent* in; crashes/recoveries to the barrier they
-/// resolved at.
-struct LedgerEntry {
-  std::uint32_t round = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t duplicates = 0;
-  std::uint32_t crashes = 0;
-  std::uint32_t recoveries = 0;
-
-  bool operator==(const LedgerEntry&) const = default;
-};
 
 class FaultPlan final : public sim::FaultInjector {
  public:
@@ -59,12 +48,7 @@ class FaultPlan final : public sim::FaultInjector {
   bool is_down(graph::NodeId v) const override { return down_[v] != 0; }
   graph::NodeId num_down() const override { return num_down_; }
   bool recovery_pending() const override { return pending_recoveries_ > 0; }
-  void account(std::uint32_t round, std::uint64_t drops,
-               std::uint64_t duplicates) override;
-  sim::FaultTotals totals() const override { return totals_; }
 
-  /// One entry per executed round of the latest run (round 0 = on_start).
-  const std::vector<LedgerEntry>& ledger() const noexcept { return ledger_; }
   const Adversary& adversary() const noexcept { return *adversary_; }
 
  private:
@@ -90,9 +74,6 @@ class FaultPlan final : public sim::FaultInjector {
   graph::NodeId num_down_ = 0;
   graph::NodeId pending_recoveries_ = 0;
   std::vector<graph::NodeId> crash_scratch_;
-
-  std::vector<LedgerEntry> ledger_;
-  sim::FaultTotals totals_;
 };
 
 }  // namespace arbmis::fault

@@ -97,7 +97,6 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
       sim::Network net(res.graph, attempt_seed, net_options);
       labels = driver(res.graph, net, options.max_rounds_per_attempt,
                       rep.stats);
-      if (plan) rep.faults = plan->totals();
     }
 
     // Certify fault-free within the residual; only verified members are
@@ -132,10 +131,7 @@ ResilientResult resilient_mis(graph::GraphView g, std::uint64_t seed,
       }
     }
 
-    result.faults.drops += rep.faults.drops;
-    result.faults.duplicates += rep.faults.duplicates;
-    result.faults.crashes += rep.faults.crashes;
-    result.faults.recoveries += rep.faults.recoveries;
+    result.faults += rep.stats.faults;
     obs::emit(obs::make_event<obs::EventKind::kAttempt>(
         /*round=*/0, rep.attempt, rep.residual_nodes, rep.committed,
         rep.covered, rep.faulty ? 1 : 0, rep.stats.rounds));

@@ -36,7 +36,8 @@ namespace arbmis::fault {
 
 /// One attempt of the wrapped algorithm: run on `g` inside `net` (already
 /// wired to the attempt's fault plan) and return per-node labels indexed
-/// by g's ids (kUndecided allowed). `stats` receives the attempt's stats.
+/// by g's ids (kUndecided allowed). `stats` receives the attempt's stats:
+/// a driver that runs `net` more than once absorbs every run into it.
 using MisDriver = std::function<std::vector<mis::MisState>(
     graph::GraphView g, sim::Network& net, std::uint32_t max_rounds,
     sim::RunStats& stats)>;
@@ -79,8 +80,9 @@ struct AttemptReport {
   graph::NodeId committed = 0;       ///< members certified and committed
   graph::NodeId covered = 0;         ///< newly covered by committed members
   bool faulty = false;               ///< faults enabled for this attempt
-  sim::RunStats stats;               ///< the attempt's (possibly faulty) run
-  sim::FaultTotals faults;           ///< what the plan injected
+  /// The driver's runs on the attempt's Network, absorbed; stats.faults is
+  /// what the plan injected into all of them.
+  sim::RunStats stats;
 };
 
 struct ResilientResult {
@@ -91,7 +93,7 @@ struct ResilientResult {
   /// Total simulator rounds to the certified output: every attempt's run
   /// plus every verification pass.
   std::uint32_t rounds_to_recovery = 0;
-  sim::FaultTotals faults;  ///< summed over all attempts
+  sim::FaultTotals faults;  ///< attempts' stats.faults, summed
   std::vector<AttemptReport> attempt_log;
 };
 

@@ -1,7 +1,7 @@
 // Fault-injection seam of the CONGEST simulator.
 //
 // The simulator itself stays fault-agnostic: NetworkOptions::fault accepts
-// a FaultInjector and the Network consults it at exactly three points —
+// a FaultInjector and the Network asks it for decisions at two points —
 //
 //   * begin_round: serially at every round barrier, before any callback of
 //     that round runs. This is where node events (crashes, recoveries)
@@ -13,9 +13,12 @@
 //     round) — the contract that keeps fault runs byte-identical across
 //     thread counts: the sender records the fate in its port slot, which
 //     the receiver reads next round in port order on any executor.
-//   * account: once per round at the barrier, with the round's summed drop
-//     and duplicate counts (merged from the lanes in shard order), so the
-//     injector's ledger is executor-independent.
+//
+// Between barriers it only reads the down set. The record of what was
+// injected is the Network's: each barrier sums the lanes' drops and
+// duplicates in shard order and, with begin_round's crashes and
+// recoveries, emits them as the round's FaultRound event and adds them to
+// RunStats::faults.
 //
 // Semantics of the injected faults:
 //   * a dropped message is lost in transit — the sender still pays its
@@ -28,8 +31,8 @@
 //     Recovery is crash-recover with state intact: the node resumes its
 //     callback schedule having missed the intervening rounds.
 //
-// The concrete implementation (FaultPlan, adversaries, the fault ledger)
-// lives in src/fault; this header exists so arbmis_sim does not depend on
+// The concrete implementation (FaultPlan, adversaries) lives in
+// src/fault; this header exists so arbmis_sim does not depend on
 // arbmis_fault.
 #pragma once
 
@@ -55,13 +58,21 @@ struct RoundFaultEvents {
   std::uint32_t recoveries = 0;
 };
 
-/// Run-wide fault counters, surfaced through ModelCheckReport::faults.
+/// Fault counters summed over rounds (RunStats::faults) or over runs
+/// (fault::ResilientResult::faults).
 struct FaultTotals {
   std::uint64_t drops = 0;
   std::uint64_t duplicates = 0;
   std::uint32_t crashes = 0;
   std::uint32_t recoveries = 0;
 
+  FaultTotals& operator+=(const FaultTotals& other) noexcept {
+    drops += other.drops;
+    duplicates += other.duplicates;
+    crashes += other.crashes;
+    recoveries += other.recoveries;
+    return *this;
+  }
   bool operator==(const FaultTotals&) const = default;
 };
 
@@ -99,14 +110,6 @@ class FaultInjector {
   /// True if any currently-down node has a recovery scheduled; the run
   /// must not end while recoveries are pending.
   virtual bool recovery_pending() const = 0;
-
-  /// Ledger hook: the round's summed drop/duplicate counts, delivered once
-  /// per round at the barrier.
-  virtual void account(std::uint32_t round, std::uint64_t drops,
-                       std::uint64_t duplicates) = 0;
-
-  /// Run-wide totals (valid during and after a run).
-  virtual FaultTotals totals() const = 0;
 };
 
 }  // namespace arbmis::sim

@@ -35,9 +35,10 @@ inline constexpr std::uint32_t kTagBits = 8;
 
 /// Actual width of one message on the wire: the tag's O(1) kind bits plus
 /// the significant bits of the payload word — the same formula the model
-/// checker budgets with. Per-round accounting (RoundDelta::payload_bits,
-/// the sim.message_bits histogram) uses this; the nominal run-wide
-/// RunStats::payload_bits keeps charging the full kBitsPerMessage word.
+/// checker budgets with. Per-round accounting (the Round event's
+/// payload_bits, the sim.message_bits histogram) uses this; the nominal
+/// run-wide RunStats::payload_bits keeps charging the full kBitsPerMessage
+/// word.
 constexpr std::uint64_t message_bits(const Message& m) noexcept {
   return kTagBits + static_cast<std::uint64_t>(std::bit_width(m.payload));
 }

@@ -44,12 +44,6 @@ std::string ModelCheckReport::summary() const {
       << " max_edge=" << max_edge_bits_per_round << "b"
       << " max_rng_reads=" << max_rng_reads_per_round << " k=" << k
       << " violations=" << violations;
-  if (faults.drops > 0 || faults.duplicates > 0 || faults.crashes > 0 ||
-      faults.recoveries > 0) {
-    out << " faults{drops=" << faults.drops
-        << " dups=" << faults.duplicates << " crashes=" << faults.crashes
-        << " recoveries=" << faults.recoveries << "}";
-  }
   return out.str();
 }
 
@@ -219,11 +213,6 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
   }
   report_.violations += lane.violations;
   lane.reset();
-}
-
-void ModelChecker::record_fault_totals(const FaultTotals& totals) {
-  if (!options_.enabled) return;
-  report_.faults = totals;
 }
 
 void ModelChecker::end_run(std::uint32_t rounds) {

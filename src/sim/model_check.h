@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "sim/fault_hooks.h"
 
 namespace arbmis::sim {
 
@@ -79,11 +78,6 @@ struct ModelCheckReport {
   /// simulator-side analog of ReadKFamily::read_k().
   std::uint32_t k = 0;
   std::uint64_t violations = 0;
-  /// Injected-fault totals for the run (all zero when no FaultInjector is
-  /// attached). Note that a duplicated randomness-bearing message counts
-  /// twice in the read-k ledger: the recipient observably reads the value
-  /// once per delivered copy.
-  FaultTotals faults;
   /// Per-round series (index = round number; round 0 is on_start).
   std::vector<std::uint32_t> round_max_message_bits;
   std::vector<std::uint32_t> round_k;
@@ -182,10 +176,6 @@ class ModelChecker {
   /// phase aborts; `round` is the round the lane's callbacks executed in
   /// (0 for the on_start phase). Resets the lane.
   void merge_lane(ModelCheckerLane& lane, std::uint32_t round);
-
-  /// Copies the fault injector's run-wide totals into the report (Network
-  /// calls this once at the end of a faulty run).
-  void record_fault_totals(const FaultTotals& totals);
 
   /// Final bookkeeping; logs the summary at debug level.
   void end_run(std::uint32_t rounds);

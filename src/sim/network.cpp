@@ -54,6 +54,7 @@ void RunStats::absorb(const RunStats& other) noexcept {
   payload_bits += other.payload_bits;
   max_edge_load = std::max(max_edge_load, other.max_edge_load);
   all_halted = all_halted && other.all_halted;
+  faults += other.faults;
 }
 
 Network::Network(graph::GraphView g, std::uint64_t seed,
@@ -161,8 +162,8 @@ std::span<const Message> Network::consume_inbox(graph::NodeId v,
   // Nothing was sent last round: every inbox is empty, no row to walk.
   if (delivering_ == 0) return {};
   std::size_t count = 0;
-  // Actual-width accounting (RoundDelta::payload_bits and the registry's
-  // histogram) is commutative, so each lane stages its own.
+  // Actual-width accounting (the Round event's payload_bits and the
+  // registry's histogram) is commutative, so each lane stages its own.
   const bool histogram = obs::registry() != nullptr;
   std::uint64_t consumed_bits = 0;
   gather(v, round_ - 1, [&](const Message& stored) {
@@ -416,7 +417,6 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   }
   in_flight_ = 0;
   rng_draws_ = 0;
-  last_round_ = RoundDelta{};
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;
   round_payload_bits_ = 0;
@@ -462,7 +462,6 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   }
   stats_.payload_bits = stats_.messages * kBitsPerMessage;
   stats_.all_halted = (num_halted_ == n);
-  if (fault_ != nullptr) checker_.record_fault_totals(fault_->totals());
   checker_.end_run(stats_.rounds);
   if (obs::telemetry_attached()) {
     obs::emit(obs::make_event<obs::EventKind::kRunEnd>(
@@ -491,15 +490,10 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
 
 void Network::flush_round_accounting(std::uint64_t messages_before,
                                      RoundFaultEvents events) {
-  last_round_.round = round_;
-  last_round_.messages = stats_.messages - messages_before;
-  last_round_.payload_bits = round_payload_bits_;
-  last_round_.fault_drops = round_fault_drops_;
-  last_round_.fault_duplicates = round_fault_duplicates_;
-  last_round_.fault_crashes = events.crashes;
-  last_round_.fault_recoveries = events.recoveries;
+  const std::uint64_t messages = stats_.messages - messages_before;
   if (fault_ != nullptr) {
-    fault_->account(round_, round_fault_drops_, round_fault_duplicates_);
+    stats_.faults += FaultTotals{round_fault_drops_, round_fault_duplicates_,
+                                 events.crashes, events.recoveries};
   }
   if (obs::telemetry_attached()) {
     const ModelCheckReport& report = checker_.report();
@@ -516,22 +510,22 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
             ? report.round_k[round_ - 1]
             : 0;
     obs::emit(obs::make_event<obs::EventKind::kRound>(
-        round_, num_halted_, last_round_.messages, last_round_.payload_bits,
-        in_flight(), rng_draws_, width_now, k_prev));
+        round_, num_halted_, messages, round_payload_bits_, in_flight(),
+        rng_draws_, width_now, k_prev));
     if (fault_ != nullptr) {
       obs::emit(obs::make_event<obs::EventKind::kFaultRound>(
-          round_, last_round_.fault_drops, last_round_.fault_duplicates,
-          last_round_.fault_crashes, last_round_.fault_recoveries));
+          round_, round_fault_drops_, round_fault_duplicates_, events.crashes,
+          events.recoveries));
     }
   }
   if (obs::Registry* const reg = obs::registry()) {
-    reg->add("sim.messages", last_round_.messages);
-    reg->add("sim.payload_bits", last_round_.payload_bits);
+    reg->add("sim.messages", messages);
+    reg->add("sim.payload_bits", round_payload_bits_);
     if (fault_ != nullptr) {
-      reg->add("sim.fault.drops", last_round_.fault_drops);
-      reg->add("sim.fault.duplicates", last_round_.fault_duplicates);
-      reg->add("sim.fault.crashes", last_round_.fault_crashes);
-      reg->add("sim.fault.recoveries", last_round_.fault_recoveries);
+      reg->add("sim.fault.drops", round_fault_drops_);
+      reg->add("sim.fault.duplicates", round_fault_duplicates_);
+      reg->add("sim.fault.crashes", events.crashes);
+      reg->add("sim.fault.recoveries", events.recoveries);
     }
     reg->snapshot_round(round_);
   }

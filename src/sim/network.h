@@ -50,8 +50,10 @@
 // Message fates are decided per send as a pure function of (plan, edge
 // slot, round), and node crashes/recoveries resolve serially at the round
 // barrier — so a faulty run is a pure function of (graph, seed, algorithm,
-// plan) and remains byte-identical across thread counts. With no injector
-// attached every fault path is skipped.
+// plan) and remains byte-identical across thread counts. Each barrier
+// records the round's faults once, as its FaultRound event, and adds them
+// to RunStats::faults. With no injector attached every fault path is
+// skipped.
 //
 // Delivery (pull): a message is written once, by its sender, and read
 // the next round by its receiver. Every store is double-buffered by round
@@ -156,9 +158,13 @@ struct RunStats {
   std::uint64_t payload_bits = 0;     ///< messages * kBitsPerMessage
   std::uint32_t max_edge_load = 0;    ///< max msgs on one directed edge/round
   bool all_halted = false;            ///< every node halted within budget
+  /// Faults injected over the run, on_start included: the sum of its
+  /// FaultRound events (all zero without a FaultInjector).
+  FaultTotals faults;
 
-  /// Accumulates another stage's stats (pipeline composition): rounds add,
-  /// loads max, all_halted ANDs (a pipeline halted iff every stage did).
+  /// Accumulates another stage's stats (pipeline composition): rounds and
+  /// faults add, loads max, all_halted ANDs (a pipeline halted iff every
+  /// stage did).
   void absorb(const RunStats& other) noexcept;
 };
 
@@ -184,7 +190,7 @@ struct ExecLane {
   std::uint32_t max_edge_load = 0;
   graph::NodeId halts = 0;         ///< nodes newly halted in this shard
   /// Fault events staged by this lane's sends (merged at the barrier so
-  /// the injector's ledger stays executor-independent).
+  /// the FaultRound events and RunStats::faults stay executor-independent).
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_duplicates = 0;
   ModelCheckerLane check;
@@ -203,27 +209,6 @@ struct ExecLane {
     fault_duplicates = 0;
     check.reset();
   }
-};
-
-/// Per-round accounting snapshot, refreshed at every round barrier and
-/// readable by RoundObservers (sim/trace.h records it). `messages` counts
-/// the messages consumed by callbacks this round; fault counters cover
-/// faults resolved or injected this round (drops/duplicates are charged to
-/// the round the message was *sent* in).
-struct RoundDelta {
-  std::uint32_t round = 0;
-  std::uint64_t messages = 0;
-  /// Actual bits consumed this round: sum of message_bits() (tag kind bits
-  /// plus significant payload bits) over the consumed messages — NOT
-  /// messages * kBitsPerMessage; the nominal full-word charge lives only
-  /// in the run-wide RunStats::payload_bits.
-  std::uint64_t payload_bits = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint64_t fault_duplicates = 0;
-  std::uint32_t fault_crashes = 0;
-  std::uint32_t fault_recoveries = 0;
-
-  friend bool operator==(const RoundDelta&, const RoundDelta&) = default;
 };
 
 class Network {
@@ -260,7 +245,7 @@ class Network {
   std::uint32_t staged_inbox_size(graph::NodeId v) const;
 
   /// Called after every completed round with the round number just
-  /// finished; used by audits and traces. May inspect but not mutate.
+  /// finished; used by audits and tests. May inspect but not mutate.
   /// It fires at the round barrier, after the lane merge, so it always
   /// observes a consistent global state.
   using RoundObserver = std::function<void(const Network&, std::uint32_t)>;
@@ -278,10 +263,6 @@ class Network {
   const ModelCheckReport& model_check_report() const noexcept {
     return checker_.report();
   }
-
-  /// Accounting for the most recently completed round (valid inside a
-  /// RoundObserver and after run() returns).
-  const RoundDelta& last_round() const noexcept { return last_round_; }
 
  private:
   friend class NodeContext;
@@ -344,8 +325,8 @@ class Network {
   /// histogram and checker accounting into the shared state and resets
   /// the lane. Runs on the calling thread only.
   void merge(ExecLane& lane);
-  /// Barrier bookkeeping: fills last_round_, flushes the round's fault
-  /// drop/duplicate counts to the injector's ledger.
+  /// Barrier bookkeeping: adds the round's faults to stats_.faults, and
+  /// emits its Round and FaultRound events and registry counters.
   void flush_round_accounting(std::uint64_t messages_before,
                               RoundFaultEvents events);
 
@@ -386,7 +367,6 @@ class Network {
 
   ModelChecker checker_;
   RunStats stats_;
-  RoundDelta last_round_;
   std::uint64_t rng_draws_ = 0;  ///< run-wide logical draws (all nodes)
   // Actual consumed bits and fault drop/duplicate counts of the round in
   // progress, folded in from the lanes.

@@ -1,8 +1,9 @@
 // Tests of the fault-injection subsystem (src/fault/): FaultPlan
-// determinism and ledger accounting, the edge cases the issue calls out
-// (crash-at-round-0, crash-all-neighbors, 100% drop, duplicate storm),
-// zero-cost-when-off equivalence, and ResilientMis certification on the
-// standard test graphs under every adversary.
+// determinism and the Network's fault accounting (FaultRound events,
+// RunStats::faults), the edge cases crash-at-round-0, crash-all-neighbors,
+// 100% drop and duplicate storm, zero-cost-when-off equivalence, and
+// ResilientMis certification on the standard test graphs under every
+// adversary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +19,8 @@
 #include "mis/ghaffari.h"
 #include "mis/luby.h"
 #include "mis/verifier.h"
+#include "round_events.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 namespace arbmis {
 namespace {
@@ -100,12 +101,7 @@ TEST(FaultPlan, NoOpPlanIsByteIdenticalToFaultFreeRun) {
   EXPECT_EQ(with_plan.stats.rounds, without.stats.rounds);
   EXPECT_EQ(with_plan.stats.messages, without.stats.messages);
   EXPECT_EQ(with_plan.stats.payload_bits, without.stats.payload_bits);
-  EXPECT_EQ(plan.totals(), sim::FaultTotals{});
-  for (const fault::LedgerEntry& entry : plan.ledger()) {
-    EXPECT_EQ(entry.drops, 0u);
-    EXPECT_EQ(entry.duplicates, 0u);
-    EXPECT_EQ(entry.crashes, 0u);
-  }
+  EXPECT_EQ(with_plan.stats.faults, sim::FaultTotals{});
 }
 
 TEST(FaultPlan, PlanIsAPureFunctionOfGraphSeedAdversary) {
@@ -116,9 +112,12 @@ TEST(FaultPlan, PlanIsAPureFunctionOfGraphSeedAdversary) {
         {.drop_rate = 0.2, .duplicate_rate = 0.1, .crash_rate = 0.02,
          .recovery_delay = 3});
     fault::FaultPlan plan(g, 7, adversary);
-    mis::MisResult result = run_luby_with_plan(g, 7, &plan);
-    return std::make_tuple(result.state, result.stats.messages,
-                           plan.ledger(), plan.totals());
+    mis::MisResult result;
+    const std::vector<obs::OwnedEvent> fault_rounds = test::capture_events(
+        {obs::EventKind::kFaultRound},
+        [&] { result = run_luby_with_plan(g, 7, &plan); });
+    return std::make_tuple(result.state, result.stats.messages, fault_rounds,
+                           result.stats.faults);
   };
   const auto first = run();
   const auto second = run();
@@ -128,7 +127,7 @@ TEST(FaultPlan, PlanIsAPureFunctionOfGraphSeedAdversary) {
   EXPECT_TRUE(std::get<3>(first) == std::get<3>(second));
 }
 
-TEST(FaultPlan, LedgerSumsToTotalsAndReachesTheReport) {
+TEST(FaultPlan, FaultRoundEventsSumToRunStats) {
   util::Rng rng(11);
   const graph::Graph g = graph::gen::gnp(60, 0.1, rng);
   fault::IidAdversary adversary(
@@ -137,37 +136,25 @@ TEST(FaultPlan, LedgerSumsToTotalsAndReachesTheReport) {
   sim::NetworkOptions options;
   options.fault = &plan;
   sim::Network net(g, 3, options);
-  sim::Trace trace;
   mis::LubyBMis algo(g);
-  net.run(algo, 2048, trace.observer());
+  sim::RunStats stats;
+  const std::vector<obs::OwnedEvent> events = test::capture_events(
+      {obs::EventKind::kRound, obs::EventKind::kFaultRound},
+      [&] { stats = net.run(algo, 2048); });
 
-  sim::FaultTotals summed;
-  for (const fault::LedgerEntry& entry : plan.ledger()) {
-    summed.drops += entry.drops;
-    summed.duplicates += entry.duplicates;
-    summed.crashes += entry.crashes;
-    summed.recoveries += entry.recoveries;
+  // One FaultRound per executed round, round 0 (on_start) included, each
+  // right behind its round's Round event.
+  ASSERT_EQ(events.size(), 2 * (std::size_t{stats.rounds} + 1));
+  for (std::size_t i = 0; i < events.size(); i += 2) {
+    EXPECT_EQ(events[i].kind, obs::EventKind::kRound);
+    EXPECT_EQ(events[i + 1].kind, obs::EventKind::kFaultRound);
+    EXPECT_EQ(events[i + 1].round, i / 2);
   }
-  EXPECT_EQ(summed, plan.totals());
+  // Together they are the run's totals.
+  const sim::FaultTotals summed = test::sum_fault_rounds(events);
+  EXPECT_EQ(summed, stats.faults);
   EXPECT_GT(summed.drops, 0u);
   EXPECT_GT(summed.duplicates, 0u);
-  // The same totals surface through the model-check report ...
-  EXPECT_EQ(net.model_check_report().faults, plan.totals());
-  // ... and per round through the trace (skipping round 0, which the
-  // observer does not see).
-  sim::FaultTotals traced;
-  for (const sim::Trace::RoundRecord& rec : trace.records()) {
-    traced.drops += rec.fault_drops;
-    traced.duplicates += rec.fault_duplicates;
-    traced.crashes += rec.fault_crashes;
-    traced.recoveries += rec.fault_recoveries;
-  }
-  ASSERT_FALSE(plan.ledger().empty());
-  const fault::LedgerEntry& round0 = plan.ledger().front();
-  EXPECT_EQ(traced.drops + round0.drops, summed.drops);
-  EXPECT_EQ(traced.duplicates + round0.duplicates, summed.duplicates);
-  EXPECT_EQ(traced.crashes + round0.crashes, summed.crashes);
-  EXPECT_EQ(traced.recoveries + round0.recoveries, summed.recoveries);
 }
 
 TEST(FaultPlan, CrashAtRoundZeroSilencesTheNodeForGood) {
@@ -181,10 +168,10 @@ TEST(FaultPlan, CrashAtRoundZeroSilencesTheNodeForGood) {
   EXPECT_EQ(plan.num_down(), 1u);
   // Exactly one crash; the only drops are the neighbors' messages into
   // the dead node (sends to a down node are lost in transit).
-  EXPECT_EQ(plan.totals().crashes, 1u);
-  EXPECT_EQ(plan.totals().recoveries, 0u);
-  EXPECT_EQ(plan.totals().duplicates, 0u);
-  EXPECT_GT(plan.totals().drops, 0u);
+  EXPECT_EQ(result.stats.faults.crashes, 1u);
+  EXPECT_EQ(result.stats.faults.recoveries, 0u);
+  EXPECT_EQ(result.stats.faults.duplicates, 0u);
+  EXPECT_GT(result.stats.faults.drops, 0u);
   // The survivors still settle a valid MIS of the residual path.
   std::vector<std::uint8_t> in_mis(g.num_nodes(), 0);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -216,8 +203,8 @@ TEST(FaultPlan, HundredPercentDropDeliversNothing) {
   const mis::MisResult result = run_luby_with_plan(g, 4, &plan, 256);
   // Every send was eaten: nothing was ever consumed, everything dropped.
   EXPECT_EQ(result.stats.messages, 0u);
-  EXPECT_GT(plan.totals().drops, 0u);
-  EXPECT_EQ(plan.totals().duplicates, 0u);
+  EXPECT_GT(result.stats.faults.drops, 0u);
+  EXPECT_EQ(result.stats.faults.duplicates, 0u);
   // Under total blackout every Luby node sees an empty neighborhood and
   // joins — the canonical safety violation ResilientMis exists to catch.
   std::vector<std::uint8_t> in_mis(g.num_nodes(), 1);
@@ -232,11 +219,11 @@ TEST(FaultPlan, DuplicateStormDeliversEveryMessageTwice) {
   // Every message is delivered exactly twice (delivered = 2 x sent =
   // 2 x duplicates). Consumed counts can fall short — messages landing on
   // an already-halted node are never read — but they always come in pairs.
-  EXPECT_GT(plan.totals().duplicates, 0u);
+  EXPECT_GT(result.stats.faults.duplicates, 0u);
   EXPECT_GT(result.stats.messages, 0u);
-  EXPECT_LE(result.stats.messages, 2 * plan.totals().duplicates);
+  EXPECT_LE(result.stats.messages, 2 * result.stats.faults.duplicates);
   EXPECT_EQ(result.stats.messages % 2, 0u);
-  EXPECT_EQ(plan.totals().drops, 0u);
+  EXPECT_EQ(result.stats.faults.drops, 0u);
 }
 
 TEST(FaultPlan, RecoveryBringsCrashedNodesBack) {
@@ -244,8 +231,8 @@ TEST(FaultPlan, RecoveryBringsCrashedNodesBack) {
   ScriptedAdversary adversary({}, {{1, {4, 5}}}, /*recovery_delay=*/2);
   fault::FaultPlan plan(g, 8, adversary);
   const mis::MisResult result = run_luby_with_plan(g, 8, &plan);
-  EXPECT_EQ(plan.totals().crashes, 2u);
-  EXPECT_EQ(plan.totals().recoveries, 2u);
+  EXPECT_EQ(result.stats.faults.crashes, 2u);
+  EXPECT_EQ(result.stats.faults.recoveries, 2u);
   EXPECT_EQ(plan.num_down(), 0u);
   EXPECT_FALSE(plan.recovery_pending());
   // Recovered nodes resume with state intact and eventually decide.
@@ -262,10 +249,10 @@ TEST(Adversary, AdaptiveTargetsHighDegreeActiveNodes) {
   fault::FaultPlan plan(g, 5, adversary);
   EXPECT_TRUE(adversary.targeted(0));
   EXPECT_FALSE(adversary.targeted(1));
-  run_luby_with_plan(g, 5, &plan);
+  const mis::MisResult result = run_luby_with_plan(g, 5, &plan);
   // The single crash of the budget lands on the center (highest degree).
   EXPECT_TRUE(plan.is_down(0));
-  EXPECT_EQ(plan.totals().crashes, 1u);
+  EXPECT_EQ(result.stats.faults.crashes, 1u);
 }
 
 TEST(Adversary, BurstyAlternatesCalmAndLossyRounds) {
@@ -280,6 +267,43 @@ TEST(Adversary, BurstyAlternatesCalmAndLossyRounds) {
   EXPECT_TRUE(adversary.in_burst(6));
   EXPECT_DOUBLE_EQ(adversary.message_odds(0, 1, 1).drop, 0.8);
   EXPECT_DOUBLE_EQ(adversary.message_odds(0, 1, 3).drop, 0.0);
+}
+
+TEST(ResilientMis, AttemptFaultsCountEveryRunOfTheDriver) {
+  // A driver may run its attempt's Network more than once (the shatter
+  // driver falls back to Luby B there). The attempt's faults are those of
+  // every run: the FaultRound events of both runs, summed.
+  util::Rng rng(3);
+  const graph::Graph g = graph::gen::union_of_random_forests(300, 2, rng);
+  const fault::MisDriver twice = [](graph::GraphView view, sim::Network& net,
+                                    std::uint32_t max_rounds,
+                                    sim::RunStats& stats) {
+    mis::LubyBMis first(view);
+    stats = net.run(first, max_rounds);
+    mis::LubyBMis second(view);
+    stats.absorb(net.run(second, max_rounds));
+    return second.states();
+  };
+  fault::IidAdversary adversary({.drop_rate = 0.2,
+                                 .duplicate_rate = 0.1,
+                                 .crash_rate = 0.01,
+                                 .recovery_delay = 3});
+  fault::ResilientOptions options;
+  options.max_rounds_per_attempt = 4096;
+  options.fault_free_after = 1;  // only attempt 0 injects faults
+  fault::ResilientResult result;
+  const std::vector<obs::OwnedEvent> fault_rounds = test::capture_events(
+      {obs::EventKind::kFaultRound}, [&] {
+        result = fault::resilient_mis(g, 17, adversary, twice, options);
+      });
+  const sim::FaultTotals injected = test::sum_fault_rounds(fault_rounds);
+  EXPECT_GT(injected.drops, 0u);
+  EXPECT_GT(injected.duplicates, 0u);
+  EXPECT_GT(injected.crashes, 0u);
+  ASSERT_FALSE(result.attempt_log.empty());
+  EXPECT_EQ(result.attempt_log[0].stats.faults, injected);
+  EXPECT_EQ(result.faults, injected);
+  EXPECT_TRUE(result.certified);
 }
 
 class ResilientMisCertification

@@ -22,6 +22,8 @@
 #include "mis/matching.h"
 #include "mis/metivier.h"
 #include "mis/verifier.h"
+#include "obs/events.h"
+#include "round_events.h"
 #include "serve/protocol.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -765,7 +767,8 @@ class ChatterAlgorithm final : public sim::Algorithm {
 /// One observable snapshot of a fuzz run for exact comparison.
 struct ArenaFuzzRun {
   std::vector<std::uint64_t> digests;
-  std::vector<fault::LedgerEntry> ledger;
+  /// FaultRound events: the Network's, or the model's own count of them.
+  std::vector<obs::OwnedEvent> fault_rounds;
   std::uint64_t rng_draws = 0;
   std::uint32_t rounds = 0;
   std::uint64_t messages = 0;
@@ -793,7 +796,8 @@ ArenaFuzzRun model_run(const graph::Graph& g, std::uint64_t seed,
   ArenaFuzzRun run;
   if (plan != nullptr) plan->begin_run();
   const auto phase = [&](std::uint32_t round) {
-    if (plan != nullptr) plan->begin_round(round, halted);
+    sim::RoundFaultEvents events;
+    if (plan != nullptr) events = plan->begin_round(round, halted);
     std::uint64_t drops = 0;
     std::uint64_t duplicates = 0;
     for (graph::NodeId v = 0; v < n; ++v) {
@@ -821,7 +825,11 @@ ArenaFuzzRun model_run(const graph::Graph& g, std::uint64_t seed,
           });
       if (halt) halted[v] = 1;
     }
-    if (plan != nullptr) plan->account(round, drops, duplicates);
+    if (plan != nullptr) {
+      run.fault_rounds.emplace_back(
+          obs::make_event<obs::EventKind::kFaultRound>(
+              round, drops, duplicates, events.crashes, events.recoveries));
+    }
   };
   phase(0);
   while (run.rounds < max_rounds) {
@@ -837,7 +845,6 @@ ArenaFuzzRun model_run(const graph::Graph& g, std::uint64_t seed,
     phase(++run.rounds);
   }
   run.digests = chatter.digests();
-  if (plan != nullptr) run.ledger = plan->ledger();
   return run;
 }
 
@@ -879,16 +886,18 @@ TEST_P(ArenaSlowFuzz, ArenaAgreesWithReferenceMessageForMessage) {
     options.fault = faulty ? &plan : nullptr;
     sim::Network net(g, case_seed, options);
     ChatterAlgorithm algo(n);
-    const sim::RunStats stats = net.run(algo, kMaxRounds);
+    sim::RunStats stats;
     ArenaFuzzRun arena;
+    arena.fault_rounds = test::capture_events(
+        {obs::EventKind::kFaultRound},
+        [&] { stats = net.run(algo, kMaxRounds); });
     arena.digests = algo.chatter().digests();
-    if (faulty) arena.ledger = plan.ledger();
     arena.rng_draws = net.total_rng_draws();
     arena.rounds = stats.rounds;
     arena.messages = stats.messages;
 
     EXPECT_EQ(reference.digests, arena.digests) << label;
-    EXPECT_EQ(reference.ledger, arena.ledger) << label;
+    EXPECT_EQ(reference.fault_rounds, arena.fault_rounds) << label;
     EXPECT_EQ(reference.rng_draws, arena.rng_draws) << label;
     EXPECT_EQ(reference.rounds, arena.rounds) << label;
     EXPECT_EQ(reference.messages, arena.messages) << label;

@@ -22,6 +22,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "obs/sink.h"
+#include "round_events.h"
 #include "sim/model_check.h"
 #include "sim/network.h"
 
@@ -140,8 +141,6 @@ class TriplingInjector final : public sim::FaultInjector {
   bool is_down(graph::NodeId) const override { return false; }
   graph::NodeId num_down() const override { return 0; }
   bool recovery_pending() const override { return false; }
-  void account(std::uint32_t, std::uint64_t, std::uint64_t) override {}
-  sim::FaultTotals totals() const override { return {}; }
 };
 
 TEST(MessageArena, SlotLayoutMatchesCsrAndInboxIsPortOrdered) {
@@ -460,7 +459,7 @@ class DrawingBroadcast final : public sim::Algorithm {
 /// Everything a DrawingBroadcast run exposes, for exact comparison.
 struct ExecutorRun {
   std::vector<std::vector<Recorded>> inboxes;
-  std::vector<sim::RoundDelta> deltas;
+  std::vector<obs::OwnedEvent> rounds;  ///< Round and FaultRound events
   sim::RunStats stats;
   sim::ModelCheckReport report;
   std::uint64_t rng_draws = 0;
@@ -478,9 +477,9 @@ ExecutorRun run_drawing_broadcast(const graph::Graph& g,
   sim::Network net(g, 11, options);
   DrawingBroadcast algo(g.num_nodes(), 3, sending);
   ExecutorRun run;
-  run.stats = net.run(algo, 4, [&](const sim::Network& n, std::uint32_t) {
-    run.deltas.push_back(n.last_round());
-  });
+  run.rounds = test::capture_events(
+      {obs::EventKind::kRound, obs::EventKind::kFaultRound},
+      [&] { run.stats = net.run(algo, 4); });
   run.inboxes = algo.inboxes();
   run.report = net.model_check_report();
   run.rng_draws = net.total_rng_draws();
@@ -490,12 +489,13 @@ ExecutorRun run_drawing_broadcast(const graph::Graph& g,
 void expect_same_run(const ExecutorRun& a, const ExecutorRun& b,
                      const std::string& label) {
   EXPECT_EQ(a.inboxes, b.inboxes) << label;
-  EXPECT_EQ(a.deltas, b.deltas) << label;
+  EXPECT_EQ(a.rounds, b.rounds) << label;
   EXPECT_EQ(a.stats.rounds, b.stats.rounds) << label;
   EXPECT_EQ(a.stats.messages, b.stats.messages) << label;
   EXPECT_EQ(a.stats.payload_bits, b.stats.payload_bits) << label;
   EXPECT_EQ(a.stats.max_edge_load, b.stats.max_edge_load) << label;
   EXPECT_EQ(a.stats.all_halted, b.stats.all_halted) << label;
+  EXPECT_TRUE(a.stats.faults == b.stats.faults) << label;
   EXPECT_EQ(a.rng_draws, b.rng_draws) << label;
   EXPECT_EQ(a.report.k, b.report.k) << label;
   EXPECT_EQ(a.report.round_k, b.report.round_k) << label;
@@ -509,7 +509,6 @@ void expect_same_run(const ExecutorRun& a, const ExecutorRun& b,
             b.report.max_rng_reads_per_round)
       << label;
   EXPECT_EQ(a.report.violations, b.report.violations) << label;
-  EXPECT_TRUE(a.report.faults == b.report.faults) << label;
 }
 
 void expect_identical_across_executors(const graph::Graph& g,
@@ -540,8 +539,9 @@ TEST(MessageArena, StarBeyondOneFlushBatchIsExecutorIndependent) {
   // must not lose the consumptions staged in any batch.
   EXPECT_EQ(inline_run.report.k, kStarLeaves + 1);
   EXPECT_EQ(inline_run.report.violations, 0u);
-  ASSERT_EQ(inline_run.deltas.size(), 3u);
-  EXPECT_EQ(inline_run.deltas[0].messages, 2u * kStarLeaves);
+  // Rounds 0-3, and no FaultRound without an injector.
+  ASSERT_EQ(inline_run.rounds.size(), 4u);
+  EXPECT_EQ(test::field(inline_run.rounds[1], "messages"), 2u * kStarLeaves);
   expect_identical_across_executors(g, false, inline_run);
 }
 
@@ -557,16 +557,16 @@ TEST(MessageArena, DuplicateStormOverflowAcrossFlushBatches) {
   }
   // Every delivered copy is a read: two per leaf, plus the centre itself.
   EXPECT_EQ(inline_run.report.k, 2 * kStarLeaves + 1);
-  EXPECT_EQ(inline_run.report.faults.duplicates, 3u * 2u * kStarLeaves);
+  EXPECT_EQ(inline_run.stats.faults.duplicates, 3u * 2u * kStarLeaves);
   expect_identical_across_executors(g, true, inline_run);
 }
 
 TEST(MessageArena, BroadcastEqualsPortByPortSends) {
   // A broadcast stages one run for the whole row; the same message sent
-  // port by port stages one run per port. Inboxes, per-round deltas, run
-  // stats and the checker's report (read-k ledger included) must not
-  // tell them apart, on any executor, with or without an injector (which
-  // splits a broadcast into per-port runs, each with its own fate).
+  // port by port stages one run per port. Inboxes, Round and FaultRound
+  // events, run stats and the checker's report (read-k ledger included)
+  // must not tell them apart, on any executor, with or without an injector
+  // (which splits a broadcast into per-port runs, each with its own fate).
   const graph::Graph g = [] {
     util::Rng rng(13);
     return graph::gen::gnp(80, 0.1, rng);
@@ -855,10 +855,9 @@ TEST(MessageArena, MixedInboxAscendsBySenderOnEveryExecutor) {
       sim::Network net(g, 11, options);
       MixedSources algo(g.num_nodes(), kRounds);
       ExecutorRun run;
-      run.stats = net.run(algo, kRounds + 1,
-                          [&](const sim::Network& n, std::uint32_t) {
-                            run.deltas.push_back(n.last_round());
-                          });
+      run.rounds = test::capture_events(
+          {obs::EventKind::kRound, obs::EventKind::kFaultRound},
+          [&] { run.stats = net.run(algo, kRounds + 1); });
       run.inboxes = algo.inboxes();
       run.report = net.model_check_report();
       run.rng_draws = net.total_rng_draws();

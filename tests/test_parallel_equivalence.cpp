@@ -12,7 +12,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -49,11 +48,11 @@ struct RunRecord {
   std::vector<std::uint32_t> output;      ///< per-node final states/outcomes
   std::vector<std::uint32_t> halt_round;  ///< first round seen halted
   std::uint64_t rng_draws = 0;            ///< run-wide logical RNG draws
-  std::vector<sim::RoundDelta> deltas;    ///< per-round accounting series
   sim::ModelCheckReport report;
   /// Telemetry event stream captured under the default sink configuration
-  /// (executor-internal kinds excluded), rendered as JSONL. Events carry
-  /// logical time only, so the bytes must match across executors.
+  /// (executor-internal kinds excluded), rendered as JSONL: the per-round
+  /// Round and FaultRound records among them. Events carry logical time
+  /// only, so the bytes must match across executors.
   std::string events;
 };
 
@@ -78,10 +77,10 @@ void expect_identical(const RunRecord& serial, const RunRecord& parallel,
   EXPECT_EQ(serial.stats.max_edge_load, parallel.stats.max_edge_load)
       << label;
   EXPECT_EQ(serial.stats.all_halted, parallel.stats.all_halted) << label;
+  EXPECT_TRUE(serial.stats.faults == parallel.stats.faults) << label;
   EXPECT_EQ(serial.output, parallel.output) << label;
   EXPECT_EQ(serial.halt_round, parallel.halt_round) << label;
   EXPECT_EQ(serial.rng_draws, parallel.rng_draws) << label;
-  EXPECT_EQ(serial.deltas, parallel.deltas) << label;
   EXPECT_EQ(serial.events, parallel.events) << label;
   EXPECT_FALSE(serial.events.empty()) << label;
 
@@ -96,7 +95,6 @@ void expect_identical(const RunRecord& serial, const RunRecord& parallel,
   EXPECT_EQ(a.violations, b.violations) << label;
   EXPECT_EQ(a.round_max_message_bits, b.round_max_message_bits) << label;
   EXPECT_EQ(a.round_k, b.round_k) << label;
-  EXPECT_TRUE(a.faults == b.faults) << label;
 }
 
 /// Runs `algorithm` on a fresh network with the given worker count and
@@ -118,7 +116,6 @@ RunRecord run_case(graph::GraphView g, std::uint64_t seed,
         record.halt_round[v] = round;
       }
     }
-    record.deltas.push_back(n.last_round());
   };
   // Telemetry rides along with the run under comparison: attaching a sink
   // must not perturb the run, and the captured stream must itself be
@@ -328,9 +325,9 @@ TEST_P(ParallelEquivalence, ArbMisPipelineMatchesSerialOnAllGraphs) {
 TEST_P(ParallelEquivalence, FaultyLubyMatchesSerialOnAllGraphs) {
   // Fault injection must preserve the determinism-merge rule: with an
   // identically-constructed FaultPlan per run, every thread count must
-  // reproduce the serial run byte-for-byte — outputs, stats, the checker
-  // report (including fault totals), the per-round fault ledger, and the
-  // final down mask. A fresh plan per run is required because plans are
+  // reproduce the serial run byte-for-byte — outputs, stats (fault totals
+  // included), the checker report, the FaultRound events, and the final
+  // down mask. A fresh plan per run is required because plans are
   // stateful (down set, event stream); determinism comes from the plan
   // being a pure function of (graph, seed, adversary).
   const std::uint64_t seed = GetParam();
@@ -349,18 +346,18 @@ TEST_P(ParallelEquivalence, FaultyLubyMatchesSerialOnAllGraphs) {
       for (graph::NodeId v = 0; v < gc.g.num_nodes(); ++v) {
         down.push_back(plan.is_down(v) ? 1 : 0);
       }
-      return std::make_tuple(std::move(record), plan.ledger(),
-                             std::move(down));
+      return std::make_pair(std::move(record), std::move(down));
     };
     const auto serial = run_with(0);
-    EXPECT_FALSE(std::get<1>(serial).empty()) << gc.name;
+    EXPECT_NE(serial.first.events.find("\"ev\":\"fault_round\""),
+              std::string::npos)
+        << gc.name;
     for (const std::uint32_t threads : kThreadCounts) {
       const auto parallel = run_with(threads);
       const std::string label =
           "faulty_luby/" + gc.name + "/t" + std::to_string(threads);
-      expect_identical(std::get<0>(serial), std::get<0>(parallel), label);
-      EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel)) << label;
-      EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel)) << label;
+      expect_identical(serial.first, parallel.first, label);
+      EXPECT_EQ(serial.second, parallel.second) << label;
     }
   }
 }
@@ -381,18 +378,15 @@ TEST_P(ParallelEquivalence, FaultyGhaffariUnderAdaptiveMatchesSerial) {
                                           .degree_fraction = 0.25});
       fault::FaultPlan plan(gc.g, seed, adversary);
       mis::GhaffariMis algorithm(gc.g);
-      RunRecord record = run_case(
+      return run_case(
           gc.g, seed, threads, algorithm, 512,
           [](const mis::GhaffariMis& a) { return a.states(); }, &plan);
-      return std::make_pair(std::move(record), plan.ledger());
     };
-    const auto serial = run_with(0);
+    const RunRecord serial = run_with(0);
     for (const std::uint32_t threads : kThreadCounts) {
-      const auto parallel = run_with(threads);
       const std::string label =
           "faulty_ghaffari/" + gc.name + "/t" + std::to_string(threads);
-      expect_identical(serial.first, parallel.first, label);
-      EXPECT_EQ(serial.second, parallel.second) << label;
+      expect_identical(serial, run_with(threads), label);
     }
   }
 }
@@ -613,8 +607,9 @@ TEST_P(ArenaEquivalence, BfsRootingMatchesReferenceInboxes) {
 TEST_P(ArenaEquivalence, FaultyLubyMatchesReferenceInboxes) {
   // The faulty row of the matrix: every send is a port send whose slot
   // records its fate, and duplicates double entries of the inbox, so this
-  // is the path where a layout or fate bug would first diverge. The fault
-  // ledger and final down mask ride along in the comparison.
+  // is the path where a layout or fate bug would first diverge. The final
+  // down mask rides along in the digests, the FaultRound events in the
+  // record's event stream.
   const std::uint64_t seed = GetParam();
   for (const GraphCase& gc : arena_graphs(seed)) {
     expect_arena_matches_reference(
@@ -628,13 +623,7 @@ TEST_P(ArenaEquivalence, FaultyLubyMatchesReferenceInboxes) {
           auto [record, digests] = run_digested(
               gc.g, seed, threads, algorithm, 512,
               [](const mis::LubyBMis& a) { return a.states(); }, &plan);
-          // Fold the ledger and the final down mask into the digests.
-          for (const fault::LedgerEntry& e : plan.ledger()) {
-            digests.push_back(util::mix64(
-                util::mix64(e.round, e.drops),
-                util::mix64(e.duplicates, (std::uint64_t{e.crashes} << 32) |
-                                              e.recoveries)));
-          }
+          // Fold the final down mask into the digests.
           for (graph::NodeId v = 0; v < gc.g.num_nodes(); ++v) {
             digests.push_back(plan.is_down(v) ? 1 : 0);
           }
@@ -810,7 +799,8 @@ TEST_P(MappedEquivalence, ArbMisPipelineIsStorageIndependent) {
 TEST_P(MappedEquivalence, FaultyLubyIsStorageIndependent) {
   // The mapped+faulty row: fault plans are pure functions of
   // (graph, seed, adversary), so a plan built against the mapped view must
-  // reproduce the in-memory run's ledger and down mask byte for byte.
+  // reproduce the in-memory run's FaultRound events and down mask byte for
+  // byte.
   const StorageCase sc = make_storage_case(GetParam());
   const auto run_with = [&](graph::GraphView g, std::uint32_t threads) {
     fault::IidAdversary adversary({.drop_rate = 0.2,
@@ -826,10 +816,11 @@ TEST_P(MappedEquivalence, FaultyLubyIsStorageIndependent) {
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       down.push_back(plan.is_down(v) ? 1 : 0);
     }
-    return std::make_tuple(std::move(record), plan.ledger(), std::move(down));
+    return std::make_pair(std::move(record), std::move(down));
   };
   const auto baseline = run_with(graph::GraphView(sc.memory), 0);
-  EXPECT_FALSE(std::get<1>(baseline).empty());
+  EXPECT_NE(baseline.first.events.find("\"ev\":\"fault_round\""),
+            std::string::npos);
   for (const std::uint32_t threads : kStorageThreadCounts) {
     for (const bool mapped : {false, true}) {
       const auto row = run_with(
@@ -837,9 +828,8 @@ TEST_P(MappedEquivalence, FaultyLubyIsStorageIndependent) {
       const std::string label = std::string("faulty_luby/") +
                                 (mapped ? "mapped" : "memory") + "/t" +
                                 std::to_string(threads);
-      expect_identical(std::get<0>(baseline), std::get<0>(row), label);
-      EXPECT_EQ(std::get<1>(baseline), std::get<1>(row)) << label;
-      EXPECT_EQ(std::get<2>(baseline), std::get<2>(row)) << label;
+      expect_identical(baseline.first, row.first, label);
+      EXPECT_EQ(baseline.second, row.second) << label;
     }
   }
 }

@@ -6,8 +6,8 @@
 #include <stdexcept>
 
 #include "graph/generators.h"
+#include "round_events.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 namespace arbmis::sim {
 namespace {
@@ -186,86 +186,72 @@ TEST(Network, ObserverSeesEveryRound) {
   EXPECT_EQ(rounds, (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
-TEST(Trace, RecordsHaltProgress) {
+TEST(Network, RoundEventsRecordHaltProgress) {
   const graph::Graph g = graph::gen::path(4);
   Network net(g, 3);
   FloodAlgorithm algorithm(4, 3);
-  Trace trace;
-  net.run(algorithm, 10, trace.observer());
-  ASSERT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.records().back().halted, 4u);
-  EXPECT_EQ(trace.round_reaching_halted_fraction(1.0, 4), 3u);
+  const std::vector<obs::OwnedEvent> rounds =
+      test::capture_events({obs::EventKind::kRound}, [&] {
+        net.run(algorithm, 10);
+      });
+  // One Round event per barrier, on_start's round 0 included.
+  ASSERT_EQ(rounds.size(), 4u);
+  // Every node halts in round 3, and none before.
+  for (const obs::OwnedEvent& e : rounds) {
+    EXPECT_EQ(test::field(e, "halted"), e.round == 3 ? 4u : 0u)
+        << "round " << e.round;
+  }
 }
 
-TEST(Trace, RecordsPerRoundMessagesAndPayload) {
+TEST(Network, RoundEventsRecordMessagesAndPayload) {
   // On cycle(4) every node broadcasts each round, so rounds 1..3 each
-  // deliver exactly 8 messages. The trace must carry the per-round
-  // message and payload deltas (not cumulative totals), and all fault
-  // counters must stay zero on a fault-free run.
+  // deliver exactly 8 messages. The Round events must carry the per-round
+  // message and payload deltas (not cumulative totals), and a fault-free
+  // run emits no FaultRound event.
   const graph::Graph g = graph::gen::cycle(4);
   Network net(g, 1);
   FloodAlgorithm algorithm(4, 3);
-  Trace trace;
-  const RunStats stats = net.run(algorithm, 10, trace.observer());
-  ASSERT_EQ(trace.records().size(), 3u);
+  RunStats stats;
+  const std::vector<obs::OwnedEvent> events = test::capture_events(
+      {obs::EventKind::kRound, obs::EventKind::kFaultRound},
+      [&] { stats = net.run(algorithm, 10); });
+  ASSERT_EQ(events.size(), 4u);
   std::uint64_t traced_messages = 0;
-  for (const Trace::RoundRecord& r : trace.records()) {
-    EXPECT_EQ(r.messages, 8u) << "round " << r.round;
+  for (const obs::OwnedEvent& e : events) {
+    ASSERT_EQ(e.kind, obs::EventKind::kRound);
+    traced_messages += test::field(e, "messages");
+    if (e.round == 0) continue;  // on_start consumes nothing
+    EXPECT_EQ(test::field(e, "messages"), 8u) << "round " << e.round;
     // Actual widths, not the nominal kBitsPerMessage: round r consumes
     // the payload broadcast in round r - 1 (0, 1, 2), so each message is
     // kTagBits + bit_width(r - 1) bits wide.
     const std::uint64_t width =
-        kTagBits + std::bit_width(std::uint64_t{r.round} - 1);
-    EXPECT_EQ(r.payload_bits, 8u * width) << "round " << r.round;
-    EXPECT_EQ(r.fault_drops, 0u);
-    EXPECT_EQ(r.fault_duplicates, 0u);
-    EXPECT_EQ(r.fault_crashes, 0u);
-    EXPECT_EQ(r.fault_recoveries, 0u);
-    traced_messages += r.messages;
+        kTagBits + std::bit_width(std::uint64_t{e.round} - 1);
+    EXPECT_EQ(test::field(e, "payload_bits"), 8u * width)
+        << "round " << e.round;
   }
   EXPECT_EQ(traced_messages, stats.messages);
+  EXPECT_EQ(stats.faults, FaultTotals{});
   // The run-wide total keeps the nominal full-word charge.
   EXPECT_EQ(stats.payload_bits, stats.messages * kBitsPerMessage);
 }
 
-TEST(Trace, HaltedFractionBoundaries) {
-  // Pin the documented edge cases of round_reaching_halted_fraction.
-  const Trace empty;
-  // An empty target is met before any round — even with no records.
-  EXPECT_EQ(empty.round_reaching_halted_fraction(0.0, 4), 0u);
-  EXPECT_EQ(empty.round_reaching_halted_fraction(-0.5, 4), 0u);
-  EXPECT_EQ(empty.round_reaching_halted_fraction(1.0, 0), 0u);
-  // A positive target can never be met with no records.
-  EXPECT_EQ(empty.round_reaching_halted_fraction(0.5, 4),
-            Trace::kNeverReached);
-
-  // path(4) under FloodAlgorithm(4, 3): all 4 nodes halt in round 3.
-  const graph::Graph g = graph::gen::path(4);
-  Network net(g, 3);
-  FloodAlgorithm algorithm(4, 3);
-  Trace trace;
-  net.run(algorithm, 10, trace.observer());
-  ASSERT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.records().back().halted, 4u);
-  EXPECT_EQ(trace.round_reaching_halted_fraction(0.0, 4), 0u);
-  EXPECT_EQ(trace.round_reaching_halted_fraction(1.0, 4), 3u);
-  // fraction > 1 asks for more nodes than exist.
-  EXPECT_EQ(trace.round_reaching_halted_fraction(1.5, 4),
-            Trace::kNeverReached);
-  // Nobody halts before round 3, so any positive fraction resolves there.
-  EXPECT_EQ(trace.round_reaching_halted_fraction(0.25, 4), 3u);
-}
-
 TEST(RunStats, AbsorbAddsRoundsAndMessages) {
   RunStats a{.rounds = 3, .messages = 10, .payload_bits = 720,
-             .max_edge_load = 1, .all_halted = true};
+             .max_edge_load = 1, .all_halted = true,
+             .faults = {.drops = 4, .duplicates = 1, .crashes = 2,
+                        .recoveries = 0}};
   RunStats b{.rounds = 2, .messages = 5, .payload_bits = 360,
-             .max_edge_load = 2, .all_halted = true};
+             .max_edge_load = 2, .all_halted = true,
+             .faults = {.drops = 3, .duplicates = 0, .crashes = 1,
+                        .recoveries = 1}};
   a.absorb(b);
   EXPECT_EQ(a.rounds, 5u);
   EXPECT_EQ(a.messages, 15u);
   EXPECT_EQ(a.max_edge_load, 2u);
   EXPECT_TRUE(a.all_halted);
+  EXPECT_EQ(a.faults, (FaultTotals{.drops = 7, .duplicates = 1, .crashes = 3,
+                                   .recoveries = 1}));
 }
 
 TEST(RunStats, AbsorbAccumulatesAllHaltedConjunctively) {
@@ -274,9 +260,11 @@ TEST(RunStats, AbsorbAccumulatesAllHaltedConjunctively) {
   // complete *last* stage must not launder an earlier timeout (the old
   // behavior was last-stage-wins).
   const RunStats complete{.rounds = 1, .messages = 0, .payload_bits = 0,
-                          .max_edge_load = 0, .all_halted = true};
+                          .max_edge_load = 0, .all_halted = true,
+                          .faults = {}};
   const RunStats timed_out{.rounds = 1, .messages = 0, .payload_bits = 0,
-                           .max_edge_load = 0, .all_halted = false};
+                           .max_edge_load = 0, .all_halted = false,
+                           .faults = {}};
 
   RunStats pipeline = complete;
   pipeline.absorb(timed_out);
