@@ -5,7 +5,6 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include "obs/registry.h"
 #include "obs/sink.h"
 #include "sim/network.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -58,10 +58,10 @@ struct BenchOptions {
   std::string json_out;       ///< machine-readable copy; "" = bench default
   std::string events_out;     ///< telemetry event stream (.jsonl or .bin)
   std::string trace_out;      ///< Chrome trace_event JSON from OBS_SCOPE
-  std::string metrics_out;    ///< "arbmis.metrics.v1" registry dump
+  std::string metrics_out;    ///< "arbmis.metrics.v2" registry dump
   std::string flightrec_out;  ///< attach a flight recorder; dump here at exit
   std::size_t recorder_bytes = std::size_t{1} << 20;  ///< ring capacity
-  std::uint32_t trace_sample = 1;  ///< keep every Nth round event/series
+  std::uint32_t trace_sample = 1;  ///< keep every Nth round's events
 
   /// Parses argv before any work. `extra_flags` are the bare flags a bench
   /// reads from argv itself (bench_mmap_graph's --large). --help prints the
@@ -90,9 +90,7 @@ struct BenchOptions {
     // The whole of `text` must be a decimal that fits `out`.
     const auto number = [&](std::string_view what, std::string_view text,
                             auto& out) {
-      const char* const end = text.data() + text.size();
-      const auto [ptr, error] = std::from_chars(text.data(), end, out);
-      if (error != std::errc{} || ptr != end) reject(what);
+      if (!util::parse_number(text, out)) reject(what);
     };
     BenchOptions options;
     for (int i = 1; i < argc; ++i) {
@@ -213,29 +211,30 @@ inline void write_report(const std::string& path, const JsonFields& header,
   std::cout << "wrote " << path << "\n";
 }
 
-/// RAII telemetry session for a bench binary: attaches (per the options)
-/// an event sink (--events=path, binary when the path ends in .bin), a
-/// flight recorder (--flightrec=path, sized by --recorder-bytes=N), a
-/// metrics registry (--metrics=path), and a profiler (--trace=path), all
+/// RAII telemetry session for a bench binary: routes every Network the
+/// bench builds without an explicit worker count to --threads N (the
+/// manifest records that count), and attaches (per the options) an event
+/// sink (--events=path, binary when the path ends in .bin), a flight
+/// recorder (--flightrec=path, sized by --recorder-bytes=N), a metrics
+/// registry (--metrics=path), and a profiler (--trace=path), all
 /// process-wide via the obs Scoped* guards. On destruction the metrics
 /// JSON and the Chrome trace are written next to the bench's other
-/// artifacts, each embedding the run manifest. With none of the flags
-/// given, constructing the session attaches nothing and the run pays the
-/// usual zero cost.
+/// artifacts, each embedding the run manifest. With none of the telemetry
+/// flags given, constructing the session attaches nothing and the run
+/// pays the usual zero cost.
 class ObsSession {
  public:
   ObsSession(const BenchOptions& options, std::string tool)
-      : manifest_(obs::make_manifest(std::move(tool))),
+      : threads_(options.threads),
+        manifest_(obs::make_manifest(std::move(tool))),
         trace_out_(options.trace_out),
         metrics_out_(options.metrics_out) {
     manifest_.seed = options.seed;
-    manifest_.threads =
-        options.threads != 0 ? options.threads : sim::default_num_threads();
-    const std::uint32_t sample =
-        options.trace_sample == 0 ? 1 : options.trace_sample;
+    manifest_.threads = options.threads;
     if (!options.events_out.empty()) {
       obs::SinkConfig config;
-      config.round_sample = sample;
+      config.round_sample =
+          options.trace_sample == 0 ? 1 : options.trace_sample;
       const bool binary = options.events_out.size() >= 4 &&
                           options.events_out.compare(
                               options.events_out.size() - 4, 4, ".bin") == 0;
@@ -248,11 +247,7 @@ class ObsSession {
       }
       events_->attach_manifest(manifest_);
     }
-    if (!metrics_out_.empty()) {
-      registry_ = std::make_unique<obs::Registry>(sample);
-      registry_->track_round_series("sim.messages");
-      registry_->track_round_series("sim.payload_bits");
-    }
+    if (!metrics_out_.empty()) registry_ = std::make_unique<obs::Registry>();
     if (!options.flightrec_out.empty()) {
       // --flightrec attaches a flight recorder for the whole bench run
       // and snapshots the ring on destruction — used to measure the
@@ -330,6 +325,7 @@ class ObsSession {
     return "<sink>";
   }
 
+  const sim::ScopedNumThreads threads_;
   obs::Manifest manifest_;
   std::string trace_out_;
   std::string metrics_out_;

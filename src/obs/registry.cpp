@@ -18,18 +18,6 @@ void append_key(std::string& out, std::string_view key, bool& first) {
   out += "\":";
 }
 
-template <typename T>
-void append_u64_array(std::string& out, const T& values) {
-  out += '[';
-  bool first = true;
-  for (const auto v : values) {
-    if (!first) out += ',';
-    first = false;
-    out += std::to_string(v);
-  }
-  out += ']';
-}
-
 }  // namespace
 
 void Registry::add(std::string_view name, std::uint64_t delta) {
@@ -70,25 +58,6 @@ void Registry::merge(std::string_view name,
   histogram(name).merge(staged);
 }
 
-void Registry::track_round_series(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  series_.try_emplace(std::string(name));
-}
-
-void Registry::snapshot_round(std::uint32_t round) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (round % round_sample_ != 0) return;
-  sampled_rounds_.push_back(round);
-  for (auto& [name, series] : series_) {
-    std::uint64_t current = 0;
-    if (const auto it = counters_.find(name); it != counters_.end()) {
-      current = it->second;
-    }
-    series.deltas.push_back(current - series.last);
-    series.last = current;
-  }
-}
-
 std::uint64_t Registry::counter(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
@@ -126,24 +95,16 @@ std::string Registry::to_json(const Manifest* manifest) const {
   for (const auto& [name, h] : log2_histograms_) {
     append_key(out, name, first);
     out += "{\"type\":\"log2\",\"zero\":" + std::to_string(h.zero_count());
-    out += ",\"buckets\":";
-    std::vector<std::uint64_t> buckets(h.bucket_count());
-    for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] = h.bucket(b);
-    append_u64_array(out, buckets);
-    out += ",\"total\":" + std::to_string(h.total());
+    out += ",\"buckets\":[";
+    for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+      if (b > 0) out += ',';
+      out += std::to_string(h.bucket(b));
+    }
+    out += "],\"total\":" + std::to_string(h.total());
     out += ",\"max_value\":" + std::to_string(h.max_value()) + "}";
   }
 
-  out += "},\"rounds\":{\"sample\":" + std::to_string(round_sample_);
-  out += ",\"sampled\":";
-  append_u64_array(out, sampled_rounds_);
-  out += ",\"series\":{";
-  first = true;
-  for (const auto& [name, series] : series_) {
-    append_key(out, name, first);
-    append_u64_array(out, series.deltas);
-  }
-  out += "}}}";
+  out += "}}";
   return out;
 }
 

@@ -77,7 +77,6 @@ void EventSink::emit(const Event& e) {
 
 void EventSink::attach_manifest(const Manifest& m) {
   const std::lock_guard<std::mutex> lock(mu_);
-  manifest_ = m;
   write_manifest(m);
 }
 
@@ -85,14 +84,6 @@ JsonlWriter::JsonlWriter(std::string path, SinkConfig config)
     : EventSink(config), path_(std::move(path)), out_(path_) {}
 
 JsonlWriter::~JsonlWriter() = default;
-
-void JsonlWriter::rotate(std::string new_path) {
-  const std::lock_guard<std::mutex> lock(mutex());
-  out_.close();
-  path_ = std::move(new_path);
-  out_.open(path_);
-  if (manifest()) write_manifest(*manifest());
-}
 
 void JsonlWriter::flush() {
   const std::lock_guard<std::mutex> lock(mutex());

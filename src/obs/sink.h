@@ -12,15 +12,13 @@
 // subsample per-round kinds (kRound / kFaultRound / kLaneMerge) to every
 // Nth round for long runs. Run-boundary and phase events always pass.
 //
-// Writers re-emit the attached Manifest at the head of every file,
-// including each file produced by rotate(), so any artifact on disk is
-// self-describing.
+// Writers emit the attached Manifest at the head of every file, so any
+// artifact on disk is self-describing.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,8 +74,8 @@ class EventSink {
   /// Filter by config, then hand to the writer. Safe from any thread.
   void emit(const Event& e);
 
-  /// Attach the run manifest; written immediately as the file header and
-  /// re-written by rotating writers on each new file.
+  /// Attach the run manifest; written immediately as the file header (a
+  /// later one replaces it for readers).
   void attach_manifest(const Manifest& m);
 
   const SinkConfig& config() const noexcept { return config_; }
@@ -88,14 +86,10 @@ class EventSink {
   virtual void write(const Event& e) = 0;
   virtual void write_manifest(const Manifest& m) { (void)m; }
 
-  const std::optional<Manifest>& manifest() const noexcept {
-    return manifest_;
-  }
   std::mutex& mutex() noexcept { return mu_; }
 
  private:
   SinkConfig config_;
-  std::optional<Manifest> manifest_;
   std::mutex mu_;
 };
 
@@ -104,10 +98,6 @@ class JsonlWriter : public EventSink {
  public:
   explicit JsonlWriter(std::string path, SinkConfig config = {});
   ~JsonlWriter() override;
-
-  /// Close the current file and continue into `new_path`, re-emitting the
-  /// manifest header so the new file stands alone.
-  void rotate(std::string new_path);
 
   const std::string& path() const noexcept { return path_; }
   void flush() override;

@@ -423,9 +423,9 @@ struct StatsReply {
 
 /// Metrics snapshot request. The request carries its own payload version
 /// so the exposition format can evolve without bumping the frame
-/// protocol; version 1 is the only one defined and selects the
-/// arbmis.metrics.v1 JSON document.
-inline constexpr std::uint16_t kMetricsPayloadVersion = 1;
+/// protocol; version 2 is the only one defined and selects the
+/// arbmis.metrics.v2 JSON document.
+inline constexpr std::uint16_t kMetricsPayloadVersion = 2;
 
 struct MetricsRequest {
   std::uint16_t version = kMetricsPayloadVersion;
@@ -436,7 +436,7 @@ struct MetricsRequest {
 
 struct MetricsReply {
   std::uint16_t version = kMetricsPayloadVersion;
-  std::string json;  ///< arbmis.metrics.v1 document (obs/registry.h)
+  std::string json;  ///< arbmis.metrics.v2 document (obs/registry.h)
   static void fields(auto& io, auto& m) {
     io.pinned(m.version, kMetricsPayloadVersion);
     io(m.json);

@@ -354,14 +354,10 @@ MetricsReply MisService::run(const MetricsRequest& request) {
   reply.version = request.version;
   // No embedded manifest: the snapshot must stay a deterministic function
   // of the request sequence (manifests carry thread/inbox provenance that
-  // legitimately varies across executors).
-  if (const obs::Registry* const reg = obs::registry()) {
-    reply.json = reg->to_json();
-  } else {
-    reply.json = std::string("{\"schema\":\"") + obs::kMetricsSchemaVersion +
-                 "\",\"counters\":{},\"gauges\":{},\"histograms\":{},"
-                 "\"rounds\":{}}";
-  }
+  // legitimately varies across executors). Without a registry the reply
+  // is an empty one's document.
+  const obs::Registry* const reg = obs::registry();
+  reply.json = reg != nullptr ? reg->to_json() : obs::Registry().to_json();
   return reply;
 }
 

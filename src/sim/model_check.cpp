@@ -38,10 +38,8 @@ void ModelCheckerLane::reset() {
 
 std::string ModelCheckReport::summary() const {
   std::ostringstream out;
-  out << "model-check: rounds=" << rounds_observed
-      << " budget=" << edge_bit_budget << "b"
+  out << "model-check: budget=" << edge_bit_budget << "b"
       << " max_msg=" << max_message_bits << "b"
-      << " max_edge=" << max_edge_bits_per_round << "b"
       << " max_rng_reads=" << max_rng_reads_per_round << " k=" << k
       << " violations=" << violations;
   return out.str();
@@ -73,6 +71,8 @@ void ModelChecker::begin_run() {
   for (int s = 0; s < 2; ++s) {
     std::fill(mult_epoch_[s].begin(), mult_epoch_[s].end(), kStaleEpoch);
   }
+  round_max_message_bits_ = 0;
+  round_k_[0] = round_k_[1] = 0;
   report_ = ModelCheckReport{};
   report_.edge_bit_budget = edge_bit_budget_;
 }
@@ -124,12 +124,7 @@ void ModelChecker::count_consumption(graph::NodeId origin,
   if (mult_epoch_[slot][origin] != draw_round) return;
   const std::uint32_t m = ++mult_[slot][origin];
   report_.k = std::max(report_.k, m);
-  raise_round_k(draw_round, m);
-}
-
-void ModelChecker::raise_round_k(std::uint32_t round, std::uint32_t m) {
-  if (report_.round_k.size() <= round) report_.round_k.resize(round + 1, 0);
-  report_.round_k[round] = std::max(report_.round_k[round], m);
+  round_k_[slot] = std::max(round_k_[slot], m);
 }
 
 void ModelChecker::count_consumed(ModelCheckerLane& lane,
@@ -186,21 +181,15 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
     lane.reset();
     return;
   }
-  if (lane.max_message_bits > 0) {
-    report_.max_message_bits =
-        std::max(report_.max_message_bits, lane.max_message_bits);
-    if (report_.round_max_message_bits.size() <= round) {
-      report_.round_max_message_bits.resize(round + 1, 0);
-    }
-    report_.round_max_message_bits[round] =
-        std::max(report_.round_max_message_bits[round], lane.max_message_bits);
-  }
-  report_.max_edge_bits_per_round = report_.max_message_bits;
+  report_.max_message_bits =
+      std::max(report_.max_message_bits, lane.max_message_bits);
+  round_max_message_bits_ =
+      std::max(round_max_message_bits_, lane.max_message_bits);
   report_.max_rng_reads_per_round =
       std::max(report_.max_rng_reads_per_round, lane.max_rng_reads);
   if (lane.any_first_draw) {
     report_.k = std::max(report_.k, 1u);
-    raise_round_k(round, 1);
+    round_k_[round & 1] = std::max(round_k_[round & 1], 1u);
   }
   count_consumed(lane, round);
   // Deferred violation telemetry: the events fire here, on the calling
@@ -215,9 +204,19 @@ void ModelChecker::merge_lane(ModelCheckerLane& lane, std::uint32_t round) {
   lane.reset();
 }
 
-void ModelChecker::end_run(std::uint32_t rounds) {
+RoundCheck ModelChecker::close_round(std::uint32_t round) {
+  RoundCheck check{round_max_message_bits_, 0};
+  round_max_message_bits_ = 0;
+  if (round > 0) {
+    std::uint32_t& k_prev = round_k_[(round - 1) & 1];
+    check.k_prev = k_prev;
+    k_prev = 0;
+  }
+  return check;
+}
+
+void ModelChecker::end_run() {
   if (!options_.enabled) return;
-  report_.rounds_observed = rounds;
   ARBMIS_LOG(Debug) << report_.summary();
 }
 

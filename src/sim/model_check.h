@@ -60,17 +60,15 @@ struct ModelCheckOptions {
   std::uint32_t min_edge_bits = 72;
 };
 
-/// What the checker saw over one Network::run.
+/// What the checker saw over one Network::run. Each round's own width and
+/// read multiplicity are in its Round event (ModelChecker::close_round).
 struct ModelCheckReport {
-  std::uint32_t rounds_observed = 0;
   /// Enforced per-edge per-round budget in bits, for the edge's one message.
   std::uint32_t edge_bit_budget = 0;
   /// Widest single message, as message_bits() measures it: kTagBits +
-  /// significant payload bits.
+  /// significant payload bits. One message per edge per round makes it
+  /// also the most bits one directed edge carried in one round.
   std::uint32_t max_message_bits = 0;
-  /// Max bits one directed edge carried in one round; one message per edge
-  /// per round makes it max_message_bits.
-  std::uint32_t max_edge_bits_per_round = 0;
   /// Max logical RNG draws by one node in one round.
   std::uint32_t max_rng_reads_per_round = 0;
   /// Read multiplicity: max number of consumers of one node's per-round
@@ -78,12 +76,18 @@ struct ModelCheckReport {
   /// simulator-side analog of ReadKFamily::read_k().
   std::uint32_t k = 0;
   std::uint64_t violations = 0;
-  /// Per-round series (index = round number; round 0 is on_start).
-  std::vector<std::uint32_t> round_max_message_bits;
-  std::vector<std::uint32_t> round_k;
 
   /// One-line human summary for logs.
   std::string summary() const;
+};
+
+/// What the checker hands the round barrier for the Round event.
+struct RoundCheck {
+  /// Widest message sent in the round.
+  std::uint32_t max_message_bits = 0;
+  /// Read multiplicity of the previous round's draws, whose readers all
+  /// consumed them in this round (0 in round 0).
+  std::uint32_t k_prev = 0;
 };
 
 /// Per-lane staging area for the checker (see the executor in
@@ -177,16 +181,19 @@ class ModelChecker {
   /// (0 for the on_start phase). Resets the lane.
   void merge_lane(ModelCheckerLane& lane, std::uint32_t round);
 
+  /// Called at the barrier of `round`, after every lane is merged: returns
+  /// the round's RoundCheck and clears what it reported, so the width
+  /// starts over and the k slot of `round - 1` is free for `round + 1`.
+  RoundCheck close_round(std::uint32_t round);
+
   /// Final bookkeeping; logs the summary at debug level.
-  void end_run(std::uint32_t rounds);
+  void end_run();
 
  private:
   /// Stages a violation in the lane; throws when fail_fast.
   void violation(ModelCheckerLane& lane, const std::string& what);
   /// Bumps the read multiplicity of `origin`'s round-`draw_round` draw.
   void count_consumption(graph::NodeId origin, std::uint32_t draw_round);
-  /// Raises report_.round_k[round] to at least `m`.
-  void raise_round_k(std::uint32_t round, std::uint32_t m);
 
   ModelCheckOptions options_;
   std::uint32_t num_nodes_ = 0;
@@ -204,6 +211,11 @@ class ModelChecker {
   // first draw of the round and reset by begin_run).
   std::vector<std::uint32_t> mult_[2];
   std::vector<std::uint32_t> mult_epoch_[2];
+
+  // The open round's widest message, and the max read multiplicity of the
+  // draws of the two rounds whose ledgers are open, by parity as in mult_.
+  std::uint32_t round_max_message_bits_ = 0;
+  std::uint32_t round_k_[2] = {0, 0};
 
   ModelCheckReport report_;
 };

@@ -462,17 +462,19 @@ RunStats Network::run(Algorithm& algorithm, std::uint32_t max_rounds,
   }
   stats_.payload_bits = stats_.messages * kBitsPerMessage;
   stats_.all_halted = (num_halted_ == n);
-  checker_.end_run(stats_.rounds);
+  checker_.end_run();
   if (obs::telemetry_attached()) {
     obs::emit(obs::make_event<obs::EventKind::kRunEnd>(
         round_, stats_.rounds, stats_.messages, stats_.payload_bits,
         stats_.max_edge_load, stats_.all_halted ? 1 : 0, rng_draws_));
     if (checker_.enabled()) {
+      // One message per edge per round: the widest message is also the
+      // most bits one edge carried in a round (the max_edge_bits slot).
       const ModelCheckReport& report = checker_.report();
       obs::emit(obs::make_event<obs::EventKind::kModelCheck>(
-          round_, report.k, report.max_message_bits,
-          report.max_edge_bits_per_round, report.max_rng_reads_per_round,
-          report.violations, report.edge_bit_budget));
+          round_, report.k, report.max_message_bits, report.max_message_bits,
+          report.max_rng_reads_per_round, report.violations,
+          report.edge_bit_budget));
     }
   }
   if (obs::Registry* const reg = obs::registry()) {
@@ -495,23 +497,14 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
     stats_.faults += FaultTotals{round_fault_drops_, round_fault_duplicates_,
                                  events.crashes, events.recoveries};
   }
+  // The read-k ledger of a round's draws completes one round later, when
+  // neighbors consume them — so the event reports the *previous* round's
+  // final k. Closed every round, so the checker's two k slots rotate.
+  const RoundCheck check = checker_.close_round(round_);
   if (obs::telemetry_attached()) {
-    const ModelCheckReport& report = checker_.report();
-    // The per-round checker series are lazily sized; a round with no sends
-    // (or a disabled checker) may not have slots yet.
-    const std::uint32_t width_now =
-        round_ < report.round_max_message_bits.size()
-            ? report.round_max_message_bits[round_]
-            : 0;
-    // The read-k ledger of a round's draws completes one round later, when
-    // neighbors consume them — so report the *previous* round's final k.
-    const std::uint32_t k_prev =
-        round_ >= 1 && round_ - 1 < report.round_k.size()
-            ? report.round_k[round_ - 1]
-            : 0;
     obs::emit(obs::make_event<obs::EventKind::kRound>(
         round_, num_halted_, messages, round_payload_bits_, in_flight(),
-        rng_draws_, width_now, k_prev));
+        rng_draws_, check.max_message_bits, check.k_prev));
     if (fault_ != nullptr) {
       obs::emit(obs::make_event<obs::EventKind::kFaultRound>(
           round_, round_fault_drops_, round_fault_duplicates_, events.crashes,
@@ -527,7 +520,6 @@ void Network::flush_round_accounting(std::uint64_t messages_before,
       reg->add("sim.fault.crashes", events.crashes);
       reg->add("sim.fault.recoveries", events.recoveries);
     }
-    reg->snapshot_round(round_);
   }
   round_fault_drops_ = 0;
   round_fault_duplicates_ = 0;

@@ -257,9 +257,9 @@ class Network {
   RunStats run(Algorithm& algorithm, std::uint32_t max_rounds,
                const RoundObserver& observer = {});
 
-  /// What the model checker observed during the latest run (width series,
-  /// read multiplicity k, violations). Budget fields are valid even before
-  /// the first run.
+  /// What the model checker observed during the latest run (widest
+  /// message, read multiplicity k, violations; per round, see the Round
+  /// events). Budget fields are valid even before the first run.
   const ModelCheckReport& model_check_report() const noexcept {
     return checker_.report();
   }
@@ -325,8 +325,9 @@ class Network {
   /// histogram and checker accounting into the shared state and resets
   /// the lane. Runs on the calling thread only.
   void merge(ExecLane& lane);
-  /// Barrier bookkeeping: adds the round's faults to stats_.faults, and
-  /// emits its Round and FaultRound events and registry counters.
+  /// Barrier bookkeeping: adds the round's faults to stats_.faults, closes
+  /// the checker's round, and emits its Round and FaultRound events and
+  /// registry counters.
   void flush_round_accounting(std::uint64_t messages_before,
                               RoundFaultEvents events);
 

@@ -498,13 +498,7 @@ void expect_same_run(const ExecutorRun& a, const ExecutorRun& b,
   EXPECT_TRUE(a.stats.faults == b.stats.faults) << label;
   EXPECT_EQ(a.rng_draws, b.rng_draws) << label;
   EXPECT_EQ(a.report.k, b.report.k) << label;
-  EXPECT_EQ(a.report.round_k, b.report.round_k) << label;
   EXPECT_EQ(a.report.max_message_bits, b.report.max_message_bits) << label;
-  EXPECT_EQ(a.report.round_max_message_bits, b.report.round_max_message_bits)
-      << label;
-  EXPECT_EQ(a.report.max_edge_bits_per_round,
-            b.report.max_edge_bits_per_round)
-      << label;
   EXPECT_EQ(a.report.max_rng_reads_per_round,
             b.report.max_rng_reads_per_round)
       << label;

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/bounded_arb.h"
 #include "core/params.h"
@@ -17,6 +18,7 @@
 #include "obs/recorder.h"
 #include "obs/sink.h"
 #include "readk/family.h"
+#include "round_events.h"
 #include "sim/contract.h"
 #include "sim/model_check.h"
 #include "sim/network.h"
@@ -273,7 +275,10 @@ TEST(ModelCheck, ReportKMatchesDeclaredReadKOnCompleteGraph) {
   const core::Params params = one_iteration_params(g);
   core::BoundedArbIndependentSet algorithm(g, params);
   Network net(g, 7);
-  const RunStats stats = net.run(algorithm, params.total_rounds());
+  RunStats stats;
+  const std::vector<obs::OwnedEvent> rounds = test::capture_events(
+      {obs::EventKind::kRound},
+      [&] { stats = net.run(algorithm, params.total_rounds()); });
   EXPECT_TRUE(stats.all_halted);
   const ModelCheckReport& report = net.model_check_report();
   EXPECT_EQ(report.violations, 0u);
@@ -282,9 +287,11 @@ TEST(ModelCheck, ReportKMatchesDeclaredReadKOnCompleteGraph) {
   EXPECT_EQ(report.max_rng_reads_per_round, 1u);
   // Priorities are one CONGEST word: 64 payload bits + 8 tag bits.
   EXPECT_EQ(report.max_message_bits, 72u);
-  // The draws happen in the kPrio round (round 1).
-  ASSERT_GT(report.round_k.size(), 1u);
-  EXPECT_EQ(report.round_k[1], m);
+  // The draws happen in the kPrio round (round 1); their readers consume
+  // them in round 2, whose Round event reports their multiplicity.
+  ASSERT_GT(rounds.size(), 2u);
+  EXPECT_EQ(rounds[2].round, 2u);
+  EXPECT_EQ(test::field(rounds[2], "k_prev"), m);
 }
 
 TEST(ModelCheck, ReportKMatchesDeclaredReadKOnStar) {
@@ -308,6 +315,63 @@ TEST(ModelCheck, ReportKMatchesDeclaredReadKOnStar) {
   EXPECT_EQ(net.model_check_report().violations, 0u);
 }
 
+/// On a star whose hub is the last node: in round 0 the hub draws and
+/// broadcasts a 16-bit payload, in round 1 leaf 0 draws and sends a 1-bit
+/// payload to the hub, round 2 draws and sends nothing, and every node
+/// halts in round 3.
+class ScriptedDraws : public Algorithm {
+ public:
+  explicit ScriptedDraws(graph::NodeId hub) : hub_(hub) {}
+  std::string_view name() const override { return "scripted_draws"; }
+  void on_start(NodeContext& ctx) override {
+    if (ctx.id() != hub_) return;
+    (void)ctx.rng().next();
+    ctx.broadcast(1, 0xFFFF);
+  }
+  void on_round(NodeContext& ctx, std::span<const Message>) override {
+    if (ctx.round() == 1 && ctx.id() == 0) {
+      (void)ctx.rng().next();
+      ctx.send(0, 1, 1);
+    }
+    if (ctx.round() == 3) ctx.halt();
+  }
+
+ private:
+  graph::NodeId hub_;
+};
+
+TEST(ModelCheck, RoundEventsCarryEachRoundsWidthAndReadMultiplicity) {
+  // Each Round event reports its own round's widest message and the read
+  // multiplicity of the previous round's draws: the hub's round-0 draw is
+  // read by the hub and its 6 leaves, leaf 0's round-1 draw by the leaf
+  // and the hub. Rounds that draw or send nothing report 0, so neither
+  // value may carry over from an earlier round.
+  const graph::NodeId leaves = 6;
+  graph::Builder b(leaves + 1);
+  for (graph::NodeId v = 0; v < leaves; ++v) b.add_edge(v, leaves);
+  const graph::Graph g = b.build();
+  for (const std::uint32_t threads : {0u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    NetworkOptions options;
+    options.num_threads = threads;
+    Network net(g, 5, options);
+    ScriptedDraws algorithm(leaves);
+    const std::vector<obs::OwnedEvent> rounds = test::capture_events(
+        {obs::EventKind::kRound}, [&] { net.run(algorithm, 10); });
+    const std::uint64_t width[] = {kTagBits + 16, kTagBits + 1, 0, 0};
+    const std::uint64_t k_prev[] = {0, leaves + 1, 2, 0};
+    ASSERT_EQ(rounds.size(), 4u);
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(rounds[r].round, r);
+      EXPECT_EQ(test::field(rounds[r], "max_message_bits"), width[r])
+          << "round " << r;
+      EXPECT_EQ(test::field(rounds[r], "k_prev"), k_prev[r]) << "round " << r;
+    }
+    EXPECT_EQ(net.model_check_report().max_message_bits, kTagBits + 16);
+    EXPECT_EQ(net.model_check_report().k, leaves + 1);
+  }
+}
+
 TEST(ModelCheck, MetivierStaysWithinAllBudgets) {
   // The competition engine under full enforcement on a non-trivial graph:
   // no violations, and the read multiplicity never exceeds Delta + 1 (a
@@ -322,7 +386,7 @@ TEST(ModelCheck, MetivierStaysWithinAllBudgets) {
   EXPECT_EQ(report.violations, 0u);
   EXPECT_GE(report.k, 1u);
   EXPECT_LE(report.k, g.max_degree() + 1);
-  EXPECT_LE(report.max_edge_bits_per_round, report.edge_bit_budget);
+  EXPECT_LE(report.max_message_bits, report.edge_bit_budget);
 }
 
 TEST(ModelCheckReport, SummaryMentionsKeyFields) {

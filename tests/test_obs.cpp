@@ -212,33 +212,25 @@ TEST(ObsSink, LogTextCategoryCanBeDisabled) {
   EXPECT_EQ(capture.size(), 0u);
 }
 
-TEST(ObsSink, JsonlWriterRotatesWithManifestHeader) {
-  const std::string path_a = tmp_path("obs_rotate_a.jsonl");
-  const std::string path_b = tmp_path("obs_rotate_b.jsonl");
+TEST(ObsSink, JsonlWriterWritesManifestHeaderThenEvents) {
+  const std::string path = tmp_path("obs_jsonl_writer.jsonl");
+  obs::Manifest m = obs::make_manifest("test_obs");
+  m.workload = "jsonl";
+  m.seed = 7;
+  obs::VectorSink mirror;
   {
-    obs::JsonlWriter writer(path_a);
-    obs::Manifest m = obs::make_manifest("test_obs");
-    m.workload = "rotation";
-    m.seed = 7;
+    obs::JsonlWriter writer(path);
     writer.attach_manifest(m);
-    writer.emit(obs::make_event<obs::EventKind::kFaultRecovery>(1, 3));
-    writer.rotate(path_b);
-    EXPECT_EQ(writer.path(), path_b);
-    writer.emit(obs::make_event<obs::EventKind::kFaultRecovery>(2, 4));
-    writer.flush();
+    for (const std::uint32_t round : {1u, 2u}) {
+      const obs::Event e =
+          obs::make_event<obs::EventKind::kFaultRecovery>(round, round + 2);
+      writer.emit(e);
+      mirror.emit(e);
+    }
   }
-  const std::string file_a = read_file(path_a);
-  const std::string file_b = read_file(path_b);
-  // Both files are self-describing: manifest first, then events.
-  EXPECT_EQ(file_a.rfind("{\"manifest\":{\"schema\":\"arbmis.obs.v2\"", 0),
-            0u);
-  EXPECT_EQ(file_b.rfind("{\"manifest\":{\"schema\":\"arbmis.obs.v2\"", 0),
-            0u);
-  EXPECT_NE(file_a.find("\"ev\":\"fault_recovery\",\"round\":1"),
-            std::string::npos);
-  EXPECT_EQ(file_a.find("\"round\":2,"), std::string::npos);
-  EXPECT_NE(file_b.find("\"ev\":\"fault_recovery\",\"round\":2"),
-            std::string::npos);
+  // The file stands alone: the manifest header, then exactly the bytes
+  // VectorSink::to_jsonl renders for the same events.
+  EXPECT_EQ(read_file(path), obs::to_json_line(m) + "\n" + mirror.to_jsonl());
 }
 
 namespace binary {
@@ -483,7 +475,7 @@ TEST(ObsRecorder, AutoDumpWithoutPathIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry: counters, gauges, histograms, round series, JSON stability.
+// Registry: counters, gauges, histograms, JSON stability.
 // ---------------------------------------------------------------------------
 
 TEST(ObsRegistry, CountersGaugesAndHistograms) {
@@ -501,7 +493,7 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   EXPECT_EQ(reg.gauge("sim.model.k"), -3);
 
   const std::string json = reg.to_json();
-  EXPECT_EQ(json.rfind("{\"schema\":\"arbmis.metrics.v1\"", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema\":\"arbmis.metrics.v2\"", 0), 0u);
   EXPECT_NE(json.find("\"manifest\":null"), std::string::npos);
   EXPECT_NE(json.find("\"sim.messages\":7"), std::string::npos);
   EXPECT_NE(json.find("\"sim.model.k\":-3"), std::string::npos);
@@ -527,24 +519,6 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   merged.add("sim.runs");
   merged.add("sim.messages", 7);
   EXPECT_EQ(merged.to_json(), json);
-}
-
-TEST(ObsRegistry, RoundSeriesRespectsSampling) {
-  obs::Registry reg(/*round_sample=*/2);
-  reg.track_round_series("sim.messages");
-  reg.add("sim.messages", 5);
-  reg.snapshot_round(1);  // skipped: 1 % 2 != 0
-  reg.add("sim.messages", 3);
-  reg.snapshot_round(2);  // delta since start: 8
-  reg.add("sim.messages", 2);
-  reg.snapshot_round(3);  // skipped
-  reg.add("sim.messages", 1);
-  reg.snapshot_round(4);  // delta since round 2: 3
-
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"sample\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"sampled\":[2,4]"), std::string::npos);
-  EXPECT_NE(json.find("\"sim.messages\":[8,3]"), std::string::npos);
 }
 
 TEST(ObsRegistry, ScopedRegistryInstallsAndRestores) {

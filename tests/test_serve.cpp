@@ -157,7 +157,7 @@ TEST(ServeProtocol, FrameRoundTripAllTypes) {
   }
   {
     MetricsReply reply;
-    reply.json = "{\"schema\":\"arbmis.metrics.v1\",\"counters\":{}}";
+    reply.json = "{\"schema\":\"arbmis.metrics.v2\",\"counters\":{}}";
     const auto m = parse_payload<MetricsReply>(
         reread(make_frame(MsgType::kReplyMetrics, 18, reply)));
     EXPECT_EQ(m.version, kMetricsPayloadVersion);
@@ -287,11 +287,14 @@ TEST(ServeProtocol, RejectsMalformedFrames) {
   }
   {
     // Unknown metrics payload version: strict decoders refuse rather
-    // than guess at a future exposition format.
-    Frame bad{MsgType::kMetrics, 6, {}};
-    PayloadWriter w(bad.payload);
-    w(std::uint16_t{2});  // only version 1 is defined
-    EXPECT_THROW(parse_payload<MetricsRequest>(bad), ProtocolError);
+    // than guess at a future exposition format, or serve a retired one
+    // (version 1 carried the per-round series).
+    for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{3}}) {
+      Frame bad{MsgType::kMetrics, 6, {}};
+      PayloadWriter w(bad.payload);
+      w(version);  // only version 2 is defined
+      EXPECT_THROW(parse_payload<MetricsRequest>(bad), ProtocolError);
+    }
   }
   {
     // clear_after is a strict boolean on the wire.
@@ -494,8 +497,10 @@ TEST(ServeService, MetricsWithoutRegistryIsEmptyDocument) {
   ASSERT_EQ(reply.type, MsgType::kReplyMetrics);
   const auto m = parse_payload<MetricsReply>(reply);
   EXPECT_EQ(m.version, kMetricsPayloadVersion);
-  EXPECT_NE(m.json.find("\"arbmis.metrics.v1\""), std::string::npos);
+  EXPECT_NE(m.json.find("\"arbmis.metrics.v2\""), std::string::npos);
   EXPECT_NE(m.json.find("\"counters\":{}"), std::string::npos);
+  // The same bytes an attached but empty registry would give.
+  EXPECT_EQ(m.json, obs::Registry().to_json());
 }
 
 TEST(ServeService, MetricsSnapshotExcludesItsOwnRequest) {
@@ -521,6 +526,9 @@ TEST(ServeService, MetricsSnapshotExcludesItsOwnRequest) {
   // No embedded manifest either: thread/inbox provenance would break the
   // snapshot's determinism across executors.
   EXPECT_NE(m.json.find("\"manifest\":null"), std::string::npos);
+  // Totals only: no per-round array grows with every simulated round (the
+  // Round events record each round).
+  EXPECT_EQ(m.json.find("\"sampled\""), std::string::npos) << m.json;
   // The registry itself HAS now metered the metrics request.
   EXPECT_EQ(registry.counter("serve.requests"), 3u);
   EXPECT_EQ(registry.counter("serve.req.metrics"), 1u);

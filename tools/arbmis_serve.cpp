@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -40,8 +39,11 @@
 #include "obs/sink.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "util/parse.h"
 
 namespace {
+
+using arbmis::util::parse_number;
 
 int usage(const char* argv0) {
   std::cerr
@@ -54,7 +56,8 @@ int usage(const char* argv0) {
          "  --port-file PATH   write the bound port for rendezvous\n"
          "  --threads N        simulator worker threads (0 = serial)\n"
          "  --cache N          result-cache capacity (entries)\n"
-         "  --full-fraction F  residual fraction forcing full recompute\n"
+         "  --full-fraction F  residual fraction in [0, 1] forcing full "
+         "recompute\n"
          "  --max-attempts N   resilient_mis attempt budget\n"
          "  --events=PATH      telemetry event stream (.jsonl or .bin)\n"
          "  --metrics=PATH     write the metrics registry JSON at shutdown\n"
@@ -107,29 +110,26 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = true;
     if (arg == "--port" && i + 1 < argc) {
-      server_options.port =
-          static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], server_options.port);
     } else if (arg == "--port-file" && i + 1 < argc) {
       port_file = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      service_options.num_threads =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], service_options.num_threads);
     } else if (arg == "--cache" && i + 1 < argc) {
-      service_options.max_cache_entries =
-          std::strtoull(argv[++i], nullptr, 10);
+      parsed = parse_number(argv[++i], service_options.max_cache_entries);
     } else if (arg == "--full-fraction" && i + 1 < argc) {
-      service_options.full_recompute_fraction =
-          std::strtod(argv[++i], nullptr);
+      parsed = parse_number(argv[++i],
+                            service_options.full_recompute_fraction, 0.0, 1.0);
     } else if (arg == "--max-attempts" && i + 1 < argc) {
-      service_options.max_attempts =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], service_options.max_attempts);
     } else if (arg.rfind("--events=", 0) == 0) {
       events_out = arg.substr(9);
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_out = arg.substr(10);
     } else if (arg.rfind("--recorder-bytes=", 0) == 0) {
-      recorder_config.max_bytes = std::strtoull(arg.c_str() + 17, nullptr, 10);
+      parsed = parse_number(arg.substr(17), recorder_config.max_bytes);
     } else if (arg.rfind("--flightrec=", 0) == 0) {
       recorder_config.dump_path = arg.substr(12);
     } else if (arg.rfind("--crash-dump=", 0) == 0) {
@@ -138,6 +138,12 @@ int main(int argc, char** argv) {
       quiet = true;
     } else {
       std::cerr << "arbmis_serve: unknown option '" << arg << "'\n";
+      return usage(argv[0]);
+    }
+    if (!parsed) {
+      std::cerr << "arbmis_serve: cannot parse '" << arg;
+      if (arg != argv[i]) std::cerr << " " << argv[i];
+      std::cerr << "'\n";
       return usage(argv[0]);
     }
   }

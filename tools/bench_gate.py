@@ -17,7 +17,7 @@ baseline file is the one run_benches.sh commits from a quiet machine; the
 tolerance (default 25%) absorbs runner-to-runner variance, not real
 regressions (the arena refactor moved this counter by >100%).
 
-A second, independent gate diffs "arbmis.metrics.v1" dumps (the --metrics=
+A second, independent gate diffs "arbmis.metrics.v2" dumps (the --metrics=
 output of the bench binaries; see docs/OBSERVABILITY.md). Unlike timing,
 those counters are deterministic in (graph, seed, algorithm), so selected
 counters are compared by EXACT equality — any drift means the simulation
@@ -51,13 +51,13 @@ def load_items_per_second(path):
 
 
 def load_metrics_counters(path):
-    """Returns the counters dict of an "arbmis.metrics.v1" dump."""
+    """Returns the counters dict of an "arbmis.metrics.v2" dump."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema")
-    if schema != "arbmis.metrics.v1":
+    if schema != "arbmis.metrics.v2":
         raise ValueError(f"{path}: schema {schema!r} is not "
-                         "'arbmis.metrics.v1'")
+                         "'arbmis.metrics.v2'")
     return doc.get("counters", {})
 
 
@@ -143,9 +143,9 @@ def main(argv):
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional regression (default 0.25)")
     parser.add_argument("--metrics-baseline",
-                        help="committed arbmis.metrics.v1 JSON baseline")
+                        help="committed arbmis.metrics.v2 JSON baseline")
     parser.add_argument("--metrics-current",
-                        help="arbmis.metrics.v1 JSON from the run under test")
+                        help="arbmis.metrics.v2 JSON from the run under test")
     parser.add_argument("--metric", action="append", default=[],
                         dest="metrics",
                         help="counter name to diff by exact equality "

@@ -11,7 +11,6 @@
 // entry (tooling.flightrec_smoke) then round-trips the artifact through
 // tools/trace_inspect.py --validate and summary via flightrec_smoke.py.
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <span>
@@ -21,6 +20,7 @@
 #include "graph/generators.h"
 #include "obs/recorder.h"
 #include "sim/network.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
-    } else if (arg == "--ring-bytes" && i + 1 < argc) {
-      ring_bytes = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--ring-bytes" && i + 1 < argc &&
+               arbmis::util::parse_number(argv[i + 1], ring_bytes)) {
+      ++i;
     } else {
       std::cerr << "usage: " << argv[0] << " --out PATH [--ring-bytes N]\n";
       return 1;

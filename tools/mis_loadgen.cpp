@@ -9,14 +9,13 @@
 // concurrent connections, then reports p50/p99 latency and request
 // throughput as a gbench-style JSON document (--json, gated by
 // tools/bench_gate.py --benchmark) and the deterministic client-side
-// totals as an "arbmis.metrics.v1" dump (--metrics, gated exactly).
+// totals as an "arbmis.metrics.v2" dump (--metrics, gated exactly).
 //
 // Exit status is the assertion: nonzero when any reply violated the
 // workload's invariants — an update that failed to certify, a compute
 // repeat that missed the cache or changed its labels hash, a failed
 // verify. The serve-smoke CI job relies on this.
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -28,8 +27,11 @@
 #include "loadgen_core.h"
 #include "obs/manifest.h"
 #include "obs/registry.h"
+#include "util/parse.h"
 
 namespace {
+
+using arbmis::util::parse_number;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -56,30 +58,25 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = true;
     if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], port);
     } else if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--clients" && i + 1 < argc) {
-      workload.clients =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], workload.clients, 1u);
     } else if (arg == "--nodes" && i + 1 < argc) {
-      workload.nodes = static_cast<arbmis::graph::NodeId>(
-          std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], workload.nodes);
     } else if (arg == "--computes" && i + 1 < argc) {
-      workload.computes =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], workload.computes);
     } else if (arg == "--updates" && i + 1 < argc) {
-      workload.updates =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], workload.updates);
     } else if (arg == "--ops-per-update" && i + 1 < argc) {
-      workload.ops_per_update =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], workload.ops_per_update);
     } else if (arg == "--queries" && i + 1 < argc) {
-      workload.queries =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], workload.queries);
     } else if (arg == "--seed" && i + 1 < argc) {
-      workload.seed = std::strtoull(argv[++i], nullptr, 10);
+      parsed = parse_number(argv[++i], workload.seed);
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--json" && i + 1 < argc) {
@@ -88,6 +85,11 @@ int main(int argc, char** argv) {
       metrics_out = argv[++i];
     } else {
       std::cerr << "mis_loadgen: unknown option '" << arg << "'\n";
+      return usage(argv[0]);
+    }
+    if (!parsed) {
+      std::cerr << "mis_loadgen: cannot parse '" << arg << " " << argv[i]
+                << "'\n";
       return usage(argv[0]);
     }
   }

@@ -6,14 +6,18 @@
 //              [--dump-recorder=PATH] [--clear] [--quiet]
 //
 // Issues METRICS requests against the daemon and renders the
-// arbmis.metrics.v1 reply. Default output is a Prometheus-style text
-// exposition on stdout (counters, gauges, histogram count/max), suitable
-// for eyeballs and node_exporter-textfile-style collection. --json-out
-// writes one reply verbatim — the file is a standard arbmis.metrics.v1
-// document, so tools/bench_gate.py --metrics-current can gate on it (the
-// serve-smoke CI job does exactly that). With --count > 1 the daemon is
-// polled every --interval ms; --deltas switches stdout to one JSON line
-// per poll carrying counter increments since the previous poll.
+// arbmis.metrics.v2 reply: run totals only, with no entry per simulated
+// round, so a reply does not grow with the rounds the daemon runs. Default
+// output is a Prometheus-style text exposition on stdout (counters,
+// gauges, histogram count/max), suitable for eyeballs and
+// node_exporter-textfile-style collection. --json-out writes one reply
+// verbatim — the file is a standard arbmis.metrics.v2 document, so
+// tools/bench_gate.py --metrics-current can gate on it (the serve-smoke CI
+// job does exactly that). With --count > 1 the daemon is polled every
+// --interval ms; --deltas switches stdout to one JSON line per poll
+// carrying counter increments since the previous poll. Numeric flags are
+// read whole (util/parse.h): a value that is not a number in the flag's
+// range prints the usage and exits 1.
 //
 // --dump-recorder fetches the daemon's flight-recorder ring (a complete
 // ARBMISEV artifact; see obs/recorder.h) and writes it to PATH, where
@@ -36,8 +40,11 @@
 #include <vector>
 
 #include "serve/client.h"
+#include "util/parse.h"
 
 namespace {
+
+using arbmis::util::parse_number;
 
 int usage(const char* argv0) {
   std::cerr
@@ -48,7 +55,7 @@ int usage(const char* argv0) {
          "  --port N              daemon TCP port\n"
          "  --port-file PATH      read the port from a rendezvous file\n"
          "  --host H              daemon address (default 127.0.0.1)\n"
-         "  --json-out=PATH       write one raw arbmis.metrics.v1 reply\n"
+         "  --json-out=PATH       write one raw arbmis.metrics.v2 reply\n"
          "  --interval MS         poll period for --count > 1 (default "
          "1000)\n"
          "  --count N             number of scrapes (default 1)\n"
@@ -71,7 +78,7 @@ std::string prom_name(const std::string& name) {
   return out;
 }
 
-// -- Minimal scanner for the arbmis.metrics.v1 document ---------------------
+// -- Minimal scanner for the arbmis.metrics.v2 document ---------------------
 // The registry emits this document itself (obs/registry.cpp), so its shape
 // is fixed: flat string->integer maps for "counters"/"gauges" and one level
 // of nesting under "histograms". A purpose-built scanner keeps the tool
@@ -230,30 +237,30 @@ int main(int argc, char** argv) {
   bool deltas = false;
   bool quiet = false;
   std::uint64_t count = 1;
-  std::uint64_t interval_ms = 1000;
+  std::uint32_t interval_ms = 1000;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = true;
     if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = parse_number(argv[++i], port);
       have_port = true;
     } else if (arg == "--port-file" && i + 1 < argc) {
       std::ifstream in(argv[++i]);
-      unsigned long p = 0;
-      if (!(in >> p)) {
+      std::string text;
+      if (!(in >> text) || !parse_number(text, port)) {
         std::cerr << "mis_scrape: cannot read port from " << argv[i] << "\n";
         return 1;
       }
-      port = static_cast<std::uint16_t>(p);
       have_port = true;
     } else if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_out = arg.substr(11);
     } else if (arg == "--interval" && i + 1 < argc) {
-      interval_ms = std::strtoull(argv[++i], nullptr, 10);
+      parsed = parse_number(argv[++i], interval_ms);
     } else if (arg == "--count" && i + 1 < argc) {
-      count = std::strtoull(argv[++i], nullptr, 10);
+      parsed = parse_number(argv[++i], count);
     } else if (arg == "--deltas") {
       deltas = true;
     } else if (arg.rfind("--dump-recorder=", 0) == 0) {
@@ -264,6 +271,11 @@ int main(int argc, char** argv) {
       quiet = true;
     } else {
       std::cerr << "mis_scrape: unknown option '" << arg << "'\n";
+      return usage(argv[0]);
+    }
+    if (!parsed) {
+      std::cerr << "mis_scrape: cannot parse '" << arg << " " << argv[i]
+                << "'\n";
       return usage(argv[0]);
     }
   }

@@ -43,7 +43,7 @@ def gbench_json(items):
     })
 
 
-def metrics_json(counters, schema="arbmis.metrics.v1"):
+def metrics_json(counters, schema="arbmis.metrics.v2"):
     return json.dumps({"schema": schema, "counters": counters})
 
 
@@ -151,7 +151,7 @@ class GateMetricsTest(unittest.TestCase):
     def test_wrong_schema_is_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_temp(tmp, "bad.json",
-                              metrics_json({}, schema="arbmis.metrics.v2"))
+                              metrics_json({}, schema="arbmis.metrics.v1"))
             with self.assertRaises(ValueError):
                 bench_gate.load_metrics_counters(path)
 
@@ -389,24 +389,27 @@ class ChromeTraceTest(unittest.TestCase):
 
 class MetricsTest(unittest.TestCase):
     def test_non_integer_counter_is_rejected(self):
-        doc = {"schema": "arbmis.metrics.v1",
+        doc = {"schema": "arbmis.metrics.v2",
                "counters": {"sim.messages": 1.5}}
         with self.assertRaises(trace_inspect.FormatError):
             trace_inspect.parse_metrics(doc)
 
-    def test_series_length_mismatch_is_rejected(self):
-        doc = {"schema": "arbmis.metrics.v1", "counters": {},
-               "rounds": {"sampled": [1, 2],
-                          "series": {"messages": [5]}}}
-        with self.assertRaises(trace_inspect.FormatError):
-            trace_inspect.parse_metrics(doc)
+    def test_v1_dump_is_rejected_by_version(self):
+        # Version 1 carried a per-round series; it is detected as a
+        # metrics dump and refused by name, not misread as events.
+        doc = {"schema": "arbmis.metrics.v1", "counters": {}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_temp(tmp, "m.json", json.dumps(doc))
+            with self.assertRaisesRegex(trace_inspect.FormatError,
+                                        "arbmis.metrics.v2"):
+                trace_inspect.detect_and_parse(path)
 
 
 class DetectAndDiffTest(unittest.TestCase):
     def test_metrics_with_manifest_key_routes_to_metrics(self):
         # A metrics dump embeds a "manifest" key; detection must not
         # misroute it to the JSONL event parser.
-        doc = {"schema": "arbmis.metrics.v1", "counters": {"c": 1},
+        doc = {"schema": "arbmis.metrics.v2", "counters": {"c": 1},
                "manifest": {"schema": "arbmis.obs.v2"}}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_temp(tmp, "m.json", json.dumps(doc))

@@ -9,7 +9,7 @@ docs/OBSERVABILITY.md) writes, auto-detected by content:
   * event streams, binary  — magic "ARBMISEV" + version 0x01, header
                              record, then events
   * Chrome traces          — {"traceEvents":[...]} from --trace=
-  * metrics dumps          — {"schema":"arbmis.metrics.v1"} from --metrics=
+  * metrics dumps          — {"schema":"arbmis.metrics.v2"} from --metrics=
 
 Usage:
 
@@ -33,7 +33,7 @@ import json
 import sys
 
 SCHEMA_VERSION = "arbmis.obs.v2"
-METRICS_SCHEMA_VERSION = "arbmis.metrics.v1"
+METRICS_SCHEMA_VERSION = "arbmis.metrics.v2"
 BINARY_MAGIC = b"ARBMISEV"
 BINARY_VERSION = 1
 
@@ -222,13 +222,13 @@ def parse_metrics(doc):
     counters = doc.get("counters", {})
     if not all(isinstance(v, int) for v in counters.values()):
         raise FormatError("non-integer counter value")
-    rounds = doc.get("rounds", {})
-    sampled = rounds.get("sampled", [])
-    for name, series in rounds.get("series", {}).items():
-        if len(series) != len(sampled):
-            raise FormatError(f"series {name!r}: {len(series)} deltas for "
-                              f"{len(sampled)} sampled rounds")
     return doc
+
+
+def is_metrics(doc):
+    """True for any arbmis.metrics.* dump; parse_metrics then checks the
+    version, so a retired one fails by name."""
+    return str(doc.get("schema", "")).startswith("arbmis.metrics.")
 
 
 def detect_and_parse(path):
@@ -250,7 +250,7 @@ def detect_and_parse(path):
     # single-document formats are ruled out before the JSONL event format
     # (whose header line is {"manifest":{...},"events":[...]}).
     if isinstance(head, dict):
-        if head.get("schema") == METRICS_SCHEMA_VERSION:
+        if is_metrics(head):
             return "metrics", parse_metrics(json.loads(text))
         if "traceEvents" in head:
             return "trace", parse_chrome_trace(json.loads(text))
@@ -259,7 +259,7 @@ def detect_and_parse(path):
     doc = json.loads(text)
     if "traceEvents" in doc:
         return "trace", parse_chrome_trace(doc)
-    if doc.get("schema") == METRICS_SCHEMA_VERSION:
+    if is_metrics(doc):
         return "metrics", parse_metrics(doc)
     raise FormatError("unrecognized artifact (not events/trace/metrics)")
 
