@@ -74,8 +74,11 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "E1", "shared-memory engines vs CONGEST simulator, items/s per node");
-  std::cout << "best of " << reps << " reps per cell, engine threads="
-            << options.threads << "\n\n";
+  engine::EngineOptions resolved;
+  resolved.num_threads = options.threads;
+  const std::uint32_t ranges = engine::num_ranges(resolved);
+  std::cout << "best of " << reps << " reps per cell, engine ranges="
+            << ranges << "\n\n";
 
   std::vector<CaseResult> cases;
   bool all_ok = true;
@@ -172,6 +175,7 @@ int main(int argc, char** argv) {
                           .add("reps", reps)
                           .add("seed", options.seed)
                           .add("threads", options.threads)
+                          .add("ranges", ranges)
                           .add("ok", all_ok),
                       rows);
   return all_ok ? 0 : 1;

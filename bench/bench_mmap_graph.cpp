@@ -85,8 +85,12 @@ int run_large(const bench::BenchOptions& options) {
 
   // Untimed setup: materialize the edge-list text input gr_convert would
   // see. Timing starts at the parse, the first stage a user actually runs.
+  // Each file is unlinked as soon as the run no longer opens it, and an
+  // interrupted run's leftovers go before this one writes.
   const std::string text_path = temp_path("arbmis_large_edges.txt");
   const std::string gr_path = temp_path("arbmis_large.gr");
+  std::remove(text_path.c_str());
+  std::remove(gr_path.c_str());
   {
     std::ofstream text(text_path);
     for (const auto [u, v] : g.edges()) text << u << ' ' << v << '\n';
@@ -102,6 +106,7 @@ int run_large(const bench::BenchOptions& options) {
     });
     cases.push_back(c);
   }
+  std::remove(text_path.c_str());
   const bool convert_identical =
       converted.graph.num_nodes() == g.num_nodes() &&
       converted.graph.num_edges() == m;
@@ -123,6 +128,7 @@ int run_large(const bench::BenchOptions& options) {
   bool solve_identical = true;
   {
     const auto mapped = graph::storage::MappedGraph::open(gr_path);
+    std::remove(gr_path.c_str());  // the mapping keeps the pages readable
     std::uint64_t memory_hash = 0;
     std::uint64_t mapped_hash = 0;
     CaseResult c{"large_arb_mis_mapped", m, 0.0, true};
@@ -136,8 +142,6 @@ int run_large(const bench::BenchOptions& options) {
     c.identical = solve_identical;
     cases.push_back(c);
   }
-  std::remove(text_path.c_str());
-  std::remove(gr_path.c_str());
 
   util::Table table({"case", "edges", "ms", "edges_per_s", "identical"});
   table.set_double_precision(3);

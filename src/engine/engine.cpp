@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "engine/internal.h"
+#include "sim/thread_pool.h"
 #include "util/rng.h"
 
 namespace arbmis::engine {
@@ -59,6 +60,11 @@ std::vector<graph::NodeId> priority_order(
               return internal::less(priority, a, b);
             });
   return order;
+}
+
+std::uint32_t num_ranges(const EngineOptions& options) {
+  return options.num_threads != 0 ? options.num_threads
+                                  : sim::ThreadPool::shared().participants();
 }
 
 EngineResult solve(graph::GraphView g, EngineKind kind,

@@ -50,12 +50,18 @@ std::string_view engine_name(EngineKind kind) noexcept;
 struct EngineOptions {
   std::uint64_t seed = 12345;
 
-  /// Worker threads for kTestAndSet; 0 and 1 both run on the calling
-  /// thread. (sim::NetworkOptions::num_threads = 0 differs: it means the
-  /// sim::ScopedNumThreads process default.) The result is byte-identical
-  /// across all values by construction.
+  /// How kTestAndSet cuts each phase into ranges, which the process-wide
+  /// sim::ThreadPool runs: 0 (the default) one range per pool participant,
+  /// 1 one range on the calling thread, k >= 2 k ranges. A phase over
+  /// fewer nodes than a grain runs its ranges on the calling thread.
+  /// (sim::NetworkOptions::num_threads = 0 differs: it means the
+  /// sim::ScopedNumThreads process default, the inline lane unless set.)
+  /// The result is byte-identical across all values by construction.
   std::uint32_t num_threads = 0;
 };
+
+/// The number of ranges options.num_threads resolves to (see above).
+std::uint32_t num_ranges(const EngineOptions& options);
 
 struct EngineResult {
   /// Byte mask, 1 = member (uint8_t so it can feed mis::verify_mask).

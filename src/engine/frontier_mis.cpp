@@ -90,7 +90,7 @@ struct Share {
   // the 4096-node solve read 6-16% slower (heap layout; EXPERIMENTS.md E1).
   std::vector<std::atomic<std::uint8_t>> alive(n);
   std::vector<graph::NodeId> winners(n);
-  Workers workers(options.num_threads);
+  Workers workers(num_ranges(options));
   std::vector<Share> shares(workers.count());
   EngineResult result;
   result.in_mis.assign(n, 0);

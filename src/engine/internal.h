@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "engine/engine.h"
@@ -21,51 +20,47 @@ inline bool less(std::span<const std::uint64_t> priority, graph::NodeId u,
   return priority[u] != priority[v] ? priority[u] < priority[v] : u < v;
 }
 
-/// Data-parallel harness over contiguous node ranges. 0 and 1 workers run
-/// the body inline over one range; otherwise a sim::ThreadPool executes one
-/// static range per worker. Every phase dispatched through run_ranges() is
-/// a barrier: the body must read only state written before the call and
-/// write only slots no other range touches (or same-value relaxed
+/// Data-parallel harness over contiguous node ranges, run on
+/// sim::ThreadPool::shared(). Every phase dispatched through run_ranges()
+/// is a barrier: the body must read only state written before the call
+/// and write only slots no other range touches (or same-value relaxed
 /// atomics), which is what makes the engines thread-count-invariant by
 /// construction.
 class Workers {
  public:
   /// Phases over fewer items than this run on the calling thread. Set by
-  /// measurement: one pool dispatch costs about as much as testing a few
-  /// thousand frontier nodes.
-  static constexpr graph::NodeId kPoolGrain = 4096;
+  /// measurement (EXPERIMENTS.md E1): at 4096 the default's 4096-node row
+  /// read 3-4x slower than serial in 3 of 10 runs; from 16384 items up
+  /// the pool pays.
+  static constexpr graph::NodeId kPoolGrain = 16384;
 
-  explicit Workers(std::uint32_t num_threads) {
-    if (num_threads >= 2) {
-      pool_ = std::make_unique<sim::ThreadPool>(num_threads);
-    }
-  }
+  /// `ranges` (>= 1) per phase: num_ranges(options).
+  explicit Workers(std::uint32_t ranges) : count_(ranges) {}
 
-  std::uint32_t count() const noexcept {
-    return pool_ == nullptr ? 1 : pool_->num_workers();
-  }
+  /// The number of ranges a phase is cut into.
+  std::uint32_t count() const noexcept { return count_; }
 
-  /// Invokes body(worker, begin, end) once per worker index in
-  /// [0, count()) over a static partition of [0, n); a range may be empty.
-  /// Below kPoolGrain items the ranges run one after another on the
-  /// calling thread, since waking the pool costs more than the work; the
-  /// ranges, and so the results, are the same either way.
+  /// Invokes body(range, begin, end) once per range index in
+  /// [0, count()) over a static partition of [0, n); a range may be
+  /// empty. Below kPoolGrain items the ranges run one after another on
+  /// the calling thread; the ranges, and so the results, are the same
+  /// either way.
   template <typename Body>
   void run_ranges(graph::NodeId n, const Body& body) {
-    const std::uint64_t workers = count();
-    const auto range = [&](std::uint32_t w) {
-      body(w, static_cast<graph::NodeId>(std::uint64_t{n} * w / workers),
-           static_cast<graph::NodeId>(std::uint64_t{n} * (w + 1) / workers));
+    const std::uint64_t ranges = count_;
+    const auto range = [&](std::uint32_t r) {
+      body(r, static_cast<graph::NodeId>(std::uint64_t{n} * r / ranges),
+           static_cast<graph::NodeId>(std::uint64_t{n} * (r + 1) / ranges));
     };
-    if (pool_ == nullptr || n < kPoolGrain) {
-      for (std::uint32_t w = 0; w < workers; ++w) range(w);
+    if (count_ == 1 || n < kPoolGrain) {
+      for (std::uint32_t r = 0; r < count_; ++r) range(r);
       return;
     }
-    pool_->run(range);
+    sim::ThreadPool::shared().run(count_, range);
   }
 
  private:
-  std::unique_ptr<sim::ThreadPool> pool_;
+  std::uint32_t count_;
 };
 
 EngineResult solve_tas(graph::GraphView g, const EngineOptions& options,

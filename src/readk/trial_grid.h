@@ -58,8 +58,8 @@ class TrialGrid {
     };
     // The thread count only decides who runs the blocks.
     if (num_threads_ > 0) {
-      sim::ThreadPool pool(num_threads_);
-      pool.run([&](std::uint32_t w) { run_blocks(w, pool.num_workers()); });
+      sim::ThreadPool::shared().run(
+          num_threads_, [&](std::uint32_t w) { run_blocks(w, num_threads_); });
     } else {
       run_blocks(0, 1);
     }

@@ -8,6 +8,7 @@
 #include "obs/sink.h"
 #include "obs/span.h"
 #include "sim/contract.h"  // static_asserts run in every build via this TU
+#include "sim/thread_pool.h"
 
 namespace arbmis::sim {
 
@@ -79,7 +80,6 @@ Network::Network(graph::GraphView g, std::uint64_t seed,
   }
   if (fault_ != nullptr) ensure_port_slots();
   if (num_threads_ > 0) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
     shard_bounds_.resize(static_cast<std::size_t>(num_threads_) + 1, 0);
   }
   lanes_.resize(std::max<std::uint32_t>(num_threads_, 1));
@@ -298,7 +298,7 @@ void Network::run_shard(Algorithm& algorithm, ExecLane& lane,
                         graph::NodeId begin, graph::NodeId end) {
   // Only the inline lane may count its read-k origins mid-phase; pool
   // lanes wait for the barrier merge.
-  const bool inline_lane = pool_ == nullptr;
+  const bool inline_lane = num_threads_ == 0;
   for (graph::NodeId v = begin; v < end; ++v) {
     if (halted_[v] != 0) continue;
     // The down set is frozen at the barrier, so lanes read a consistent
@@ -318,7 +318,7 @@ void Network::run_phase(Algorithm& algorithm) {
   std::vector<std::uint8_t>& sent = sent_[round_ & 1];
   std::fill(sent.begin(), sent.end(), 0);
   try {
-    if (pool_ == nullptr) {
+    if (num_threads_ == 0) {
       run_shard(algorithm, lanes_[0], 0, n);
     } else {
       // Shard non-halted nodes into contiguous ranges of near-equal alive
@@ -329,23 +329,28 @@ void Network::run_phase(Algorithm& algorithm) {
       shard_bounds_[0] = 0;
       std::uint64_t alive_seen = 0;
       std::uint32_t s = 1;
+      std::uint64_t target = alive / t;  // the alive index shard s starts at
       for (graph::NodeId v = 0; v < n && s < t; ++v) {
-        while (s < t && alive_seen == alive * s / t) {
+        while (s < t && alive_seen == target) {
           shard_bounds_[s] = v;
           ++s;
+          target = alive * s / t;
         }
-        if (halted_[v] == 0) ++alive_seen;
+        alive_seen += halted_[v] == 0 ? 1 : 0;
       }
       // Any bounds not reached stay at n (pre-filled): trailing empty
       // shards.
-      pool_->run([&](std::uint32_t w) {
+      ThreadPool::shared().run(t, [&](std::uint32_t w) {
         obs::set_thread_lane(w + 1);
         OBS_SCOPE("net.shard");
         run_shard(algorithm, lanes_[w], shard_bounds_[w],
                   shard_bounds_[w + 1]);
       });
+      // The calling thread ran lanes too; the merge is lane 0's.
+      obs::set_thread_lane(0);
     }
   } catch (...) {
+    obs::set_thread_lane(0);
     // The throw skipped the barrier: fold what every lane staged for the
     // checker (violation counts, kViolation events, the flight-recorder
     // auto-dump) before the exception leaves the run.
@@ -360,7 +365,7 @@ void Network::run_phase(Algorithm& algorithm) {
   // lanes in this order reproduces the inline lane's stats and checker
   // ledger byte-for-byte.
   OBS_SCOPE("net.merge");
-  const bool emit_lanes = pool_ != nullptr && obs::telemetry_attached();
+  const bool emit_lanes = num_threads_ > 0 && obs::telemetry_attached();
   for (std::uint32_t w = 0; w < lanes_.size(); ++w) {
     const ExecLane& lane = lanes_[w];
     if (emit_lanes) {

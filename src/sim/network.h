@@ -12,11 +12,15 @@
 // NetworkOptions::num_threads == 0 (the default) one lane runs inline on
 // the calling thread, scanning v = 0..n-1; its order is already final, so
 // it counts its staged read-k consumptions every kFlushBatch entries, which
-// bounds its memory. With num_threads >= 1 a persistent worker pool
-// (sim/thread_pool.h) runs one lane per worker over contiguous node-id
-// shards of near-equal alive count, and the lanes are merged at the round
-// barrier in shard order. A process-wide override for code that constructs
-// its own Networks deep inside pipelines is available via ScopedNumThreads.
+// bounds its memory. With num_threads = t >= 1 the process-wide pool
+// (sim/thread_pool.h) runs t lanes over contiguous node-id shards of
+// near-equal alive count, lane w on pool participant w mod P; the calling
+// thread is participant 0 and runs lanes itself, and its profiling lane
+// tag (obs::set_thread_lane) is back at 0 after every pooled phase, so the
+// barrier merge records on lane 0. The lanes are merged at the round
+// barrier in shard order. A process-wide override for code that
+// constructs its own Networks deep inside pipelines is available via
+// ScopedNumThreads.
 //
 // Determinism-merge rule: a message's place in its receiver's inbox is
 // fixed by the receiver's row (see Delivery), never by when it was sent,
@@ -99,7 +103,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -109,7 +112,6 @@
 #include "sim/fault_hooks.h"
 #include "sim/message.h"
 #include "sim/model_check.h"
-#include "sim/thread_pool.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 
@@ -121,11 +123,12 @@ struct NetworkOptions {
   /// build without the subsystem. See sim/fault_hooks.h for the contract
   /// and src/fault/ for the deterministic FaultPlan implementation.
   FaultInjector* fault = nullptr;
-  /// Worker threads for round execution. 0 (default) = the process-wide
-  /// default, which is the inline lane unless a ScopedNumThreads override
-  /// is active; >= 1 = a worker pool with exactly that many lanes (1 still
-  /// exercises the pool's barrier merge). Results are bit-identical across
-  /// all values.
+  /// Lanes for round execution. 0 (default) = the process-wide default,
+  /// which is the inline lane unless a ScopedNumThreads override is
+  /// active; >= 1 = exactly that many pool lanes on the process-wide
+  /// sim::ThreadPool (1 runs its one lane on the calling thread and still
+  /// exercises the barrier merge). Results are bit-identical across all
+  /// values.
   std::uint32_t num_threads = 0;
   /// Runtime CONGEST model checker (enabled by default; see
   /// sim/model_check.h). Set `model_check.enabled = false` to opt out.
@@ -224,7 +227,7 @@ class Network {
   std::uint32_t round() const noexcept { return round_; }
   bool halted(graph::NodeId v) const noexcept { return halted_[v] != 0; }
   graph::NodeId num_halted() const noexcept { return num_halted_; }
-  /// Resolved worker count (0 = the inline lane).
+  /// Resolved lane count (0 = the inline lane).
   std::uint32_t num_threads() const noexcept { return num_threads_; }
   /// Port slots allocated: one per directed edge and round parity, sized
   /// at construction with a FaultInjector, else by the first port send
@@ -361,8 +364,7 @@ class Network {
   std::uint64_t in_flight_ = 0;  ///< messages sent this phase (lanes folded)
   std::uint64_t delivering_ = 0;  ///< messages sent by the previous phase
 
-  // Executor state: one lane (inline) or one per worker (pool_ set).
-  std::unique_ptr<ThreadPool> pool_;
+  // Executor state: one lane (inline) or num_threads_ pool lanes.
   std::vector<ExecLane> lanes_;
   std::vector<graph::NodeId> shard_bounds_;
 

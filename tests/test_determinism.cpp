@@ -139,12 +139,14 @@ TEST(Determinism, GoldenPerSeedEngineLabels) {
 }
 
 TEST(Determinism, GoldenTasRoundPins) {
-  // kTestAndSet's labels hash AND round count per (graph, seed), inline
-  // and on four workers. The round count is a gated metric of the engine
-  // benchmark, so every change to the round loop must leave both alone:
-  // the three 4096-node graphs of EngineEquivalence's pool-grain test,
-  // one graph of the engine workload's family, hubbed_forest_union(2^16,
-  // 2, 64), and a dense G(2048, 0.5).
+  // kTestAndSet's labels hash AND round count per (graph, seed), on the
+  // calling thread (1), at the default (0, one range per pool
+  // participant) and in four ranges. The round count is a gated metric of
+  // the engine benchmark, so every change to the round loop must leave
+  // both alone: three 4096-node graphs (hubbed, forest union, sparse
+  // G(n, p)), one graph of the engine workload's family,
+  // hubbed_forest_union(2^16, 2, 64), whose first phases run on the pool,
+  // and a dense G(2048, 0.5).
   struct Pin {
     std::uint64_t hash;
     std::uint64_t rounds;
@@ -179,7 +181,7 @@ TEST(Determinism, GoldenTasRoundPins) {
   };
   for (std::size_t i = 0; i < std::size(graphs); ++i) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      for (const std::uint32_t threads : {0u, 4u}) {
+      for (const std::uint32_t threads : {1u, 0u, 4u}) {
         engine::EngineOptions options;
         options.seed = seed;
         options.num_threads = threads;

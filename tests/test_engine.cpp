@@ -7,9 +7,9 @@
 // lexicographically-first MIS w.r.t. (priority, id). The differential row
 // ties the family to the CONGEST side: the sequential-greedy engine
 // matches mis::greedy_mis over the explicit priority order label for
-// label. The 4096-node rows run the TAS engine's first two frontier
-// rounds partly on the worker pool (phases over fewer than 4096 items run
-// their worker ranges on the calling thread); that may not move a byte.
+// label. The 16384-node rows run the TAS engine's first two frontier
+// rounds partly on the worker pool (phases over fewer than 16384 items run
+// their ranges on the calling thread); that may not move a byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -155,18 +155,18 @@ TEST(EngineEquivalence, PrioritiesArePureAndSeedSeparated) {
   EXPECT_EQ(same, 0u);
 }
 
-// The pool grain must not move a byte. At n = 4096 kTestAndSet's frontier
-// starts at all 4096 nodes, exactly Workers::kPoolGrain, so at 2 and 4
-// threads round 1's test and commit and round 2's compaction and test
-// (sized by round 1's 4096 ids) run on the pool, and the later phases
-// inline. It must land on the sequential-greedy oracle's set at every
-// thread count.
+// The pool grain must not move a byte. At n = 16384 kTestAndSet's
+// frontier starts at all 16384 nodes, exactly Workers::kPoolGrain, so in
+// 2 and 4 ranges (and at the default on a multi-core host) round 1's test
+// and commit and round 2's compaction and test (sized by round 1's 16384
+// ids) run on the pool, and the later phases inline. It must land on the
+// sequential-greedy oracle's set at every thread count.
 TEST(EngineEquivalence, PrefixWindowsAndDenseRemnantMatchTheOracle) {
   util::Rng rng(5);
   const graph::Graph graphs[] = {
-      graph::gen::hubbed_forest_union(4096, 2, 8, rng),
-      graph::gen::union_of_random_forests(4096, 3, rng),
-      graph::gen::gnp(4096, 0.002, rng),
+      graph::gen::hubbed_forest_union(16384, 2, 8, rng),
+      graph::gen::union_of_random_forests(16384, 3, rng),
+      graph::gen::gnp(16384, 0.0005, rng),
   };
   for (const graph::Graph& g : graphs) {
     for (const std::uint64_t seed : kSeeds) {
@@ -176,7 +176,7 @@ TEST(EngineEquivalence, PrefixWindowsAndDenseRemnantMatchTheOracle) {
           engine::solve(g, engine::EngineKind::kSequentialGreedy, options)
               .in_mis;
       ASSERT_TRUE(mis::verify_mask(g, oracle).ok());
-      for (const std::uint32_t threads : {0u, 2u, 4u}) {
+      for (const std::uint32_t threads : {1u, 0u, 2u, 4u}) {
         options.num_threads = threads;
         EXPECT_EQ(
             engine::solve(g, engine::EngineKind::kTestAndSet, options).in_mis,
@@ -228,6 +228,7 @@ TEST(EngineEquivalence, RoundAccounting) {
   };
   for (const graph::Graph& g : graphs) {
     engine::EngineOptions serial;
+    serial.num_threads = 1;
     const engine::EngineResult oracle =
         engine::solve(g, engine::EngineKind::kSequentialGreedy, serial);
     EXPECT_EQ(oracle.rounds, 1u);
